@@ -109,18 +109,19 @@ type result = {
 exception Stop of outcome
 
 module Run (S : Spec.S) = struct
-  (* [probe] is threaded separately from [opts] so the parallel engine can
+  (* [probe] is threaded separately from [opts] so the parallel engines can
      hand each worker its own (domain-local) probe view. The [bool] of
      [fingerprint_info] reports whether symmetry canonicalization changed
-     the fingerprint — fed to the profiler's per-edge [sym] flag. *)
+     the fingerprint — fed to the profiler's per-edge [sym] flag. All three
+     engines fingerprint through this one function. *)
   let fingerprint_info ?probe opts scenario state =
     let b0 = if Probe.is_on probe then Fingerprint.marshalled_bytes () else 0 in
     let fp, sym =
       if opts.symmetry && S.permutable then begin
         Probe.span_begin probe "symmetry-normalize";
         let r =
-          Symmetry.canonical_fp_info ?probe ~who:S.name ~permute:S.permute
-            ~nodes:scenario.Scenario.nodes state
+          Symmetry.canonical_fp_info ?probe ~who:S.name ~key:S.node_key
+            ~permute:S.permute ~nodes:scenario.Scenario.nodes state
         in
         Probe.span_end probe "symmetry-normalize";
         r

@@ -79,7 +79,7 @@ type options = {
   probe : Probe.t option;
       (** observability hook ([None] = zero-cost off): phase spans
           (expand / fingerprint / symmetry-normalize / invariant), counters
-          ([fp.dup], symmetry-cache hits) and one {!Probe.layer} record per
+          ([fp.dup], [symmetry.candidates]) and one {!Probe.layer} record per
           BFS layer barrier *)
 }
 
@@ -115,6 +115,18 @@ type result = {
   max_depth : int;  (** deepest layer reached *)
   duration : float;
 }
+
+(** Per-state logic shared by every exploration engine. *)
+module Run (S : Spec.S) : sig
+  val fingerprint_info :
+    ?probe:Probe.t -> options -> Scenario.t -> S.state -> Fingerprint.t * bool
+  (** The state's visited-set fingerprint: the symmetry-canonical one
+      ({!Symmetry.canonical_fp_info} keyed by [S.node_key]) when
+      [opts.symmetry && S.permutable], else the plain one. The [bool] is
+      the profiler's per-edge [sym] flag: canonicalisation changed the
+      fingerprint. With [probe], runs in a [symmetry-normalize] or
+      [fingerprint] span and counts [fp.bytes]. *)
+end
 
 val check : ?resume:snapshot -> Spec.t -> Scenario.t -> options -> result
 (** [check ?resume spec scenario opts] — with [resume], exploration

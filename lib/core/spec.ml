@@ -9,6 +9,7 @@ module type S = sig
   val observe : state -> Tla.Value.t
   val permutable : bool
   val permute : int array -> state -> state
+  val node_key : state -> int -> int
   val pp_state : Format.formatter -> state -> unit
 end
 

@@ -29,11 +29,24 @@ module type S = sig
   (** Observable variables compared during conformance checking. *)
 
   val permutable : bool
-  (** Whether node-id permutation preserves the transition relation (it does
-      for all bundled systems; set [false] for asymmetric deployments). *)
+  (** Whether node-id permutation preserves the transition relation. Set
+      [false] when the protocol orders nodes by id (ZooKeeper's leader
+      election breaks vote ties by server id) or for asymmetric
+      deployments. *)
 
   val permute : int array -> state -> state
   (** [permute p s] renames node [i] to [p.(i)] everywhere in [s]. *)
+
+  val node_key : state -> int -> int
+  (** [node_key s i] summarises node [i]'s own state without naming any
+      node id, so symmetry reduction ({!Symmetry}) fingerprints only the
+      permutations that sort the nodes by key. Contract (equivariance):
+      [node_key (permute p s) p.(i) = node_key s i] for every [p], [s] and
+      [i]. A constant key is always correct and makes every permutation a
+      candidate. A finer key only shrinks the candidate set; a key that
+      breaks the contract cannot merge states of different orbits, but it
+      can leave states of one orbit unmerged, so the explored space grows
+      and its counts stop matching the all-permutations reduction. *)
 
   val pp_state : Format.formatter -> state -> unit
 end

@@ -13,7 +13,7 @@ let permutations n =
   let identity = Array.init n Fun.id in
   identity :: List.filter (fun p -> p <> identity) arrays
 
-(* Cache permutation lists: canonical_fp is the BFS hot path. The cache is a
+(* Cache permutation lists per tie-block size. The cache is a
    snapshot-swapped immutable assoc list so concurrent domains can read it
    without locking (a lost race merely recomputes a permutation list). *)
 let perm_cache : (int * int array list) list Atomic.t = Atomic.make []
@@ -28,28 +28,83 @@ let rec cached_permutations n =
     else if Atomic.compare_and_set perm_cache cur ((n, ps) :: cur) then ps
     else cached_permutations n
 
-let canonical_fp_info ?probe ?who ~permute ~nodes state =
-  let perms =
-    match probe with
-    | None -> cached_permutations nodes
-    | Some _ ->
-      (* Raw lookups only: whether a given lookup hits the cache depends
-         on domain scheduling (a lost CAS race recomputes), so the
-         hit/miss split is derived deterministically at merge time from
-         this total ([Obs.Run] credits one cold miss per run). *)
-      Probe.count probe "symmetry.perm_cache_lookups" 1;
-      cached_permutations nodes
-  in
-  let identity_fp = Fingerprint.of_state ?who state in
-  let best = ref identity_fp in
-  let try_perm p =
-    let fp = Fingerprint.of_state ?who (permute p state) in
-    if Fingerprint.compare fp !best < 0 then best := fp
-  in
-  (match perms with
-  | [] -> ()
-  | _identity :: rest -> List.iter try_perm rest);
-  (!best, Fingerprint.compare !best identity_fp <> 0)
+let constant_key _ _ = 0
 
-let canonical_fp ?probe ?who ~permute ~nodes state =
-  fst (canonical_fp_info ?probe ?who ~permute ~nodes state)
+(* The candidates are the permutations [p] that send the nodes, stably
+   sorted by key, to positions [0 .. n-1]: [p.(order.(r)) = r], with every
+   arrangement tried inside each block of tied keys. Because the key is
+   equivariant, the candidate set of [q·s] is that of [s] composed with
+   [q⁻¹], so both reach the same set of permuted states and the minimum
+   fingerprint over it is an orbit invariant. *)
+let canonical_fp_info ?probe ?who ?(key = constant_key) ~permute ~nodes state =
+  let keys = Array.init nodes (key state) in
+  let order = Array.init nodes Fun.id in
+  for i = 1 to nodes - 1 do
+    let x = order.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && keys.(order.(!j)) > keys.(x) do
+      order.(!j + 1) <- order.(!j);
+      decr j
+    done;
+    order.(!j + 1) <- x
+  done;
+  let p = Array.make nodes 0 in
+  Array.iteri (fun r node -> p.(node) <- r) order;
+  (* tied blocks as (first rank, size), size >= 2 *)
+  let ties = ref [] in
+  let start = ref 0 in
+  for r = 1 to nodes do
+    if r = nodes || keys.(order.(r)) <> keys.(order.(!start)) then begin
+      if r - !start >= 2 then ties := (!start, r - !start) :: !ties;
+      start := r
+    end
+  done;
+  let candidates = ref 0 in
+  let identity_fp = ref None in
+  let best = ref None in
+  let is_identity () =
+    let rec go i = i = nodes || (p.(i) = i && go (i + 1)) in
+    go 0
+  in
+  let try_candidate () =
+    incr candidates;
+    let fp =
+      if is_identity () then begin
+        let fp = Fingerprint.of_state ?who state in
+        identity_fp := Some fp;
+        fp
+      end
+      else Fingerprint.of_state ?who (permute p state)
+    in
+    match !best with
+    | Some b when Fingerprint.compare b fp <= 0 -> ()
+    | _ -> best := Some fp
+  in
+  let rec arrange = function
+    | [] -> try_candidate ()
+    | (first, size) :: rest ->
+      List.iter
+        (fun q ->
+          for j = 0 to size - 1 do
+            p.(order.(first + j)) <- first + q.(j)
+          done;
+          arrange rest)
+        (cached_permutations size)
+  in
+  arrange !ties;
+  let best = Option.get !best in
+  Probe.count probe "symmetry.candidates" !candidates;
+  (* [sym]: the canonical fingerprint differs from the state's own. When
+     the identity is not a candidate the state is not key-sorted, so no
+     candidate equals it; only an attached probe pays for the comparison. *)
+  let sym =
+    match !identity_fp with
+    | Some fp -> Fingerprint.compare best fp <> 0
+    | None ->
+      (not (Probe.is_on probe))
+      || Fingerprint.compare best (Fingerprint.of_state ?who state) <> 0
+  in
+  (best, sym)
+
+let canonical_fp ?probe ?who ?key ~permute ~nodes state =
+  fst (canonical_fp_info ?probe ?who ?key ~permute ~nodes state)

@@ -6,9 +6,7 @@
     folds the collectors {e in worker order} and sorts every family by
     name — the resulting {!summary} does not depend on domain scheduling,
     and for the deterministic engines the counter values are identical at
-    every worker count. (Counters that would be scheduling-dependent per
-    call — the symmetry permutation-cache hit/miss split — are instead
-    derived from deterministic totals at merge time, in [Run.finish].) *)
+    every worker count. *)
 
 type gauge = { mutable g_last : float; mutable g_max : float }
 type timer = { mutable tm_count : int; mutable tm_total : float }

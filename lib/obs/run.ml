@@ -145,30 +145,12 @@ let manifest_profile s =
   { Store.Manifest.mp_dup_top_source = s.s_profile.Profile.p_dup_top_source;
     mp_peak_worker_skew_pct = s.s_profile.Profile.p_peak_worker_skew_pct }
 
-(* Whether a permutation-list lookup hits the process-global cache depends
-   on domain scheduling (a lost CAS race recomputes) and on which runs
-   warmed it earlier in the process — so the engines report only the raw
-   lookup total, which is deterministic, and the hit/miss split is derived
-   here: a run explores one [nodes] value, so exactly one lookup is a cold
-   miss. *)
-let derive_perm_split (m : Metrics.summary) =
-  match List.assoc_opt "symmetry.perm_cache_lookups" m.Metrics.s_counters with
-  | None | Some 0 -> m
-  | Some lookups ->
-    let counters =
-      m.Metrics.s_counters
-      @ [ ("symmetry.perm_cache_hits", lookups - 1);
-          ("symmetry.perm_cache_misses", 1) ]
-      |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-    in
-    { m with Metrics.s_counters = counters }
-
 let finish t ~outcome ?(distinct = 0) ?(generated = 0) ?(max_depth = 0)
     ~duration () =
   t.finished <- true;
   let now = Unix.gettimeofday () in
   Array.iter (fun c -> Metrics.drain c ~now) t.collectors;
-  let m = derive_perm_split (Metrics.merge t.collectors) in
+  let m = Metrics.merge t.collectors in
   (* barrier-idle: share of worker time spent waiting — at layer barriers
      (strict BFS) or idle-stealing (work-stealing engine) — relative to
      productive phase time ("expand" for exploration, "walks" for

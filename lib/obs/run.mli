@@ -55,9 +55,7 @@ type summary = {
       (** barrier-wait time as % of (expand+walks) + barrier-wait *)
   s_layers : int;  (** layer records observed *)
   s_metrics : Metrics.summary;
-      (** merged counters/gauges/timers, with the symmetry perm-cache
-          hit/miss split derived from the deterministic lookup total (one
-          cold miss per run) rather than sampled per call *)
+      (** merged counters/gauges/timers *)
   s_profile : Profile.summary;  (** exploration-shape profile *)
 }
 

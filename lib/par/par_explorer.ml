@@ -54,31 +54,9 @@ module Run (S : Spec.S) = struct
     | Shard_set.Proot i -> Root i
     | Shard_set.Pstep (parent, event) -> Step { parent; event }
 
-  (* Mirrors [Explorer.fingerprint_info]: the [bool] is the profiler's
-     per-edge [sym] flag (canonicalization changed the fingerprint). *)
-  let fingerprint_info ?probe (opts : Explorer.options)
-      (scenario : Scenario.t) state =
-    let b0 = if Probe.is_on probe then Fingerprint.marshalled_bytes () else 0 in
-    let fp, sym =
-      if opts.symmetry && S.permutable then begin
-        Probe.span_begin probe "symmetry-normalize";
-        let r =
-          Symmetry.canonical_fp_info ?probe ~who:S.name ~permute:S.permute
-            ~nodes:scenario.Scenario.nodes state
-        in
-        Probe.span_end probe "symmetry-normalize";
-        r
-      end
-      else begin
-        Probe.span_begin probe "fingerprint";
-        let fp = Fingerprint.of_state ~who:S.name state in
-        Probe.span_end probe "fingerprint";
-        (fp, false)
-      end
-    in
-    if Probe.is_on probe then
-      Probe.count probe "fp.bytes" (Fingerprint.marshalled_bytes () - b0);
-    (fp, sym)
+  module E = Explorer.Run (S)
+
+  let fingerprint_info = E.fingerprint_info
 
   let final_state scenario init_index events =
     let s0 = List.nth (S.init scenario) init_index in

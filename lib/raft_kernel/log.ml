@@ -88,6 +88,12 @@ let is_prefix_consistent a b =
   in
   agree lo
 
+let hash t =
+  let mix h x = (h * 1_000_003) + x in
+  List.fold_left
+    (fun h (e : Types.entry) -> mix (mix h e.term) e.value)
+    (mix t.base_index t.base_term) t.entries
+
 let observe t =
   Tla.Value.record
     [ "base_index", Tla.Value.int t.base_index;

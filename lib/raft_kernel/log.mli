@@ -52,5 +52,9 @@ val entries : t -> (Types.index * Types.entry) list
 val is_prefix_consistent : t -> t -> bool
 (** Log-matching: on every index both logs cover, the terms agree. *)
 
+val hash : t -> int
+(** A hash of the snapshot boundary and every live entry; equal logs hash
+    equal. *)
+
 val observe : t -> Tla.Value.t
 val pp : Format.formatter -> t -> unit

@@ -9,6 +9,16 @@ type t = {
   match_index : Types.index array;
 }
 
+let mix h x = (h * 1_000_003) + x
+
+let node_key ~self v =
+  let role =
+    match v.role with Types.Follower -> 0 | Candidate -> 1 | Leader -> 2
+  in
+  let h = mix (Bool.to_int v.alive) role in
+  let h = mix (mix h v.current_term) v.commit_index in
+  mix (mix h (Log.hash v.log)) (Bool.to_int (v.voted_for = Some self))
+
 let observe v =
   let open Tla.Value in
   if not v.alive then record [ "status", str "down" ]

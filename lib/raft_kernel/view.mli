@@ -12,6 +12,13 @@ type t = {
   match_index : Types.index array;
 }
 
+val node_key : self:int -> t -> int
+(** A symmetry key ({!Sandtable.Spec.S.node_key}) for node [self]: a hash
+    of [alive], [role], [current_term], [commit_index], [log] and whether
+    the node voted for itself. It names no node id, so it is equivariant
+    for any spec whose [permute] renames [voted_for] and moves the node's
+    view to its new slot. *)
+
 val observe : t -> Tla.Value.t
 (** Record with fields [status role term voted_for log commit next match];
     down nodes observe as [[status |-> "down"]] plus persistent state. *)

@@ -15,11 +15,15 @@ let rec mkdir_p dir =
 (* ---- identity --------------------------------------------------------- *)
 
 let identity ?(extra = []) spec (scenario : Scenario.t) (opts : Explorer.options) =
+  let (module S : Spec.S) = spec in
   let b = Buffer.create 256 in
   let line fmt = Format.kasprintf (fun s -> Buffer.add_string b s; Buffer.add_char b '\n') fmt in
   line "spec=%s" (Spec.name spec);
   line "scenario=%s" (Fmt.str "%a" Scenario.pp scenario);
-  line "symmetry=%b" opts.symmetry;
+  (* the canonicalisation in force, which fixes the stored fingerprint
+     values: checkpoints cut under an earlier canonical form ("true") are
+     refused by name rather than resumed without deduplicating *)
+  line "symmetry=%s" (if opts.symmetry && S.permutable then "keyed" else "false");
   line "stop_on_violation=%b" opts.stop_on_violation;
   line "check_deadlock=%b" opts.check_deadlock;
   (match opts.only_invariants with

@@ -34,7 +34,9 @@ val identity :
   Sandtable.Spec.t -> Sandtable.Scenario.t -> Sandtable.Explorer.options ->
   string
 (** Canonical identity string for an exploration: spec name, scenario,
-    [symmetry], [stop_on_violation], [check_deadlock], [only_invariants],
+    the symmetry canonicalisation in force ([symmetry=keyed] for the
+    key-sorted reduction of {!Sandtable.Symmetry}, [symmetry=false] when
+    [opts.symmetry] is off or the spec is not permutable), [stop_on_violation], [check_deadlock], [only_invariants],
     plus any [extra] key/value pairs (e.g. bug flags), sorted. Budgets are
     excluded (see above). *)
 

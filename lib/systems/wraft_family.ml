@@ -688,6 +688,7 @@ module Make (P : PARAMS) : Sandtable.Spec.S with type state = state = struct
         "flags", Tla.Value.set (List.map Tla.Value.str st.flags) ]
 
   let permutable = true
+  let node_key st i = View.node_key ~self:i (view_of st.nodes.(i))
 
   let permute p st =
     let permute_node ns =

@@ -779,10 +779,19 @@ end) : Sandtable.Spec.S with type state = state = struct
         "counters", Counters.observe st.counters;
         "flags", Tla.Value.set (List.map Tla.Value.str st.flags) ]
 
-  let permutable = true
+  (* Not symmetric: FLE's vote order breaks ties by server id ([vote_gt]),
+     so renaming nodes changes which vote wins. [permute] is still a
+     faithful renaming (in-flight notifications included) for tests that
+     exercise it directly. *)
+  let permutable = false
+  let node_key _ _ = 0
 
   let permute p st =
     let pv (v : vote) = { v with v_leader = p.(v.v_leader) } in
+    let pmsg = function
+      | Notification n -> Notification { n with vote = pv n.vote }
+      | m -> m
+    in
     let permute_node ns =
       { ns with
         vote = pv ns.vote;
@@ -803,7 +812,7 @@ end) : Sandtable.Spec.S with type state = state = struct
     in
     { st with
       nodes = Arr.permute p (Array.map permute_node st.nodes);
-      net = Znet.permute p st.net }
+      net = Znet.permute p (Znet.map_queues pmsg st.net) }
 
   let pp_state ppf st =
     Array.iteri

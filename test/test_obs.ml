@@ -48,9 +48,8 @@ let test_merge_determinism () =
       [ 1; 2; 4 ]
   in
   let _, r1, s1 = List.hd runs in
-  (* every counter, including the perm-cache hit/miss split: engines count
-     only lookups (a deterministic total) and Run.finish derives the split
-     as lookups − 1 hits / 1 cold miss, so no counter is worker-racy *)
+  (* every counter, [symmetry.candidates] included: no counter may depend
+     on the schedule *)
   let stable (s : Obs.Run.summary) = s.s_metrics.Obs.Metrics.s_counters in
   List.iter
     (fun (j, r, s) ->
@@ -519,6 +518,42 @@ let test_progress_cadence () =
   Alcotest.(check bool) "no total, no ETA" false
     (has_infix bare "ETA")
 
+(* ---- symmetry candidates: deterministic across engines and -j --------- *)
+
+let test_symmetry_candidates_deterministic () =
+  (* on three nodes the toy's tick vectors tie often, so tie blocks of two
+     and three nodes occur; the fingerprinted-permutation count depends
+     only on each state's orbit, so every engine and worker count agrees *)
+  let scenario = Toy_spec.scenario ~nodes:3 ~timeouts:5 in
+  let candidates ?(workers = 1) run =
+    let obs = Obs.Run.create ~workers () in
+    let r : Explorer.result =
+      run { Explorer.default with probe = Obs.Run.probe obs }
+    in
+    let s =
+      Obs.Run.finish obs ~outcome:"exhausted" ~distinct:r.distinct
+        ~generated:r.generated ~max_depth:r.max_depth ~duration:r.duration ()
+    in
+    (Obs.Metrics.counter s.Obs.Run.s_metrics "symmetry.candidates",
+     r.generated)
+  in
+  let seq, generated = candidates (Explorer.check spec scenario) in
+  (* more than one per canonicalisation (ties), fewer than 3! (keys) *)
+  Alcotest.(check bool) "ties tried" true (seq > generated + 1);
+  Alcotest.(check bool) "fewer than all permutations" true
+    (seq < 6 * (generated + 1));
+  List.iter
+    (fun j ->
+      Alcotest.(check int) (Fmt.str "strict-BFS -j%d" j) seq
+        (fst
+           (candidates ~workers:j (fun o ->
+                (Par.Par_explorer.check ~workers:j spec scenario o).base)));
+      Alcotest.(check int) (Fmt.str "work-stealing -j%d" j) seq
+        (fst
+           (candidates ~workers:j (fun o ->
+                (Par.Ws_explorer.check ~workers:j spec scenario o).base))))
+    [ 2; 4 ]
+
 (* ---- probe off = same exploration ------------------------------------- *)
 
 let test_probe_off_same_result () =
@@ -548,5 +583,7 @@ let suite =
       case "progress cadence parsing and ETA" test_progress_cadence;
       case "stats tolerates v1 run dirs" test_stats_on_v1_run_dir;
       case "manifest metrics+shrink roundtrip" test_manifest_v3_roundtrip;
+      case "symmetry.candidates deterministic across engines and -j"
+        test_symmetry_candidates_deterministic;
       case "probe changes nothing about exploration"
         test_probe_off_same_result ] )

@@ -35,6 +35,7 @@ module Buf_spec = struct
 
   let permutable = false
   let permute _ st = st
+  let node_key _ _ = 0
   let pp_state ppf st = Fmt.pf ppf "%a" Fmt.(Dump.list string) st.got
 end
 

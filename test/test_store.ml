@@ -511,6 +511,51 @@ let test_resume_exhaustive () =
         (full.distinct, full.generated, full.max_depth)
         (resumed.distinct, resumed.generated, resumed.max_depth))
 
+let test_checkpoint_symmetry_generation () =
+  (* the identity names the canonicalisation that produced the stored
+     fingerprints; a checkpoint from the all-permutations generation
+     ("symmetry=true") is refused by name, and a keyed one resumes to the
+     uninterrupted totals *)
+  let spec = Toy_spec.spec () in
+  let scenario = Toy_spec.scenario ~nodes:3 ~timeouts:6 in
+  let identity = Store.Checkpoint.identity spec scenario toy_opts in
+  Alcotest.(check bool) "symmetric identity is keyed" true
+    (contains identity "symmetry=keyed\n");
+  Alcotest.(check bool) "symmetry off" true
+    (contains
+       (Store.Checkpoint.identity spec scenario
+          { toy_opts with symmetry = false })
+       "symmetry=false\n");
+  Alcotest.(check bool) "non-permutable spec" true
+    (contains
+       (Store.Checkpoint.identity (Systems.Zookeeper.spec ()) scenario toy_opts)
+       "symmetry=false\n");
+  let full = Explorer.check spec scenario toy_opts in
+  with_tmpdir (fun dir ->
+      let opts =
+        { toy_opts with
+          max_depth = Some 3;
+          on_layer = Some (Store.Checkpoint.hook ~dir ~identity ~every:1 ()) }
+      in
+      let (_ : Explorer.result) = Explorer.check spec scenario opts in
+      let snap = Store.Checkpoint.load ~dir ~identity in
+      let resumed = Explorer.check ~resume:snap spec scenario toy_opts in
+      Alcotest.(check (pair int int)) "keyed checkpoint resumes"
+        (full.distinct, full.generated) (resumed.distinct, resumed.generated);
+      let old_identity =
+        String.split_on_char '\n' identity
+        |> List.map (function "symmetry=keyed" -> "symmetry=true" | l -> l)
+        |> String.concat "\n"
+      in
+      let (_ : Store.Checkpoint.stats) =
+        Store.Checkpoint.save ~dir ~identity:old_identity snap
+      in
+      match Store.Checkpoint.load ~dir ~identity with
+      | _ -> Alcotest.fail "all-permutations checkpoint accepted"
+      | exception Store.Checkpoint.Mismatch m ->
+        Alcotest.(check bool) "refused by name" true
+          (contains m "symmetry=true" && contains m "symmetry=keyed"))
+
 (* ---- fingerprint-kernel migration ------------------------------------- *)
 
 (* An injective stand-in for the old MD5 kernel: digest the real
@@ -900,6 +945,8 @@ let suite =
       case "counters codec" test_counters_codec;
       case "checkpoint roundtrip" test_checkpoint_roundtrip;
       case "checkpoint identity mismatch" test_checkpoint_mismatch;
+      case "checkpoint records the symmetry generation"
+        test_checkpoint_symmetry_generation;
       case "checkpoint corruption rejected" test_checkpoint_corrupted;
       case "kill and resume, all engines" test_kill_and_resume;
       case "resume to exhaustion" test_resume_exhaustive;

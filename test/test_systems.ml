@@ -84,6 +84,87 @@ let test_permute_fingerprint_class () =
             (Fingerprint.equal (canonical s) (canonical (S.permute p s))))
         (Symmetry.permutations scenario.nodes))
 
+(* Specs that claim symmetry, each on its default scenario widened to three
+   nodes so the walks below see all six permutations. *)
+let permutable () =
+  List.filter_map
+    (fun (sys : R.t) ->
+      let spec = sys.spec Bug.Flags.empty in
+      let (module S : Spec.S) = spec in
+      if S.permutable then
+        Some (sys.name, spec, { sys.default_scenario with Scenario.nodes = 3 })
+      else None)
+    R.all
+
+(* Every state along [walks] seeded random walks of [steps] events. *)
+let walk_states (type s) (module S : Spec.S with type state = s) scenario
+    ~walks ~steps =
+  let rng = Random.State.make [| 60 |] in
+  let s0 = List.hd (S.init scenario) in
+  let rec go st n acc =
+    if n = 0 then acc
+    else
+      match S.next scenario st with
+      | [] -> acc
+      | succ ->
+        let _, s' = List.nth succ (Random.State.int rng (List.length succ)) in
+        go s' (n - 1) (s' :: acc)
+  in
+  List.concat (List.init walks (fun _ -> go s0 steps [ s0 ]))
+
+let test_node_key_equivariant () =
+  let check name (module S : Spec.S) scenario =
+    let nodes = scenario.Scenario.nodes in
+    List.iter
+      (fun st ->
+        List.iter
+          (fun p ->
+            let st' = S.permute p st in
+            for i = 0 to nodes - 1 do
+              if S.node_key st' p.(i) <> S.node_key st i then
+                Alcotest.failf "%s: node_key (permute p s) p.(%d) <> node_key s %d"
+                  name i i
+            done)
+          (Symmetry.permutations nodes))
+      (walk_states (module S) scenario ~walks:20 ~steps:20)
+  in
+  check "toy" (Toy_spec.spec ()) (Toy_spec.scenario ~nodes:3 ~timeouts:6);
+  List.iter (fun (name, spec, scenario) -> check name spec scenario) (permutable ())
+
+let test_permute_commutes_with_next () =
+  (* the property symmetry reduction actually relies on: [permute p s] has
+     the successors of [s], renamed — compared as multisets of canonical
+     fingerprints. A permutation that is merely a group action on states
+     (all [test_permute_fingerprint_class] needs) does not have it when the
+     protocol orders nodes by id. *)
+  List.iter
+    (fun (name, (module S : Spec.S), scenario) ->
+      let nodes = scenario.Scenario.nodes in
+      let canonical st =
+        Symmetry.canonical_fp ~key:S.node_key ~permute:S.permute ~nodes st
+      in
+      let successors st =
+        List.sort Fingerprint.compare
+          (List.map (fun (_, s') -> canonical s') (S.next scenario st))
+      in
+      let pairs = ref 0 and differing = ref 0 in
+      List.iter
+        (fun st ->
+          let expected = successors st in
+          List.iter
+            (fun p ->
+              incr pairs;
+              let got = successors (S.permute p st) in
+              if not (List.equal Fingerprint.equal expected got) then
+                incr differing)
+            (Symmetry.permutations nodes))
+        (walk_states (module S) scenario ~walks:20 ~steps:20);
+      Alcotest.(check int)
+        (Fmt.str "%s: (state, permutation) pairs of %d with different successors"
+           name !pairs)
+        0 !differing)
+    (permutable ())
+
 let test_observe_has_nodes_and_net () =
   each (fun sys ->
       let (module S : Spec.S) = sys.spec Bug.Flags.empty in
@@ -168,6 +249,38 @@ let test_wraft9_blocks_elections () =
   Alcotest.(check bool) "fixed candidate wins" true
     (final_role [] = Some (Tla.Value.str "leader"))
 
+let test_lin_cache_crosses_limit () =
+  (* two domains each ask about more distinct histories than the
+     linearizability memo holds, so each domain's table is emptied at
+     least once; every answer must still be the checker's own *)
+  let module X = Systems.Xraft_family in
+  let history v =
+    (* odd v: the read returns a value never written *)
+    Linearize.
+      [ { op = Put { key = 1; value = v }; invoked = 1; responded = 2;
+          result = None };
+        { op = Get { key = 1 }; invoked = 3; responded = 4;
+          result = Some (v + (v land 1)) } ]
+  in
+  let answers_right v =
+    X.linearizable ~pending:[] (history v) = (v land 1 = 0)
+  in
+  let sweep () =
+    let wrong = ref 0 in
+    for v = 0 to X.lin_cache_limit + X.lin_cache_limit / 2 do
+      if not (answers_right v) then incr wrong;
+      (* past the limit, entries emptied out are recomputed, not lost *)
+      if v >= X.lin_cache_limit && not (answers_right (v land 7)) then
+        incr wrong
+    done;
+    !wrong
+  in
+  let other = Domain.spawn sweep in
+  let here = sweep () in
+  Alcotest.(check int) "answers past the limit, this domain" 0 here;
+  Alcotest.(check int) "answers past the limit, other domain" 0
+    (Domain.join other)
+
 let suite =
   ( "systems",
     [ case "init nonempty" test_init_nonempty;
@@ -175,7 +288,11 @@ let suite =
       case "events uniquely identify transitions" test_events_unique;
       case "permute identity" test_permute_identity;
       case "canonical fingerprint class" test_permute_fingerprint_class;
+      case "node_key equivariant along walks" test_node_key_equivariant;
+      case "permute commutes with next" test_permute_commutes_with_next;
       case "observation shape" test_observe_has_nodes_and_net;
       case "initial states satisfy invariants" test_initial_invariants_hold;
       case "wraft9 blocks re-election (modeling bug)" test_wraft9_blocks_elections;
+      case "xraft-kv linearizability memo past its limit"
+        test_lin_cache_crosses_limit;
       QCheck_alcotest.to_alcotest prop_walks_well_formed ] )

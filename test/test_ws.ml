@@ -123,27 +123,37 @@ let tiny_budget =
 
 let test_registry_sweep_invariance () =
   let module R = Systems.Registry in
+  let tiny (sys : R.t) =
+    ( sys.name,
+      sys.spec (Systems.Bug.flags []),
+      Scenario.v ~name:(sys.name ^ "-tiny") ~nodes:2 ~workload:[ 1 ]
+        tiny_budget )
+  in
+  (* xraft-kv at 3 nodes and 2 requests: histories long enough that the
+     per-domain linearizability memo holds real entries on every worker *)
+  let xraft_kv_3n =
+    ( "xraft-kv-3n",
+      (R.find "xraft-kv").spec (Systems.Bug.flags []),
+      Scenario.v ~name:"xraft-kv-tiny" ~nodes:3 ~workload:[ 1; 2 ]
+        [ ("timeouts", 3); ("requests", 2); ("crashes", 0); ("restarts", 0);
+          ("partitions", 0); ("buffer", 2); ("drops", 0); ("dups", 0) ] )
+  in
   List.iter
-    (fun (sys : R.t) ->
-      let spec = sys.spec (Systems.Bug.flags []) in
-      let scenario =
-        Scenario.v ~name:(sys.name ^ "-tiny") ~nodes:2 ~workload:[ 1 ]
-          tiny_budget
-      in
+    (fun (name, spec, scenario) ->
       let seq = Explorer.check spec scenario Explorer.default in
-      exhausted (sys.name ^ " sequential") seq.outcome;
+      exhausted (name ^ " sequential") seq.outcome;
       Alcotest.(check bool)
-        (sys.name ^ " explores something") true (seq.generated > 0);
+        (name ^ " explores something") true (seq.generated > 0);
       List.iter
         (fun workers ->
           let ws =
             Par.Ws_explorer.check ~workers spec scenario Explorer.default
           in
-          let l = Fmt.str "%s workers=%d" sys.name workers in
+          let l = Fmt.str "%s workers=%d" name workers in
           exhausted l ws.base.outcome;
           check_totals l seq ws)
         worker_counts)
-    R.all
+    (List.map tiny R.all @ [ xraft_kv_3n ])
 
 let resume_scenario = Toy_spec.scenario ~nodes:2 ~timeouts:6
 
