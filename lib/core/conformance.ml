@@ -58,11 +58,11 @@ let replay_walk ~mask ~boot scenario round (walk : Simulate.walk) =
                failure = Impl_error msg }
       | Ok () ->
         let actual = sut.observe () in
-        let diffs = Tla.Value.diff ~expected:(mask expected) ~actual in
-        if diffs <> [] then
+        match Tla.Value.diff ~expected:(mask expected) ~actual with
+        | [] -> step (i + 1) events' observations'
+        | diffs ->
           Some { round; events = walk.events; failed_at = i;
-                 failure = State_mismatch diffs }
-        else step (i + 1) events' observations')
+                 failure = State_mismatch diffs })
     | _ ->
       invalid_arg "Conformance: walk observations out of sync with events"
   in

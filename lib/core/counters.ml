@@ -23,13 +23,19 @@ let bump t (e : Trace.event) =
   | Duplicate _ -> { t with dups = t.dups + 1 }
   | Deliver _ | Heal -> t
 
+(* The first binding of [key] wins; an absent key is unbounded. *)
+let rec bound key = function
+  | [] -> max_int
+  | (k, v) :: rest -> if String.equal k key then v else bound key rest
+
 let within t budget =
-  let ok key v =
-    match List.assoc_opt key budget with None -> true | Some bound -> v <= bound
-  in
-  ok "timeouts" t.timeouts && ok "requests" t.requests
-  && ok "crashes" t.crashes && ok "restarts" t.restarts
-  && ok "partitions" t.partitions && ok "drops" t.drops && ok "dups" t.dups
+  t.timeouts <= bound "timeouts" budget
+  && t.requests <= bound "requests" budget
+  && t.crashes <= bound "crashes" budget
+  && t.restarts <= bound "restarts" budget
+  && t.partitions <= bound "partitions" budget
+  && t.drops <= bound "drops" budget
+  && t.dups <= bound "dups" budget
 
 let encode sink t =
   Binio.uint sink t.timeouts;
@@ -52,12 +58,12 @@ let decode src =
 
 let observe t =
   Tla.Value.record
-    [ "n_timeout", Tla.Value.int t.timeouts;
-      "n_request", Tla.Value.int t.requests;
-      "n_crash", Tla.Value.int t.crashes;
-      "n_restart", Tla.Value.int t.restarts;
-      "n_partition", Tla.Value.int t.partitions;
+    [ "n_crash", Tla.Value.int t.crashes;
       "n_drop", Tla.Value.int t.drops;
-      "n_dup", Tla.Value.int t.dups ]
+      "n_dup", Tla.Value.int t.dups;
+      "n_partition", Tla.Value.int t.partitions;
+      "n_request", Tla.Value.int t.requests;
+      "n_restart", Tla.Value.int t.restarts;
+      "n_timeout", Tla.Value.int t.timeouts ]
 
 let pp ppf t = Tla.Value.pp ppf (observe t)

@@ -52,20 +52,20 @@ let check ?(pending = []) entries =
   in
   go IMap.empty entries pending
 
+(* Fields in canonical (name) order: [Tla.Value.record] keeps them as is. *)
 let observe_entry e =
-  let op_fields =
+  let key, kind, value =
     match e.op with
-    | Put { key; value } ->
-      [ "type", Tla.Value.str "put";
-        "key", Tla.Value.int key;
-        "value", Tla.Value.int value ]
-    | Get { key } -> [ "type", Tla.Value.str "get"; "key", Tla.Value.int key ]
+    | Put { key; value } -> key, "put", [ "value", Tla.Value.int value ]
+    | Get { key } -> key, "get", []
   in
   Tla.Value.record
-    (op_fields
-    @ [ "invoked", Tla.Value.int e.invoked;
-        "responded", Tla.Value.int e.responded;
-        ( "result",
-          match e.result with
-          | None -> Tla.Value.str "none"
-          | Some v -> Tla.Value.int v ) ])
+    (("invoked", Tla.Value.int e.invoked)
+    :: ("key", Tla.Value.int key)
+    :: ("responded", Tla.Value.int e.responded)
+    :: ( "result",
+         match e.result with
+         | None -> Tla.Value.str "none"
+         | Some v -> Tla.Value.int v )
+    :: ("type", Tla.Value.str kind)
+    :: value)

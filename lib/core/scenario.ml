@@ -1,7 +1,10 @@
 type budget = (string * int) list
 
-let budget_get b key ~default =
-  match List.assoc_opt key b with Some v -> v | None -> default
+(* The first binding of [key] wins. *)
+let rec budget_get b key ~default =
+  match b with
+  | [] -> default
+  | (k, v) :: rest -> if String.equal k key then v else budget_get rest key ~default
 
 (* Keys carrying schedule identity rather than a bound; never doubled, and
    always accepted by [validate]. *)

@@ -34,7 +34,7 @@ let walk ?probe (module S : Spec.S) scenario opts rng =
       in
       let stop =
         depth >= opts.max_depth
-        || (opts.stop_on_violation && violation <> None)
+        || (opts.stop_on_violation && Option.is_some violation)
         || not (S.constraint_ok scenario state)
       in
       if stop then events, observations, violation, false

@@ -26,7 +26,11 @@ module type S = sig
   (** Named safety properties; a [false] result is a violation. *)
 
   val observe : state -> Tla.Value.t
-  (** Observable variables compared during conformance checking. *)
+  (** Observable variables compared during conformance checking, once per
+      replayed event. Builders that list record fields and map bindings in
+      canonical order (names by [String.compare], keys by
+      {!Tla.Value.compare}) take the constructors' linear path with no
+      sort; any order is still correct. *)
 
   val permutable : bool
   (** Whether node-id permutation preserves the transition relation. Set

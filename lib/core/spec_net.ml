@@ -164,9 +164,7 @@ module Make (M : MSG) = struct
     for src = t.n - 1 downto 0 do
       for dst = t.n - 1 downto 0 do
         if src <> dst then begin
-          let key =
-            Tla.Value.str (Trace.node_name src ^ ">" ^ Trace.node_name dst)
-          in
+          let key = Tla.Value.str (Trace.link_name src dst) in
           let q = t.queues.(idx t src dst) in
           let v =
             Tla.Value.record

@@ -1,6 +1,24 @@
 type node = int
 
-let node_name n = "n" ^ string_of_int (n + 1)
+(* Names for the node counts every bundled system uses are built once, at
+   module initialisation, and shared read-only by every domain; observers
+   call these once per node and link per observation. *)
+let named_nodes = 16
+let compute_name n = "n" ^ string_of_int (n + 1)
+let node_names = Array.init named_nodes compute_name
+
+let node_name n =
+  if n >= 0 && n < named_nodes then Array.unsafe_get node_names n
+  else compute_name n
+
+let link_names =
+  Array.init (named_nodes * named_nodes) (fun k ->
+      node_names.(k / named_nodes) ^ ">" ^ node_names.(k mod named_nodes))
+
+let link_name src dst =
+  if src >= 0 && src < named_nodes && dst >= 0 && dst < named_nodes then
+    Array.unsafe_get link_names ((src * named_nodes) + dst)
+  else node_name src ^ ">" ^ node_name dst
 
 type event =
   | Deliver of { src : node; dst : node; index : int; desc : string }

@@ -12,6 +12,12 @@ type node = int
 
 val node_name : node -> string
 
+val link_name : node -> node -> string
+(** [link_name src dst] is [node_name src ^ ">" ^ node_name dst], the key
+    of the src→dst link in network observations. For small node counts
+    both come from tables built at module initialisation, so neither
+    allocates. *)
+
 type event =
   | Deliver of { src : node; dst : node; index : int; desc : string }
       (** deliver message [index] of the src→dst buffer; [desc] is a

@@ -108,10 +108,7 @@ let observe t =
   for src = t.n - 1 downto 0 do
     for dst = t.n - 1 downto 0 do
       if src <> dst then begin
-        let key =
-          Tla.Value.str
-            (Sandtable.Trace.node_name src ^ ">" ^ Sandtable.Trace.node_name dst)
-        in
+        let key = Tla.Value.str (Sandtable.Trace.link_name src dst) in
         let v =
           Tla.Value.record
             [ "connected", Tla.Value.bool t.conn.(idx t src dst);

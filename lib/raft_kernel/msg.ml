@@ -25,63 +25,72 @@ type t =
     }
   | Snapshot_reply of { term : Types.term; success : bool; next_hint : Types.index }
 
-let describe = function
+(* Successor labels are built once per [Deliver] successor, so they go
+   through a per-call buffer rather than Format. *)
+let describe m =
+  let b = Buffer.create 32 in
+  let s = Buffer.add_string b in
+  let i n = Buffer.add_string b (string_of_int n) in
+  let flag x = Buffer.add_char b (if x then 'T' else 'F') in
+  (match m with
   | Request_vote { term; last_log_index; last_log_term; prevote } ->
-    Fmt.str "%s(t%d,l%d:%d)" (if prevote then "PreRV" else "RV") term
-      last_log_index last_log_term
+    s (if prevote then "PreRV(t" else "RV(t");
+    i term; s ",l"; i last_log_index; s ":"; i last_log_term; s ")"
   | Vote { term; granted; prevote } ->
-    Fmt.str "%s(t%d,%c)" (if prevote then "PreVote" else "Vote") term
-      (if granted then 'T' else 'F')
+    s (if prevote then "PreVote(t" else "Vote(t");
+    i term; s ","; flag granted; s ")"
   | Append_entries { term; prev_index; prev_term; entries; commit } ->
-    Fmt.str "AE(t%d,p%d:%d,+%d,c%d)" term prev_index prev_term
-      (List.length entries) commit
+    s "AE(t"; i term; s ",p"; i prev_index; s ":"; i prev_term; s ",+";
+    i (List.length entries); s ",c"; i commit; s ")"
   | Append_reply { term; success; next_hint } ->
-    Fmt.str "AER(t%d,%c,n%d)" term (if success then 'T' else 'F') next_hint
+    s "AER(t"; i term; s ","; flag success; s ",n"; i next_hint; s ")"
   | Snapshot { term; last_index; last_term } ->
-    Fmt.str "Snap(t%d,l%d:%d)" term last_index last_term
+    s "Snap(t"; i term; s ",l"; i last_index; s ":"; i last_term; s ")"
   | Snapshot_reply { term; success; next_hint } ->
-    Fmt.str "SnapR(t%d,%c,n%d)" term (if success then 'T' else 'F') next_hint
+    s "SnapR(t"; i term; s ","; flag success; s ",n"; i next_hint; s ")");
+  Buffer.contents b
 
+(* Fields in canonical (name) order: [Tla.Value.record] keeps them as is. *)
 let observe m =
   let open Tla.Value in
   match m with
   | Request_vote { term; last_log_index; last_log_term; prevote } ->
     record
-      [ "type", str (if prevote then "prevote_request" else "vote_request");
+      [ "last_log_index", int last_log_index;
+        "last_log_term", int last_log_term;
         "term", int term;
-        "last_log_index", int last_log_index;
-        "last_log_term", int last_log_term ]
+        "type", str (if prevote then "prevote_request" else "vote_request") ]
   | Vote { term; granted; prevote } ->
     record
-      [ "type", str (if prevote then "prevote_reply" else "vote_reply");
+      [ "granted", bool granted;
         "term", int term;
-        "granted", bool granted ]
+        "type", str (if prevote then "prevote_reply" else "vote_reply") ]
   | Append_entries { term; prev_index; prev_term; entries; commit } ->
     record
-      [ "type", str "append_entries";
-        "term", int term;
+      [ "commit", int commit;
+        "entries", seq (List.map Types.observe_entry entries);
         "prev_index", int prev_index;
         "prev_term", int prev_term;
-        "entries", seq (List.map Types.observe_entry entries);
-        "commit", int commit ]
+        "term", int term;
+        "type", str "append_entries" ]
   | Append_reply { term; success; next_hint } ->
     record
-      [ "type", str "append_reply";
-        "term", int term;
+      [ "next_hint", int next_hint;
         "success", bool success;
-        "next_hint", int next_hint ]
+        "term", int term;
+        "type", str "append_reply" ]
   | Snapshot { term; last_index; last_term } ->
     record
-      [ "type", str "snapshot";
+      [ "last_index", int last_index;
+        "last_term", int last_term;
         "term", int term;
-        "last_index", int last_index;
-        "last_term", int last_term ]
+        "type", str "snapshot" ]
   | Snapshot_reply { term; success; next_hint } ->
     record
-      [ "type", str "snapshot_reply";
-        "term", int term;
+      [ "next_hint", int next_hint;
         "success", bool success;
-        "next_hint", int next_hint ]
+        "term", int term;
+        "type", str "snapshot_reply" ]
 
 let term = function
   | Request_vote { term; _ }

@@ -19,25 +19,25 @@ let node_key ~self v =
   let h = mix (mix h v.current_term) v.commit_index in
   mix (mix h (Log.hash v.log)) (Bool.to_int (v.voted_for = Some self))
 
+let ints a = Tla.Value.seq (Array.fold_right (fun i l -> Tla.Value.int i :: l) a [])
+
+(* Fields in canonical (name) order: [Tla.Value.record] keeps them as is. *)
 let observe v =
   let open Tla.Value in
   if not v.alive then record [ "status", str "down" ]
   else
     record
-      [ "status", str "up";
+      [ "commit", int v.commit_index;
+        "log", Log.observe v.log;
+        "match", ints v.match_index;
+        "next", ints v.next_index;
         "role", Types.observe_role v.role;
+        "status", str "up";
         "term", int v.current_term;
         ( "voted_for",
-          match v.voted_for with None -> str "none" | Some n -> int n );
-        "log", Log.observe v.log;
-        "commit", int v.commit_index;
-        "next", seq (Array.to_list (Array.map int v.next_index));
-        "match", seq (Array.to_list (Array.map int v.match_index)) ]
+          match v.voted_for with None -> str "none" | Some n -> int n ) ]
 
 let observe_cluster views =
   Tla.Value.map
-    (Array.to_list
-       (Array.mapi
-          (fun i v ->
-            Tla.Value.str (Sandtable.Trace.node_name i), observe v)
-          views))
+    (List.init (Array.length views) (fun i ->
+         Tla.Value.str (Sandtable.Trace.node_name i), observe views.(i)))

@@ -27,7 +27,7 @@ let conformance_mask obs =
   let net =
     Option.value (Tla.Value.field obs "net") ~default:(Tla.Value.map [])
   in
-  Tla.Value.record [ "nodes", nodes; "net", mask_net net ]
+  Tla.Value.record [ "net", mask_net net; "nodes", nodes ]
 
 let observe_cluster cluster =
   let cfg = Engine.Cluster.config cluster in
@@ -40,8 +40,8 @@ let observe_cluster cluster =
         Tla.Value.record [ "status", Tla.Value.str "down" ]
       | Engine.Cluster.Faulted e ->
         Tla.Value.record
-          [ "status", Tla.Value.str "faulted";
-            "error", Tla.Value.str e ])
+          [ "error", Tla.Value.str e;
+            "status", Tla.Value.str "faulted" ])
   in
   let nodes =
     Tla.Value.map
@@ -49,7 +49,7 @@ let observe_cluster cluster =
            Tla.Value.str (Sandtable.Trace.node_name i), node_obs i))
   in
   Tla.Value.record
-    [ "nodes", nodes; "net", Engine.Cluster.observe_net cluster ]
+    [ "net", Engine.Cluster.observe_net cluster; "nodes", nodes ]
 
 let cluster_of_sut_config ?(timeouts = []) ?(cost = Engine.Cost.profile ())
     ~semantics ~boot (scenario : Sandtable.Scenario.t) =

@@ -656,7 +656,7 @@ module Make (P : PARAMS) : Sandtable.Spec.S with type state = state = struct
               List.nth scenario.workload
                 (st.counters.requests mod List.length scenario.workload)
             in
-            let op = Fmt.str "put:%d" value in
+            let op = "put:" ^ string_of_int value in
             let event = Trace.Client { node; op } in
             let counters = Counters.bump st.counters event in
             add event (client_request { st with counters } node value)
@@ -682,10 +682,10 @@ module Make (P : PARAMS) : Sandtable.Spec.S with type state = state = struct
 
   let observe st =
     Tla.Value.record
-      [ "nodes", View.observe_cluster (views st);
+      [ "counters", Counters.observe st.counters;
+        "flags", Tla.Value.set (List.map Tla.Value.str st.flags);
         "net", Net.observe st.net;
-        "counters", Counters.observe st.counters;
-        "flags", Tla.Value.set (List.map Tla.Value.str st.flags) ]
+        "nodes", View.observe_cluster (views st) ]
 
   let permutable = true
   let node_key st i = View.node_key ~self:i (view_of st.nodes.(i))

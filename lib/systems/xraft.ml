@@ -30,21 +30,24 @@ let observe_with_log_roles cluster =
           int_of_string (String.sub s 1 (String.length s - 1)) - 1
         | _ -> invalid_arg "xraft: bad node key"
       in
-      match node_obs with
-      | Tla.Value.Record fields when List.mem_assoc "role" fields ->
+      match Tla.Value.field node_obs "role", node_obs with
+      | Some api_role, Tla.Value.Record fields ->
         let parser = Engine.Cluster.log_parser cluster node_id in
         let role =
           match Engine.Log_parser.lookup parser "role" with
           | Some r -> Tla.Value.str r
-          | None -> List.assoc "role" fields
+          | None -> api_role
         in
+        (* replaced in place, so the fields stay in canonical order *)
         ( key,
           Tla.Value.record
-            (("role", role) :: List.remove_assoc "role" fields) )
+            (List.map
+               (fun ((n, _) as f) -> if String.equal n "role" then n, role else f)
+               fields) )
       | _ -> key, node_obs
     in
     Tla.Value.record
-      [ "nodes", Tla.Value.map (List.map fix_node nodes); "net", net ]
+      [ "net", net; "nodes", Tla.Value.map (List.map fix_node nodes) ]
   | _ -> obs
 
 let sut ?bugs ?cost scenario =

@@ -645,7 +645,7 @@ module Make (P : PARAMS) : Sandtable.Spec.S with type state = state = struct
               List.nth scenario.workload
                 (st.counters.requests mod List.length scenario.workload)
             in
-            let op = Fmt.str "put:%d" value in
+            let op = "put:" ^ string_of_int value in
             let event = Trace.Client { node; op } in
             let counters = Counters.bump st.counters event in
             add event (client_put { st with counters } node value);
@@ -682,20 +682,22 @@ module Make (P : PARAMS) : Sandtable.Spec.S with type state = state = struct
             linearizable ~pending st.history ) ]
     else []
 
+  (* Fields in canonical (name) order; "history" only for the KV variant. *)
   let observe st =
-    let base =
-      [ "nodes", View.observe_cluster (views st);
-        "net", Net.observe st.net;
-        "counters", Counters.observe st.counters;
-        "flags", Tla.Value.set (List.map Tla.Value.str st.flags) ]
+    let tail =
+      [ "net", Net.observe st.net; "nodes", View.observe_cluster (views st) ]
     in
-    let kv_fields =
+    let tail =
       if P.kv then
-        [ ( "history",
-            Tla.Value.seq (List.map Linearize.observe_entry st.history) ) ]
-      else []
+        ( "history",
+          Tla.Value.seq (List.map Linearize.observe_entry st.history) )
+        :: tail
+      else tail
     in
-    Tla.Value.record (base @ kv_fields)
+    Tla.Value.record
+      (("counters", Counters.observe st.counters)
+      :: ("flags", Tla.Value.set (List.map Tla.Value.str st.flags))
+      :: tail)
 
   let permutable = true
   let node_key st i = View.node_key ~self:i (view_of st.nodes.(i))

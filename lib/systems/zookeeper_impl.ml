@@ -303,24 +303,20 @@ let on_client t ~op =
       t.synced
   | _ -> ()
 
+(* Fields in canonical (name) order: [Tla.Value.record] keeps them as is. *)
 let observe t =
   let open Tla.Value in
   record
-    [ "status", str "up";
+    [ "accepted_epoch", int t.accepted_epoch;
+      "commit", int t.commit_index;
+      "epoch", int t.epoch;
+      "established", bool t.established;
+      "history", seq (List.map Z.observe_txn t.history);
+      "leader", (match t.leader with None -> str "none" | Some l -> int l);
       "role", str (Z.zrole_to_string t.role);
       "round", int t.round;
-      ( "vote",
-        record
-          [ "leader", int t.vote.Z.v_leader;
-            "epoch", int t.vote.Z.v_epoch;
-            "zxid_epoch", int (fst t.vote.Z.v_zxid);
-            "zxid_counter", int (snd t.vote.Z.v_zxid) ] );
-      "epoch", int t.epoch;
-      "accepted_epoch", int t.accepted_epoch;
-      "history", seq (List.map Z.observe_txn t.history);
-      "commit", int t.commit_index;
-      "leader", (match t.leader with None -> str "none" | Some l -> int l);
-      "established", bool t.established ]
+      "status", str "up";
+      "vote", Z.observe_vote t.vote ]
 
 let handle_message t ~src payload =
   (match decode payload with

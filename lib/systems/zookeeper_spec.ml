@@ -41,63 +41,81 @@ type zmsg =
   | Prop_ack of { index : int }
   | Commit of { index : int }
 
-let describe_zmsg = function
+(* Successor labels are built once per [Deliver] successor, so they go
+   through a per-call buffer rather than Format. *)
+let describe_zmsg m =
+  let b = Buffer.create 32 in
+  let s = Buffer.add_string b in
+  let i n = Buffer.add_string b (string_of_int n) in
+  (match m with
   | Notification { vote; round; looking } ->
-    Fmt.str "Not(l%d,e%d,z%d:%d,r%d,%c)" (vote.v_leader + 1) vote.v_epoch
-      (fst vote.v_zxid) (snd vote.v_zxid) round
-      (if looking then 'L' else 'F')
+    s "Not(l"; i (vote.v_leader + 1); s ",e"; i vote.v_epoch; s ",z";
+    i (fst vote.v_zxid); s ":"; i (snd vote.v_zxid); s ",r"; i round; s ",";
+    Buffer.add_char b (if looking then 'L' else 'F'); s ")"
   | Follower_info { epoch; zxid } ->
-    Fmt.str "FInfo(e%d,z%d:%d)" epoch (fst zxid) (snd zxid)
-  | Leader_info { epoch } -> Fmt.str "LInfo(e%d)" epoch
-  | Epoch_ack { epoch } -> Fmt.str "EpochAck(e%d)" epoch
+    s "FInfo(e"; i epoch; s ",z"; i (fst zxid); s ":"; i (snd zxid); s ")"
+  | Leader_info { epoch } -> s "LInfo(e"; i epoch; s ")"
+  | Epoch_ack { epoch } -> s "EpochAck(e"; i epoch; s ")"
   | Sync { epoch; history; commit } ->
-    Fmt.str "Sync(e%d,+%d,c%d)" epoch (List.length history) commit
-  | Sync_ack { epoch } -> Fmt.str "SyncAck(e%d)" epoch
-  | Proposal { epoch; index; value } -> Fmt.str "Prop(e%d,i%d,v%d)" epoch index value
-  | Prop_ack { index } -> Fmt.str "PropAck(i%d)" index
-  | Commit { index } -> Fmt.str "Commit(i%d)" index
+    s "Sync(e"; i epoch; s ",+"; i (List.length history); s ",c"; i commit;
+    s ")"
+  | Sync_ack { epoch } -> s "SyncAck(e"; i epoch; s ")"
+  | Proposal { epoch; index; value } ->
+    s "Prop(e"; i epoch; s ",i"; i index; s ",v"; i value; s ")"
+  | Prop_ack { index } -> s "PropAck(i"; i index; s ")"
+  | Commit { index } -> s "Commit(i"; i index; s ")");
+  Buffer.contents b
 
 let observe_txn t =
   Tla.Value.record
     [ "epoch", Tla.Value.int t.zepoch; "value", Tla.Value.int t.value ]
 
+let observe_vote v =
+  let open Tla.Value in
+  record
+    [ "epoch", int v.v_epoch;
+      "leader", int v.v_leader;
+      "zxid_counter", int (snd v.v_zxid);
+      "zxid_epoch", int (fst v.v_zxid) ]
+
+(* Fields in canonical (name) order: [Tla.Value.record] keeps them as is. *)
 let observe_zmsg m =
   let open Tla.Value in
   match m with
   | Notification { vote; round; looking } ->
     record
-      [ "type", str "notification";
+      [ "epoch", int vote.v_epoch;
         "leader", int vote.v_leader;
-        "epoch", int vote.v_epoch;
-        "zxid_epoch", int (fst vote.v_zxid);
-        "zxid_counter", int (snd vote.v_zxid);
+        "looking", bool looking;
         "round", int round;
-        "looking", bool looking ]
+        "type", str "notification";
+        "zxid_counter", int (snd vote.v_zxid);
+        "zxid_epoch", int (fst vote.v_zxid) ]
   | Follower_info { epoch; zxid } ->
     record
-      [ "type", str "follower_info";
-        "epoch", int epoch;
-        "zxid_epoch", int (fst zxid);
-        "zxid_counter", int (snd zxid) ]
+      [ "epoch", int epoch;
+        "type", str "follower_info";
+        "zxid_counter", int (snd zxid);
+        "zxid_epoch", int (fst zxid) ]
   | Sync { epoch; history; commit } ->
     record
-      [ "type", str "sync";
+      [ "commit", int commit;
         "epoch", int epoch;
         "history", seq (List.map observe_txn history);
-        "commit", int commit ]
+        "type", str "sync" ]
   | Leader_info { epoch } ->
-    record [ "type", str "leader_info"; "epoch", int epoch ]
+    record [ "epoch", int epoch; "type", str "leader_info" ]
   | Epoch_ack { epoch } ->
-    record [ "type", str "epoch_ack"; "epoch", int epoch ]
-  | Sync_ack { epoch } -> record [ "type", str "sync_ack"; "epoch", int epoch ]
+    record [ "epoch", int epoch; "type", str "epoch_ack" ]
+  | Sync_ack { epoch } -> record [ "epoch", int epoch; "type", str "sync_ack" ]
   | Proposal { epoch; index; value } ->
     record
-      [ "type", str "proposal";
-        "epoch", int epoch;
+      [ "epoch", int epoch;
         "index", int index;
+        "type", str "proposal";
         "value", int value ]
-  | Prop_ack { index } -> record [ "type", str "prop_ack"; "index", int index ]
-  | Commit { index } -> record [ "type", str "commit"; "index", int index ]
+  | Prop_ack { index } -> record [ "index", int index; "type", str "prop_ack" ]
+  | Commit { index } -> record [ "index", int index; "type", str "commit" ]
 
 module Znet = Sandtable.Spec_net.Make (struct
   type t = zmsg
@@ -683,7 +701,7 @@ end) : Sandtable.Spec.S with type state = state = struct
               List.nth scenario.workload
                 (st.counters.requests mod List.length scenario.workload)
             in
-            let op = Fmt.str "create:%d" value in
+            let op = "create:" ^ string_of_int value in
             let event = Trace.Client { node; op } in
             let counters = Counters.bump st.counters event in
             add event (client_request { st with counters } node value)
@@ -741,43 +759,34 @@ end) : Sandtable.Spec.S with type state = state = struct
         fun (_ : Scenario.t) st ->
           Raft_kernel.Invariants.no_flag "CommittedNotLost" st.flags ) ]
 
-  let observe_node id ns =
+  (* Fields in canonical (name) order, as in [Zookeeper_impl.observe]. *)
+  let observe_node ns =
     let open Tla.Value in
     if not ns.alive then record [ "status", str "down" ]
     else
       record
-        [ "status", str "up";
-          "role", str (zrole_to_string ns.role);
-          "round", int ns.round;
-          ( "vote",
-            record
-              [ "leader", int ns.vote.v_leader;
-                "epoch", int ns.vote.v_epoch;
-                "zxid_epoch", int (fst ns.vote.v_zxid);
-                "zxid_counter", int (snd ns.vote.v_zxid) ] );
-          "epoch", int ns.epoch;
-          "accepted_epoch", int ns.accepted_epoch;
-          "history", seq (List.map observe_txn ns.history);
+        [ "accepted_epoch", int ns.accepted_epoch;
           "commit", int ns.commit_index;
+          "epoch", int ns.epoch;
+          "established", bool ns.established;
+          "history", seq (List.map observe_txn ns.history);
           ( "leader",
             match ns.leader with None -> str "none" | Some l -> int l );
-          "established", bool ns.established ]
-    |> fun v ->
-    ignore id;
-    v
+          "role", str (zrole_to_string ns.role);
+          "round", int ns.round;
+          "status", str "up";
+          "vote", observe_vote ns.vote ]
 
   let observe st =
     Tla.Value.record
-      [ ( "nodes",
-          Tla.Value.map
-            (Array.to_list
-               (Array.mapi
-                  (fun i ns ->
-                    Tla.Value.str (Trace.node_name i), observe_node i ns)
-                  st.nodes)) );
+      [ "counters", Counters.observe st.counters;
+        "flags", Tla.Value.set (List.map Tla.Value.str st.flags);
         "net", Znet.observe st.net;
-        "counters", Counters.observe st.counters;
-        "flags", Tla.Value.set (List.map Tla.Value.str st.flags) ]
+        ( "nodes",
+          Tla.Value.map
+            (List.init (Array.length st.nodes) (fun i ->
+                 Tla.Value.str (Trace.node_name i), observe_node st.nodes.(i)))
+        ) ]
 
   (* Not symmetric: FLE's vote order breaks ties by server id ([vote_gt]),
      so renaming nodes changes which vote wins. [permute] is still a

@@ -67,39 +67,23 @@ and compare_bindings x y =
 
 let equal a b = compare a b = 0
 
-let rec dedup_sorted = function
-  | a :: (b :: _ as rest) when compare a b = 0 -> dedup_sorted rest
-  | a :: rest -> a :: dedup_sorted rest
-  | [] -> []
+(* The constructors first check, in one allocation-free pass, whether the
+   input is already strictly increasing in canonical order. Builders that
+   list their fields and bindings in that order (every observer in this
+   repository) take that path; any other order is sorted once and then
+   scanned for adjacent duplicates. *)
+let rec strictly_sorted cmp = function
+  | a :: (b :: _ as rest) -> cmp a b < 0 && strictly_sorted cmp rest
+  | [ _ ] | [] -> true
 
-let set vs = Set (dedup_sorted (List.sort compare vs))
+let rec first_dup cmp = function
+  | a :: (b :: _ as rest) -> if cmp a b = 0 then Some a else first_dup cmp rest
+  | [ _ ] | [] -> None
+
+let set vs =
+  if strictly_sorted compare vs then Set vs else Set (List.sort_uniq compare vs)
+
 let seq vs = Seq vs
-
-let check_no_dup_names fields =
-  let names = List.map fst fields in
-  let sorted = List.sort String.compare names in
-  let rec dup = function
-    | a :: b :: _ when String.equal a b -> Some a
-    | _ :: rest -> dup rest
-    | [] -> None
-  in
-  match dup sorted with
-  | Some n -> invalid_arg ("Value.record: duplicate field " ^ n)
-  | None -> ()
-
-let record fields =
-  check_no_dup_names fields;
-  Record (List.sort (fun (a, _) (b, _) -> String.compare a b) fields)
-
-let map bindings =
-  let sorted = List.sort (fun (a, _) (b, _) -> compare a b) bindings in
-  let rec dup = function
-    | (a, _) :: ((b, _) :: _) when compare a b = 0 -> true
-    | _ :: rest -> dup rest
-    | [] -> false
-  in
-  if dup sorted then invalid_arg "Value.map: duplicate key";
-  Map sorted
 
 let rec pp ppf = function
   | Bool b -> Fmt.bool ppf b
@@ -116,9 +100,32 @@ let rec pp ppf = function
 
 let to_string v = Fmt.str "%a" pp v
 
+let by_name (a, _) (b, _) = String.compare a b
+let by_key (a, _) (b, _) = compare a b
+
+let record fields =
+  if strictly_sorted by_name fields then Record fields
+  else
+    let sorted = List.sort by_name fields in
+    match first_dup by_name sorted with
+    | Some (n, _) -> invalid_arg ("Value.record: duplicate field " ^ n)
+    | None -> Record sorted
+
+let map bindings =
+  if strictly_sorted by_key bindings then Map bindings
+  else
+    let sorted = List.sort by_key bindings in
+    match first_dup by_key sorted with
+    | Some (k, _) -> invalid_arg ("Value.map: duplicate key " ^ to_string k)
+    | None -> Map sorted
+
+let rec field_in name = function
+  | [] -> None
+  | (n, v) :: rest -> if String.equal n name then Some v else field_in name rest
+
 let field v name =
   match v with
-  | Record fs -> List.assoc_opt name fs
+  | Record fs -> field_in name fs
   | Bool _ | Int _ | Str _ | Set _ | Seq _ | Map _ -> None
 
 let find m k =
@@ -200,4 +207,8 @@ and diff_indexed path i evs avs acc =
     let p = Printf.sprintf "%s[%d]" path i in
     diff_indexed path (i + 1) evs' avs' (diff_at p ~expected:ve ~actual:va acc)
 
-let diff ~expected ~actual = List.rev (diff_at "$" ~expected ~actual [])
+(* [diff_at] walks the same merge order as [compare], so equal values have
+   no discrepancy; checking that first builds no path string for them. *)
+let diff ~expected ~actual =
+  if equal expected actual then []
+  else List.rev (diff_at "$" ~expected ~actual [])

@@ -19,15 +19,23 @@ val int : int -> t
 val str : string -> t
 
 val set : t list -> t
-(** [set vs] sorts [vs] and removes duplicates. *)
+(** [set vs] sorts [vs] and removes duplicates. Input already strictly
+    increasing under {!compare} is kept as is after one linear check, with
+    no sort; any other order is still correct, at the cost of one sort. *)
 
 val seq : t list -> t
 
 val record : (string * t) list -> t
-(** [record fields] sorts fields by name. Duplicate names are an error. *)
+(** [record fields] sorts fields by name ([String.compare]). Duplicate names
+    raise [Invalid_argument "Value.record: duplicate field NAME"]. Like
+    {!set}, fields listed in canonical order take a linear check and no
+    sort; any order is correct. *)
 
 val map : (t * t) list -> t
-(** [map bindings] sorts bindings by key. Duplicate keys are an error. *)
+(** [map bindings] sorts bindings by key ({!compare}). Duplicate keys raise
+    [Invalid_argument "Value.map: duplicate key KEY"], [KEY] rendered by
+    {!to_string}. Bindings listed in canonical order take a linear check
+    and no sort; any order is correct. *)
 
 val compare : t -> t -> int
 val equal : t -> t -> bool
@@ -48,4 +56,5 @@ val pp_diff : Format.formatter -> diff -> unit
 
 val diff : expected:t -> actual:t -> diff list
 (** [diff ~expected ~actual] returns all leaf-level discrepancies, empty iff
-    the values are equal. *)
+    the values are equal. Equal values are recognised by {!equal} first and
+    cost no allocation; paths are only rendered for values that differ. *)

@@ -2,6 +2,7 @@ let () =
   Alcotest.run "sandtable"
     [ Test_fp.suite;
       Test_value.suite;
+      Test_labels.suite;
       Test_log.suite;
       Test_codec.suite;
       Test_spec_net.suite;
