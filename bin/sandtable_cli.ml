@@ -409,13 +409,7 @@ let check_cmd =
           Option.iter
             (fun snap ->
               Fmt.epr "resuming at depth %d: %d distinct states@."
-                snap.Explorer.snap_depth snap.Explorer.snap_distinct;
-              if snap.Explorer.snap_kernel <> Fingerprint.kernel_id then
-                Fmt.epr
-                  "checkpoint uses fingerprint kernel %d (current is %d); \
-                   migrating by provenance replay — this recomputes every \
-                   checkpointed state once@."
-                  snap.Explorer.snap_kernel Fingerprint.kernel_id)
+                snap.Explorer.snap_depth snap.Explorer.snap_distinct)
             resume_snap;
           let resume_unordered =
             match resume_snap with
@@ -499,7 +493,7 @@ let check_cmd =
               in
               Fmt.epr "parallel BFS: %d workers, %d layers@." r.workers
                 r.layers;
-              Fmt.epr "%a" Par.Par_explorer.pp_worker_stats r;
+              Fmt.epr "%a" Par.Par_explorer.pp_worker_stats r.worker_stats;
               shard_gauges r.shard_stats;
               r.base
             | `Ws ->
@@ -510,7 +504,10 @@ let check_cmd =
                 Par.Ws_explorer.check ~workers ?pulse_every
                   ?resume:resume_snap spec scenario opts
               in
-              Fmt.epr "%a@." Par.Ws_explorer.pp_result r;
+              Fmt.epr "work-stealing: %d workers, %d pulses, %d steals (%d \
+                       failed attempts)@."
+                r.workers r.pulses r.steals r.steal_failed;
+              Fmt.epr "%a" Par.Par_explorer.pp_worker_stats r.worker_stats;
               shard_gauges r.shard_stats;
               r.base
           in

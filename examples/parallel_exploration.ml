@@ -29,7 +29,7 @@ let () =
   Fmt.pr "2. parallel BFS, 4 workers...@.";
   let par = Par.Par_explorer.check ~workers:4 spec scenario opts in
   Fmt.pr "   %a@." Explorer.pp_result par.base;
-  Fmt.pr "   %a@." Par.Par_explorer.pp_worker_stats par;
+  Fmt.pr "   %a@." Par.Par_explorer.pp_worker_stats par.worker_stats;
   let agree =
     seq.distinct = par.base.distinct
     && seq.generated = par.base.generated

@@ -29,9 +29,6 @@ type snapshot = {
   snap_distinct : int;
   snap_generated : int;
   snap_max_depth : int;
-  snap_kernel : int;
-      (** the {!Fingerprint.kernel_id} that produced the snapshot's
-          fingerprints *)
   snap_mode : frontier_mode;
   snap_visited : (Fingerprint.t -> provenance -> int -> unit) -> unit;
       (** iterate the visited set: fingerprint, provenance, depth. The
@@ -61,7 +58,6 @@ type frontier_factory = { make_frontier : 'a. unit -> 'a frontier_ops }
 
 type options = {
   symmetry : bool;  (** collapse node-permutation-equivalent states *)
-  stop_on_violation : bool;
   max_states : int option;  (** distinct-state budget *)
   max_depth : int option;
   time_budget : float option;  (** seconds *)
@@ -116,7 +112,11 @@ type result = {
   duration : float;
 }
 
-(** Per-state logic shared by every exploration engine. *)
+(** The exploration core shared by every engine: per-state fingerprinting,
+    and the one place that turns visited-set provenance into states,
+    traces and verdicts. The sequential engine is {!check}; the parallel
+    engines ([Par.Par_explorer], [Par.Ws_explorer]) keep only their
+    frontier discipline and store, and call these for the rest. *)
 module Run (S : Spec.S) : sig
   val fingerprint_info :
     ?probe:Probe.t -> options -> Scenario.t -> S.state -> Fingerprint.t * bool
@@ -126,6 +126,58 @@ module Run (S : Spec.S) : sig
       the profiler's per-edge [sym] flag: canonicalisation changed the
       fingerprint. With [probe], runs in a [symmetry-normalize] or
       [fingerprint] span and counts [fp.bytes]. *)
+
+  type lookup = Fingerprint.t -> provenance option
+  (** An engine's visited set, keyed by fingerprint ([None] = absent). *)
+
+  val replay_step : Scenario.t -> S.state -> Trace.event -> S.state
+  (** The successor whose event equals the given one
+      ({!Trace.equal_event}) — the single replay step behind every
+      recovery below. Raises [Invalid_argument] naming an
+      "unreplayable provenance chain" when [S.next] offers no such event
+      (the spec changed since the chain was recorded). *)
+
+  val trace_of : lookup -> Fingerprint.t -> int * Trace.t
+  (** Walk provenance back to a root: the init-state index and the events
+      from it to the fingerprint's state. *)
+
+  val violation :
+    lookup -> Scenario.t -> Fingerprint.t -> string -> depth:int -> violation
+  (** [violation lookup scenario fp name ~depth]: the counterexample for
+      invariant [name] broken by [fp]'s state — its trace, and that state
+      recovered by replay and pretty-printed. *)
+
+  val rebuild_frontier :
+    lookup -> Scenario.t -> Fingerprint.t list -> S.state list
+  (** Recover a checkpointed frontier's concrete states by replaying each
+      provenance chain from the initial states, memoized so every state is
+      computed once. Raises [Invalid_argument] naming a fingerprint
+      "missing from its visited set", or an unreplayable chain. *)
+
+  val invariants : options -> (string * (Scenario.t -> S.state -> bool)) list
+  (** [S.invariants] restricted to [opts.only_invariants]. *)
+
+  val first_broken :
+    (string * (Scenario.t -> S.state -> bool)) list -> Scenario.t ->
+    S.state -> string option
+  (** The first invariant of the list the state breaks. Allocates nothing
+      when all hold (it runs once per new state). *)
+
+  val refuse_unordered : snapshot option -> unit
+  (** Raises [Invalid_argument] naming the mode when resuming an
+      [Unordered] snapshot — the strict-BFS engines' guard. *)
+
+  val count_fault_kinds :
+    Probe.t option -> Scenario.t -> (Trace.event * S.state) list -> unit
+  (** Count a successor list's fault events per {!Fault_plan.obs_kind}.
+      A no-op unless the probe is on and the scenario has a fault plan. *)
+
+  val visited_gauges :
+    ?final:bool -> Probe.t option -> (unit -> int * int * int * int) -> unit
+  (** Publish the [visited.entries/capacity/store_bytes] gauges from a
+      store reader returning (entries, capacity, bytes, probe steps);
+      [~final:true] adds [visited.bytes_per_state] and
+      [visited.probe_steps]. The reader runs only when the probe is on. *)
 end
 
 val check : ?resume:snapshot -> Spec.t -> Scenario.t -> options -> result
@@ -135,22 +187,10 @@ val check : ?resume:snapshot -> Spec.t -> Scenario.t -> options -> result
     (same distinct/generated counters, same outcome, same counterexample).
     The caller is responsible for resuming with the same spec, scenario and
     options the snapshot was taken under ([Store.Checkpoint] enforces this
-    with an identity hash). A snapshot whose [snap_kernel] differs from the
-    current {!Fingerprint.kernel_id} is migrated transparently first (see
-    {!migrate_snapshot}). Resuming an [Unordered] snapshot raises
+    with an identity hash, and refuses checkpoints from older format
+    generations). Resuming an [Unordered] snapshot raises
     [Invalid_argument] naming the mode mismatch — the sequential engine
     cannot restore the layer invariant; use the work-stealing engine. *)
-
-val migrate_snapshot : Spec.t -> Scenario.t -> options -> snapshot -> snapshot
-(** Rebuild a snapshot taken under a different fingerprint kernel: every
-    visited entry's provenance chain is replayed to its concrete state
-    (memoized, so each state is computed once) and re-fingerprinted under
-    the current kernel; frontier and provenance references are remapped
-    accordingly. The result has [snap_kernel = Fingerprint.kernel_id] and
-    resumes bit-for-bit like a native snapshot. Costs roughly the
-    exploration work the checkpoint had banked. [check ~resume] calls this
-    automatically when kernels differ; it is exposed for tools that want to
-    migrate-and-save without resuming. *)
 
 val pp_result : Format.formatter -> result -> unit
 

@@ -2,8 +2,8 @@ type t = { hi : int; lo : int }
 
 (* Kernel 0 was the original 16-byte MD5 digest of the marshalled state.
    Kernel 1 is the zero-copy 126-bit mixing kernel below. Checkpoints are
-   stamped with the kernel that produced their fingerprints so a resume
-   under a different kernel can rebuild them (Explorer.migrate_snapshot). *)
+   stamped with the kernel that produced their fingerprints, and one from
+   another kernel is refused by name (Store.Checkpoint.load). *)
 let kernel_id = 1
 
 (* The kernel shifts by up to 56 and rotates in a 63-bit word; on a 32-bit
@@ -133,10 +133,10 @@ let compare a b =
 
 (* 16-byte codec shared with the checkpoint format: each half serialises as
    8 little-endian bytes of its 63-bit pattern (so byte 7 < 0x80 for
-   kernel-1 fingerprints). [of_raw] also accepts foreign 128-bit digests
-   (legacy MD5 checkpoints): bit 63 of each half is dropped, leaving a
-   126-bit value that is still injective w.h.p. and only used as an opaque
-   key during migration. *)
+   kernel-1 fingerprints). [of_raw] is total over 16-byte strings: bit 63
+   of each half is dropped, so a foreign 128-bit digest (an MD5
+   checkpoint) decodes instead of failing mid-file, and the file is then
+   refused by its kernel marker. *)
 let to_raw { hi; lo } =
   let b = Bytes.create 16 in
   for k = 0 to 7 do

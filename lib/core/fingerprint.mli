@@ -17,8 +17,7 @@ type t = private { hi : int; lo : int }
 
 val kernel_id : int
 (** Identifies the hash kernel ([1]; [0] was the MD5 digest). Persisted in
-    checkpoints so a resume under a different kernel knows to rebuild
-    fingerprints by provenance replay. *)
+    checkpoints; one written under another kernel is refused by name. *)
 
 val of_state : ?who:string -> 'a -> t
 (** [of_state ?who state] digests the marshalled [state]. If the state
@@ -41,11 +40,11 @@ val to_raw : t -> string
     are [hi], bytes 8–15 are [lo]. [of_raw (to_raw fp) = fp]. *)
 
 val of_raw : string -> t
-(** Inverse of {!to_raw}. Also accepts foreign 128-bit digests (legacy MD5
-    checkpoints): bit 63 of each half is dropped, which keeps the value
-    injective w.h.p.; such values serve only as opaque keys while a legacy
-    checkpoint is migrated. Raises [Invalid_argument] unless the input is
-    exactly 16 bytes. *)
+(** Inverse of {!to_raw}. Total over 16-byte strings: bit 63 of each half
+    is dropped, so a foreign 128-bit digest (an MD5-era checkpoint)
+    decodes to some value instead of failing mid-file — the checkpoint
+    reader then refuses the file by its kernel marker. Raises
+    [Invalid_argument] unless the input is exactly 16 bytes. *)
 
 val equal : t -> t -> bool
 val compare : t -> t -> int

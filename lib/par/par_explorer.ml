@@ -15,12 +15,6 @@ type result = {
   shard_stats : Shard_set.stat array;
 }
 
-(* Shared with the sequential explorer so checkpoints taken by one engine
-   resume on the other (both are bit-for-bit equivalent anyway). *)
-type provenance = Explorer.provenance =
-  | Root of int
-  | Step of { parent : Fingerprint.t; event : Trace.event }
-
 type candidate =
   | Broken of Fingerprint.t * string  (* newly inserted state, invariant *)
   | Dead of int * Fingerprint.t  (* frontier index with no successors *)
@@ -46,124 +40,22 @@ module Run (S : Spec.S) = struct
      [take_state] clears it once the next frontier is built, bounding
      memory to one layer of states. *)
 
-  let prov_in = function
-    | Root i -> Shard_set.Proot i
-    | Step { parent; event } -> Shard_set.Pstep (parent, event)
-
-  let prov_out = function
-    | Shard_set.Proot i -> Root i
-    | Shard_set.Pstep (parent, event) -> Step { parent; event }
-
   module E = Explorer.Run (S)
-
-  let fingerprint_info = E.fingerprint_info
-
-  let final_state scenario init_index events =
-    let s0 = List.nth (S.init scenario) init_index in
-    List.fold_left
-      (fun state event ->
-        match
-          List.find_map
-            (fun (e, s') -> if Trace.equal_event e event then Some s' else None)
-            (S.next scenario state)
-        with
-        | Some s' -> s'
-        | None -> invalid_arg "Par_explorer: unreplayable provenance chain")
-      s0 events
-
-  (* Checkpoint-frontier recovery: identical to the sequential explorer's
-     memoized provenance replay, against the sharded store. *)
-  let rebuild_frontier visited scenario fps =
-    let memo : S.state Fingerprint.Tbl.t = Fingerprint.Tbl.create 1024 in
-    let inits = lazy (S.init scenario) in
-    let prov_of fp =
-      match Shard_set.find_prov_opt visited fp with
-      | Some p -> p
-      | None ->
-        invalid_arg
-          "Par_explorer: checkpoint frontier references a fingerprint \
-           missing from its visited set (corrupted checkpoint?)"
-    in
-    let state_of fp0 =
-      let rec collect fp pending =
-        match Fingerprint.Tbl.find_opt memo fp with
-        | Some s -> s, pending
-        | None -> (
-          match prov_of fp with
-          | Shard_set.Proot i ->
-            let s = List.nth (Lazy.force inits) i in
-            Fingerprint.Tbl.replace memo fp s;
-            s, pending
-          | Shard_set.Pstep (parent, event) ->
-            collect parent ((fp, event) :: pending))
-      in
-      let base, pending = collect fp0 [] in
-      List.fold_left
-        (fun state (fp, event) ->
-          match
-            List.find_map
-              (fun (e, s') ->
-                if Trace.equal_event e event then Some s' else None)
-              (S.next scenario state)
-          with
-          | Some s' ->
-            Fingerprint.Tbl.replace memo fp s';
-            s'
-          | None ->
-            invalid_arg
-              "Par_explorer: unreplayable checkpoint provenance chain \
-               (spec changed since the checkpoint was written?)")
-        base pending
-    in
-    List.map state_of fps
 
   let check ?resume pool scenario (opts : Explorer.options) =
     let started = Unix.gettimeofday () in
     let elapsed () = Unix.gettimeofday () -. started in
     let workers = Pool.size pool in
     let probe = opts.probe in
-    (match resume with
-    | Some { Explorer.snap_mode = Explorer.Unordered; _ } ->
-      invalid_arg
-        "Par_explorer: checkpoint frontier mode is unordered (written by \
-         the work-stealing engine); the strict-BFS engine cannot restore \
-         its layer invariant — resume without --strict-bfs, or start fresh"
-    | _ -> ());
-    let resume =
-      Option.map
-        (fun (snap : Explorer.snapshot) ->
-          if snap.snap_kernel = Fingerprint.kernel_id then snap
-          else Explorer.migrate_snapshot (module S) scenario opts snap)
-        resume
-    in
+    E.refuse_unordered resume;
     let visited : S.state Shard_set.t = Shard_set.create ~shards:64 () in
+    let lookup = Shard_set.find_prov_opt visited in
+    let store () =
+      Shard_set.(length visited, capacity visited, store_bytes visited,
+                 probe_steps visited)
+    in
     let deadline = Option.map (fun b -> started +. b) opts.time_budget in
-    let selected_invariants =
-      match opts.only_invariants with
-      | None -> S.invariants
-      | Some names ->
-        List.filter (fun (name, _) -> List.mem name names) S.invariants
-    in
-    let first_broken state =
-      List.find_map
-        (fun (name, holds) ->
-          if holds scenario state then None else Some name)
-        selected_invariants
-    in
-    let trace_of fp =
-      let rec back fp acc =
-        match Shard_set.find_prov visited fp with
-        | Shard_set.Proot i -> i, acc
-        | Shard_set.Pstep (parent, event) -> back parent (event :: acc)
-      in
-      back fp []
-    in
-    let violation_of fp invariant depth : Explorer.violation =
-      let init_index, events = trace_of fp in
-      let state = final_state scenario init_index events in
-      { invariant; events; depth;
-        state_repr = Fmt.str "%a" S.pp_state state }
-    in
+    let invariants = E.invariants opts in
     (* per-worker accumulators, disjointly indexed; the pool barrier
        publishes them to the coordinating domain *)
     let st_expanded = Array.make workers 0 in
@@ -197,13 +89,15 @@ module Run (S : Spec.S) = struct
          consulted again (only same-depth insertions compare positions,
          and every future candidate is strictly deeper) *)
       snap.Explorer.snap_visited (fun fp prov d ->
-          ignore (Shard_set.add_seed visited fp (prov_in prov) ~depth:d));
+          ignore (Shard_set.add_seed visited fp prov ~depth:d));
       distinct_total := snap.Explorer.snap_distinct;
       gen_prev := snap.Explorer.snap_generated;
       max_depth_seen := snap.Explorer.snap_max_depth;
       last_progress := snap.Explorer.snap_distinct;
       depth := snap.Explorer.snap_depth;
-      let states = rebuild_frontier visited scenario snap.Explorer.snap_frontier in
+      let states =
+        E.rebuild_frontier lookup scenario snap.Explorer.snap_frontier
+      in
       frontier :=
         Array.of_list
           (List.map2 (fun fp s -> s, fp) snap.Explorer.snap_frontier states)
@@ -213,20 +107,23 @@ module Run (S : Spec.S) = struct
       List.iteri
         (fun i s ->
           if !outcome = None then begin
-            let fp, sym = fingerprint_info ?probe opts scenario s in
+            let fp, sym = E.fingerprint_info ?probe opts scenario s in
             let inserted =
-              Shard_set.add_seed visited fp (Shard_set.Proot i) ~depth:0
+              Shard_set.add_seed visited fp (Explorer.Root i) ~depth:0
             in
             if Probe.is_on probe then
               Probe.edge probe ~depth:0 ~event:None ~dup:(not inserted) ~sym;
             if inserted then begin
               incr distinct_total;
-              (match first_broken s with
-              | Some inv when opts.stop_on_violation ->
-                outcome := Some (Explorer.Violation (violation_of fp inv 0))
-              | Some _ | None ->
+              match E.first_broken invariants scenario s with
+              | Some inv ->
+                outcome :=
+                  Some
+                    (Explorer.Violation
+                       (E.violation lookup scenario fp inv ~depth:0))
+              | None ->
                 if S.constraint_ok scenario s then
-                  root_frontier := (s, fp) :: !root_frontier)
+                  root_frontier := (s, fp) :: !root_frontier
             end
           end)
         (S.init scenario);
@@ -237,12 +134,8 @@ module Run (S : Spec.S) = struct
         snap_distinct = !distinct_total;
         snap_generated = !gen_prev;
         snap_max_depth = !max_depth_seen;
-        snap_kernel = Fingerprint.kernel_id;
         snap_mode = Explorer.Layered;
-        snap_visited =
-          (fun k ->
-            Shard_set.iter visited (fun fp prov depth ->
-                k fp (prov_out prov) depth)) }
+        snap_visited = Shard_set.iter visited }
     in
     (* ---- layer-synchronous BFS ---- *)
     let abort = Atomic.make false in
@@ -290,24 +183,18 @@ module Run (S : Spec.S) = struct
                    incr expanded;
                    let succs = S.next scenario state in
                    succ_counts.(p) <- List.length succs;
-                   if Probe.is_on wp && scenario.Scenario.faults <> None then
-                     List.iter
-                       (fun (event, _) ->
-                         match Fault_plan.obs_kind event with
-                         | Some name -> Probe.count wp name 1
-                         | None -> ())
-                       succs;
+                   E.count_fault_kinds wp scenario succs;
                    if succs = [] && opts.check_deadlock then
                      my_cands := Dead (p, fp) :: !my_cands;
                    List.iteri
                      (fun j (event, state') ->
                        incr gen;
                        let fp', sym =
-                         fingerprint_info ?probe:wp opts scenario state'
+                         E.fingerprint_info ?probe:wp opts scenario state'
                        in
                        match
                          Shard_set.merge visited fp'
-                           ~prov:(Shard_set.Pstep (fp, event))
+                           ~prov:(Explorer.Step { parent = fp; event })
                            ~depth:(d + 1) ~pos:(p, j) ~state:state'
                        with
                        | Shard_set.Fresh ->
@@ -316,14 +203,12 @@ module Run (S : Spec.S) = struct
                            Probe.edge wp ~depth:(d + 1) ~event:(Some event)
                              ~dup:false ~sym;
                          my_inserted := fp' :: !my_inserted;
-                         if opts.stop_on_violation then begin
-                           Probe.span_begin wp "invariant";
-                           (match first_broken state' with
-                           | Some inv ->
-                             my_cands := Broken (fp', inv) :: !my_cands
-                           | None -> ());
-                           Probe.span_end wp "invariant"
-                         end
+                         Probe.span_begin wp "invariant";
+                         (match E.first_broken invariants scenario state' with
+                         | Some inv ->
+                           my_cands := Broken (fp', inv) :: !my_cands
+                         | None -> ());
+                         Probe.span_end wp "invariant"
                        | Shard_set.Dup_kept ->
                          Probe.count wp "fp.dup" 1;
                          if Probe.is_on wp then
@@ -425,10 +310,10 @@ module Run (S : Spec.S) = struct
               Some
                 (match cand with
                 | Broken (fp, inv) ->
-                  Explorer.Violation (violation_of fp inv (d + 1))
+                  Explorer.Violation
+                    (E.violation lookup scenario fp inv ~depth:(d + 1))
                 | Dead (_, fp) ->
-                  let _, events = trace_of fp in
-                  Explorer.Deadlock events)
+                  Explorer.Deadlock (snd (E.trace_of lookup fp)))
           | None ->
             distinct_total := !distinct_total + List.length all_inserted;
             gen_prev := !gen_prev + layer_generated;
@@ -453,14 +338,7 @@ module Run (S : Spec.S) = struct
             depth := d + 1;
             (* refresh visited gauges before the layer record so the
                telemetry sampler reads this layer's values *)
-            if Probe.is_on probe then begin
-              Probe.gauge probe "visited.entries"
-                (float_of_int (Shard_set.length visited));
-              Probe.gauge probe "visited.capacity"
-                (float_of_int (Shard_set.capacity visited));
-              Probe.gauge probe "visited.store_bytes"
-                (float_of_int (Shard_set.store_bytes visited))
-            end;
+            E.visited_gauges probe store;
             Probe.layer probe ~depth:(d + 1) ~distinct:!distinct_total
               ~generated:!gen_prev ~frontier:(Array.length !frontier)
               ~elapsed:(elapsed ());
@@ -476,19 +354,7 @@ module Run (S : Spec.S) = struct
     let outcome =
       match !outcome with Some o -> o | None -> Explorer.Exhausted
     in
-    if Probe.is_on probe then begin
-      let n = Shard_set.length visited in
-      let bytes = Shard_set.store_bytes visited in
-      Probe.gauge probe "visited.entries" (float_of_int n);
-      Probe.gauge probe "visited.capacity"
-        (float_of_int (Shard_set.capacity visited));
-      Probe.gauge probe "visited.store_bytes" (float_of_int bytes);
-      if n > 0 then
-        Probe.gauge probe "visited.bytes_per_state"
-          (float_of_int bytes /. float_of_int n);
-      Probe.gauge probe "visited.probe_steps"
-        (float_of_int (Shard_set.probe_steps visited))
-    end;
+    E.visited_gauges ~final:true probe store;
     let worker_stats =
       Array.init workers (fun w ->
           { w_expanded = st_expanded.(w);
@@ -510,28 +376,16 @@ end
 
 let check ?workers ?pool ?resume (module S : Spec.S) scenario opts =
   let module R = Run (S) in
-  match pool with
-  | Some p -> R.check ?resume p scenario opts
-  | None ->
-    let w =
-      match workers with
-      | Some w -> max 1 w
-      | None -> Domain.recommended_domain_count ()
-    in
-    Pool.with_pool w (fun p -> R.check ?resume p scenario opts)
+  Pool.with_workers ?workers ?pool (fun p -> R.check ?resume p scenario opts)
 
 let states_per_sec ws =
   if ws.w_busy <= 0. then 0. else float ws.w_generated /. ws.w_busy
 
-let pp_worker_stats ppf r =
+let pp_worker_stats ppf stats =
   Array.iteri
     (fun w ws ->
       Fmt.pf ppf "worker %d: expanded=%d generated=%d inserted=%d busy=%.2fs \
                   (%.0f states/s)@."
         w ws.w_expanded ws.w_generated ws.w_inserted ws.w_busy
         (states_per_sec ws))
-    r.worker_stats
-
-let pp_result ppf r =
-  Fmt.pf ppf "%a@.%d workers, %d layers@.%a" Explorer.pp_result r.base
-    r.workers r.layers pp_worker_stats r
+    stats

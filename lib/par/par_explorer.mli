@@ -49,5 +49,5 @@ val check :
 
 val states_per_sec : worker_stat -> float
 
-val pp_worker_stats : Format.formatter -> result -> unit
-val pp_result : Format.formatter -> result -> unit
+val pp_worker_stats : Format.formatter -> worker_stat array -> unit
+(** One line per worker; shared by both parallel engines. *)

@@ -99,6 +99,16 @@ let with_pool workers f =
   let t = create workers in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
+let with_workers ?workers ?pool f =
+  match pool with
+  | Some p -> f p
+  | None ->
+    with_pool
+      (match workers with
+      | Some w -> w
+      | None -> Domain.recommended_domain_count ())
+      f
+
 let split ~chunks:n ~len =
   let n = max 1 (min n (max 1 len)) in
   List.init n (fun i ->

@@ -26,6 +26,11 @@ val with_pool : int -> (t -> 'a) -> 'a
 (** [with_pool w f] runs [f] with a fresh pool, shutting it down on exit
     (also on exceptions). *)
 
+val with_workers : ?workers:int -> ?pool:t -> (t -> 'a) -> 'a
+(** [with_workers ?workers ?pool f] runs [f] on [pool] when given, else
+    on a fresh pool of [workers] domains (default
+    [Domain.recommended_domain_count ()]) shut down on exit. *)
+
 val split : chunks:int -> len:int -> (int * int) list
 (** [split ~chunks ~len] partitions [0 .. len-1] into at most [chunks]
     contiguous, balanced [lo, hi) ranges (fewer when [len < chunks]). *)

@@ -25,10 +25,6 @@ let root_bit = 1 lsl 60
 let pos_bits = 31
 let pos_mask = (1 lsl pos_bits) - 1
 
-type prov =
-  | Proot of int  (* index into the init-state list *)
-  | Pstep of Fingerprint.t * Trace.event  (* parent fingerprint, event *)
-
 type 's shard = {
   lock : Mutex.t;
   mutable slots : int array;  (* entry index + 1; 0 = empty *)
@@ -159,13 +155,13 @@ let intern s ev =
 
 let set_entry s e fp prov ~depth ~packed ~state =
   if depth > depth_mask then invalid_arg "Shard_set: depth exceeds 2^20";
-  (match prov with
-  | Proot i ->
+  (match (prov : Explorer.provenance) with
+  | Root i ->
     s.meta.(e) <- depth lor (i lsl depth_bits) lor root_bit;
     s.pred_hi.(e) <- 0;
     s.pred_lo.(e) <- 0
-  | Pstep (parent, ev) ->
-    s.meta.(e) <- depth lor (intern s ev lsl depth_bits);
+  | Step { parent; event } ->
+    s.meta.(e) <- depth lor (intern s event lsl depth_bits);
     s.pred_hi.(e) <- parent.Fingerprint.hi;
     s.pred_lo.(e) <- parent.Fingerprint.lo);
   s.fp_hi.(e) <- fp.Fingerprint.hi;
@@ -173,12 +169,14 @@ let set_entry s e fp prov ~depth ~packed ~state =
   s.pos.(e) <- packed;
   s.states.(e) <- state
 
-let prov_of s e =
+let prov_of s e : Explorer.provenance =
   let m = s.meta.(e) in
   let code = (m lsr depth_bits) land code_mask in
-  if m land root_bit <> 0 then Proot code
-  else Pstep (Fingerprint.of_parts ~hi:s.pred_hi.(e) ~lo:s.pred_lo.(e),
-              s.evs.(code))
+  if m land root_bit <> 0 then Root code
+  else
+    Step
+      { parent = Fingerprint.of_parts ~hi:s.pred_hi.(e) ~lo:s.pred_lo.(e);
+        event = s.evs.(code) }
 
 let depth_of s e = s.meta.(e) land depth_mask
 let unpack packed = (packed lsr pos_bits, packed land pos_mask)
@@ -217,8 +215,8 @@ let merge t fp ~prov ~depth ~pos:(p, j) ~state =
              duplicate it turned out to be *)
           let old_event =
             match prov_of s e with
-            | Proot _ -> None
-            | Pstep (_, ev) -> Some ev
+            | Root _ -> None
+            | Step { event; _ } -> Some event
           in
           set_entry s e fp prov ~depth ~packed ~state:(Some state);
           Dup_replaced { old_event; old_depth = od }
@@ -247,9 +245,6 @@ let with_entry t fp f =
       if s.slots.(slot) = 0 then None else Some (f s (s.slots.(slot) - 1)))
 
 let find_prov_opt t fp = with_entry t fp prov_of
-
-let find_prov t fp =
-  match find_prov_opt t fp with Some p -> p | None -> raise Not_found
 
 let find_pos t fp =
   match with_entry t fp (fun s e -> unpack s.pos.(e)) with

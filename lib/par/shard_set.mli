@@ -11,13 +11,9 @@
     depth/provenance, parent fingerprint halves, packed discovery position
     — behind its own mutex: no per-entry boxing, and nothing but the
     layer-local concrete states for the GC to trace. Events are interned
-    per shard. The sequential analogue is [Sandtable.Fp_store]. *)
-
-type prov =
-  | Proot of int  (** index into the init-state list *)
-  | Pstep of Sandtable.Fingerprint.t * Sandtable.Trace.event
-      (** parent fingerprint, discovering event. Cross-shard references are
-          by fingerprint, keeping shards fully independent. *)
+    per shard. Provenance is {!Sandtable.Explorer.provenance}, whose
+    parents are fingerprints, so shards stay fully independent. The
+    sequential analogue is [Sandtable.Fp_store]. *)
 
 type 's t
 (** ['s] is the spec's concrete state type, held only for entries of the
@@ -44,8 +40,8 @@ val create : ?shards:int -> unit -> 's t
 val shard_count : 's t -> int
 
 val merge :
-  's t -> Sandtable.Fingerprint.t -> prov:prov -> depth:int ->
-  pos:int * int -> state:'s -> merge_outcome
+  's t -> Sandtable.Fingerprint.t -> prov:Sandtable.Explorer.provenance ->
+  depth:int -> pos:int * int -> state:'s -> merge_outcome
 (** Atomically insert a layer candidate ([Fresh]), or — if the fingerprint
     is already present — replace the stored provenance, depth, position
     and state (together) iff the new [(depth, pos)] is strictly smaller
@@ -57,15 +53,18 @@ val merge :
     two distinct concrete states can share a fingerprint). [pos = (p, j)]
     must satisfy [0 <= j < 2{^31}]; depth must be [< 2{^20}]. *)
 
-val add_seed : 's t -> Sandtable.Fingerprint.t -> prov -> depth:int -> bool
+val add_seed :
+  's t -> Sandtable.Fingerprint.t -> Sandtable.Explorer.provenance ->
+  depth:int -> bool
 (** Insert if absent (the existing entry always wins, counting a dedup
     hit otherwise), with no stored state and position zero — for roots,
     checkpoint-resume seeding, and the work-stealing engine's first-wins
     insertions, whose positions are never consulted again. *)
 
-val find_prov_opt : 's t -> Sandtable.Fingerprint.t -> prov option
-val find_prov : 's t -> Sandtable.Fingerprint.t -> prov
-(** Like {!find_prov_opt} but raises [Not_found] when absent. *)
+val find_prov_opt :
+  's t -> Sandtable.Fingerprint.t -> Sandtable.Explorer.provenance option
+(** The entry's provenance — the lookup the shared recovery helpers of
+    {!Sandtable.Explorer.Run} walk. [None] when absent. *)
 
 val find_pos : 's t -> Sandtable.Fingerprint.t -> int * int
 (** The stored discovery position. Raises [Not_found] when absent. *)
@@ -86,7 +85,9 @@ val length : 's t -> int
 (** Total distinct fingerprints (locks each shard once). *)
 
 val iter :
-  's t -> (Sandtable.Fingerprint.t -> prov -> int -> unit) -> unit
+  's t ->
+  (Sandtable.Fingerprint.t -> Sandtable.Explorer.provenance -> int -> unit) ->
+  unit
 (** Iterate every entry — fingerprint, provenance, depth — shard by shard
     (each shard locked while its entries are visited; [f] must not
     re-enter the set). Order is arbitrary. Used for barrier-point

@@ -129,76 +129,7 @@ let poll_sleep = 0.0002
 let batch_size = 64
 
 module Run (S : Spec.S) = struct
-  let prov_in = function
-    | Explorer.Root i -> Shard_set.Proot i
-    | Explorer.Step { parent; event } -> Shard_set.Pstep (parent, event)
-
-  let prov_out = function
-    | Shard_set.Proot i -> Explorer.Root i
-    | Shard_set.Pstep (parent, event) -> Explorer.Step { parent; event }
-
   module E = Explorer.Run (S)
-
-  let fingerprint_info = E.fingerprint_info
-
-  let final_state scenario init_index events =
-    let s0 = List.nth (S.init scenario) init_index in
-    List.fold_left
-      (fun state event ->
-        match
-          List.find_map
-            (fun (e, s') -> if Trace.equal_event e event then Some s' else None)
-            (S.next scenario state)
-        with
-        | Some s' -> s'
-        | None -> invalid_arg "Ws_explorer: unreplayable provenance chain")
-      s0 events
-
-  (* Checkpoint-frontier recovery: the same memoized provenance replay as
-     the other engines, against the sharded store. *)
-  let rebuild_frontier visited scenario fps =
-    let memo : S.state Fingerprint.Tbl.t = Fingerprint.Tbl.create 1024 in
-    let inits = lazy (S.init scenario) in
-    let prov_of fp =
-      match Shard_set.find_prov_opt visited fp with
-      | Some p -> p
-      | None ->
-        invalid_arg
-          "Ws_explorer: checkpoint frontier references a fingerprint \
-           missing from its visited set (corrupted checkpoint?)"
-    in
-    let state_of fp0 =
-      let rec collect fp pending =
-        match Fingerprint.Tbl.find_opt memo fp with
-        | Some s -> s, pending
-        | None -> (
-          match prov_of fp with
-          | Shard_set.Proot i ->
-            let s = List.nth (Lazy.force inits) i in
-            Fingerprint.Tbl.replace memo fp s;
-            s, pending
-          | Shard_set.Pstep (parent, event) ->
-            collect parent ((fp, event) :: pending))
-      in
-      let base, pending = collect fp0 [] in
-      List.fold_left
-        (fun state (fp, event) ->
-          match
-            List.find_map
-              (fun (e, s') ->
-                if Trace.equal_event e event then Some s' else None)
-              (S.next scenario state)
-          with
-          | Some s' ->
-            Fingerprint.Tbl.replace memo fp s';
-            s'
-          | None ->
-            invalid_arg
-              "Ws_explorer: unreplayable checkpoint provenance chain \
-               (spec changed since the checkpoint was written?)")
-        base pending
-    in
-    List.map state_of fps
 
   let check ?(pulse_every = 1.0) ?resume pool scenario
       (opts : Explorer.options) =
@@ -206,41 +137,14 @@ module Run (S : Spec.S) = struct
     let elapsed () = Unix.gettimeofday () -. started in
     let workers = Pool.size pool in
     let probe = opts.probe in
-    let resume =
-      Option.map
-        (fun (snap : Explorer.snapshot) ->
-          if snap.snap_kernel = Fingerprint.kernel_id then snap
-          else Explorer.migrate_snapshot (module S) scenario opts snap)
-        resume
-    in
     let visited : S.state Shard_set.t = Shard_set.create ~shards:64 () in
+    let lookup = Shard_set.find_prov_opt visited in
+    let store () =
+      Shard_set.(length visited, capacity visited, store_bytes visited,
+                 probe_steps visited)
+    in
     let deadline = Option.map (fun b -> started +. b) opts.time_budget in
-    let selected_invariants =
-      match opts.only_invariants with
-      | None -> S.invariants
-      | Some names ->
-        List.filter (fun (name, _) -> List.mem name names) S.invariants
-    in
-    let first_broken state =
-      List.find_map
-        (fun (name, holds) ->
-          if holds scenario state then None else Some name)
-        selected_invariants
-    in
-    let trace_of fp =
-      let rec back fp acc =
-        match Shard_set.find_prov visited fp with
-        | Shard_set.Proot i -> i, acc
-        | Shard_set.Pstep (parent, event) -> back parent (event :: acc)
-      in
-      back fp []
-    in
-    let violation_of fp invariant depth : Explorer.violation =
-      let init_index, events = trace_of fp in
-      let state = final_state scenario init_index events in
-      { invariant; events; depth;
-        state_repr = Fmt.str "%a" S.pp_state state }
-    in
+    let invariants = E.invariants opts in
     (* shard_key gives 8 uniform bits; scale them onto [0, workers) *)
     let route_mask = 255 in
     let dest fp =
@@ -294,18 +198,20 @@ module Run (S : Spec.S) = struct
       List.iteri
         (fun i s ->
           if !outcome_slot = None then begin
-            let fp, sym = fingerprint_info ?probe opts scenario s in
+            let fp, sym = E.fingerprint_info ?probe opts scenario s in
             let inserted =
-              Shard_set.add_seed visited fp (Shard_set.Proot i) ~depth:0
+              Shard_set.add_seed visited fp (Explorer.Root i) ~depth:0
             in
             if Probe.is_on probe then
               Probe.edge probe ~depth:0 ~event:None ~dup:(not inserted) ~sym;
             if inserted then begin
               Atomic.incr distinct;
-              match first_broken s with
-              | Some inv when opts.stop_on_violation ->
-                stop_with (Explorer.Violation (violation_of fp inv 0))
-              | Some _ | None ->
+              match E.first_broken invariants scenario s with
+              | Some inv ->
+                stop_with
+                  (Explorer.Violation
+                     (E.violation lookup scenario fp inv ~depth:0))
+              | None ->
                 if S.constraint_ok scenario s then
                   seed_items := (s, fp, 0) :: !seed_items
             end
@@ -313,12 +219,12 @@ module Run (S : Spec.S) = struct
         (S.init scenario)
     | Some snap ->
       snap.Explorer.snap_visited (fun fp prov d ->
-          ignore (Shard_set.add_seed visited fp (prov_in prov) ~depth:d));
+          ignore (Shard_set.add_seed visited fp prov ~depth:d));
       Atomic.set distinct snap.Explorer.snap_distinct;
       gen_base := snap.Explorer.snap_generated;
       maxdepth_base := snap.Explorer.snap_max_depth;
       let states =
-        rebuild_frontier visited scenario snap.Explorer.snap_frontier
+        E.rebuild_frontier lookup scenario snap.Explorer.snap_frontier
       in
       (* a layered snapshot's frontier sits entirely at snap_depth; an
          unordered one's per-state depths are recovered from the seeded
@@ -370,11 +276,8 @@ module Run (S : Spec.S) = struct
         snap_distinct = Atomic.get distinct;
         snap_generated = gen_now;
         snap_max_depth = maxd;
-        snap_kernel = Fingerprint.kernel_id;
         snap_mode = Explorer.Unordered;
-        snap_visited =
-          (fun k ->
-            Shard_set.iter visited (fun fp prov d -> k fp (prov_out prov) d)) }
+        snap_visited = Shard_set.iter visited }
     in
     let sum a = Array.fold_left ( + ) 0 a in
     let cur_generated () = !gen_base + sum st_generated in
@@ -431,24 +334,18 @@ module Run (S : Spec.S) = struct
         | _ ->
           st_expanded.(w) <- st_expanded.(w) + 1;
           let succs = S.next scenario state in
-          if Probe.is_on wp && scenario.Scenario.faults <> None then
-            List.iter
-              (fun (event, _) ->
-                match Fault_plan.obs_kind event with
-                | Some name -> Probe.count wp name 1
-                | None -> ())
-              succs;
-          if succs = [] && opts.check_deadlock then begin
-            let _, events = trace_of fp in
-            stop_with (Explorer.Deadlock events)
-          end;
+          E.count_fault_kinds wp scenario succs;
+          if succs = [] && opts.check_deadlock then
+            stop_with (Explorer.Deadlock (snd (E.trace_of lookup fp)));
           List.iter
             (fun (event, state') ->
               st_generated.(w) <- st_generated.(w) + 1;
-              let fp', sym = fingerprint_info ?probe:wp opts scenario state' in
+              let fp', sym =
+                E.fingerprint_info ?probe:wp opts scenario state'
+              in
               if
                 Shard_set.add_seed visited fp'
-                  (Shard_set.Pstep (fp, event))
+                  (Explorer.Step { parent = fp; event })
                   ~depth:(depth + 1)
               then begin
                 st_inserted.(w) <- st_inserted.(w) + 1;
@@ -458,15 +355,14 @@ module Run (S : Spec.S) = struct
                     ~dup:false ~sym;
                 if depth + 1 > st_maxdepth.(w) then
                   st_maxdepth.(w) <- depth + 1;
-                if opts.stop_on_violation then begin
-                  Probe.span_begin wp "invariant";
-                  (match first_broken state' with
-                  | Some inv ->
-                    stop_with
-                      (Explorer.Violation (violation_of fp' inv (depth + 1)))
-                  | None -> ());
-                  Probe.span_end wp "invariant"
-                end;
+                Probe.span_begin wp "invariant";
+                (match E.first_broken invariants scenario state' with
+                | Some inv ->
+                  stop_with
+                    (Explorer.Violation
+                       (E.violation lookup scenario fp' inv ~depth:(depth + 1)))
+                | None -> ());
+                Probe.span_end wp "invariant";
                 if S.constraint_ok scenario state' then
                   route (state', fp', depth + 1);
                 match opts.max_states with
@@ -526,12 +422,7 @@ module Run (S : Spec.S) = struct
                 Probe.gauge (Probe.worker probe v) "queue.depth"
                   (float_of_int queues.(v).qitems)
               done;
-              Probe.gauge probe "visited.entries"
-                (float_of_int (Shard_set.length visited));
-              Probe.gauge probe "visited.capacity"
-                (float_of_int (Shard_set.capacity visited));
-              Probe.gauge probe "visited.store_bytes"
-                (float_of_int (Shard_set.store_bytes visited))
+              E.visited_gauges probe store
             end;
             Probe.layer probe ~depth:maxd ~distinct:(Atomic.get distinct)
               ~generated:gen_now ~frontier ~elapsed:(elapsed ());
@@ -622,19 +513,7 @@ module Run (S : Spec.S) = struct
         if Atomic.get depth_pruned then Explorer.Budget_spent
         else Explorer.Exhausted
     in
-    if Probe.is_on probe then begin
-      let n = Shard_set.length visited in
-      let bytes = Shard_set.store_bytes visited in
-      Probe.gauge probe "visited.entries" (float_of_int n);
-      Probe.gauge probe "visited.capacity"
-        (float_of_int (Shard_set.capacity visited));
-      Probe.gauge probe "visited.store_bytes" (float_of_int bytes);
-      if n > 0 then
-        Probe.gauge probe "visited.bytes_per_state"
-          (float_of_int bytes /. float_of_int n);
-      Probe.gauge probe "visited.probe_steps"
-        (float_of_int (Shard_set.probe_steps visited))
-    end;
+    E.visited_gauges ~final:true probe store;
     let worker_stats =
       Array.init workers (fun w ->
           { w_expanded = st_expanded.(w);
@@ -659,29 +538,5 @@ end
 let check ?workers ?pool ?pulse_every ?resume (module S : Spec.S) scenario
     opts =
   let module R = Run (S) in
-  match pool with
-  | Some p -> R.check ?pulse_every ?resume p scenario opts
-  | None ->
-    let w =
-      match workers with
-      | Some w -> max 1 w
-      | None -> Domain.recommended_domain_count ()
-    in
-    Pool.with_pool w (fun p -> R.check ?pulse_every ?resume p scenario opts)
-
-let states_per_sec = Par_explorer.states_per_sec
-
-let pp_worker_stats ppf r =
-  Array.iteri
-    (fun w ws ->
-      Fmt.pf ppf "worker %d: expanded=%d generated=%d inserted=%d busy=%.2fs \
-                  (%.0f states/s)@."
-        w ws.w_expanded ws.w_generated ws.w_inserted ws.w_busy
-        (states_per_sec ws))
-    r.worker_stats
-
-let pp_result ppf r =
-  Fmt.pf ppf "%a@.%d workers (work-stealing), %d pulses, %d steals \
-              (%d failed attempts)@.%a"
-    Explorer.pp_result r.base r.workers r.pulses r.steals r.steal_failed
-    pp_worker_stats r
+  Pool.with_workers ?workers ?pool (fun p ->
+      R.check ?pulse_every ?resume p scenario opts)

@@ -59,8 +59,3 @@ val check :
     the visited set). Early-stop ([max_states] / deadline) totals and
     anything depth-budgeted are schedule-dependent; exhaustive totals are
     not. *)
-
-val states_per_sec : worker_stat -> float
-
-val pp_worker_stats : Format.formatter -> result -> unit
-val pp_result : Format.formatter -> result -> unit

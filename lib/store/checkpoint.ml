@@ -24,7 +24,9 @@ let identity ?(extra = []) spec (scenario : Scenario.t) (opts : Explorer.options
      values: checkpoints cut under an earlier canonical form ("true") are
      refused by name rather than resumed without deduplicating *)
   line "symmetry=%s" (if opts.symmetry && S.permutable then "keyed" else "false");
-  line "stop_on_violation=%b" opts.stop_on_violation;
+  (* every engine stops at the first violation; the line stays so run
+     directories written while this was an option still resume *)
+  line "stop_on_violation=true";
   line "check_deadlock=%b" opts.check_deadlock;
   (match opts.only_invariants with
   | None -> line "invariants=*"
@@ -99,12 +101,9 @@ let save ?probe ~dir ~identity (snap : Explorer.snapshot) =
              "Checkpoint.save: snapshot promised %d visited entries, \
               iterator produced %d"
              snap.snap_distinct !written);
-      (* trailing fingerprint-kernel marker; files written before the
-         marker existed simply end here and load as kernel 0 (MD5) *)
-      Binio.uint b snap.snap_kernel;
-      (* trailing frontier-mode marker; files written before the
-         work-stealing engine existed end after the kernel and load as
-         Layered (the only mode that existed then) *)
+      (* trailing generation markers: the fingerprint kernel, then the
+         frontier mode; [load] refuses files without them *)
+      Binio.uint b Fingerprint.kernel_id;
       Binio.uint b
         (match snap.snap_mode with
         | Explorer.Layered -> 0
@@ -161,22 +160,33 @@ let load ~dir ~identity =
         let depth = Binio.read_uint src in
         (fp, prov, depth))
   in
-  (* files from before the kernel marker end right after the visited
-     entries; their fingerprints are MD5 digests (kernel 0) *)
-  let snap_kernel =
-    if Binio.remaining src = 0 then 0 else Binio.read_uint src
+  let other_generation what =
+    raise
+      (Mismatch
+         (Printf.sprintf
+            "%s comes from another checkpoint generation (%s); this build \
+             does not read it — rerun without --resume or point --run-dir \
+             elsewhere"
+            path what))
   in
-  (* pre-work-stealing files end after the kernel marker: Layered *)
+  let marker name =
+    if Binio.remaining src = 0 then
+      other_generation ("no " ^ name ^ " marker")
+    else Binio.read_uint src
+  in
+  let kernel = marker "fingerprint-kernel" in
+  if kernel <> Fingerprint.kernel_id then
+    other_generation
+      (Printf.sprintf "kernel %d, this build reads kernel %d" kernel
+         Fingerprint.kernel_id);
   let snap_mode =
-    if Binio.remaining src = 0 then Explorer.Layered
-    else
-      match Binio.read_uint src with
-      | 0 -> Explorer.Layered
-      | 1 -> Explorer.Unordered
-      | tag ->
-        raise
-          (Binio.Corrupt
-             (Printf.sprintf "%s: unknown frontier mode tag %d" path tag))
+    match marker "frontier-mode" with
+    | 0 -> Explorer.Layered
+    | 1 -> Explorer.Unordered
+    | tag ->
+      raise
+        (Binio.Corrupt
+           (Printf.sprintf "%s: unknown frontier mode tag %d" path tag))
   in
   if Binio.remaining src <> 0 then
     raise
@@ -188,7 +198,6 @@ let load ~dir ~identity =
     snap_distinct;
     snap_generated;
     snap_max_depth;
-    snap_kernel;
     snap_mode;
     snap_visited =
       (fun f -> Array.iter (fun (fp, prov, d) -> f fp prov d) visited) }

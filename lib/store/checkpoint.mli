@@ -8,9 +8,20 @@
     the concrete frontier states are recovered by replaying each frontier
     fingerprint's provenance chain from the initial states.
 
-    Checkpoints are engine-agnostic: one written by the sequential explorer
-    resumes under [Par_explorer.check] at any worker count, and vice versa,
-    bit-for-bit.
+    Checkpoints are engine-agnostic within the rule their frontier mode
+    sets. A [Layered] one — cut at a layer barrier by the sequential
+    explorer or [Par_explorer] — resumes on any engine at any worker
+    count, bit-for-bit on the strict-BFS engines. An [Unordered] one —
+    cut at a work-stealing pulse — resumes only on [Ws_explorer]; the
+    strict-BFS engines refuse it by name.
+
+    {2 Generations}
+
+    A checkpoint ends with two markers: the {!Sandtable.Fingerprint.kernel_id}
+    of its fingerprints, then its frontier mode. Files from older
+    generations — no markers, only the kernel marker, or another kernel —
+    are refused by {!load} with {!Mismatch} naming what it found; they are
+    not migrated.
 
     {2 Resume invariants}
 
@@ -24,7 +35,9 @@
 
 exception Mismatch of string
 (** Raised by {!load} when the stored identity differs from the caller's —
-    the message shows both identity digests and the first differing line. *)
+    the message shows both identity digests and the first differing line —
+    or when the file comes from an older generation (e.g. "kernel 0, this
+    build reads kernel 1"). *)
 
 val file : string
 (** ["checkpoint.bin"], relative to the run directory. *)
@@ -36,9 +49,11 @@ val identity :
 (** Canonical identity string for an exploration: spec name, scenario,
     the symmetry canonicalisation in force ([symmetry=keyed] for the
     key-sorted reduction of {!Sandtable.Symmetry}, [symmetry=false] when
-    [opts.symmetry] is off or the spec is not permutable), [stop_on_violation], [check_deadlock], [only_invariants],
-    plus any [extra] key/value pairs (e.g. bug flags), sorted. Budgets are
-    excluded (see above). *)
+    [opts.symmetry] is off or the spec is not permutable), a constant
+    [stop_on_violation=true] line kept so existing run directories still
+    resume, [check_deadlock], [only_invariants], plus any [extra]
+    key/value pairs (e.g. bug flags), sorted. Budgets are excluded (see
+    above). *)
 
 val digest_hex : string -> string
 (** Short stable hex digest of an identity string (for manifests and
@@ -61,8 +76,9 @@ val save :
     [checkpoint.saves] / [checkpoint.bytes]. *)
 
 val load : dir:string -> identity:string -> Sandtable.Explorer.snapshot
-(** Raises {!Mismatch} on identity divergence, {!Sandtable.Binio.Corrupt}
-    on a damaged file, [Sys_error] when absent. *)
+(** Raises {!Mismatch} on identity divergence or an older generation,
+    {!Sandtable.Binio.Corrupt} on a damaged file, [Sys_error] when
+    absent. *)
 
 val hook :
   ?probe:Sandtable.Probe.t ->

@@ -278,8 +278,7 @@ let test_shard_set_concurrent () =
             (fun i fp ->
               if i mod 4 = w then
                 ignore
-                  (Par.Shard_set.add_seed set fp (Par.Shard_set.Proot i)
-                     ~depth:0))
+                  (Par.Shard_set.add_seed set fp (Explorer.Root i) ~depth:0))
             fps));
   Alcotest.(check int) "distinct" 250 (Par.Shard_set.length set);
   let stats = Par.Shard_set.stats set in
@@ -298,7 +297,7 @@ let test_shard_set_merge_keeps_min () =
   let fp = Fingerprint.of_state "x" in
   let parent = Fingerprint.of_state "parent" in
   let step n =
-    Par.Shard_set.Pstep (parent, Trace.Timeout { node = n; kind = "t" })
+    Explorer.Step { parent; event = Trace.Timeout { node = n; kind = "t" } }
   in
   Alcotest.(check bool) "first insert" true
     (Par.Shard_set.merge set fp ~prov:(step 9) ~depth:2 ~pos:(1, 0)
@@ -320,8 +319,8 @@ let test_shard_set_merge_keeps_min () =
     (Par.Shard_set.merge set fp ~prov:(step 7) ~depth:2 ~pos:(0, 2)
        ~state:"later"
      = Par.Shard_set.Dup_kept);
-  (match Par.Shard_set.find_prov set fp with
-  | Par.Shard_set.Pstep (p, Trace.Timeout { node; _ }) ->
+  (match Par.Shard_set.find_prov_opt set fp with
+  | Some (Explorer.Step { parent = p; event = Trace.Timeout { node; _ } }) ->
     Alcotest.(check bool) "parent kept" true (Fingerprint.equal p parent);
     Alcotest.(check int) "minimal event kept" 3 node
   | _ -> Alcotest.fail "expected a step provenance");

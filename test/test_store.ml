@@ -369,7 +369,6 @@ let test_checkpoint_roundtrip () =
         "frontier order"
         (List.map Fingerprint.to_hex snap.snap_frontier)
         (List.map Fingerprint.to_hex snap'.snap_frontier);
-      Alcotest.(check int) "kernel" Fingerprint.kernel_id snap'.snap_kernel;
       Alcotest.(check bool)
         "visited set" true
         (visited_list snap = visited_list snap'))
@@ -556,140 +555,167 @@ let test_checkpoint_symmetry_generation () =
         Alcotest.(check bool) "refused by name" true
           (contains m "symmetry=true" && contains m "symmetry=keyed"))
 
-(* ---- fingerprint-kernel migration ------------------------------------- *)
+(* ---- recovery paths and checkpoint generations ----------------------- *)
 
-(* An injective stand-in for the old MD5 kernel: digest the real
-   fingerprint's raw bytes. The migration path treats legacy fingerprints
-   as opaque keys, so any injective scrambling exercises it faithfully. *)
-let scramble fp = Fingerprint.of_raw (Digest.string (Fingerprint.to_raw fp))
+let test_identity_golden () =
+  (* resuming a run directory needs the identity to stay byte-for-byte
+     what earlier builds wrote, stop_on_violation line included *)
+  let spec = Toy_spec.spec ~limit:3 () in
+  let scenario = Toy_spec.scenario ~nodes:2 ~timeouts:3 in
+  Alcotest.(check string) "identity"
+    "spec=toy\n\
+     scenario=toy: 2 nodes, workload {1}, timeouts=3\n\
+     symmetry=keyed\n\
+     stop_on_violation=true\n\
+     check_deadlock=true\n\
+     invariants=BelowLimit\n\
+     bugs=pso3\n"
+    (Store.Checkpoint.identity ~extra:[ ("bugs", "pso3") ] spec scenario
+       { toy_opts with
+         check_deadlock = true; only_invariants = Some [ "BelowLimit" ] });
+  Alcotest.(check string) "identity, symmetry off"
+    "spec=toy\n\
+     scenario=toy: 2 nodes, workload {1}, timeouts=3\n\
+     symmetry=false\n\
+     stop_on_violation=true\n\
+     check_deadlock=false\n\
+     invariants=*\n"
+    (Store.Checkpoint.identity spec scenario
+       { toy_opts with symmetry = false })
 
-let legacy_snapshot (snap : Explorer.snapshot) : Explorer.snapshot =
-  let entries = ref [] in
-  snap.snap_visited (fun fp prov d -> entries := (fp, prov, d) :: !entries);
-  let entries = List.rev !entries in
-  { snap with
-    snap_kernel = 0;
-    snap_frontier = List.map scramble snap.snap_frontier;
-    snap_visited =
-      (fun k ->
-        List.iter
-          (fun (fp, prov, d) ->
-            let prov =
+let toy_snapshot spec scenario =
+  snap_ref := None;
+  let (_ : Explorer.result) =
+    Explorer.check spec scenario
+      { toy_opts with max_depth = Some 3; on_layer = Some grab_snapshot }
+  in
+  Option.get !snap_ref
+
+let test_recovery_names_the_input () =
+  (* a damaged snapshot fails closed on every engine, naming what is
+     wrong with it *)
+  let spec = Toy_spec.spec () in
+  let scenario = Toy_spec.scenario ~nodes:2 ~timeouts:5 in
+  let snap = toy_snapshot spec scenario in
+  let missing =
+    { snap with
+      snap_frontier = Fingerprint.of_state "absent" :: snap.snap_frontier }
+  in
+  (* the toy spec only ever times out, so a Heal step cannot replay *)
+  let target = List.hd snap.snap_frontier in
+  let unreplayable =
+    { snap with
+      snap_visited =
+        (fun k ->
+          snap.snap_visited (fun fp prov d ->
               match prov with
-              | Explorer.Root _ as p -> p
-              | Explorer.Step { parent; event } ->
-                Explorer.Step { parent = scramble parent; event }
-            in
-            k (scramble fp) prov d)
-          entries) }
-
-let test_resume_migrates_legacy_kernel () =
-  (* a kernel-0 checkpoint (foreign fingerprints throughout) must resume
-     bit-for-bit on both engines: load detects the kernel mismatch and
-     rebuilds every fingerprint by provenance replay *)
-  let spec = Toy_spec.spec ~limit:4 () in
-  let scenario = Toy_spec.scenario ~nodes:3 ~timeouts:8 in
-  let full = Explorer.check spec scenario toy_opts in
-  let identity = Store.Checkpoint.identity spec scenario toy_opts in
-  with_tmpdir (fun dir ->
-      snap_ref := None;
-      let (_ : Explorer.result) =
-        Explorer.check spec scenario
-          { toy_opts with
-            max_depth = Some 2; on_layer = Some grab_snapshot }
-      in
-      let (_ : Store.Checkpoint.stats) =
-        Store.Checkpoint.save ~dir ~identity
-          (legacy_snapshot (Option.get !snap_ref))
-      in
-      let snap = Store.Checkpoint.load ~dir ~identity in
-      Alcotest.(check int) "legacy kernel tag survives save/load" 0
-        snap.snap_kernel;
+              | Explorer.Step { parent; _ } when Fingerprint.equal fp target
+                ->
+                k fp (Explorer.Step { parent; event = Trace.Heal }) d
+              | _ -> k fp prov d)) }
+  in
+  let engines =
+    [ ( "seq",
+        fun resume -> (Explorer.check ~resume spec scenario toy_opts).outcome );
+      ( "par -j2",
+        fun resume ->
+          (Par.Par_explorer.check ~workers:2 ~resume spec scenario toy_opts)
+            .base.outcome );
+      ( "ws -j2",
+        fun resume ->
+          (Par.Ws_explorer.check ~workers:2 ~resume spec scenario toy_opts)
+            .base.outcome ) ]
+  in
+  List.iter
+    (fun (damaged, needle) ->
       List.iter
-        (fun workers ->
-          let resumed =
-            if workers = 1 then
-              Explorer.check ~resume:snap spec scenario toy_opts
-            else
-              (Par.Par_explorer.check ~workers ~resume:snap spec scenario
-                 toy_opts)
-                .base
-          in
-          check_violation_equal
-            (Fmt.str "legacy ckpt, resume j%d" workers)
-            full resumed)
-        [ 1; 2 ])
+        (fun (engine, run) ->
+          match run damaged with
+          | _ -> Alcotest.failf "%s resumed a snapshot with %s" engine needle
+          | exception Invalid_argument m ->
+            Alcotest.(check bool)
+              (Fmt.str "%s: %S names %S" engine m needle)
+              true (contains m needle))
+        engines)
+    [ (missing, "missing from its visited set");
+      (unreplayable, "unreplayable") ]
 
-let test_migrate_snapshot_is_native () =
-  (* migrating then snapshotting must yield exactly the current-kernel
-     fingerprints — compare against an untouched snapshot of the same run *)
+(* A checkpoint as older generations wrote it, byte by byte: the current
+   payload followed by [markers] — none before the fingerprint-kernel
+   marker existed, only the kernel before the frontier-mode marker. *)
+let write_old_checkpoint ~markers path identity (snap : Explorer.snapshot) =
+  Binio.write_file path ~kind:2 (fun b ->
+      Binio.str b identity;
+      Binio.uint b snap.snap_depth;
+      Binio.uint b snap.snap_distinct;
+      Binio.uint b snap.snap_generated;
+      Binio.uint b snap.snap_max_depth;
+      Binio.uint b (List.length snap.snap_frontier);
+      List.iter (fun fp -> Binio.fixed b (Fingerprint.to_raw fp))
+        snap.snap_frontier;
+      Binio.uint b snap.snap_distinct;
+      snap.snap_visited (fun fp prov depth ->
+          Binio.fixed b (Fingerprint.to_raw fp);
+          (match prov with
+          | Explorer.Root idx ->
+            Binio.u8 b 0;
+            Binio.uint b idx
+          | Explorer.Step { parent; event } ->
+            Binio.u8 b 1;
+            Binio.fixed b (Fingerprint.to_raw parent);
+            Trace.encode_event b event);
+          Binio.uint b depth);
+      List.iter (Binio.uint b) markers)
+
+(* Refused by [Checkpoint.load] with a [Mismatch] containing [needle], and
+   by [check --resume] with exit 2 and the same words on stderr. *)
+let check_generation_refused ~markers ~needle =
   let spec = Toy_spec.spec () in
   let scenario = Toy_spec.scenario ~nodes:2 ~timeouts:5 in
-  snap_ref := None;
-  let (_ : Explorer.result) =
-    Explorer.check spec scenario
-      { toy_opts with max_depth = Some 3; on_layer = Some grab_snapshot }
-  in
-  let native = Option.get !snap_ref in
-  let migrated =
-    Explorer.migrate_snapshot spec scenario toy_opts (legacy_snapshot native)
-  in
-  Alcotest.(check int) "kernel" Fingerprint.kernel_id migrated.snap_kernel;
-  Alcotest.(check (list string))
-    "frontier"
-    (List.map Fingerprint.to_hex native.snap_frontier)
-    (List.map Fingerprint.to_hex migrated.snap_frontier);
-  Alcotest.(check bool)
-    "visited set" true
-    (visited_list native = visited_list migrated)
-
-let test_load_pre_kernel_checkpoint () =
-  (* a checkpoint written before the kernel marker existed — the payload
-     simply ends after the visited entries — must still load (as kernel 0)
-     and resume. Written byte-by-byte here exactly as the old code did. *)
-  let spec = Toy_spec.spec () in
-  let scenario = Toy_spec.scenario ~nodes:2 ~timeouts:5 in
-  let full = Explorer.check spec scenario toy_opts in
   let identity = Store.Checkpoint.identity spec scenario toy_opts in
-  snap_ref := None;
-  let (_ : Explorer.result) =
-    Explorer.check spec scenario
-      { toy_opts with max_depth = Some 3; on_layer = Some grab_snapshot }
-  in
-  let snap = Option.get !snap_ref in
+  let snap = toy_snapshot spec scenario in
   with_tmpdir (fun dir ->
       let path = Filename.concat dir Store.Checkpoint.file in
-      Binio.write_file path ~kind:2 (fun b ->
-          Binio.str b identity;
-          Binio.uint b snap.snap_depth;
-          Binio.uint b snap.snap_distinct;
-          Binio.uint b snap.snap_generated;
-          Binio.uint b snap.snap_max_depth;
-          Binio.uint b (List.length snap.snap_frontier);
-          List.iter (fun fp -> Binio.fixed b (Fingerprint.to_raw fp))
-            snap.snap_frontier;
-          Binio.uint b snap.snap_distinct;
-          snap.snap_visited (fun fp prov depth ->
-              Binio.fixed b (Fingerprint.to_raw fp);
-              (match prov with
-              | Explorer.Root idx ->
-                Binio.u8 b 0;
-                Binio.uint b idx
-              | Explorer.Step { parent; event } ->
-                Binio.u8 b 1;
-                Binio.fixed b (Fingerprint.to_raw parent);
-                Trace.encode_event b event);
-              Binio.uint b depth));
-      let snap' = Store.Checkpoint.load ~dir ~identity in
-      Alcotest.(check int) "pre-marker file loads as kernel 0" 0
-        snap'.snap_kernel;
-      Alcotest.(check bool) "visited intact" true
-        (visited_list snap = visited_list snap');
-      let resumed = Explorer.check ~resume:snap' spec scenario toy_opts in
-      Alcotest.(check (triple int int int))
-        "resume equivalent"
-        (full.distinct, full.generated, full.max_depth)
-        (resumed.distinct, resumed.generated, resumed.max_depth))
+      (* the writer is byte-exact: with the current markers it reproduces
+         what [save] writes *)
+      ignore (Store.Checkpoint.save ~dir ~identity snap);
+      let saved = read_raw path in
+      write_old_checkpoint ~markers:[ Fingerprint.kernel_id; 0 ] path identity
+        snap;
+      Alcotest.(check bool) "writer matches save" true (read_raw path = saved);
+      write_old_checkpoint ~markers path identity snap;
+      match Store.Checkpoint.load ~dir ~identity with
+      | _ -> Alcotest.failf "checkpoint with %s loaded" needle
+      | exception Store.Checkpoint.Mismatch m ->
+        Alcotest.(check bool)
+          (Fmt.str "load: %S names %S" m needle)
+          true (contains m needle));
+  with_tmpdir (fun dir ->
+      let args =
+        [ "check"; "pysyncobj"; "-j"; "1"; "--run-dir"; dir;
+          "--checkpoint-every"; "1"; "--max-states"; "2000" ]
+      in
+      let code, _, _ = Test_cli.run_cli args in
+      Alcotest.(check int) "budgeted run" 0 code;
+      let path = Filename.concat dir Store.Checkpoint.file in
+      let identity = Binio.read_str (Binio.read_file path ~kind:2) in
+      let snap = Store.Checkpoint.load ~dir ~identity in
+      write_old_checkpoint ~markers path identity snap;
+      let code, _, err = Test_cli.run_cli (args @ [ "--resume" ]) in
+      Alcotest.(check int) "resume refused" 2 code;
+      Alcotest.(check bool)
+        (Fmt.str "stderr %S names %S" err needle)
+        true (contains err needle))
+
+let test_kernel0_checkpoint_refused () =
+  check_generation_refused ~markers:[ 0; 0 ]
+    ~needle:
+      (Fmt.str "kernel 0, this build reads kernel %d" Fingerprint.kernel_id)
+
+let test_pre_marker_checkpoint_refused () =
+  check_generation_refused ~markers:[] ~needle:"no fingerprint-kernel marker";
+  check_generation_refused ~markers:[ Fingerprint.kernel_id ]
+    ~needle:"no frontier-mode marker"
 
 (* ---- spilled frontier ------------------------------------------------- *)
 
@@ -950,10 +976,12 @@ let suite =
       case "checkpoint corruption rejected" test_checkpoint_corrupted;
       case "kill and resume, all engines" test_kill_and_resume;
       case "resume to exhaustion" test_resume_exhaustive;
-      case "legacy-kernel checkpoint resumes bit-for-bit"
-        test_resume_migrates_legacy_kernel;
-      case "migrated snapshot equals native" test_migrate_snapshot_is_native;
-      case "pre-kernel-marker checkpoint loads" test_load_pre_kernel_checkpoint;
+      case "checkpoint identity is stable" test_identity_golden;
+      case "damaged snapshot named, all engines" test_recovery_names_the_input;
+      case "kernel-0 checkpoint refused by name"
+        test_kernel0_checkpoint_refused;
+      case "pre-marker checkpoint refused by name"
+        test_pre_marker_checkpoint_refused;
       case "spill chunk corruption surfaces as Corrupt"
         test_spill_chunk_corruption;
       case "spilled frontier equivalence" test_spill_equivalence;

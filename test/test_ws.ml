@@ -314,6 +314,20 @@ let check_contains label haystack needle =
   if not (contains haystack needle) then
     Alcotest.failf "%s: expected %S in:\n%s" label needle haystack
 
+let occurrences s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i acc =
+    if i + m > n then acc
+    else go (i + 1) (if String.sub s i m = sub then acc + 1 else acc)
+  in
+  go 0 0
+
+(* the verdict goes to stdout once; stderr carries only the engine
+   summary and worker stats *)
+let check_one_verdict label out err =
+  Alcotest.(check int) (label ^ ": one distinct= line") 1
+    (occurrences out "distinct=" + occurrences err "distinct=")
+
 let test_cli_ws_checkpoint_and_strict_refusal () =
   with_tmpdir (fun dir ->
       let args =
@@ -324,6 +338,7 @@ let test_cli_ws_checkpoint_and_strict_refusal () =
       let code, out, err = run_cli args in
       Alcotest.(check int) "exit 0" 0 code;
       check_contains "hit the budget" out "budget spent";
+      check_one_verdict "budgeted run" out err;
       check_contains "checkpoint saved at a pulse" err "checkpoint at depth";
       check_contains "steal telemetry recorded"
         (slurp (Filename.concat dir "telemetry.ndjsonl"))
@@ -337,7 +352,8 @@ let test_cli_ws_checkpoint_and_strict_refusal () =
       let code3, out3, err3 = run_cli (args @ [ "--resume" ]) in
       Alcotest.(check int) "ws resume ok" 0 code3;
       check_contains "resumed from the checkpoint" err3 "resuming at depth";
-      check_contains "reported a result" out3 "distinct=")
+      check_contains "reported a result" out3 "distinct=";
+      check_one_verdict "resumed run" out3 err3)
 
 let test_cli_shrink_under_ws () =
   with_tmpdir (fun dir ->
