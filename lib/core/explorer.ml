@@ -103,33 +103,74 @@ type result = {
 exception Stop of outcome
 
 module Run (S : Spec.S) = struct
-  (* [probe] is threaded separately from [opts] so the parallel engines can
-     hand each worker its own (domain-local) probe view. The [bool] of
-     [fingerprint_info] reports whether symmetry canonicalization changed
-     the fingerprint — fed to the profiler's per-edge [sym] flag. All three
-     engines fingerprint through this one function. *)
-  let fingerprint_info ?probe opts scenario state =
-    let b0 = if Probe.is_on probe then Fingerprint.marshalled_bytes () else 0 in
-    let fp, sym =
-      if opts.symmetry && S.permutable then begin
-        Probe.span_begin probe "symmetry-normalize";
-        let r =
-          Symmetry.canonical_fp_info ?probe ~who:S.name ~key:S.node_key
-            ~permute:S.permute ~nodes:scenario.Scenario.nodes state
+  (* ---- fingerprinting: recall -> canonicalise -> insert -> remember ----
+
+     Every engine offers each generated state to its visited set through
+     [arrive]. [probe] is threaded separately from [opts] so the parallel
+     engines can hand each worker its own (domain-local) probe view, and
+     each worker owns one [cache]. *)
+
+  type cache = Symmetry.cache option
+
+  let cache opts =
+    if opts.symmetry && S.permutable then Some (Symmetry.cache ()) else None
+
+  type 'r arrival =
+    | Recalled of bool
+    | Inserted of Fingerprint.t * bool * 'r
+
+  (* A hit means this worker already canonicalised the same concrete state
+     and offered its orbit to the visited set, which never forgets: the
+     insert would be a duplicate (first-arrival stores), or keep the
+     earlier, smaller (depth, position) arrival (the strict-BFS merge —
+     one worker's arrivals come in increasing (depth, position) order). So
+     a hit skips the canonicalisation and the store, and counts exactly
+     what they would have counted.
+
+     Each arrival is timed as one span, from before its own fingerprint:
+     [symmetry-normalize] when it was canonicalised, else [fingerprint]. *)
+  let arrive ?probe cache scenario state ~insert =
+    let on = Probe.is_on probe in
+    let t0 = if on then Unix.gettimeofday () else 0. in
+    let b0 = if on then Fingerprint.marshalled_bytes () else 0 in
+    let own = Fingerprint.of_state ~who:S.name state in
+    match cache with
+    | None ->
+      if on then begin
+        Probe.span_at probe "fingerprint" ~t0 ~t1:(Unix.gettimeofday ());
+        Probe.count probe "fp.bytes" (Fingerprint.marshalled_bytes () - b0)
+      end;
+      Inserted (own, false, insert own)
+    | Some c -> (
+      match Symmetry.recall ?probe c own with
+      | Some sym ->
+        if on then
+          Probe.span_at probe "fingerprint" ~t0 ~t1:(Unix.gettimeofday ());
+        Recalled sym
+      | None ->
+        let fp, sym, candidates =
+          Symmetry.canonicalise ?probe ~who:S.name ~key:S.node_key
+            ~permute:S.permute ~nodes:scenario.Scenario.nodes ~own state
         in
-        Probe.span_end probe "symmetry-normalize";
-        r
-      end
-      else begin
-        Probe.span_begin probe "fingerprint";
-        let fp = Fingerprint.of_state ~who:S.name state in
-        Probe.span_end probe "fingerprint";
-        (fp, false)
-      end
-    in
-    if Probe.is_on probe then
-      Probe.count probe "fp.bytes" (Fingerprint.marshalled_bytes () - b0);
-    (fp, sym)
+        let bytes =
+          if on then begin
+            Probe.span_at probe "symmetry-normalize" ~t0
+              ~t1:(Unix.gettimeofday ());
+            Fingerprint.marshalled_bytes () - b0
+          end
+          else 0
+        in
+        Probe.count probe "fp.bytes" bytes;
+        let result = insert fp in
+        Symmetry.remember c own ~sym ~candidates ~bytes;
+        Inserted (fp, sym, result))
+
+  let hit_ratio caches = Symmetry.hit_ratio (List.filter_map Fun.id caches)
+
+  let cache_gauge probe caches =
+    Option.iter
+      (Probe.gauge probe "symmetry.cache_hit_ratio")
+      (hit_ratio caches)
 
   (* ---- provenance -> states, traces and verdicts ----------------------- *)
 
@@ -305,13 +346,16 @@ module Run (S : Spec.S) = struct
         in
         Probe.edge probe ~depth ~event ~dup ~sym
     in
+    let cache = cache opts in
     let discover prov depth state =
-      let fp, sym = fingerprint_info ?probe opts scenario state in
-      match Fp_store.add visited fp prov ~depth with
-      | Fp_store.Dup _ ->
+      match
+        arrive ?probe cache scenario state ~insert:(fun fp ->
+            Fp_store.add visited fp prov ~depth)
+      with
+      | Recalled sym | Inserted (_, sym, Fp_store.Dup _) ->
         Probe.count probe "fp.dup" 1;
         edge prov depth ~dup:true ~sym
-      | Fp_store.Fresh idx ->
+      | Inserted (fp, sym, Fp_store.Fresh idx) ->
         edge prov depth ~dup:false ~sym;
         if depth > !max_depth_seen then max_depth_seen := depth;
         check_invariants fp depth state;
@@ -440,6 +484,7 @@ module Run (S : Spec.S) = struct
     Probe.span_end probe "expand";
     fr.fr_close ();
     visited_gauges ~final:true probe store;
+    cache_gauge probe [ cache ];
     { outcome;
       distinct = Fp_store.length visited;
       generated = !generated;

@@ -118,14 +118,45 @@ type result = {
     engines ([Par.Par_explorer], [Par.Ws_explorer]) keep only their
     frontier discipline and store, and call these for the rest. *)
 module Run (S : Spec.S) : sig
-  val fingerprint_info :
-    ?probe:Probe.t -> options -> Scenario.t -> S.state -> Fingerprint.t * bool
-  (** The state's visited-set fingerprint: the symmetry-canonical one
-      ({!Symmetry.canonical_fp_info} keyed by [S.node_key]) when
-      [opts.symmetry && S.permutable], else the plain one. The [bool] is
-      the profiler's per-edge [sym] flag: canonicalisation changed the
-      fingerprint. With [probe], runs in a [symmetry-normalize] or
-      [fingerprint] span and counts [fp.bytes]. *)
+  type cache
+  (** One worker's orbit cache ({!Symmetry.cache}), or nothing when the run
+      does not canonicalise. Single-domain: one per worker, per run. *)
+
+  val cache : options -> cache
+  (** Allocates the orbit cache only when the run canonicalises
+      ([opts.symmetry && S.permutable]). *)
+
+  type 'r arrival =
+    | Recalled of bool
+        (** the worker's orbit cache knew the state: a duplicate, with the
+            profiler's [sym] flag; the visited set was not touched *)
+    | Inserted of Fingerprint.t * bool * 'r
+        (** the visited-set fingerprint, the [sym] flag and what [insert]
+            returned *)
+
+  val arrive :
+    ?probe:Probe.t -> cache -> Scenario.t -> S.state ->
+    insert:(Fingerprint.t -> 'r) -> 'r arrival
+  (** Offer a state to the visited set. The state's visited-set
+      fingerprint is the symmetry-canonical one
+      ({!Symmetry.canonicalise} keyed by [S.node_key]) when the worker has
+      a cache, else its plain one. With a cache: a state whose own
+      fingerprint the cache recalls is [Recalled] without canonicalising
+      or calling [insert]; otherwise it is canonicalised, [insert]ed, and
+      only then remembered. [sym] is true when canonicalisation changed
+      the fingerprint. With [probe]: one span per arrival, covering its own
+      fingerprint and any canonicalisation — [symmetry-normalize] when it
+      was canonicalised, [fingerprint] otherwise — and [fp.bytes] and
+      [symmetry.candidates] counts that are the same whether the cache
+      hit or not. *)
+
+  val hit_ratio : cache list -> float option
+  (** Share of these workers' canonicalising arrivals that were
+      [Recalled] ([None] when the run does not canonicalise). It depends
+      on the schedule at more than one worker: a gauge, never a counter. *)
+
+  val cache_gauge : Probe.t option -> cache list -> unit
+  (** Publish {!hit_ratio} as the [symmetry.cache_hit_ratio] gauge. *)
 
   type lookup = Fingerprint.t -> provenance option
   (** An engine's visited set, keyed by fingerprint ([None] = absent). *)

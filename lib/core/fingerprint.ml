@@ -68,6 +68,11 @@ let p5 = 0x165667b19e3779f1
 
 let[@inline] rotl x r = (x lsl r) lor (x lsr (63 - r))
 
+(* [word7] reads one 7-byte little-endian word a byte at a time; the main
+   loop instead takes a single 64-bit load and masks it to the same 56
+   bits, falling back to [word7] only where fewer than 8 arena bytes are
+   left (so the load never runs past the buffer). Both give the same word
+   on either endianness, so fingerprints do not depend on the path. *)
 let[@inline] word7 b i =
   Char.code (Bytes.unsafe_get b i)
   lor (Char.code (Bytes.unsafe_get b (i + 1)) lsl 8)
@@ -77,20 +82,39 @@ let[@inline] word7 b i =
   lor (Char.code (Bytes.unsafe_get b (i + 5)) lsl 40)
   lor (Char.code (Bytes.unsafe_get b (i + 6)) lsl 48)
 
+external unsafe_get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external bswap64 : int64 -> int64 = "%bswap_int64"
+
+let word_mask = (1 lsl 56) - 1
+
+let[@inline] load7 b i =
+  let w = unsafe_get64 b i in
+  Int64.to_int (if Sys.big_endian then bswap64 w else w) land word_mask
+
 let[@inline] avalanche x =
   let x = (x lxor (x lsr 33)) * p2 in
   let x = (x lxor (x lsr 27)) * p3 in
   x lxor (x lsr 31)
+
+let[@inline] lane1 a w = rotl (a + (w * p2)) 29 * p1
+let[@inline] lane2 a w = (rotl (a lxor (w * p3)) 31 * p2) + p4
 
 let hash_bytes b n =
   let a1 = ref (p1 lxor (n * p5)) in
   let a2 = ref ((p2 + n) * p3) in
   let i = ref 0 in
   let limit = n - 7 in
+  let load_limit = Int.min limit (Bytes.length b - 8) in
+  while !i <= load_limit do
+    let w = load7 b !i in
+    a1 := lane1 !a1 w;
+    a2 := lane2 !a2 w;
+    i := !i + 7
+  done;
   while !i <= limit do
     let w = word7 b !i in
-    a1 := rotl (!a1 + (w * p2)) 29 * p1;
-    a2 := (rotl (!a2 lxor (w * p3)) 31 * p2) + p4;
+    a1 := lane1 !a1 w;
+    a2 := lane2 !a2 w;
     i := !i + 7
   done;
   let t = ref 1 in

@@ -35,8 +35,10 @@ let constant_key _ _ = 0
    arrangement tried inside each block of tied keys. Because the key is
    equivariant, the candidate set of [q·s] is that of [s] composed with
    [q⁻¹], so both reach the same set of permuted states and the minimum
-   fingerprint over it is an orbit invariant. *)
-let canonical_fp_info ?probe ?who ?(key = constant_key) ~permute ~nodes state =
+   fingerprint over it is an orbit invariant. Returns the minimum and the
+   number of fingerprinted candidates; [own], the state's own fingerprint
+   when the caller already has it, stands in for the identity candidate. *)
+let minimise ?who ~key ~permute ~nodes ~own state =
   let keys = Array.init nodes (key state) in
   let order = Array.init nodes Fun.id in
   for i = 1 to nodes - 1 do
@@ -60,7 +62,6 @@ let canonical_fp_info ?probe ?who ?(key = constant_key) ~permute ~nodes state =
     end
   done;
   let candidates = ref 0 in
-  let identity_fp = ref None in
   let best = ref None in
   let is_identity () =
     let rec go i = i = nodes || (p.(i) = i && go (i + 1)) in
@@ -69,12 +70,10 @@ let canonical_fp_info ?probe ?who ?(key = constant_key) ~permute ~nodes state =
   let try_candidate () =
     incr candidates;
     let fp =
-      if is_identity () then begin
-        let fp = Fingerprint.of_state ?who state in
-        identity_fp := Some fp;
-        fp
-      end
-      else Fingerprint.of_state ?who (permute p state)
+      if not (is_identity ()) then Fingerprint.of_state ?who (permute p state)
+      else match own with
+        | Some fp -> fp
+        | None -> Fingerprint.of_state ?who state
     in
     match !best with
     | Some b when Fingerprint.compare b fp <= 0 -> ()
@@ -92,19 +91,84 @@ let canonical_fp_info ?probe ?who ?(key = constant_key) ~permute ~nodes state =
         (cached_permutations size)
   in
   arrange !ties;
-  let best = Option.get !best in
-  Probe.count probe "symmetry.candidates" !candidates;
-  (* [sym]: the canonical fingerprint differs from the state's own. When
-     the identity is not a candidate the state is not key-sorted, so no
-     candidate equals it; only an attached probe pays for the comparison. *)
-  let sym =
-    match !identity_fp with
-    | Some fp -> Fingerprint.compare best fp <> 0
-    | None ->
-      (not (Probe.is_on probe))
-      || Fingerprint.compare best (Fingerprint.of_state ?who state) <> 0
-  in
-  (best, sym)
+  (Option.get !best, !candidates)
 
-let canonical_fp ?probe ?who ?key ~permute ~nodes state =
-  fst (canonical_fp_info ?probe ?who ?key ~permute ~nodes state)
+let canonical_fp ?probe ?who ?(key = constant_key) ~permute ~nodes state =
+  let best, candidates = minimise ?who ~key ~permute ~nodes ~own:None state in
+  Probe.count probe "symmetry.candidates" candidates;
+  best
+
+(* [sym] compares against the own fingerprint: a non-identity candidate
+   never reproduces the state itself (it would make the state key-sorted,
+   and then the identity is a candidate too), so the flag is exact. *)
+let canonicalise ?probe ?who ~key ~permute ~nodes ~own state =
+  let best, candidates =
+    minimise ?who ~key ~permute ~nodes ~own:(Some own) state
+  in
+  Probe.count probe "symmetry.candidates" candidates;
+  (best, not (Fingerprint.equal best own), candidates)
+
+(* ---- orbit cache ---------------------------------------------------------
+
+   Direct-mapped by the low bits of the own fingerprint's [lo] half, three
+   words per entry: [hi], [lo] and a meta word packing the
+   canonicalisation's [sym] bit (bit 0), candidate count (bits 1–20) and
+   marshalled bytes (bits 21 and up). Meta 0 marks an empty entry — a
+   recorded canonicalisation has at least one candidate. The words live in
+   a [Bigarray], off the OCaml heap, so the major GC never scans or copies
+   them. A canonicalisation whose counts do not fit is simply not
+   recorded. *)
+
+let cache_bits = 14
+let cache_entries = 1 lsl cache_bits
+let candidate_bits = 20
+let bytes_shift = 1 + candidate_bits
+
+type cache = {
+  entries : (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t;
+  mutable lookups : int;
+  mutable hits : int;
+}
+
+let cache () =
+  let entries = Bigarray.(Array1.create int c_layout (3 * cache_entries)) in
+  Bigarray.Array1.fill entries 0;
+  { entries; lookups = 0; hits = 0 }
+
+let[@inline] slot (own : Fingerprint.t) = 3 * (own.lo land (cache_entries - 1))
+
+let recall ?probe c (own : Fingerprint.t) =
+  c.lookups <- c.lookups + 1;
+  let e = c.entries in
+  let i = slot own in
+  let meta = Bigarray.Array1.unsafe_get e (i + 2) in
+  if
+    meta <> 0
+    && Bigarray.Array1.unsafe_get e i = own.hi
+    && Bigarray.Array1.unsafe_get e (i + 1) = own.lo
+  then begin
+    c.hits <- c.hits + 1;
+    Probe.count probe "symmetry.candidates"
+      ((meta lsr 1) land ((1 lsl candidate_bits) - 1));
+    Probe.count probe "fp.bytes" (meta lsr bytes_shift);
+    Some (meta land 1 = 1)
+  end
+  else None
+
+let remember c (own : Fingerprint.t) ~sym ~candidates ~bytes =
+  if candidates < 1 lsl candidate_bits && bytes < 1 lsl (62 - bytes_shift)
+  then begin
+    let e = c.entries in
+    let i = slot own in
+    Bigarray.Array1.unsafe_set e i own.hi;
+    Bigarray.Array1.unsafe_set e (i + 1) own.lo;
+    Bigarray.Array1.unsafe_set e (i + 2)
+      ((bytes lsl bytes_shift) lor (candidates lsl 1) lor Bool.to_int sym)
+  end
+
+let hit_ratio caches =
+  let sum f = List.fold_left (fun n c -> n + f c) 0 caches in
+  match sum (fun c -> c.lookups) with
+  | 0 -> None
+  | lookups ->
+    Some (float_of_int (sum (fun c -> c.hits)) /. float_of_int lookups)

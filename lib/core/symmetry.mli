@@ -28,12 +28,50 @@ val canonical_fp :
     fingerprinted permutations ([symmetry.candidates]); the count depends
     only on the state's orbit, so it is the same at every worker count. *)
 
-val canonical_fp_info :
-  ?probe:Probe.t -> ?who:string -> ?key:('s -> int -> int) ->
-  permute:(int array -> 's -> 's) -> nodes:int -> 's -> Fingerprint.t * bool
-(** Like {!canonical_fp}, also reporting whether the canonical fingerprint
-    differs from the state's own — i.e. the state was {e not} already in
-    canonical form. The profiler attributes duplicate hits on such states
-    to symmetry reduction. When the identity is not a candidate the state
-    is not key-sorted and the flag is [true]; with [probe] attached that is
-    confirmed by fingerprinting the state itself. *)
+val canonicalise :
+  ?probe:Probe.t -> ?who:string -> key:('s -> int -> int) ->
+  permute:(int array -> 's -> 's) -> nodes:int -> own:Fingerprint.t -> 's ->
+  Fingerprint.t * bool * int
+(** [canonicalise ~key ~permute ~nodes ~own s] is {!canonical_fp} of a
+    state whose own fingerprint [own] is already known — it stands in for
+    the identity candidate instead of marshalling [s] again. Also returns
+    the profiler's [sym] flag (the canonical fingerprint differs from
+    [own], i.e. [s] was not already canonical) and the number of
+    fingerprinted candidates, which it also counts into [probe]
+    ([symmetry.candidates]). *)
+
+(** {2 Orbit cache}
+
+    Canonicalising a successor costs a few marshal-and-hash passes, yet
+    most successors are exact repeats of a concrete state generated
+    earlier. An exploration worker keeps a cache of the concrete states it
+    has canonicalised {e and} whose orbit it has already offered to the
+    visited set, keyed by their own (unpermuted) fingerprint: a repeat is
+    then known to be a duplicate from one plain fingerprint. The cache is
+    direct-mapped with [2{^14}] entries, each holding the own fingerprint
+    and what its canonicalisation reported (the [sym] flag, the candidate
+    count and the marshalled bytes), and lives off the OCaml heap. It is
+    single-domain: one per worker. *)
+
+type cache
+
+val cache : unit -> cache
+(** An empty cache (allocates its 384 KiB of entries). *)
+
+val recall : ?probe:Probe.t -> cache -> Fingerprint.t -> bool option
+(** [recall cache own]: [Some sym] when the cache holds a canonicalisation
+    of a state whose own fingerprint is [own] — that canonicalisation's
+    [symmetry.candidates] and [fp.bytes] counts are then replayed into
+    [probe], so counters read as if it had run again. [None] on a miss. *)
+
+val remember :
+  cache -> Fingerprint.t -> sym:bool -> candidates:int -> bytes:int -> unit
+(** Record a canonicalisation under the state's own fingerprint, evicting
+    whatever shared its entry. Call it only once the state's orbit is in
+    the visited set: a later {!recall} treats the state as a duplicate.
+    [bytes] is what the canonicalisation marshalled (its [fp.bytes]). *)
+
+val hit_ratio : cache list -> float option
+(** Share of {!recall}s that hit, over the given caches ([None] before any
+    lookup). Schedule-dependent at more than one worker: report it as a
+    gauge, never as a counter. *)

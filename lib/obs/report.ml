@@ -91,6 +91,12 @@ let metrics_counter m name =
       Option.bind (Store.Sjson.member "counters" mj) (fun cj ->
           Option.bind (Store.Sjson.member name cj) Store.Sjson.to_num))
 
+(* A gauge's last value out of metrics.json ("metrics" -> "gauges"). *)
+let metrics_gauge m name =
+  Option.bind (Store.Sjson.member "metrics" m) (fun mj ->
+      Option.bind (Store.Sjson.member "gauges" mj) (fun gj ->
+          Option.bind (Store.Sjson.member name gj) (fun g -> num g "last")))
+
 let pp_metrics ppf m =
   let fnum name = Option.value ~default:0. (num m name) in
   Fmt.pf ppf "throughput: %.0f states/s@," (fnum "throughput_states_per_sec");
@@ -101,6 +107,11 @@ let pp_metrics ppf m =
     Fmt.pf ppf "steals: %.0f (%.0f failed attempts)@," steals
       (Option.value ~default:0. (metrics_counter m "steal.failed"))
   | None -> ());
+  Option.iter
+    (fun r ->
+      Fmt.pf ppf "orbit cache: %.1f%% of canonicalising arrivals recalled@,"
+        (100. *. r))
+    (metrics_gauge m "symmetry.cache_hit_ratio");
   match
     Option.bind (Store.Sjson.member "metrics" m) (Store.Sjson.member "timers")
   with

@@ -5,6 +5,7 @@ type worker_stat = {
   w_generated : int;
   w_inserted : int;
   w_busy : float;
+  w_cache_hit_ratio : float option;
 }
 
 type result = {
@@ -62,6 +63,7 @@ module Run (S : Spec.S) = struct
     let st_generated = Array.make workers 0 in
     let st_inserted = Array.make workers 0 in
     let st_busy = Array.make workers 0. in
+    let caches = Array.init workers (fun _ -> E.cache opts) in
     let distinct_total = ref 0 in
     let gen_prev = ref 0 in
     let max_depth_seen = ref 0 in
@@ -107,13 +109,16 @@ module Run (S : Spec.S) = struct
       List.iteri
         (fun i s ->
           if !outcome = None then begin
-            let fp, sym = E.fingerprint_info ?probe opts scenario s in
-            let inserted =
-              Shard_set.add_seed visited fp (Explorer.Root i) ~depth:0
-            in
-            if Probe.is_on probe then
-              Probe.edge probe ~depth:0 ~event:None ~dup:(not inserted) ~sym;
-            if inserted then begin
+            match
+              E.arrive ?probe caches.(0) scenario s ~insert:(fun fp ->
+                  Shard_set.add_seed visited fp (Explorer.Root i) ~depth:0)
+            with
+            | E.Recalled sym | E.Inserted (_, sym, false) ->
+              if Probe.is_on probe then
+                Probe.edge probe ~depth:0 ~event:None ~dup:true ~sym
+            | E.Inserted (fp, sym, true) ->
+              if Probe.is_on probe then
+                Probe.edge probe ~depth:0 ~event:None ~dup:false ~sym;
               incr distinct_total;
               match E.first_broken invariants scenario s with
               | Some inv ->
@@ -124,7 +129,6 @@ module Run (S : Spec.S) = struct
               | None ->
                 if S.constraint_ok scenario s then
                   root_frontier := (s, fp) :: !root_frontier
-            end
           end)
         (S.init scenario);
       frontier := Array.of_list (List.rev !root_frontier));
@@ -189,15 +193,14 @@ module Run (S : Spec.S) = struct
                    List.iteri
                      (fun j (event, state') ->
                        incr gen;
-                       let fp', sym =
-                         E.fingerprint_info ?probe:wp opts scenario state'
-                       in
                        match
-                         Shard_set.merge visited fp'
-                           ~prov:(Explorer.Step { parent = fp; event })
-                           ~depth:(d + 1) ~pos:(p, j) ~state:state'
+                         E.arrive ?probe:wp caches.(w) scenario state'
+                           ~insert:(fun fp' ->
+                             Shard_set.merge visited fp'
+                               ~prov:(Explorer.Step { parent = fp; event })
+                               ~depth:(d + 1) ~pos:(p, j) ~state:state')
                        with
-                       | Shard_set.Fresh ->
+                       | E.Inserted (fp', sym, Shard_set.Fresh) ->
                          incr ins;
                          if Probe.is_on wp then
                            Probe.edge wp ~depth:(d + 1) ~event:(Some event)
@@ -209,12 +212,16 @@ module Run (S : Spec.S) = struct
                            my_cands := Broken (fp', inv) :: !my_cands
                          | None -> ());
                          Probe.span_end wp "invariant"
-                       | Shard_set.Dup_kept ->
+                       | E.Recalled sym
+                       | E.Inserted (_, sym, Shard_set.Dup_kept) ->
                          Probe.count wp "fp.dup" 1;
                          if Probe.is_on wp then
                            Probe.edge wp ~depth:(d + 1) ~event:(Some event)
                              ~dup:true ~sym
-                       | Shard_set.Dup_replaced { old_event; old_depth } ->
+                       | E.Inserted
+                           ( _, sym,
+                             Shard_set.Dup_replaced { old_event; old_depth } )
+                         ->
                          (* this arrival is the minimal (depth, pos) edge —
                             the one sequential BFS keeps; the displaced
                             discovering edge, already reported fresh by the
@@ -355,12 +362,14 @@ module Run (S : Spec.S) = struct
       match !outcome with Some o -> o | None -> Explorer.Exhausted
     in
     E.visited_gauges ~final:true probe store;
+    E.cache_gauge probe (Array.to_list caches);
     let worker_stats =
       Array.init workers (fun w ->
           { w_expanded = st_expanded.(w);
             w_generated = st_generated.(w);
             w_inserted = st_inserted.(w);
-            w_busy = st_busy.(w) })
+            w_busy = st_busy.(w);
+            w_cache_hit_ratio = E.hit_ratio [ caches.(w) ] })
     in
     { base =
         { Explorer.outcome;
@@ -381,11 +390,16 @@ let check ?workers ?pool ?resume (module S : Spec.S) scenario opts =
 let states_per_sec ws =
   if ws.w_busy <= 0. then 0. else float ws.w_generated /. ws.w_busy
 
+let pp_cache_hits ppf = function
+  | Some r -> Fmt.pf ppf " orbit-cache hits=%.1f%%" (100. *. r)
+  | None -> ()
+
 let pp_worker_stats ppf stats =
   Array.iteri
     (fun w ws ->
       Fmt.pf ppf "worker %d: expanded=%d generated=%d inserted=%d busy=%.2fs \
-                  (%.0f states/s)@."
+                  (%.0f states/s)%a@."
         w ws.w_expanded ws.w_generated ws.w_inserted ws.w_busy
-        (states_per_sec ws))
+        (states_per_sec ws)
+        pp_cache_hits ws.w_cache_hit_ratio)
     stats

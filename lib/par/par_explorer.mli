@@ -23,6 +23,9 @@ type worker_stat = {
   w_generated : int;  (** successor states it generated *)
   w_inserted : int;  (** distinct states it was first to insert *)
   w_busy : float;  (** seconds spent inside layer chunks *)
+  w_cache_hit_ratio : float option;
+      (** share of its arrivals its orbit cache recalled ([None] when the
+          run does not canonicalise) *)
 }
 
 type result = {

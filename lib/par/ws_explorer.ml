@@ -45,6 +45,7 @@ type worker_stat = Par_explorer.worker_stat = {
   w_generated : int;
   w_inserted : int;
   w_busy : float;
+  w_cache_hit_ratio : float option;
 }
 
 type result = {
@@ -168,6 +169,7 @@ module Run (S : Spec.S) = struct
     let st_generated = Array.make workers 0 in
     let st_inserted = Array.make workers 0 in
     let st_busy = Array.make workers 0. in
+    let caches = Array.init workers (fun _ -> E.cache opts) in
     let st_maxdepth = Array.make workers 0 in
     let gen_base = ref 0 in
     let maxdepth_base = ref 0 in
@@ -198,13 +200,16 @@ module Run (S : Spec.S) = struct
       List.iteri
         (fun i s ->
           if !outcome_slot = None then begin
-            let fp, sym = E.fingerprint_info ?probe opts scenario s in
-            let inserted =
-              Shard_set.add_seed visited fp (Explorer.Root i) ~depth:0
-            in
-            if Probe.is_on probe then
-              Probe.edge probe ~depth:0 ~event:None ~dup:(not inserted) ~sym;
-            if inserted then begin
+            match
+              E.arrive ?probe caches.(0) scenario s ~insert:(fun fp ->
+                  Shard_set.add_seed visited fp (Explorer.Root i) ~depth:0)
+            with
+            | E.Recalled sym | E.Inserted (_, sym, false) ->
+              if Probe.is_on probe then
+                Probe.edge probe ~depth:0 ~event:None ~dup:true ~sym
+            | E.Inserted (fp, sym, true) ->
+              if Probe.is_on probe then
+                Probe.edge probe ~depth:0 ~event:None ~dup:false ~sym;
               Atomic.incr distinct;
               match E.first_broken invariants scenario s with
               | Some inv ->
@@ -214,7 +219,6 @@ module Run (S : Spec.S) = struct
               | None ->
                 if S.constraint_ok scenario s then
                   seed_items := (s, fp, 0) :: !seed_items
-            end
           end)
         (S.init scenario)
     | Some snap ->
@@ -340,14 +344,14 @@ module Run (S : Spec.S) = struct
           List.iter
             (fun (event, state') ->
               st_generated.(w) <- st_generated.(w) + 1;
-              let fp', sym =
-                E.fingerprint_info ?probe:wp opts scenario state'
-              in
-              if
-                Shard_set.add_seed visited fp'
-                  (Explorer.Step { parent = fp; event })
-                  ~depth:(depth + 1)
-              then begin
+              match
+                E.arrive ?probe:wp caches.(w) scenario state'
+                  ~insert:(fun fp' ->
+                    Shard_set.add_seed visited fp'
+                      (Explorer.Step { parent = fp; event })
+                      ~depth:(depth + 1))
+              with
+              | E.Inserted (fp', sym, true) ->
                 st_inserted.(w) <- st_inserted.(w) + 1;
                 Atomic.incr distinct;
                 if Probe.is_on wp then
@@ -365,17 +369,15 @@ module Run (S : Spec.S) = struct
                 Probe.span_end wp "invariant";
                 if S.constraint_ok scenario state' then
                   route (state', fp', depth + 1);
-                match opts.max_states with
+                (match opts.max_states with
                 | Some m when Atomic.get distinct >= m ->
                   stop_with Explorer.Budget_spent
-                | _ -> ()
-              end
-              else begin
+                | _ -> ())
+              | E.Recalled sym | E.Inserted (_, sym, false) ->
                 Probe.count wp "fp.dup" 1;
                 if Probe.is_on wp then
                   Probe.edge wp ~depth:(depth + 1) ~event:(Some event)
-                    ~dup:true ~sym
-              end)
+                    ~dup:true ~sym)
             succs;
           incr tick;
           if !tick land 15 = 0 then
@@ -514,12 +516,14 @@ module Run (S : Spec.S) = struct
         else Explorer.Exhausted
     in
     E.visited_gauges ~final:true probe store;
+    E.cache_gauge probe (Array.to_list caches);
     let worker_stats =
       Array.init workers (fun w ->
           { w_expanded = st_expanded.(w);
             w_generated = st_generated.(w);
             w_inserted = st_inserted.(w);
-            w_busy = st_busy.(w) })
+            w_busy = st_busy.(w);
+            w_cache_hit_ratio = E.hit_ratio [ caches.(w) ] })
     in
     { base =
         { Explorer.outcome;

@@ -28,6 +28,9 @@ type worker_stat = Par_explorer.worker_stat = {
   w_generated : int;
   w_inserted : int;
   w_busy : float;  (** seconds spent expanding batches (idle time excluded) *)
+  w_cache_hit_ratio : float option;
+      (** share of its arrivals its orbit cache recalled ([None] when the
+          run does not canonicalise) *)
 }
 
 type result = {

@@ -140,6 +140,7 @@ let test_stats_compare_and_follow () =
       Alcotest.(check int) "stats exit 0" 0 code;
       check_contains "profile rendered" out "top duplicate source";
       check_contains "telemetry summarized" out "telemetry:";
+      check_contains "orbit-cache hit ratio" out "orbit cache:";
       (* compare: identical configurations diff to +0.0% on exploration
          shape (timing-derived rows are free to differ) *)
       let code, out, _ = run_cli [ "stats"; "--compare"; a; b ] in

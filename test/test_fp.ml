@@ -81,6 +81,70 @@ let test_cross_domain_stable () =
   Alcotest.(check bool) "same fingerprint from another domain" true
     (Fingerprint.equal here there)
 
+(* The kernel as first written: every 7-byte word assembled a byte at a
+   time. [Fingerprint.of_state] reads words with one 64-bit load and must
+   stay bit-identical to it (checkpoints store fingerprints). *)
+let reference_fp v =
+  let b = Bytes.of_string (Marshal.to_string v [ Marshal.No_sharing ]) in
+  let n = Bytes.length b in
+  let p1 = 0x3779b97f4a7c15e7 and p2 = 0x2545f4914f6cdd1d
+  and p3 = 0x1c69b3f74ac4ae35 and p4 = 0x27d4eb2f165667c5
+  and p5 = 0x165667b19e3779f1 in
+  let rotl x r = (x lsl r) lor (x lsr (63 - r)) in
+  let avalanche x =
+    let x = (x lxor (x lsr 33)) * p2 in
+    let x = (x lxor (x lsr 27)) * p3 in
+    x lxor (x lsr 31)
+  in
+  let a1 = ref (p1 lxor (n * p5)) and a2 = ref ((p2 + n) * p3) in
+  let i = ref 0 in
+  while !i <= n - 7 do
+    let w = ref 0 in
+    for k = 6 downto 0 do
+      w := (!w lsl 8) lor Char.code (Bytes.get b (!i + k))
+    done;
+    a1 := rotl (!a1 + (!w * p2)) 29 * p1;
+    a2 := (rotl (!a2 lxor (!w * p3)) 31 * p2) + p4;
+    i := !i + 7
+  done;
+  let t = ref 1 in
+  while !i < n do
+    t := (!t lsl 8) lor Char.code (Bytes.get b !i);
+    incr i
+  done;
+  let a1 = !a1 lxor rotl (!t * p4) 17 and a2 = !a2 + ((!t lxor p5) * p2) in
+  ( n,
+    Fingerprint.of_parts
+      ~hi:(avalanche (a1 + rotl a2 19 + (n * p3)))
+      ~lo:(avalanche ((a2 lxor rotl a1 23) + (n * p2))) )
+
+let test_kernel_matches_bytewise () =
+  let same label v =
+    let _, expected = reference_fp v in
+    Alcotest.(check string) label (Fingerprint.to_hex expected)
+      (Fingerprint.to_hex (Fingerprint.of_state v))
+  in
+  for len = 0 to 200 do
+    same (Fmt.str "string of length %d" len)
+      (String.init len (fun i -> Char.chr ((i * 37 + len) land 0xff)))
+  done;
+  for _ = 1 to 200 do
+    same "random value" (random_value ())
+  done;
+  (* a fresh domain's arena is 64 KiB: marshalled sizes around it put the
+     last word, and the tail, on the arena's final bytes *)
+  let arena = 1 lsl 16 in
+  let payload = arena - fst (reference_fp (String.make 1000 'a')) + 1000 in
+  Domain.join
+    (Domain.spawn (fun () ->
+         for len = payload - 16 to payload do
+           let v = String.init len (fun i -> Char.chr (i land 0xff)) in
+           let n, _ = reference_fp v in
+           if len = payload then
+             Alcotest.(check int) "marshalled size fills the arena" arena n;
+           same (Fmt.str "%d marshalled bytes in a %d-byte arena" n arena) v
+         done))
+
 let samples = 25_600
 
 let histogram_check label buckets key =
@@ -226,6 +290,8 @@ let suite =
   ( "fingerprint",
     [ case "kernel deterministic" test_kernel_deterministic;
       case "kernel sensitivity" test_kernel_sensitivity;
+      case "kernel matches the byte-wise reference"
+        test_kernel_matches_bytewise;
       case "raw/hex round-trips" test_raw_hex_roundtrip;
       case "cross-domain stable" test_cross_domain_stable;
       case "bucket hash distribution" test_bucket_hash_distribution;
