@@ -415,19 +415,19 @@ let table4 () =
 (* Figures 6 and 7: space-time diagrams of the detailed bugs            *)
 (* ------------------------------------------------------------------ *)
 
-let diagram events =
+let diagram ~labels events =
   List.iteri
-    (fun i (e : Trace.event) ->
+    (fun i ((e : Trace.event), label) ->
       let lane =
         match e with
-        | Trace.Deliver { src; dst; desc; _ } ->
+        | Trace.Deliver { src; dst; _ } ->
           Fmt.str "%s %s--->%s  %s" (Trace.node_name src)
             (String.make (6 * src) ' ')
-            (Trace.node_name dst) desc
-        | other -> Fmt.str "%a" Trace.pp_event other
+            (Trace.node_name dst) label
+        | other -> Fmt.str "%a" (Trace.pp_labelled_event label) other
       in
       Fmt.pr "%3d. %s@." (i + 1) lane)
-    events
+    (List.combine events labels)
 
 let fig6 () =
   section_header
@@ -442,7 +442,7 @@ let fig6 () =
   let r = Explorer.check spec Systems.Pysyncobj.default_scenario opts in
   match r.outcome with
   | Explorer.Violation v ->
-    diagram v.events;
+    diagram ~labels:v.labels v.events;
     Fmt.pr "%s@." v.state_repr;
     Fmt.pr
       "The leader's match index regressed after a stale success reply - \
@@ -459,7 +459,7 @@ let fig7 () =
   with
   | Error f -> Fmt.pr "script failed: %a@." Script.pp_failure f
   | Ok trace -> (
-    diagram trace;
+    diagram ~labels:(Spec.labels spec Systems.Wraft.fig7_scenario trace) trace;
     match Script.violation_after spec Systems.Wraft.fig7_scenario trace with
     | Some (inv, i) ->
       Fmt.pr

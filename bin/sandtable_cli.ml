@@ -256,9 +256,9 @@ let outcome_string = function
   | Explorer.Budget_spent -> "budget spent"
   | Explorer.Deadlock _ -> "deadlock"
 
-let save_trace dir (events : Trace.t) =
+let save_trace dir ~labels (events : Trace.t) =
   Trace.save (Filename.concat dir "trace.bin") events;
-  Trace.save_text (Filename.concat dir "trace.txt") events;
+  Trace.save_text (Filename.concat dir "trace.txt") ~labels events;
   Some "trace.bin"
 
 (* --- counterexample shrinking (shared by check/simulate/conform/shrink) *)
@@ -276,7 +276,8 @@ let minimized_file = "minimized.trace"
 
 let save_minimized dir (sh : Shrink.outcome) =
   Trace.save (Filename.concat dir minimized_file) sh.minimized;
-  Trace.save_text (Filename.concat dir "minimized.txt") sh.minimized;
+  Trace.save_text (Filename.concat dir "minimized.txt") ~labels:sh.labels
+    sh.minimized;
   Some minimized_file
 
 let manifest_shrink rel (sh : Shrink.outcome) =
@@ -285,7 +286,8 @@ let manifest_shrink rel (sh : Shrink.outcome) =
     ms_trace = rel }
 
 let print_shrink (sh : Shrink.outcome) =
-  Fmt.pr "%a@.%a" Shrink.pp_outcome sh Trace.pp sh.minimized
+  Fmt.pr "%a@.%a" Shrink.pp_outcome sh (Trace.pp_labelled sh.labels)
+    sh.minimized
 
 (* Shrink a violation/deadlock found by check, tolerating (with a note on
    stderr) the input not reproducing — shrinking is best-effort sugar on
@@ -521,14 +523,17 @@ let check_cmd =
               | Explorer.Violation v ->
                 try_shrink ~workers ?probe spec scenario
                   (Shrink.Invariant v.invariant) v.events
-              | Explorer.Deadlock t ->
-                try_shrink ~workers ?probe spec scenario Shrink.Deadlock t
+              | Explorer.Deadlock d ->
+                try_shrink ~workers ?probe spec scenario Shrink.Deadlock
+                  d.events
               | _ -> None
           in
           let trace_rel =
             match (run_dir, result.outcome) with
-            | Some dir, Explorer.Violation v -> save_trace dir v.events
-            | Some dir, Explorer.Deadlock t -> save_trace dir t
+            | Some dir, Explorer.Violation v ->
+              save_trace dir ~labels:v.labels v.events
+            | Some dir, Explorer.Deadlock d ->
+              save_trace dir ~labels:d.labels d.events
             | _ -> None
           in
           let shrink_rel =
@@ -788,17 +793,14 @@ let conform_cmd =
           let boot sc = sys.sut flags None sc in
           let oracle =
             Shrink.Custom
-              (fun cand ->
-                match Shrink.readdress spec scenario cand with
-                | None -> None
-                | Some t -> (
-                  match
-                    Replay.confirm ~mask:Systems.Common.conformance_mask
-                      spec ~boot scenario t
-                  with
-                  | Replay.False_alarm d' ->
-                    Some (truncate_at t d'.Conformance.failed_at)
-                  | Replay.Confirmed _ -> None))
+              (fun t ->
+                match
+                  Replay.confirm ~mask:Systems.Common.conformance_mask spec
+                    ~boot scenario t
+                with
+                | Replay.False_alarm d' ->
+                  Some (truncate_at t d'.Conformance.failed_at)
+                | Replay.Confirmed _ -> None)
           in
           (match Shrink.run ?probe spec scenario oracle original with
           | sh -> print_shrink sh

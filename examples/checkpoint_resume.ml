@@ -55,8 +55,9 @@ let () =
     Fmt.pr "3. recovered counterexample (%s at depth %d):@." v.invariant
       v.depth;
     List.iteri
-      (fun i e -> Fmt.pr "   %2d. %a@." (i + 1) Trace.pp_event e)
-      v.events
+      (fun i (e, label) ->
+        Fmt.pr "   %2d. %a@." (i + 1) (Trace.pp_labelled_event label) e)
+      (List.combine v.events v.labels)
   | _ -> Fmt.pr "3. no violation?! (unexpected)@.");
 
   Fmt.pr "@.4. checking against an uninterrupted run...@.";

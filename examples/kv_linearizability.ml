@@ -23,7 +23,8 @@ let () =
   in
   (match result.outcome with
   | Explorer.Violation v ->
-    Fmt.pr "@.violating schedule (%d events):@.%a@." v.depth Trace.pp v.events;
+    Fmt.pr "@.violating schedule (%d events):@.%a@." v.depth
+      (Trace.pp_labelled v.labels) v.events;
     Fmt.pr "final state:@.%s@." v.state_repr;
     Fmt.pr
       "The completed history has no linearization: the read returned a \

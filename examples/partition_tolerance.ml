@@ -17,7 +17,7 @@ let () =
   match Script.run spec scenario Systems.Wraft.fig7_script with
   | Error f -> Fmt.pr "script failed:@.%a@." Script.pp_failure f
   | Ok trace -> (
-    Fmt.pr "%a@." Trace.pp trace;
+    Fmt.pr "%a@." (Trace.pp_labelled (Spec.labels spec scenario trace)) trace;
     (match Script.violation_after spec scenario trace with
     | Some (invariant, index) ->
       Fmt.pr "=> invariant %s violated at event %d@.@." invariant index

@@ -29,7 +29,7 @@ let shrink_one system flag =
         original
     in
     Fmt.pr "%a@." Shrink.pp_outcome o;
-    Fmt.pr "minimized repro:@.%a@." Trace.pp o.minimized;
+    Fmt.pr "minimized repro:@.%a@." (Trace.pp_labelled o.labels) o.minimized;
     (* the shortened trace must still be a real bug, not a shrinking
        artefact: replay it against the actual implementation *)
     (match

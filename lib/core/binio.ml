@@ -148,18 +148,19 @@ let read_whole_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let looks_binary path =
+let section_kind path =
   match
     let ic = open_in_bin path in
     Fun.protect
       ~finally:(fun () -> close_in ic)
       (fun () ->
-        if in_channel_length ic < 4 then None
-        else Some (really_input_string ic 4))
+        if in_channel_length ic < 6 then None
+        else Some (really_input_string ic 6))
   with
-  | Some head -> String.equal head magic
-  | None -> false
-  | exception Sys_error _ -> false
+  | Some head when String.equal (String.sub head 0 4) magic ->
+    Some (Char.code head.[5])
+  | Some _ | None -> None
+  | exception Sys_error _ -> None
 
 let read_file path ~kind =
   let raw = read_whole_file path in

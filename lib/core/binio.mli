@@ -11,8 +11,10 @@
     and written atomically (temp file + rename), so a crash mid-write never
     leaves a half-valid file behind.
 
-    Section kinds in use: [1] trace files ({!Trace.save}), [2] run
-    checkpoints ([Store.Checkpoint]). *)
+    Section kinds in use: [3] trace files ({!Trace.save}), [4] run
+    checkpoints ([Store.Checkpoint]). Kinds [1] and [2] are their previous
+    generation, whose deliveries carried a message descriptor; readers
+    refuse them by name, before decoding any entry. *)
 
 exception Corrupt of string
 (** Raised by every reader on malformed input; the message says what was
@@ -73,9 +75,11 @@ val read_file : string -> kind:int -> source
     {!Corrupt} on bad magic, unsupported version, wrong kind, truncation
     or checksum mismatch; [Sys_error] if the file cannot be read. *)
 
-val looks_binary : string -> bool
-(** Whether the file at this path starts with the envelope magic (false
-    for unreadable/short files) — used for legacy-format fallbacks. *)
+val section_kind : string -> int option
+(** The section kind in the header of the file at this path, read without
+    validating the rest: [None] for unreadable files and files that do not
+    start with the envelope magic. Lets a reader name an older generation
+    before {!read_file} rejects it as the wrong kind. *)
 
 val atomic_write : string -> (out_channel -> unit) -> unit
 (** Temp-file + rename for non-envelope files (e.g. JSON manifests). *)

@@ -10,6 +10,7 @@ type failure =
 type discrepancy = {
   round : int;
   events : Trace.t;
+  labels : string list;
   failed_at : int;
   failure : failure;
 }
@@ -31,9 +32,10 @@ let pp_failure ppf = function
 let pp_discrepancy ppf d =
   Fmt.pf ppf "@[<v>round %d, event %d (%a):@,%a@,trace:@,%a@]" d.round
     (d.failed_at + 1)
-    Trace.pp_event
+    (Trace.pp_labelled_event
+       (Option.value ~default:"" (List.nth_opt d.labels d.failed_at)))
     (List.nth d.events d.failed_at)
-    pp_failure d.failure Trace.pp d.events
+    pp_failure d.failure (Trace.pp_labelled d.labels) d.events
 
 let pp_report ppf r =
   match r.discrepancy with
@@ -45,24 +47,20 @@ let pp_report ppf r =
       r.rounds_run r.duration pp_discrepancy d
 
 (* Replay one walk at the implementation level, comparing observations after
-   every event. *)
-let replay_walk ~mask ~boot scenario round (walk : Simulate.walk) =
+   every event: the index of the first event that fails, and how. *)
+let replay_walk ~mask ~boot scenario (walk : Simulate.walk) =
   let sut = boot scenario in
   let rec step i events observations =
     match events, observations with
     | [], [] -> None
     | event :: events', expected :: observations' -> (
       match sut.execute event with
-      | Error msg ->
-        Some { round; events = walk.events; failed_at = i;
-               failure = Impl_error msg }
+      | Error msg -> Some (i, Impl_error msg)
       | Ok () ->
         let actual = sut.observe () in
         match Tla.Value.diff ~expected:(mask expected) ~actual with
         | [] -> step (i + 1) events' observations'
-        | diffs ->
-          Some { round; events = walk.events; failed_at = i;
-                 failure = State_mismatch diffs })
+        | diffs -> Some (i, State_mismatch diffs))
     | _ ->
       invalid_arg "Conformance: walk observations out of sync with events"
   in
@@ -101,15 +99,19 @@ let run ?(mask = Fun.id) ?(walk_depth = 30) ?time_budget ?walk_source ?probe
     else
       let walk = next_walk round in
       Probe.span_begin probe "replay";
-      let outcome = replay_walk ~mask ~boot scenario round walk in
+      let outcome = replay_walk ~mask ~boot scenario walk in
       Probe.span_end probe "replay";
       Probe.count probe "conform.rounds" 1;
       match outcome with
-      | Some d ->
-        Probe.count probe "conform.events" (d.failed_at + 1);
+      | Some (failed_at, failure) ->
+        Probe.count probe "conform.events" (failed_at + 1);
         { rounds_run = round;
-          total_events = total_events + d.failed_at + 1;
-          discrepancy = Some d;
+          total_events = total_events + failed_at + 1;
+          discrepancy =
+            Some
+              { round; events = walk.events;
+                labels = Spec.labels spec scenario walk.events; failed_at;
+                failure };
           duration = Unix.gettimeofday () -. started }
       | None ->
         Probe.count probe "conform.events" walk.depth;

@@ -27,6 +27,9 @@ type failure =
 type discrepancy = {
   round : int;  (** 1-based walk number *)
   events : Trace.t;  (** the full walk *)
+  labels : string list;
+      (** each event's label ({!Spec.labels}), rendered when the
+          discrepancy is found *)
   failed_at : int;  (** 0-based index of the offending event *)
   failure : failure;
 }

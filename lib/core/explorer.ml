@@ -82,6 +82,7 @@ let queue_frontier () =
 type violation = {
   invariant : string;
   events : Trace.t;
+  labels : string list;
   depth : int;
   state_repr : string;
 }
@@ -90,7 +91,7 @@ type outcome =
   | Exhausted
   | Violation of violation
   | Budget_spent
-  | Deadlock of Trace.t
+  | Deadlock of { events : Trace.t; labels : string list }
 
 type result = {
   outcome : outcome;
@@ -209,14 +210,27 @@ module Run (S : Spec.S) = struct
     in
     back fp []
 
-  let violation lookup scenario fp invariant ~depth =
+  (* The replay that recovers a verdict's state also renders each event's
+     label, from the state the event leaves. *)
+  let replay_labelled lookup scenario fp =
     let init_index, events = trace_of lookup fp in
-    let state =
-      List.fold_left (replay_step scenario)
-        (List.nth (S.init scenario) init_index)
+    let state, labels =
+      List.fold_left
+        (fun (state, labels) e ->
+          (replay_step scenario state e, S.describe state e :: labels))
+        (List.nth (S.init scenario) init_index, [])
         events
     in
-    { invariant; events; depth; state_repr = Fmt.str "%a" S.pp_state state }
+    (events, List.rev labels, state)
+
+  let violation lookup scenario fp invariant ~depth =
+    let events, labels, state = replay_labelled lookup scenario fp in
+    { invariant; events; labels; depth;
+      state_repr = Fmt.str "%a" S.pp_state state }
+
+  let deadlock lookup scenario fp =
+    let events, labels, _ = replay_labelled lookup scenario fp in
+    Deadlock { events; labels }
 
   (* Chains share prefixes (they form the BFS tree), so every intermediate
      state is memoized and replayed at most once. *)
@@ -467,10 +481,8 @@ module Run (S : Spec.S) = struct
             if over_budget depth then raise (Stop Budget_spent);
             let successors = S.next scenario state in
             count_fault_kinds probe scenario successors;
-            if successors = [] && opts.check_deadlock then begin
-              let _, events = trace_of lookup (Fp_store.fp visited idx) in
-              raise (Stop (Deadlock events))
-            end;
+            if successors = [] && opts.check_deadlock then
+              raise (Stop (deadlock lookup scenario (Fp_store.fp visited idx)));
             List.iter
               (fun (event, state') ->
                 incr generated;
@@ -499,10 +511,11 @@ let check ?resume (module S : Spec.S) scenario opts =
 let pp_outcome ppf = function
   | Exhausted -> Fmt.string ppf "state space exhausted"
   | Budget_spent -> Fmt.string ppf "budget spent"
-  | Deadlock t -> Fmt.pf ppf "deadlock after:@.%a" Trace.pp t
+  | Deadlock d ->
+    Fmt.pf ppf "deadlock after:@.%a" (Trace.pp_labelled d.labels) d.events
   | Violation v ->
     Fmt.pf ppf "invariant %s violated at depth %d:@.%a@.final state: %s"
-      v.invariant v.depth Trace.pp v.events v.state_repr
+      v.invariant v.depth (Trace.pp_labelled v.labels) v.events v.state_repr
 
 let pp_result ppf r =
   Fmt.pf ppf "@[<v>%a@,distinct=%d generated=%d max_depth=%d duration=%.2fs@]"

@@ -92,6 +92,9 @@ val default : options
 type violation = {
   invariant : string;
   events : Trace.t;  (** minimal-depth trace from the initial state *)
+  labels : string list;
+      (** each event's label ({!Spec.S.describe} at the state it leaves),
+          rendered by the replay that recovers the violating state *)
   depth : int;
   state_repr : string;  (** pretty-printed violating state *)
 }
@@ -100,9 +103,9 @@ type outcome =
   | Exhausted  (** full coverage of the constrained space *)
   | Violation of violation
   | Budget_spent  (** stopped by max_states / max_depth / time_budget *)
-  | Deadlock of Trace.t
-      (** a constraint-satisfying state with no successors,
-          when [check_deadlock] *)
+  | Deadlock of { events : Trace.t; labels : string list }
+      (** the trace to a constraint-satisfying state with no successors,
+          when [check_deadlock]; labels as in {!violation} *)
 
 type result = {
   outcome : outcome;
@@ -168,15 +171,16 @@ module Run (S : Spec.S) : sig
       "unreplayable provenance chain" when [S.next] offers no such event
       (the spec changed since the chain was recorded). *)
 
-  val trace_of : lookup -> Fingerprint.t -> int * Trace.t
-  (** Walk provenance back to a root: the init-state index and the events
-      from it to the fingerprint's state. *)
-
   val violation :
     lookup -> Scenario.t -> Fingerprint.t -> string -> depth:int -> violation
   (** [violation lookup scenario fp name ~depth]: the counterexample for
-      invariant [name] broken by [fp]'s state — its trace, and that state
-      recovered by replay and pretty-printed. *)
+      invariant [name] broken by [fp]'s state — its trace, walked back
+      through provenance to a root, replayed to recover that state
+      (pretty-printed) and each event's label. *)
+
+  val deadlock : lookup -> Scenario.t -> Fingerprint.t -> outcome
+  (** The [Deadlock] verdict for [fp]'s state, recovered like
+      {!violation}. *)
 
   val rebuild_frontier :
     lookup -> Scenario.t -> Fingerprint.t list -> S.state list

@@ -2,6 +2,7 @@ type result = {
   satisfied : bool;
   distinct : int;
   counterexample : Trace.t option;
+  labels : string list;
   duration : float;
 }
 
@@ -74,6 +75,10 @@ module Run (S : Spec.S) = struct
     { satisfied = counterexample = None;
       distinct = Fingerprint.Tbl.length visited;
       counterexample;
+      labels =
+        (match counterexample with
+        | Some trace -> Spec.labels (module S) scenario trace
+        | None -> []);
       duration = Unix.gettimeofday () -. started }
 end
 
@@ -101,4 +106,4 @@ let pp_result ppf r =
   | Some trace ->
     Fmt.pf ppf
       "@[<v>bounded liveness violated: P never holds along@,%a(%d states, %.2fs)@]"
-      Trace.pp trace r.distinct r.duration
+      (Trace.pp_labelled r.labels) trace r.distinct r.duration

@@ -17,6 +17,8 @@ type result = {
   distinct : int;
   counterexample : Trace.t option;
       (** a budget-exhausting path along which P never held *)
+  labels : string list;
+      (** the counterexample's labels ({!Spec.labels}); [[]] without one *)
   duration : float;
 }
 

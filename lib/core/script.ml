@@ -1,11 +1,11 @@
-type pattern = Trace.event -> bool
+type pattern = Trace.event -> string -> bool
 
-let timeout node kind (e : Trace.event) =
+let timeout node kind (e : Trace.event) _ =
   match e with
   | Trace.Timeout t -> t.node = node && String.equal t.kind kind
   | _ -> false
 
-let deliver ~src ~dst (e : Trace.event) =
+let deliver ~src ~dst (e : Trace.event) _ =
   match e with
   | Trace.Deliver d -> d.src = src && d.dst = dst
   | _ -> false
@@ -15,43 +15,43 @@ let contains ~needle haystack =
   let rec at i = i + nl <= hl && (String.sub haystack i nl = needle || at (i + 1)) in
   at 0
 
-let deliver_msg ~src ~dst fragment (e : Trace.event) =
+let deliver_msg ~src ~dst fragment (e : Trace.event) label =
   match e with
-  | Trace.Deliver d ->
-    d.src = src && d.dst = dst && contains ~needle:fragment d.desc
+  | Trace.Deliver d -> d.src = src && d.dst = dst && contains ~needle:fragment label
   | _ -> false
 
-let client node (e : Trace.event) =
+let client node (e : Trace.event) _ =
   match e with Trace.Client c -> c.node = node | _ -> false
 
-let client_op node op (e : Trace.event) =
+let client_op node op (e : Trace.event) _ =
   match e with
   | Trace.Client c -> c.node = node && String.equal c.op op
   | _ -> false
 
-let crash node (e : Trace.event) =
+let crash node (e : Trace.event) _ =
   match e with Trace.Crash c -> c.node = node | _ -> false
 
-let restart node (e : Trace.event) =
+let restart node (e : Trace.event) _ =
   match e with Trace.Restart r -> r.node = node | _ -> false
 
-let partition group (e : Trace.event) =
+let partition group (e : Trace.event) _ =
   match e with Trace.Partition p -> p.group = group | _ -> false
 
-let heal (e : Trace.event) = e = Trace.Heal
+let heal (e : Trace.event) _ = e = Trace.Heal
 
-let drop ~src ~dst (e : Trace.event) =
+let drop ~src ~dst (e : Trace.event) _ =
   match e with Trace.Drop d -> d.src = src && d.dst = dst | _ -> false
 
-let duplicate ~src ~dst (e : Trace.event) =
+let duplicate ~src ~dst (e : Trace.event) _ =
   match e with Trace.Duplicate d -> d.src = src && d.dst = dst | _ -> false
-let any (_ : Trace.event) = true
+let any (_ : Trace.event) _ = true
 
-type failure = { at : int; enabled : Trace.event list }
+type failure = { at : int; enabled : (Trace.event * string) list }
 
 let pp_failure ppf f =
   Fmt.pf ppf "@[<v>script step %d matched nothing; enabled:@,%a@]" f.at
-    (Fmt.list ~sep:Fmt.cut Trace.pp_event)
+    (Fmt.list ~sep:Fmt.cut (fun ppf (e, label) ->
+         Trace.pp_labelled_event label ppf e))
     f.enabled
 
 let run (module S : Spec.S) scenario patterns =
@@ -63,10 +63,16 @@ let run (module S : Spec.S) scenario patterns =
       | p :: rest ->
         let successors = S.next scenario state in
         (match
-           List.find_opt (fun (event, _) -> p event) successors
+           List.find_opt
+             (fun (event, _) -> p event (S.describe state event))
+             successors
          with
         | Some (event, state') -> go state' (i + 1) (event :: acc) rest
-        | None -> Error { at = i; enabled = List.map fst successors })
+        | None ->
+          Error
+            { at = i;
+              enabled =
+                List.map (fun (e, _) -> (e, S.describe state e)) successors })
     in
     go s0 0 [] patterns
 

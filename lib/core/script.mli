@@ -7,12 +7,15 @@
     specification level and — through {!Replay.confirm} — at the
     implementation level. *)
 
-type pattern = Trace.event -> bool
+type pattern = Trace.event -> string -> bool
+(** Matches an enabled event, given with its label ({!Spec.S.describe} at
+    the current state). *)
 
 val timeout : Trace.node -> string -> pattern
 val deliver : src:Trace.node -> dst:Trace.node -> pattern
 val deliver_msg : src:Trace.node -> dst:Trace.node -> string -> pattern
-(** Also requires the message descriptor to contain the given substring. *)
+(** Also requires the delivery's label (its message descriptor) to
+    contain the given substring. *)
 
 val client : Trace.node -> pattern
 val client_op : Trace.node -> string -> pattern
@@ -26,7 +29,8 @@ val any : pattern
 
 type failure = {
   at : int;  (** 0-based script step that failed *)
-  enabled : Trace.event list;  (** what was enabled instead *)
+  enabled : (Trace.event * string) list;
+      (** what was enabled instead, each event with its label *)
 }
 
 val pp_failure : Format.formatter -> failure -> unit

@@ -3,26 +3,31 @@ type oracle =
   | Deadlock
   | Custom of (Trace.t -> Trace.t option)
 
-type evaluator = (Trace.t -> Trace.t option) -> Trace.t list -> Trace.t option list
+type labelled = (Trace.event * string) list
+
+type evaluator =
+  (labelled -> labelled option) -> labelled list -> labelled option list
 
 let sequential_eval check candidates = List.map check candidates
 
-(* Match one event of a candidate against the enabled transitions of the
-   current state. Removing earlier events shifts buffer indexes, so a
-   Deliver is found by message identity (descriptor) when its recorded
-   index no longer lines up; the chosen transition's own event is what
-   lands in the rewritten trace. *)
+(* Match one event of a candidate, with its recorded label, against the
+   enabled transitions of the current state. Removing earlier events shifts
+   buffer indexes, so a Deliver is found by message identity (its label,
+   rendered from the live state) when its recorded index no longer lines
+   up; the chosen transition's own event is what lands in the rewritten
+   trace. *)
 let step_readdress (type s) (module S : Spec.S with type state = s) scenario
-    (state : s) event =
+    (state : s) (event, label) =
   let succ = S.next scenario state in
   let exact () = List.find_opt (fun (e, _) -> Trace.equal_event e event) succ in
   match event with
-  | Trace.Deliver { src; dst; index; desc } -> (
+  | Trace.Deliver { src; dst; index } -> (
     let same_message strict (e, _) =
       match e with
       | Trace.Deliver d ->
-        d.src = src && d.dst = dst && String.equal d.desc desc
+        d.src = src && d.dst = dst
         && ((not strict) || d.index = index)
+        && String.equal (S.describe state e) label
       | _ -> false
     in
     (* unperturbed case first (exact position and payload), then the same
@@ -72,20 +77,28 @@ let replay (type s) (module S : Spec.S with type state = s) scenario
           match step_readdress (module S) scenario state ev with
           | None -> None
           | Some (e, s') ->
+            (* the rewritten event keeps the label of the live state *)
+            let e = (e, S.describe state e) in
             if accept s' then Some (List.rev (e :: acc)) else go s' (e :: acc) rest)
       in
       go s0 [] events
 
-let readdress (spec : Spec.t) scenario events =
-  let (module S) = spec in
-  replay (module S) scenario ~accept:(fun _ -> false) ~finish:(fun _ -> true)
-    events
-
 let validate (spec : Spec.t) scenario oracle events =
+  let (module S) = spec in
   match oracle with
-  | Custom f -> f events
+  | Custom f -> (
+    match
+      replay (module S) scenario ~accept:(fun _ -> false)
+        ~finish:(fun _ -> true) events
+    with
+    | None -> None
+    | Some t ->
+      Option.map
+        (fun kept ->
+          let n = List.length kept in
+          List.filteri (fun i _ -> i < n) t)
+        (f (List.map fst t)))
   | Invariant inv -> (
-    let (module S) = spec in
     match List.assoc_opt inv S.invariants with
     | None ->
       invalid_arg
@@ -99,7 +112,6 @@ let validate (spec : Spec.t) scenario oracle events =
         ~finish:(fun _ -> false)
         events)
   | Deadlock ->
-    let (module S) = spec in
     replay (module S) scenario
       ~accept:(fun _ -> false)
       ~finish:(fun s ->
@@ -108,6 +120,7 @@ let validate (spec : Spec.t) scenario oracle events =
 
 type outcome = {
   minimized : Trace.t;
+  labels : string list;
   original_len : int;
   minimized_len : int;
   tried : int;
@@ -148,7 +161,8 @@ let run ?probe ?(eval = sequential_eval) spec scenario oracle trace =
   let finish minimized =
     let duration = Unix.gettimeofday () -. t0 in
     Probe.span_end probe "shrink";
-    { minimized;
+    { minimized = List.map fst minimized;
+      labels = List.map snd minimized;
       original_len = List.length trace;
       minimized_len = List.length minimized;
       tried = !tried;
@@ -156,7 +170,8 @@ let run ?probe ?(eval = sequential_eval) spec scenario oracle trace =
       rounds = !rounds;
       duration }
   in
-  match check trace with
+  (* each recorded delivery's label, from one replay of the input *)
+  match check (List.combine trace (Spec.labels spec scenario trace)) with
   | None ->
     Probe.span_end probe "shrink";
     invalid_arg "Shrink.run: the input trace does not reproduce the failure"

@@ -13,13 +13,16 @@
     later event sees: eliding one [Deliver] on a link shifts the buffer
     [index] of every message behind it. A candidate is therefore not
     matched against the spec's enabled transitions verbatim — each
-    [Deliver] is re-addressed against the live buffer: first an exact
-    [(src, dst, index)] + descriptor match (the unperturbed case), then
-    the same message looked up by descriptor at whatever index it now
-    occupies, then a purely positional match. [Drop]/[Duplicate] (no
-    descriptor) fall back from exact to same-link positional.
-    Accepted candidates are rewritten in terms of the transitions actually
-    taken, so the output trace always replays verbatim.
+    [Deliver] is re-addressed against the live buffer by its label
+    ({!Spec.S.describe}, the message descriptor): first an exact
+    [(src, dst, index)] + label match (the unperturbed case), then the
+    same message looked up by label at whatever index it now occupies,
+    then a purely positional match. [Drop]/[Duplicate] (no label) fall
+    back from exact to same-link positional. The recorded labels come from
+    one replay of the input trace; a candidate's enabled transitions are
+    labelled from its live state, and accepted candidates are rewritten in
+    terms of the transitions actually taken, with those live labels — so
+    the output trace always replays verbatim.
 
     {b Validation contract.} A candidate is accepted iff it replays from
     the first initial state and ends in the same class of failure as the
@@ -48,12 +51,17 @@ type oracle =
       (** the final state must satisfy the scenario constraint and have
           no enabled transitions *)
   | Custom of (Trace.t -> Trace.t option)
-      (** arbitrary acceptance check; returns the (possibly rewritten or
-          truncated) trace to keep, or [None] to reject. Used by the CLI
-          to shrink conformance discrepancies, where acceptance means the
-          implementation still diverges from the spec. *)
+      (** arbitrary acceptance check on the candidate re-addressed as
+          above (so it replays verbatim on the spec); returns the prefix of
+          it to keep, or [None] to reject. Used by the CLI to shrink
+          conformance discrepancies, where acceptance means the
+          implementation still diverges from the spec (truncated there). *)
 
-type evaluator = (Trace.t -> Trace.t option) -> Trace.t list -> Trace.t option list
+type labelled = (Trace.event * string) list
+(** A candidate: each event with the label it is re-addressed by. *)
+
+type evaluator =
+  (labelled -> labelled option) -> labelled list -> labelled option list
 (** [eval check candidates] maps [check] over one round of candidates,
     positionally. Implementations must evaluate the complete batch — no
     early exit — so counters and results cannot depend on scheduling;
@@ -62,20 +70,18 @@ type evaluator = (Trace.t -> Trace.t option) -> Trace.t list -> Trace.t option l
 
 val sequential_eval : evaluator
 
-val readdress : Spec.t -> Scenario.t -> Trace.t -> Trace.t option
-(** Replay a trace from the first initial state, re-addressing each event
-    against the live network state as described above. [Some t] is the
-    trace rewritten in terms of the transitions actually taken (always
-    spec-replayable verbatim); [None] if some event has no counterpart. *)
-
-val validate : Spec.t -> Scenario.t -> oracle -> Trace.t -> Trace.t option
+val validate :
+  Spec.t -> Scenario.t -> oracle -> labelled -> labelled option
 (** One candidate check: re-address, replay, and test the oracle.
-    [Some t] is the accepted (re-addressed, possibly truncated) trace.
-    Raises [Invalid_argument] if an {!Invariant} oracle names an invariant
-    the spec does not declare. *)
+    [Some t] is the accepted (re-addressed, possibly truncated) trace,
+    labelled from the live states. Raises [Invalid_argument] if an
+    {!Invariant} oracle names an invariant the spec does not declare. *)
 
 type outcome = {
   minimized : Trace.t;
+  labels : string list;
+      (** each minimized event's label, rendered from the live state it
+          was re-addressed against *)
   original_len : int;
   minimized_len : int;  (** [<= original_len] *)
   tried : int;  (** candidates evaluated *)

@@ -10,6 +10,7 @@ module type S = sig
   val permutable : bool
   val permute : int array -> state -> state
   val node_key : state -> int -> int
+  val describe : state -> Trace.event -> string
   val pp_state : Format.formatter -> state -> unit
 end
 
@@ -17,15 +18,16 @@ type t = (module S)
 
 let name (module M : S) = M.name
 
+let step (type s) (module M : S with type state = s) scenario (state : s) event =
+  List.find_map
+    (fun (e, s') -> if Trace.equal_event e event then Some s' else None)
+    (M.next scenario state)
+
 let observations_along (module M : S) scenario events =
   match M.init scenario with
   | [] -> None
   | s0 :: _ ->
-    let step state event =
-      List.find_map
-        (fun (e, s') -> if Trace.equal_event e event then Some s' else None)
-        (M.next scenario state)
-    in
+    let step = step (module M) scenario in
     let rec loop state acc = function
       | [] -> Some (List.rev acc)
       | e :: rest -> (
@@ -34,3 +36,16 @@ let observations_along (module M : S) scenario events =
         | Some s' -> loop s' (M.observe s' :: acc) rest)
     in
     loop s0 [] events
+
+let labels (module M : S) scenario events =
+  let rec go state acc = function
+    | [] -> List.rev acc
+    | e :: rest -> (
+      let acc = M.describe state e :: acc in
+      match step (module M) scenario state e with
+      | Some s' -> go s' acc rest
+      | None -> List.rev_append acc (List.map (fun _ -> "") rest))
+  in
+  match M.init scenario with
+  | [] -> List.map (fun _ -> "") events
+  | s0 :: _ -> go s0 [] events

@@ -52,6 +52,13 @@ module type S = sig
       can leave states of one orbit unmerged, so the explored space grows
       and its counts stop matching the all-permutations reduction. *)
 
+  val describe : state -> Trace.event -> string
+  (** [describe s e] is the human-readable label of event [e] taken from
+      state [s] (its predecessor), e.g. a delivery's message descriptor
+      (["AE(t1,p0:0,+1,c0)"]); [""] for events that need none. Only reports,
+      trace files and counterexample re-addressing ({!Shrink}, {!Script})
+      read labels, so [next] never builds them. *)
+
   val pp_state : Format.formatter -> state -> unit
 end
 
@@ -64,3 +71,9 @@ val observations_along : t -> Scenario.t -> Trace.t -> Tla.Value.t list option
     (first) initial state and returns the observation after every event
     (length = length of [events]); [None] if some event is not enabled where
     the trace demands it. *)
+
+val labels : t -> Scenario.t -> Trace.t -> string list
+(** [labels spec scenario events] replays [events] from the (first)
+    initial state and returns [S.describe] of every event at the state it
+    leaves (length = length of [events]); labels past an event that is not
+    enabled where the trace demands it are [""]. *)

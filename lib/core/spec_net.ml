@@ -44,6 +44,14 @@ module Make (M : MSG) = struct
 
   let peek t ~src ~dst ~index = List.nth_opt (queue t ~src ~dst) index
 
+  let describe t (e : Trace.event) =
+    match e with
+    | Deliver { src; dst; index } -> (
+      match peek t ~src ~dst ~index with Some m -> M.describe m | None -> "")
+    | Timeout _ | Client _ | Crash _ | Restart _ | Partition _ | Heal | Drop _
+    | Duplicate _ ->
+      ""
+
   let remove_nth q index =
     let rec loop i = function
       | [] -> None

@@ -12,7 +12,7 @@ module type MSG = sig
   type t
 
   val describe : t -> string
-  (** Short human-readable form used in event descriptors. *)
+  (** Short human-readable form: the label of a delivery of this message. *)
 
   val observe : t -> Tla.Value.t
 end
@@ -39,6 +39,12 @@ module Make (M : MSG) : sig
       non-empty queue under TCP, every index under UDP. *)
 
   val peek : t -> src:int -> dst:int -> index:int -> M.t option
+
+  val describe : t -> Trace.event -> string
+  (** The label of an event taken from this network: [M.describe] of the
+      message a [Deliver] would take ({!peek} at its address), [""] for
+      every other event. A spec's [S.describe] is this on its network. *)
+
   val deliver : t -> src:int -> dst:int -> index:int -> (M.t * t) option
   val drop : t -> src:int -> dst:int -> index:int -> t option
   (** UDP only: silently lose the packet. *)

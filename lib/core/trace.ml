@@ -21,7 +21,7 @@ let link_name src dst =
   else node_name src ^ ">" ^ node_name dst
 
 type event =
-  | Deliver of { src : node; dst : node; index : int; desc : string }
+  | Deliver of { src : node; dst : node; index : int }
   | Timeout of { node : node; kind : string }
   | Client of { node : node; op : string }
   | Crash of { node : node }
@@ -62,9 +62,9 @@ let kind = function
 let pp_nodes ppf nodes =
   Fmt.(list ~sep:(any ",") string) ppf (List.map node_name nodes)
 
-let pp_event ppf = function
-  | Deliver { src; dst; index; desc } ->
-    Fmt.pf ppf "Deliver %s->%s [%d] %s" (node_name src) (node_name dst) index desc
+let pp_bare ppf = function
+  | Deliver { src; dst; index } ->
+    Fmt.pf ppf "Deliver %s->%s [%d]" (node_name src) (node_name dst) index
   | Timeout { node; kind } -> Fmt.pf ppf "Timeout %s %s" (node_name node) kind
   | Client { node; op } -> Fmt.pf ppf "Client %s %s" (node_name node) op
   | Crash { node } -> Fmt.pf ppf "Crash %s" (node_name node)
@@ -76,11 +76,16 @@ let pp_event ppf = function
   | Duplicate { src; dst; index } ->
     Fmt.pf ppf "Duplicate %s->%s [%d]" (node_name src) (node_name dst) index
 
+let pp_labelled_event label ppf e =
+  pp_bare ppf e;
+  if label <> "" then Fmt.pf ppf " %s" label
+
+let pp_event = pp_labelled_event ""
+
 type t = event list
 
-let serialize_event = function
-  | Deliver { src; dst; index; desc } ->
-    Fmt.str "deliver %d %d %d %s" src dst index desc
+let serialize_bare = function
+  | Deliver { src; dst; index } -> Fmt.str "deliver %d %d %d" src dst index
   | Timeout { node; kind } -> Fmt.str "timeout %d %s" node kind
   | Client { node; op } -> Fmt.str "client %d %s" node op
   | Crash { node } -> Fmt.str "crash %d" node
@@ -91,40 +96,8 @@ let serialize_event = function
   | Drop { src; dst; index } -> Fmt.str "drop %d %d %d" src dst index
   | Duplicate { src; dst; index } -> Fmt.str "duplicate %d %d %d" src dst index
 
-let parse_event line =
-  let int_of s = int_of_string_opt s in
-  let fail () = Error line in
-  match String.split_on_char ' ' line with
-  | "deliver" :: s :: d :: i :: desc -> (
-    match int_of s, int_of d, int_of i with
-    | Some src, Some dst, Some index ->
-      Ok (Deliver { src; dst; index; desc = String.concat " " desc })
-    | _ -> fail ())
-  | [ "timeout"; n; kind ] -> (
-    match int_of n with Some node -> Ok (Timeout { node; kind }) | None -> fail ())
-  | "client" :: n :: op -> (
-    match int_of n with
-    | Some node -> Ok (Client { node; op = String.concat " " op })
-    | None -> fail ())
-  | [ "crash"; n ] -> (
-    match int_of n with Some node -> Ok (Crash { node }) | None -> fail ())
-  | [ "restart"; n ] -> (
-    match int_of n with Some node -> Ok (Restart { node }) | None -> fail ())
-  | [ "partition"; g ] -> (
-    let parts = String.split_on_char ',' g |> List.map int_of in
-    if List.for_all Option.is_some parts then
-      Ok (Partition { group = List.map Option.get parts })
-    else fail ())
-  | [ "heal" ] -> Ok Heal
-  | [ "drop"; s; d; i ] -> (
-    match int_of s, int_of d, int_of i with
-    | Some src, Some dst, Some index -> Ok (Drop { src; dst; index })
-    | _ -> fail ())
-  | [ "duplicate"; s; d; i ] -> (
-    match int_of s, int_of d, int_of i with
-    | Some src, Some dst, Some index -> Ok (Duplicate { src; dst; index })
-    | _ -> fail ())
-  | _ -> fail ()
+let serialize_event ?(label = "") e =
+  if label = "" then serialize_bare e else serialize_bare e ^ " " ^ label
 
 (* Binary event codec (the lib/store wire format, see Binio). Tags are
    append-only: new constructors get new tags, existing ones never change. *)
@@ -132,8 +105,7 @@ let parse_event line =
 let encode_event b e =
   let open Binio in
   match e with
-  | Deliver { src; dst; index; desc } ->
-    u8 b 0; uint b src; uint b dst; uint b index; str b desc
+  | Deliver { src; dst; index } -> u8 b 0; uint b src; uint b dst; uint b index
   | Timeout { node; kind } -> u8 b 1; uint b node; str b kind
   | Client { node; op } -> u8 b 2; uint b node; str b op
   | Crash { node } -> u8 b 3; uint b node
@@ -153,8 +125,7 @@ let decode_event src =
   | 0 ->
     let s = read_uint src in
     let d = read_uint src in
-    let index = read_uint src in
-    Deliver { src = s; dst = d; index; desc = read_str src }
+    Deliver { src = s; dst = d; index = read_uint src }
   | 1 ->
     let node = read_uint src in
     Timeout { node; kind = read_str src }
@@ -177,51 +148,62 @@ let decode_event src =
     Duplicate { src = s; dst = d; index = read_uint src }
   | tag -> raise (Binio.Corrupt (Printf.sprintf "unknown event tag %d" tag))
 
-let file_kind = 1
+(* Section kind 1 was the previous generation, whose deliveries carried
+   their message descriptor. *)
+let file_kind = 3
+let retired_kind = 1
 
 let save path trace =
   Binio.write_file path ~kind:file_kind (fun sink ->
       Binio.uint sink (List.length trace);
       List.iter (encode_event sink) trace)
 
-let save_text path trace =
-  Binio.atomic_write path (fun oc ->
-      List.iter
-        (fun e ->
-          output_string oc (serialize_event e);
-          output_char oc '\n')
-        trace)
+(* [labels] may be shorter than the trace: missing labels are empty. *)
+let iter_labelled f trace labels =
+  ignore
+    (List.fold_left
+       (fun (i, labels) e ->
+         match labels with
+         | l :: rest -> f i e l; (i + 1, rest)
+         | [] -> f i e ""; (i + 1, []))
+       (0, labels) trace)
 
-(* Pre-Binio trace files were textual, one serialize_event line per event;
-   still loadable, but without truncation detection. *)
-let load_legacy path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let rec read acc =
-        match input_line ic with
-        | exception End_of_file -> Ok (List.rev acc)
-        | "" -> read acc
-        | line -> (
-          match parse_event line with
-          | Ok e -> read (e :: acc)
-          | Error _ as e -> e)
-      in
-      read [])
+let save_text path ~labels trace =
+  Binio.atomic_write path (fun oc ->
+      iter_labelled
+        (fun _ e label ->
+          output_string oc (serialize_event ~label e);
+          output_char oc '\n')
+        trace labels)
 
 let load path =
-  if not (Binio.looks_binary path) then load_legacy path
-  else
+  match Binio.section_kind path with
+  | None ->
+    Error
+      (path
+     ^ ": not a binary trace file (text traces, the format before the \
+        binary envelope, are no longer read)")
+  | Some k when k = retired_kind ->
+    Error
+      (Printf.sprintf
+         "%s: a trace of the previous generation (section kind %d, \
+          deliveries carry their message descriptor); this build reads \
+          section kind %d only"
+         path k file_kind)
+  | Some _ -> (
     match
       let src = Binio.read_file path ~kind:file_kind in
       let n = Binio.read_uint src in
       List.init n (fun _ -> decode_event src)
     with
     | events -> Ok events
-    | exception Binio.Corrupt m -> Error m
+    | exception Binio.Corrupt m -> Error m)
 
-let pp ppf trace =
-  List.iteri (fun i e -> Fmt.pf ppf "%3d. %a@." (i + 1) pp_event e) trace
+let pp_labelled labels ppf trace =
+  iter_labelled
+    (fun i e label -> Fmt.pf ppf "%3d. %a@." (i + 1) (pp_labelled_event label) e)
+    trace labels
+
+let pp = pp_labelled []
 
 let to_string t = Fmt.str "%a" pp t

@@ -97,7 +97,7 @@ let timeout_duration t kind =
 
 let execute_inner t (event : Sandtable.Trace.event) =
   match event with
-  | Deliver { src; dst; index; desc = _ } -> (
+  | Deliver { src; dst; index } -> (
     match running_handle t dst with
     | Error e -> Error e
     | Ok h -> (

@@ -319,8 +319,7 @@ module Run (S : Spec.S) = struct
                 | Broken (fp, inv) ->
                   Explorer.Violation
                     (E.violation lookup scenario fp inv ~depth:(d + 1))
-                | Dead (_, fp) ->
-                  Explorer.Deadlock (snd (E.trace_of lookup fp)))
+                | Dead (_, fp) -> E.deadlock lookup scenario fp)
           | None ->
             distinct_total := !distinct_total + List.length all_inserted;
             gen_prev := !gen_prev + layer_generated;

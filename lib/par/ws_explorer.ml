@@ -340,7 +340,7 @@ module Run (S : Spec.S) = struct
           let succs = S.next scenario state in
           E.count_fault_kinds wp scenario succs;
           if succs = [] && opts.check_deadlock then
-            stop_with (Explorer.Deadlock (snd (E.trace_of lookup fp)));
+            stop_with (E.deadlock lookup scenario fp);
           List.iter
             (fun (event, state') ->
               st_generated.(w) <- st_generated.(w) + 1;

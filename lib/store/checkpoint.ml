@@ -3,7 +3,11 @@ open Sandtable
 exception Mismatch of string
 
 let file = "checkpoint.bin"
-let file_kind = 2
+
+(* Section kind 2 was the previous generation, whose deliveries carried
+   their message descriptor. *)
+let file_kind = 4
+let retired_kind = 2
 let fp_width = 16
 
 let rec mkdir_p dir =
@@ -130,6 +134,22 @@ let first_diff_line a b =
 
 let load ~dir ~identity =
   let path = Filename.concat dir file in
+  let other_generation what =
+    raise
+      (Mismatch
+         (Printf.sprintf
+            "%s comes from another checkpoint generation (%s); this build \
+             does not read it — rerun without --resume or point --run-dir \
+             elsewhere"
+            path what))
+  in
+  (* named from the header alone, before any entry is decoded *)
+  if Binio.section_kind path = Some retired_kind then
+    other_generation
+      (Printf.sprintf
+         "section kind %d, whose deliveries carry their message descriptor; \
+          this build reads kind %d"
+         retired_kind file_kind);
   let src = Binio.read_file path ~kind:file_kind in
   let stored = Binio.read_str src in
   if not (String.equal stored identity) then begin
@@ -159,15 +179,6 @@ let load ~dir ~identity =
         let prov = decode_prov src in
         let depth = Binio.read_uint src in
         (fp, prov, depth))
-  in
-  let other_generation what =
-    raise
-      (Mismatch
-         (Printf.sprintf
-            "%s comes from another checkpoint generation (%s); this build \
-             does not read it — rerun without --resume or point --run-dir \
-             elsewhere"
-            path what))
   in
   let marker name =
     if Binio.remaining src = 0 then

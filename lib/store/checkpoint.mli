@@ -2,7 +2,7 @@
 
     A checkpoint is the {!Sandtable.Explorer.snapshot} taken at a layer
     barrier, serialized with the {!Sandtable.Binio} wire format (section
-    kind [2]) and written atomically into a run directory as
+    kind [4]) and written atomically into a run directory as
     [checkpoint.bin]. It stores only codec-friendly data — fingerprints,
     provenance, depths, counters — never marshalled spec states: on resume
     the concrete frontier states are recovered by replaying each frontier
@@ -17,11 +17,15 @@
 
     {2 Generations}
 
-    A checkpoint ends with two markers: the {!Sandtable.Fingerprint.kernel_id}
-    of its fingerprints, then its frontier mode. Files from older
-    generations — no markers, only the kernel marker, or another kernel —
-    are refused by {!load} with {!Mismatch} naming what it found; they are
-    not migrated.
+    A checkpoint's section kind names its entry layout: kind [4] stores
+    deliveries as bare [(src, dst, index)] addresses; kind [2], the
+    previous generation, stored each with its message descriptor and is
+    refused from the header alone, before any entry is decoded. A
+    checkpoint ends with two markers: the
+    {!Sandtable.Fingerprint.kernel_id} of its fingerprints, then its
+    frontier mode. Files from older generations — kind [2], no markers,
+    only the kernel marker, or another kernel — are refused by {!load}
+    with {!Mismatch} naming what it found; they are not migrated.
 
     {2 Resume invariants}
 
@@ -36,7 +40,8 @@
 exception Mismatch of string
 (** Raised by {!load} when the stored identity differs from the caller's —
     the message shows both identity digests and the first differing line —
-    or when the file comes from an older generation (e.g. "kernel 0, this
+    or when the file comes from an older generation (e.g. "section kind 2,
+    whose deliveries carry their message descriptor", "kernel 0, this
     build reads kernel 1"). *)
 
 val file : string

@@ -488,9 +488,7 @@ end) : Sandtable.Spec.S with type state = state = struct
           | None -> ()
           | Some (m, net) ->
             let st' = handle_message { st with net } ~dst ~src m in
-            add
-              (Trace.Deliver { src; dst; index; desc = Msg.describe m })
-              st')
+            add (Trace.Deliver { src; dst; index }) st')
       (Net.deliverable st.net);
     (* timeouts *)
     if st.counters.timeouts < budget "timeouts" ~default:3 then
@@ -573,6 +571,8 @@ end) : Sandtable.Spec.S with type state = state = struct
     { st with
       nodes = Arr.permute p (Array.map permute_node st.nodes);
       net = Net.permute p st.net }
+
+  let describe st e = Net.describe st.net e
 
   let pp_state ppf st =
     Array.iteri

@@ -458,8 +458,7 @@ end) : Sandtable.Spec.S with type state = state = struct
           match Net.deliver st.net ~src ~dst ~index with
           | None -> ()
           | Some (m, net) ->
-            add
-              (Trace.Deliver { src; dst; index; desc = Msg.describe m })
+            add (Trace.Deliver { src; dst; index })
               (handle_message { st with net } ~dst ~src m))
       deliverable;
     List.iter
@@ -538,6 +537,8 @@ end) : Sandtable.Spec.S with type state = state = struct
     { st with
       nodes = Arr.permute p (Array.map permute_node st.nodes);
       net = Net.permute p st.net }
+
+  let describe st e = Net.describe st.net e
 
   let pp_state ppf st =
     Array.iteri

@@ -611,8 +611,7 @@ module Make (P : PARAMS) : Sandtable.Spec.S with type state = state = struct
           match Net.deliver st.net ~src ~dst ~index with
           | None -> ()
           | Some (m, net) ->
-            add
-              (Trace.Deliver { src; dst; index; desc = Msg.describe m })
+            add (Trace.Deliver { src; dst; index })
               (handle_message { st with net } ~dst ~src m))
       deliverable;
     (* UDP packet faults *)
@@ -703,6 +702,8 @@ module Make (P : PARAMS) : Sandtable.Spec.S with type state = state = struct
     { st with
       nodes = Arr.permute p (Array.map permute_node st.nodes);
       net = Net.permute p st.net }
+
+  let describe st e = Net.describe st.net e
 
   let pp_state ppf st =
     Array.iteri

@@ -677,8 +677,7 @@ end) : Sandtable.Spec.S with type state = state = struct
           match Znet.deliver st.net ~src ~dst ~index with
           | None -> ()
           | Some (m, net) ->
-            add
-              (Trace.Deliver { src; dst; index; desc = describe_zmsg m })
+            add (Trace.Deliver { src; dst; index })
               (handle_message { st with net } ~dst ~src m))
       (Znet.deliverable st.net);
     if st.counters.timeouts < budget "timeouts" ~default:3 then
@@ -822,6 +821,8 @@ end) : Sandtable.Spec.S with type state = state = struct
     { st with
       nodes = Arr.permute p (Array.map permute_node st.nodes);
       net = Znet.permute p (Znet.map_queues pmsg st.net) }
+
+  let describe st e = Znet.describe st.net e
 
   let pp_state ppf st =
     Array.iteri

@@ -121,7 +121,7 @@ let test_cluster_roundtrip () =
   | Error e -> Alcotest.failf "client failed: %a" Engine.Cluster.pp_error e);
   (match
      Engine.Cluster.execute c
-       (Sandtable.Trace.Deliver { src = 0; dst = 1; index = 0; desc = "" })
+       (Sandtable.Trace.Deliver { src = 0; dst = 1; index = 0 })
    with
   | Ok () -> ()
   | Error e -> Alcotest.failf "delivery failed: %a" Engine.Cluster.pp_error e);
@@ -135,7 +135,7 @@ let test_cluster_not_enabled () =
   let c = echo_cluster () in
   match
     Engine.Cluster.execute c
-      (Sandtable.Trace.Deliver { src = 0; dst = 1; index = 0; desc = "" })
+      (Sandtable.Trace.Deliver { src = 0; dst = 1; index = 0 })
   with
   | Error (Engine.Cluster.Not_enabled _) -> ()
   | _ -> Alcotest.fail "empty queue delivery must be rejected"
@@ -165,7 +165,7 @@ let test_cluster_impl_crash_captured () =
   ignore (Engine.Cluster.execute c (Sandtable.Trace.Client { node = 0; op = "boom" }));
   match
     Engine.Cluster.execute c
-      (Sandtable.Trace.Deliver { src = 0; dst = 1; index = 0; desc = "" })
+      (Sandtable.Trace.Deliver { src = 0; dst = 1; index = 0 })
   with
   | Error (Engine.Cluster.Impl_crash { node = 1; _ }) ->
     (match Engine.Cluster.status c 1 with

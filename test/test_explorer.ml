@@ -68,8 +68,8 @@ let test_deadlock_detection () =
       { Explorer.default with check_deadlock = true }
   in
   match r.outcome with
-  | Explorer.Deadlock events ->
-    Alcotest.(check int) "deadlock after budget" 2 (List.length events)
+  | Explorer.Deadlock d ->
+    Alcotest.(check int) "deadlock after budget" 2 (List.length d.events)
   | _ -> Alcotest.fail "expected deadlock"
 
 let test_budget_stops () =

@@ -287,6 +287,7 @@ module Fault_toy = struct
   let permutable = false
   let permute _ st = st
   let node_key _ _ = 0
+  let describe _ _ = ""
 
   let pp_state ppf st =
     Fmt.pf ppf "up=%a cut=%a"

@@ -22,6 +22,7 @@ let () =
       Test_store.suite;
       Test_obs.suite;
       Test_shrink.suite;
+      Test_rendered.suite;
       Test_reference.suite;
       Test_faults.suite;
       Test_registry.suite;

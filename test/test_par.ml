@@ -72,7 +72,7 @@ let test_toy_deadlock_equivalence () =
       | Explorer.Deadlock se, Explorer.Deadlock pe ->
         Alcotest.(check int)
           (Fmt.str "deadlock trace workers=%d" workers)
-          (List.length se) (List.length pe);
+          (List.length se.events) (List.length pe.events);
         check_counters (Fmt.str "counters workers=%d" workers) seq par
       | _ -> Alcotest.fail "both runs must deadlock")
     worker_counts
@@ -185,6 +185,9 @@ let test_violation_trace_bytes_equal () =
           (Fmt.str "trace bytes workers=%d" workers)
           (Digest.to_hex (Digest.string (trace_bytes sv.events)))
           (Digest.to_hex (Digest.string (trace_bytes pv.events)));
+        Alcotest.(check (list string))
+          (Fmt.str "labels workers=%d" workers)
+          sv.labels pv.labels;
         check_counters (Fmt.str "counters workers=%d" workers) seq par
       | _ -> Alcotest.fail "parallel run must violate")
     worker_counts

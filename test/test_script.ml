@@ -3,20 +3,19 @@ open Sandtable
 let case name f = Alcotest.test_case name `Quick f
 
 let test_patterns () =
+  (* a pattern sees each enabled event with its label *)
   let open Script in
+  let ae = Trace.Deliver { src = 0; dst = 1; index = 0 } in
   Alcotest.(check bool) "timeout" true
-    (timeout 1 "tick" (Trace.Timeout { node = 1; kind = "tick" }));
+    (timeout 1 "tick" (Trace.Timeout { node = 1; kind = "tick" }) "");
   Alcotest.(check bool) "timeout kind" false
-    (timeout 1 "tick" (Trace.Timeout { node = 1; kind = "tock" }));
-  Alcotest.(check bool) "deliver" true
-    (deliver ~src:0 ~dst:1 (Trace.Deliver { src = 0; dst = 1; index = 0; desc = "AE(x)" }));
+    (timeout 1 "tick" (Trace.Timeout { node = 1; kind = "tock" }) "");
+  Alcotest.(check bool) "deliver" true (deliver ~src:0 ~dst:1 ae "AE(x)");
   Alcotest.(check bool) "deliver_msg match" true
-    (deliver_msg ~src:0 ~dst:1 "AE("
-       (Trace.Deliver { src = 0; dst = 1; index = 0; desc = "AE(t1)" }));
+    (deliver_msg ~src:0 ~dst:1 "AE(" ae "AE(t1)");
   Alcotest.(check bool) "deliver_msg mismatch" false
-    (deliver_msg ~src:0 ~dst:1 "RV("
-       (Trace.Deliver { src = 0; dst = 1; index = 0; desc = "AE(t1)" }));
-  Alcotest.(check bool) "any" true (any Trace.Heal)
+    (deliver_msg ~src:0 ~dst:1 "RV(" ae "AE(t1)");
+  Alcotest.(check bool) "any" true (any Trace.Heal "")
 
 let test_run_success () =
   let scenario = Toy_spec.scenario ~nodes:2 ~timeouts:3 in

@@ -103,7 +103,8 @@ let test_envelope_roundtrip () =
   with_envelope_file
     (fun b -> Binio.str b "payload")
     (fun path ->
-      Alcotest.(check bool) "looks binary" true (Binio.looks_binary path);
+      Alcotest.(check (option int)) "section kind" (Some 7)
+        (Binio.section_kind path);
       let src = Binio.read_file path ~kind:7 in
       Alcotest.(check string) "payload" "payload" (Binio.read_str src))
 
@@ -141,7 +142,8 @@ let test_envelope_bad_magic () =
   with_tmpdir (fun dir ->
       let path = Filename.concat dir "not-binary" in
       rewrite path "just some text, long enough to pass the header check";
-      Alcotest.(check bool) "not binary" false (Binio.looks_binary path);
+      Alcotest.(check (option int)) "not binary" None
+        (Binio.section_kind path);
       expect_corrupt "magic" "bad magic" (fun () ->
           Binio.read_file path ~kind:7))
 
@@ -288,7 +290,7 @@ let test_envelope_truncation_sweep () =
 
 let sample_events : Trace.t =
   [ Trace.Timeout { node = 0; kind = "election" };
-    Trace.Deliver { src = 0; dst = 1; index = 0; desc = "RV(t1,l0:0)" };
+    Trace.Deliver { src = 0; dst = 1; index = 0 };
     Trace.Client { node = 0; op = "put:3" };
     Trace.Partition { group = [ 0; 2 ] };
     Trace.Crash { node = 1 };
@@ -305,12 +307,7 @@ let test_event_codec () =
     (fun e ->
       let e' = Trace.decode_event src in
       Alcotest.(check bool)
-        (Trace.serialize_event e) true (Trace.equal_event e e');
-      (* equal_event ignores descs; descs must survive too *)
-      match e, e' with
-      | Trace.Deliver { desc; _ }, Trace.Deliver { desc = desc'; _ } ->
-        Alcotest.(check string) "desc" desc desc'
-      | _ -> ())
+        (Trace.serialize_event e) true (Trace.equal_event e e'))
     sample_events;
   Alcotest.(check int) "consumed" 0 (Binio.remaining src)
 
@@ -640,11 +637,26 @@ let test_recovery_names_the_input () =
     [ (missing, "missing from its visited set");
       (unreplayable, "unreplayable") ]
 
-(* A checkpoint as older generations wrote it, byte by byte: the current
-   payload followed by [markers] — none before the fingerprint-kernel
-   marker existed, only the kernel before the frontier-mode marker. *)
-let write_old_checkpoint ~markers path identity (snap : Explorer.snapshot) =
-  Binio.write_file path ~kind:2 (fun b ->
+(* The previous generation's event layout: a delivery carried its message
+   descriptor after its address. *)
+let encode_previous_event b (e : Trace.event) =
+  match e with
+  | Trace.Deliver { src; dst; index } ->
+    Binio.u8 b 0;
+    Binio.uint b src;
+    Binio.uint b dst;
+    Binio.uint b index;
+    Binio.str b "AE(t1,p0:0,+1,c0)"
+  | e -> Trace.encode_event b e
+
+(* A checkpoint as older generations wrote it, byte by byte: the payload
+   followed by [markers] — none before the fingerprint-kernel marker
+   existed, only the kernel before the frontier-mode marker — under
+   section [kind] with [encode_event]'s entry layout (by default the
+   current ones). *)
+let write_old_checkpoint ?(kind = 4) ?(encode_event = Trace.encode_event)
+    ~markers path identity (snap : Explorer.snapshot) =
+  Binio.write_file path ~kind (fun b ->
       Binio.str b identity;
       Binio.uint b snap.snap_depth;
       Binio.uint b snap.snap_distinct;
@@ -663,13 +675,13 @@ let write_old_checkpoint ~markers path identity (snap : Explorer.snapshot) =
           | Explorer.Step { parent; event } ->
             Binio.u8 b 1;
             Binio.fixed b (Fingerprint.to_raw parent);
-            Trace.encode_event b event);
+            encode_event b event);
           Binio.uint b depth);
       List.iter (Binio.uint b) markers)
 
 (* Refused by [Checkpoint.load] with a [Mismatch] containing [needle], and
    by [check --resume] with exit 2 and the same words on stderr. *)
-let check_generation_refused ~markers ~needle =
+let check_generation_refused ?kind ?encode_event ~markers ~needle () =
   let spec = Toy_spec.spec () in
   let scenario = Toy_spec.scenario ~nodes:2 ~timeouts:5 in
   let identity = Store.Checkpoint.identity spec scenario toy_opts in
@@ -683,7 +695,7 @@ let check_generation_refused ~markers ~needle =
       write_old_checkpoint ~markers:[ Fingerprint.kernel_id; 0 ] path identity
         snap;
       Alcotest.(check bool) "writer matches save" true (read_raw path = saved);
-      write_old_checkpoint ~markers path identity snap;
+      write_old_checkpoint ?kind ?encode_event ~markers path identity snap;
       match Store.Checkpoint.load ~dir ~identity with
       | _ -> Alcotest.failf "checkpoint with %s loaded" needle
       | exception Store.Checkpoint.Mismatch m ->
@@ -698,9 +710,9 @@ let check_generation_refused ~markers ~needle =
       let code, _, _ = Test_cli.run_cli args in
       Alcotest.(check int) "budgeted run" 0 code;
       let path = Filename.concat dir Store.Checkpoint.file in
-      let identity = Binio.read_str (Binio.read_file path ~kind:2) in
+      let identity = Binio.read_str (Binio.read_file path ~kind:4) in
       let snap = Store.Checkpoint.load ~dir ~identity in
-      write_old_checkpoint ~markers path identity snap;
+      write_old_checkpoint ?kind ?encode_event ~markers path identity snap;
       let code, _, err = Test_cli.run_cli (args @ [ "--resume" ]) in
       Alcotest.(check int) "resume refused" 2 code;
       Alcotest.(check bool)
@@ -711,11 +723,32 @@ let test_kernel0_checkpoint_refused () =
   check_generation_refused ~markers:[ 0; 0 ]
     ~needle:
       (Fmt.str "kernel 0, this build reads kernel %d" Fingerprint.kernel_id)
+    ()
 
 let test_pre_marker_checkpoint_refused () =
-  check_generation_refused ~markers:[] ~needle:"no fingerprint-kernel marker";
+  check_generation_refused ~markers:[] ~needle:"no fingerprint-kernel marker"
+    ();
   check_generation_refused ~markers:[ Fingerprint.kernel_id ]
-    ~needle:"no frontier-mode marker"
+    ~needle:"no frontier-mode marker" ()
+
+let previous_generation =
+  "section kind 2, whose deliveries carry their message descriptor"
+
+let test_previous_generation_checkpoint_refused () =
+  (* what the previous generation wrote, markers and all *)
+  check_generation_refused ~kind:2 ~encode_event:encode_previous_event
+    ~markers:[ Fingerprint.kernel_id; 0 ] ~needle:previous_generation ();
+  (* named from the header alone: a payload no decoder could read gets
+     the same refusal, so no entry was decoded *)
+  with_tmpdir (fun dir ->
+      Binio.write_file (Filename.concat dir Store.Checkpoint.file) ~kind:2
+        (fun b -> Binio.fixed b "\xff\xff\xff");
+      match Store.Checkpoint.load ~dir ~identity:"" with
+      | _ -> Alcotest.fail "undecodable kind-2 checkpoint loaded"
+      | exception Store.Checkpoint.Mismatch m ->
+        Alcotest.(check bool)
+          (Fmt.str "%S names %S" m previous_generation)
+          true (contains m previous_generation))
 
 (* ---- spilled frontier ------------------------------------------------- *)
 
@@ -921,13 +954,13 @@ let test_manifest_roundtrip () =
 let test_exit_codes () =
   let violation =
     Explorer.Violation
-      { invariant = "X"; events = []; depth = 0; state_repr = "" }
+      { invariant = "X"; events = []; labels = []; depth = 0; state_repr = "" }
   in
   Alcotest.(check int) "exhausted" 0 (Store.Exit_code.of_outcome Explorer.Exhausted);
   Alcotest.(check int) "budget" 0 (Store.Exit_code.of_outcome Explorer.Budget_spent);
   Alcotest.(check int) "violation" 1 (Store.Exit_code.of_outcome violation);
   Alcotest.(check int) "deadlock" 1
-    (Store.Exit_code.of_outcome (Explorer.Deadlock []));
+    (Store.Exit_code.of_outcome (Explorer.Deadlock { events = []; labels = [] }));
   (* simulation: the toy spec with limit 1 violates on the first event *)
   let clean =
     Simulate.aggregate
@@ -953,7 +986,7 @@ let test_exit_codes () =
     (Store.Exit_code.of_conformance
        (report
           (Some
-             { Conformance.round = 1; events = []; failed_at = 0;
+             { Conformance.round = 1; events = []; labels = []; failed_at = 0;
                failure = Conformance.Impl_error "boom" })))
 
 let suite =
@@ -982,6 +1015,8 @@ let suite =
         test_kernel0_checkpoint_refused;
       case "pre-marker checkpoint refused by name"
         test_pre_marker_checkpoint_refused;
+      case "kind-2 checkpoint refused by name"
+        test_previous_generation_checkpoint_refused;
       case "spill chunk corruption surfaces as Corrupt"
         test_spill_chunk_corruption;
       case "spilled frontier equivalence" test_spill_equivalence;

@@ -138,7 +138,7 @@ let test_counters () =
   let c = Counters.zero in
   let c = Counters.bump c (Trace.Timeout { node = 0; kind = "x" }) in
   let c = Counters.bump c (Trace.Crash { node = 0 }) in
-  let c = Counters.bump c (Trace.Deliver { src = 0; dst = 1; index = 0; desc = "" }) in
+  let c = Counters.bump c (Trace.Deliver { src = 0; dst = 1; index = 0 }) in
   Alcotest.(check int) "timeouts" 1 c.timeouts;
   Alcotest.(check int) "crashes" 1 c.crashes;
   Alcotest.(check bool) "within" true (Counters.within c [ "timeouts", 1 ]);

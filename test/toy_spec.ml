@@ -47,6 +47,7 @@ end) : Spec.S with type state = state = struct
   let permutable = true
   let permute p st = { st with ticks = Arr.permute p st.ticks }
   let node_key st i = st.ticks.(i)
+  let describe _ _ = ""
 
   let pp_state ppf st =
     Fmt.pf ppf "%a" Fmt.(Dump.array int) st.ticks
