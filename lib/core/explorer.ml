@@ -179,23 +179,19 @@ module Run (S : Spec.S) = struct
      run only on a violation, a deadlock or a resume — never per state. *)
   type lookup = Fingerprint.t -> provenance option
 
+  let missing () =
+    invalid_arg
+      "Explorer: checkpoint references a fingerprint missing from its \
+       visited set (corrupted checkpoint?)"
+
   let prov_of (lookup : lookup) fp =
-    match lookup fp with
-    | Some p -> p
-    | None ->
-      invalid_arg
-        "Explorer: checkpoint references a fingerprint missing from its \
-         visited set (corrupted checkpoint?)"
+    match lookup fp with Some p -> p | None -> missing ()
 
   (* Every recorded event was generated by [S.next] from the state its
      chain replays to, and events identify transitions uniquely (§3.4), so
      replay can only fail on a checkpoint the spec no longer matches. *)
   let replay_step scenario state event =
-    match
-      List.find_map
-        (fun (e, s') -> if Trace.equal_event e event then Some s' else None)
-        (S.next scenario state)
-    with
+    match Spec.step (module S) scenario state event with
     | Some s' -> s'
     | None ->
       invalid_arg
@@ -252,6 +248,23 @@ module Run (S : Spec.S) = struct
     in
     List.map state_of fps
 
+  (* A snapshot may list a child before its parent (visited-set iteration
+     order is not topological), so seeding takes two passes: insert every
+     entry, then — every parent in — set each one's provenance, a step's
+     parent named by its entry reference. *)
+  let restore snap scenario lookup ~add ~find ~set_prov =
+    snap.snap_visited (fun fp _ depth ->
+        ignore (add fp (Fp_store.Proot 0) ~depth));
+    let ref_of fp = match find fp with Some r -> r | None -> missing () in
+    snap.snap_visited (fun fp prov depth ->
+        set_prov (ref_of fp)
+          (match prov with
+          | Root i -> Fp_store.Proot i
+          | Step { parent; event } -> Fp_store.Pstep (ref_of parent, event))
+          ~depth);
+    let states = rebuild_frontier lookup scenario snap.snap_frontier in
+    List.map2 (fun fp state -> (state, ref_of fp)) snap.snap_frontier states
+
   let invariants opts =
     match opts.only_invariants with
     | None -> S.invariants
@@ -265,6 +278,34 @@ module Run (S : Spec.S) = struct
     | (name, holds) :: rest ->
       if holds scenario state then first_broken rest scenario state
       else Some name
+
+  (* the sharded engines' roots; the sequential engine discovers its own
+     through the per-state path *)
+  let seed_roots opts cache scenario lookup ~insert =
+    let probe = opts.probe in
+    let invariants = invariants opts in
+    let edge ~dup ~sym =
+      if Probe.is_on probe then Probe.edge probe ~depth:0 ~event:None ~dup ~sym
+    in
+    let rec go i items = function
+      | [] -> Ok (List.rev items)
+      | s :: rest -> (
+        match arrive ?probe cache scenario s ~insert:(fun fp -> insert fp i)
+        with
+        | Recalled sym | Inserted (_, sym, None) ->
+          edge ~dup:true ~sym;
+          go (i + 1) items rest
+        | Inserted (fp, sym, Some r) -> (
+          edge ~dup:false ~sym;
+          match first_broken invariants scenario s with
+          | Some inv -> Error (violation lookup scenario fp inv ~depth:0)
+          | None ->
+            let items =
+              if S.constraint_ok scenario s then (s, r) :: items else items
+            in
+            go (i + 1) items rest))
+    in
+    go 0 [] (S.init scenario)
 
   let refuse_unordered = function
     | Some { snap_mode = Unordered; _ } ->
@@ -394,40 +435,16 @@ module Run (S : Spec.S) = struct
         (fun i s -> discover (Fp_store.Proot i) 0 s)
         (S.init scenario)
     | Some snap ->
-      (* the checkpoint may list a child before its parent (visited-set
-         iteration order is not topological), so steps whose parent is not
-         in yet get a pending predecessor, patched once every entry is in *)
-      let pending = ref [] in
-      snap.snap_visited (fun fp prov depth ->
-          match prov with
-          | Root i -> ignore (Fp_store.add visited fp (Fp_store.Proot i) ~depth)
-          | Step { parent; event } -> (
-            match Fp_store.find visited parent with
-            | Some p ->
-              ignore
-                (Fp_store.add visited fp (Fp_store.Pstep (p, event)) ~depth)
-            | None -> (
-              match Fp_store.add_pending_step visited fp event ~depth with
-              | Fp_store.Fresh idx -> pending := (idx, parent) :: !pending
-              | Fp_store.Dup _ -> ())));
-      List.iter
-        (fun (idx, parent) ->
-          match Fp_store.find visited parent with
-          | Some p -> Fp_store.set_pred visited idx p
-          | None ->
-            invalid_arg
-              "Explorer: checkpoint provenance references a fingerprint \
-               missing from its visited set (corrupted checkpoint?)")
-        !pending;
+      let frontier =
+        restore snap scenario lookup ~add:(Fp_store.add visited)
+          ~find:(Fp_store.find visited) ~set_prov:(Fp_store.set_prov visited)
+      in
       generated := snap.snap_generated;
       max_depth_seen := snap.snap_max_depth;
       cur_depth := snap.snap_depth;
-      let states = rebuild_frontier lookup scenario snap.snap_frontier in
-      List.iter2
-        (fun fp state ->
-          let idx = Option.get (Fp_store.find visited fp) in
-          fr.fr_push (state, idx, snap.snap_depth))
-        snap.snap_frontier states);
+      List.iter
+        (fun (state, idx) -> fr.fr_push (state, idx, snap.snap_depth))
+        frontier);
     let snapshot_now () =
       let fps = ref [] in
       fr.fr_iter (fun (_, idx, _) -> fps := Fp_store.fp visited idx :: !fps);

@@ -33,7 +33,7 @@ type snapshot = {
   snap_visited : (Fingerprint.t -> provenance -> int -> unit) -> unit;
       (** iterate the visited set: fingerprint, provenance, depth. The
           iterator may stream over live or on-disk data — consume it
-          immediately. *)
+          immediately. Resume iterates it twice. *)
 }
 (** A quiescent-point image of an exploration. Taken via [on_layer],
     persisted by [Store.Checkpoint], and fed back through [check ~resume]
@@ -165,11 +165,10 @@ module Run (S : Spec.S) : sig
   (** An engine's visited set, keyed by fingerprint ([None] = absent). *)
 
   val replay_step : Scenario.t -> S.state -> Trace.event -> S.state
-  (** The successor whose event equals the given one
-      ({!Trace.equal_event}) — the single replay step behind every
-      recovery below. Raises [Invalid_argument] naming an
-      "unreplayable provenance chain" when [S.next] offers no such event
-      (the spec changed since the chain was recorded). *)
+  (** {!Spec.step} — the single replay step behind every recovery below.
+      Raises [Invalid_argument] naming an "unreplayable provenance chain"
+      when [S.next] offers no such event (the spec changed since the chain
+      was recorded). *)
 
   val violation :
     lookup -> Scenario.t -> Fingerprint.t -> string -> depth:int -> violation
@@ -188,6 +187,33 @@ module Run (S : Spec.S) : sig
       provenance chain from the initial states, memoized so every state is
       computed once. Raises [Invalid_argument] naming a fingerprint
       "missing from its visited set", or an unreplayable chain. *)
+
+  val restore :
+    snapshot -> Scenario.t -> lookup ->
+    add:(Fingerprint.t -> Fp_store.prov -> depth:int -> 'a) ->
+    find:(Fingerprint.t -> int option) ->
+    set_prov:(int -> Fp_store.prov -> depth:int -> unit) ->
+    (S.state * int) list
+  (** Seed an engine's empty store from a snapshot, then recover the
+      frontier. Every engine resumes through it. A snapshot may list a
+      child before its parent, so seeding takes two passes: [add] every
+      entry, then [set_prov] each one's provenance by its entry reference
+      ([find]), a step's parent by the parent's reference. [lookup] must
+      read the same store. Returns the frontier's states
+      ({!rebuild_frontier}) with their entry references, in snapshot
+      order. Raises [Invalid_argument] naming a fingerprint "missing from
+      its visited set", or an unreplayable chain. *)
+
+  val seed_roots :
+    options -> cache -> Scenario.t -> lookup ->
+    insert:(Fingerprint.t -> int -> int option) ->
+    ((S.state * int) list, violation) Stdlib.result
+  (** The sharded engines' roots. Offers each initial state, in order,
+      through {!arrive} to [insert fp i] ([i] its init index; [Some r] =
+      inserted as entry reference [r]), with one profiler edge each. Stops
+      at the first inserted root that breaks an invariant, with its depth-0
+      [Error] violation; else [Ok] the inserted roots that satisfy the
+      state constraint, with their references, in init order. *)
 
   val invariants : options -> (string * (Scenario.t -> S.state -> bool)) list
   (** [S.invariants] restricted to [opts.only_invariants]. *)

@@ -1,42 +1,42 @@
-(* The sequential explorer's visited set: an open-addressed fingerprint
-   table laid out as structure-of-arrays.
+(* The visited set: an open-addressed fingerprint table laid out as
+   structure-of-arrays. The sequential explorer uses one; the parallel
+   engines' [Par.Shard_set] holds 64, one behind each shard lock.
 
    The old store was an [entry Fingerprint.Tbl.t]: per visited state a
    boxed 16-byte string key, an entry record, a [Step] record and a bucket
    cons cell — ~14 words of heap besides the event payload. Here a state
    costs four ints in flat columns (fingerprint halves, packed
-   depth/provenance-code, predecessor index) plus its share of the slot
-   array: ~6–8 words, no pointers for the GC to trace.
+   depth/provenance-code, predecessor reference) plus its share of the
+   slot array: ~6–8 words, no pointers for the GC to trace.
 
    Entries are dense and append-only: index [i] is the [i]-th distinct
    state in discovery order, and indices never move (only the slot array
-   rehashes on growth), so provenance is a plain predecessor *index* and
-   iteration in insertion order is free. Events are interned: structurally
-   equal events (timeouts, client ops... repeated across thousands of
-   states) are stored once and referenced by id. *)
+   rehashes on growth), so a parent is named by one int and iteration in
+   insertion order is free. The store never interprets that int: the
+   sequential explorer stores the parent's entry index, [Shard_set] a
+   packed (index, shard) pair. Events are interned: structurally equal
+   events (timeouts, client ops... repeated across thousands of states)
+   are stored once and referenced by id. *)
 
 type prov =
   | Proot of int  (* index into the init-state list *)
-  | Pstep of int * Trace.event  (* predecessor entry index, event *)
+  | Pstep of int * Trace.event  (* predecessor reference, event *)
 
 type add_result = Fresh of int | Dup of int
 
 (* meta column layout: depth in the low 20 bits, provenance code (event id
-   for steps, init index for roots) above. pred = -1 marks a root, -2 a
-   step whose predecessor is not known yet (checkpoint resume inserts
-   entries in file order, which may list children first; Explorer patches
-   them with [set_pred] once every parent is in). *)
+   for steps, init index for roots) above. pred = -1 marks a root; step
+   references are non-negative. *)
 let depth_bits = 20
 let depth_mask = (1 lsl depth_bits) - 1
 let root_pred = -1
-let pending_pred = -2
 
 type t = {
   mutable slots : int array;  (* entry index + 1; 0 = empty *)
   mutable fp_hi : int array;
   mutable fp_lo : int array;
   mutable meta : int array;
-  mutable preds : int array;
+  mutable preds : int array;  (* predecessor reference; root_pred = root *)
   mutable n : int;
   mutable probes : int;  (* cumulative probe steps beyond the home slot *)
   ev_ids : (Trace.event, int) Hashtbl.t;
@@ -163,6 +163,8 @@ let add t fp prov ~depth =
     Fresh e
   end
 
+let room t = Array.length t.fp_hi
+
 let find t fp =
   let slot = find_slot t fp in
   if t.slots.(slot) = 0 then None else Some (t.slots.(slot) - 1)
@@ -175,13 +177,18 @@ let prov t e =
   if t.preds.(e) = root_pred then Proot code
   else Pstep (t.preds.(e), t.evs.(code))
 
-let set_pred t e p =
-  if t.preds.(e) <> pending_pred then
-    invalid_arg "Fp_store.set_pred: entry's predecessor is already resolved";
-  t.preds.(e) <- p
-
-let add_pending_step t fp ev ~depth =
-  add t fp (Pstep (pending_pred, ev)) ~depth
+(* The one way to rewrite an entry: the strict-BFS merge's replacement,
+   and checkpoint resume, which inserts every entry before any parent
+   reference is known. *)
+let set_prov t e prov ~depth =
+  if e < 0 || e >= t.n then invalid_arg "Fp_store.set_prov: no such entry";
+  let pred, code =
+    match prov with
+    | Proot i -> root_pred, i
+    | Pstep (p, ev) -> p, intern t ev
+  in
+  t.meta.(e) <- pack_meta depth code;
+  t.preds.(e) <- pred
 
 let iter t f =
   for e = 0 to t.n - 1 do

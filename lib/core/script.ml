@@ -89,12 +89,7 @@ let violation_after (module S : Spec.S) scenario events =
     let rec go state i = function
       | [] -> None
       | e :: rest -> (
-        match
-          List.find_map
-            (fun (e', s') ->
-              if Trace.equal_event e' e then Some s' else None)
-            (S.next scenario state)
-        with
+        match Spec.step (module S) scenario state e with
         | None -> None
         | Some state' -> (
           match broken state' with

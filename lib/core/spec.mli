@@ -66,6 +66,14 @@ type t = (module S)
 
 val name : t -> string
 
+val step :
+  (module S with type state = 's) -> Scenario.t -> 's -> Trace.event ->
+  's option
+(** [step spec scenario state e] is the successor of [state] whose event
+    equals [e] ({!Trace.equal_event}), or [None] when [next] offers no
+    such event — the replay step behind provenance-chain recovery,
+    {!observations_along}, {!labels} and [Script]. *)
+
 val observations_along : t -> Scenario.t -> Trace.t -> Tla.Value.t list option
 (** [observations_along spec scenario events] replays [events] from the
     (first) initial state and returns the observation after every event

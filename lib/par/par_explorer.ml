@@ -16,9 +16,10 @@ type result = {
   shard_stats : Shard_set.stat array;
 }
 
+(* entries are named by their Shard_set reference *)
 type candidate =
-  | Broken of Fingerprint.t * string  (* newly inserted state, invariant *)
-  | Dead of int * Fingerprint.t  (* frontier index with no successors *)
+  | Broken of int * string  (* newly inserted entry, invariant *)
+  | Dead of int * int  (* frontier index with no successors, its entry *)
 
 module Run (S : Spec.S) = struct
   (* An entry's [pos] (packed inside Shard_set) is the state's discovery
@@ -39,7 +40,10 @@ module Run (S : Spec.S) = struct
      shard lock; the barrier checks the state constraint (winners only —
      checking every generated candidate would be measurably slower) and
      [take_state] clears it once the next frontier is built, bounding
-     memory to one layer of states. *)
+     memory to one layer of states.
+
+     A frontier item is a state and its entry's reference, which names the
+     parent of every successor it generates. *)
 
   module E = Explorer.Run (S)
 
@@ -49,7 +53,7 @@ module Run (S : Spec.S) = struct
     let workers = Pool.size pool in
     let probe = opts.probe in
     E.refuse_unordered resume;
-    let visited : S.state Shard_set.t = Shard_set.create ~shards:64 () in
+    let visited : S.state Shard_set.t = Shard_set.create () in
     let lookup = Shard_set.find_prov_opt visited in
     let store () =
       Shard_set.(length visited, capacity visited, store_bytes visited,
@@ -90,51 +94,29 @@ module Run (S : Spec.S) = struct
       (* seed from a layer-barrier checkpoint: entries' pos is never
          consulted again (only same-depth insertions compare positions,
          and every future candidate is strictly deeper) *)
-      snap.Explorer.snap_visited (fun fp prov d ->
-          ignore (Shard_set.add_seed visited fp prov ~depth:d));
+      frontier :=
+        Array.of_list
+          (E.restore snap scenario lookup ~add:(Shard_set.add_seed visited)
+             ~find:(Shard_set.find visited)
+             ~set_prov:(Shard_set.set_prov visited));
       distinct_total := snap.Explorer.snap_distinct;
       gen_prev := snap.Explorer.snap_generated;
       max_depth_seen := snap.Explorer.snap_max_depth;
       last_progress := snap.Explorer.snap_distinct;
-      depth := snap.Explorer.snap_depth;
-      let states =
-        E.rebuild_frontier lookup scenario snap.Explorer.snap_frontier
-      in
-      frontier :=
-        Array.of_list
-          (List.map2 (fun fp s -> s, fp) snap.Explorer.snap_frontier states)
+      depth := snap.Explorer.snap_depth
     | None ->
-      (* ---- roots: discovered in order, exactly like sequential BFS ---- *)
-      let root_frontier = ref [] in
-      List.iteri
-        (fun i s ->
-          if !outcome = None then begin
-            match
-              E.arrive ?probe caches.(0) scenario s ~insert:(fun fp ->
-                  Shard_set.add_seed visited fp (Explorer.Root i) ~depth:0)
-            with
-            | E.Recalled sym | E.Inserted (_, sym, false) ->
-              if Probe.is_on probe then
-                Probe.edge probe ~depth:0 ~event:None ~dup:true ~sym
-            | E.Inserted (fp, sym, true) ->
-              if Probe.is_on probe then
-                Probe.edge probe ~depth:0 ~event:None ~dup:false ~sym;
-              incr distinct_total;
-              match E.first_broken invariants scenario s with
-              | Some inv ->
-                outcome :=
-                  Some
-                    (Explorer.Violation
-                       (E.violation lookup scenario fp inv ~depth:0))
-              | None ->
-                if S.constraint_ok scenario s then
-                  root_frontier := (s, fp) :: !root_frontier
-          end)
-        (S.init scenario);
-      frontier := Array.of_list (List.rev !root_frontier));
+      (* roots: discovered in order, exactly like sequential BFS *)
+      (match
+         E.seed_roots opts caches.(0) scenario lookup ~insert:(fun fp i ->
+             Shard_set.add_seed visited fp (Fp_store.Proot i) ~depth:0)
+       with
+      | Ok items -> frontier := Array.of_list items
+      | Error v -> outcome := Some (Explorer.Violation v));
+      distinct_total := Shard_set.length visited);
     let snapshot_now () =
       { Explorer.snap_depth = !depth;
-        snap_frontier = Array.to_list (Array.map snd !frontier);
+        snap_frontier =
+          List.map (fun (_, r) -> Shard_set.fp visited r) (Array.to_list !frontier);
         snap_distinct = !distinct_total;
         snap_generated = !gen_prev;
         snap_max_depth = !max_depth_seen;
@@ -161,7 +143,7 @@ module Run (S : Spec.S) = struct
         let n = Array.length fr in
         let ranges = Array.of_list (Pool.split ~chunks:workers ~len:n) in
         let succ_counts = Array.make n 0 in
-        let inserted : Fingerprint.t list array = Array.make workers [] in
+        let inserted : int list array = Array.make workers [] in
         let cands : candidate list array = Array.make workers [] in
         let layer_gen = Array.make workers 0 in
         (* per-worker layer end times, seeded with the layer start so idle
@@ -183,13 +165,13 @@ module Run (S : Spec.S) = struct
               (try
                  for p = lo to hi - 1 do
                    if Atomic.get abort then raise Exit;
-                   let state, fp = fr.(p) in
+                   let state, r = fr.(p) in
                    incr expanded;
                    let succs = S.next scenario state in
                    succ_counts.(p) <- List.length succs;
                    E.count_fault_kinds wp scenario succs;
                    if succs = [] && opts.check_deadlock then
-                     my_cands := Dead (p, fp) :: !my_cands;
+                     my_cands := Dead (p, r) :: !my_cands;
                    List.iteri
                      (fun j (event, state') ->
                        incr gen;
@@ -197,19 +179,19 @@ module Run (S : Spec.S) = struct
                          E.arrive ?probe:wp caches.(w) scenario state'
                            ~insert:(fun fp' ->
                              Shard_set.merge visited fp'
-                               ~prov:(Explorer.Step { parent = fp; event })
+                               ~prov:(Fp_store.Pstep (r, event))
                                ~depth:(d + 1) ~pos:(p, j) ~state:state')
                        with
-                       | E.Inserted (fp', sym, Shard_set.Fresh) ->
+                       | E.Inserted (_, sym, Shard_set.Fresh r') ->
                          incr ins;
                          if Probe.is_on wp then
                            Probe.edge wp ~depth:(d + 1) ~event:(Some event)
                              ~dup:false ~sym;
-                         my_inserted := fp' :: !my_inserted;
+                         my_inserted := r' :: !my_inserted;
                          Probe.span_begin wp "invariant";
                          (match E.first_broken invariants scenario state' with
                          | Some inv ->
-                           my_cands := Broken (fp', inv) :: !my_cands
+                           my_cands := Broken (r', inv) :: !my_cands
                          | None -> ());
                          Probe.span_end wp "invariant"
                        | E.Recalled sym
@@ -280,7 +262,7 @@ module Run (S : Spec.S) = struct
              successor (p, j) of the same state *)
           let key = function
             | Dead (p, _) -> p, -1
-            | Broken (fp, _) -> Shard_set.find_pos visited fp
+            | Broken (r, _) -> Shard_set.find_pos visited r
           in
           let best =
             Array.fold_left
@@ -302,7 +284,7 @@ module Run (S : Spec.S) = struct
             let before =
               List.length
                 (List.filter
-                   (fun fp -> compare (Shard_set.find_pos visited fp) vpos <= 0)
+                   (fun r -> compare (Shard_set.find_pos visited r) vpos <= 0)
                    all_inserted)
             in
             distinct_total := !distinct_total + before;
@@ -316,10 +298,12 @@ module Run (S : Spec.S) = struct
             outcome :=
               Some
                 (match cand with
-                | Broken (fp, inv) ->
+                | Broken (r, inv) ->
                   Explorer.Violation
-                    (E.violation lookup scenario fp inv ~depth:(d + 1))
-                | Dead (_, fp) -> E.deadlock lookup scenario fp)
+                    (E.violation lookup scenario (Shard_set.fp visited r) inv
+                       ~depth:(d + 1))
+                | Dead (_, r) ->
+                  E.deadlock lookup scenario (Shard_set.fp visited r))
           | None ->
             distinct_total := !distinct_total + List.length all_inserted;
             gen_prev := !gen_prev + layer_generated;
@@ -330,17 +314,17 @@ module Run (S : Spec.S) = struct
                exploration constraint *)
             let next =
               List.filter_map
-                (fun fp ->
-                  match Shard_set.take_state visited fp with
+                (fun r ->
+                  match Shard_set.take_state visited r with
                   | Some (pos, s) when S.constraint_ok scenario s ->
-                    Some (pos, s, fp)
+                    Some (pos, s, r)
                   | Some _ | None -> None)
                 all_inserted
             in
             let next =
               List.sort (fun (a, _, _) (b, _, _) -> compare a b) next
             in
-            frontier := Array.of_list (List.map (fun (_, s, fp) -> s, fp) next);
+            frontier := Array.of_list (List.map (fun (_, s, r) -> s, r) next);
             depth := d + 1;
             (* refresh visited gauges before the layer record so the
                telemetry sampler reads this layer's values *)

@@ -28,17 +28,19 @@ open Sandtable
      routed state sits in some queue), and the paused world is a
      consistent snapshot: visited set + queued states.
 
-   States are deduplicated with first-arrival-wins [Shard_set.add_seed] —
-   no (depth, pos) merge. Consequences, also spelled out in DESIGN.md:
-   each distinct state is expanded exactly once, so [distinct] and
-   [generated] totals at exhaustion are schedule- and worker-count-
-   invariant and equal to the strict engines'; discovery depths are upper
-   bounds on BFS depth and may vary run to run, so [max_depth], depth
-   histograms, counterexample depth and any [max_depth]-budgeted totals
-   are not invariant. Violation and deadlock verdicts are invariant on
-   exhaustive runs: every reachable state is visited and checked. Use
-   [--strict-bfs] ([Par_explorer]) for bit-for-bit sequential equivalence
-   and minimal-depth counterexamples. *)
+   A queued item is a state, its entry's reference (the parent of every
+   successor it generates) and its depth. States are deduplicated with
+   first-arrival-wins [Shard_set.add_seed] — no (depth, pos) merge, so the
+   store never allocates its position and state side columns.
+   Consequences, also spelled out in DESIGN.md: each distinct state is
+   expanded exactly once, so [distinct] and [generated] totals at
+   exhaustion are schedule- and worker-count-invariant and equal to the
+   strict engines'; discovery depths are upper bounds on BFS depth and may
+   vary run to run, so [max_depth], depth histograms, counterexample depth
+   and any [max_depth]-budgeted totals are not invariant. Violation and
+   deadlock verdicts are invariant on exhaustive runs: every reachable
+   state is visited and checked. Use [--strict-bfs] ([Par_explorer]) for
+   bit-for-bit sequential equivalence and minimal-depth counterexamples. *)
 
 type worker_stat = Par_explorer.worker_stat = {
   w_expanded : int;
@@ -138,7 +140,7 @@ module Run (S : Spec.S) = struct
     let elapsed () = Unix.gettimeofday () -. started in
     let workers = Pool.size pool in
     let probe = opts.probe in
-    let visited : S.state Shard_set.t = Shard_set.create ~shards:64 () in
+    let visited : S.state Shard_set.t = Shard_set.create () in
     let lookup = Shard_set.find_prov_opt visited in
     let store () =
       Shard_set.(length visited, capacity visited, store_bytes visited,
@@ -151,8 +153,7 @@ module Run (S : Spec.S) = struct
     let dest fp =
       Fingerprint.shard_key fp ~mask:route_mask * workers / (route_mask + 1)
     in
-    let queues :
-        (S.state * Fingerprint.t * int) queue array =
+    let queues : (S.state * int * int) queue array =
       Array.init workers (fun _ -> q_make ())
     in
     let outstanding = Atomic.make 0 in
@@ -194,64 +195,44 @@ module Run (S : Spec.S) = struct
     let steals = Atomic.make 0 in
     let steals_failed = Atomic.make 0 in
     (* ---- seeding ------------------------------------------------------ *)
-    let seed_items = ref [] in
-    (match resume with
-    | None ->
-      List.iteri
-        (fun i s ->
-          if !outcome_slot = None then begin
-            match
-              E.arrive ?probe caches.(0) scenario s ~insert:(fun fp ->
-                  Shard_set.add_seed visited fp (Explorer.Root i) ~depth:0)
-            with
-            | E.Recalled sym | E.Inserted (_, sym, false) ->
-              if Probe.is_on probe then
-                Probe.edge probe ~depth:0 ~event:None ~dup:true ~sym
-            | E.Inserted (fp, sym, true) ->
-              if Probe.is_on probe then
-                Probe.edge probe ~depth:0 ~event:None ~dup:false ~sym;
-              Atomic.incr distinct;
-              match E.first_broken invariants scenario s with
-              | Some inv ->
-                stop_with
-                  (Explorer.Violation
-                     (E.violation lookup scenario fp inv ~depth:0))
-              | None ->
-                if S.constraint_ok scenario s then
-                  seed_items := (s, fp, 0) :: !seed_items
-          end)
-        (S.init scenario)
-    | Some snap ->
-      snap.Explorer.snap_visited (fun fp prov d ->
-          ignore (Shard_set.add_seed visited fp prov ~depth:d));
-      Atomic.set distinct snap.Explorer.snap_distinct;
-      gen_base := snap.Explorer.snap_generated;
-      maxdepth_base := snap.Explorer.snap_max_depth;
-      let states =
-        E.rebuild_frontier lookup scenario snap.Explorer.snap_frontier
-      in
-      (* a layered snapshot's frontier sits entirely at snap_depth; an
-         unordered one's per-state depths are recovered from the seeded
-         visited set *)
-      let depth_of fp =
-        match snap.Explorer.snap_mode with
-        | Explorer.Layered -> snap.Explorer.snap_depth
-        | Explorer.Unordered -> (
-          match Shard_set.find_depth_opt visited fp with
-          | Some d -> d
-          | None -> snap.Explorer.snap_depth)
-      in
-      seed_items :=
-        List.rev
-          (List.map2
-             (fun fp s -> (s, fp, depth_of fp))
-             snap.Explorer.snap_frontier states));
+    let seed_items =
+      match resume with
+      | None -> (
+        let roots =
+          E.seed_roots opts caches.(0) scenario lookup ~insert:(fun fp i ->
+              Shard_set.add_seed visited fp (Fp_store.Proot i) ~depth:0)
+        in
+        Atomic.set distinct (Shard_set.length visited);
+        match roots with
+        | Ok items -> List.map (fun (s, r) -> (s, r, 0)) items
+        | Error v ->
+          stop_with (Explorer.Violation v);
+          [])
+      | Some snap ->
+        let frontier =
+          E.restore snap scenario lookup ~add:(Shard_set.add_seed visited)
+            ~find:(Shard_set.find visited)
+            ~set_prov:(Shard_set.set_prov visited)
+        in
+        Atomic.set distinct snap.Explorer.snap_distinct;
+        gen_base := snap.Explorer.snap_generated;
+        maxdepth_base := snap.Explorer.snap_max_depth;
+        (* a layered snapshot's frontier sits entirely at snap_depth; an
+           unordered one's per-state depths are recovered from the seeded
+           visited set *)
+        let depth_of r =
+          match snap.Explorer.snap_mode with
+          | Explorer.Layered -> snap.Explorer.snap_depth
+          | Explorer.Unordered -> Shard_set.depth visited r
+        in
+        List.map (fun (s, r) -> (s, r, depth_of r)) frontier
+    in
     (* batch the seeds by destination worker *)
     let per_dest = Array.make workers [] in
     let per_cnt = Array.make workers 0 in
     List.iter
-      (fun ((_, fp, _) as it) ->
-        let d = dest fp in
+      (fun ((_, r, _) as it) ->
+        let d = dest (Shard_set.fp visited r) in
         per_dest.(d) <- it :: per_dest.(d);
         per_cnt.(d) <- per_cnt.(d) + 1;
         if per_cnt.(d) >= batch_size then begin
@@ -259,7 +240,7 @@ module Run (S : Spec.S) = struct
           per_dest.(d) <- [];
           per_cnt.(d) <- 0
         end)
-      (List.rev !seed_items);
+      seed_items;
     Array.iteri
       (fun d items ->
         if items <> [] then enqueue d (Array.of_list (List.rev items)))
@@ -271,8 +252,8 @@ module Run (S : Spec.S) = struct
       let mind = ref max_int in
       Array.iter
         (fun q ->
-          q_iter q (fun (_, fp, d) ->
-              fps := fp :: !fps;
+          q_iter q (fun (_, r, d) ->
+              fps := Shard_set.fp visited r :: !fps;
               if d < !mind then mind := d))
         queues;
       { Explorer.snap_depth = (if !mind = max_int then maxd else !mind);
@@ -299,7 +280,7 @@ module Run (S : Spec.S) = struct
           enqueue d batch
         end
       in
-      let route ((_, fp, _) as it) =
+      let route fp it =
         let d = dest fp in
         obuf.(d) <- it :: obuf.(d);
         ocnt.(d) <- ocnt.(d) + 1;
@@ -328,7 +309,7 @@ module Run (S : Spec.S) = struct
           idle_t0 := None
       in
       let tick = ref 0 in
-      let expand_one (state, fp, depth) =
+      let expand_one (state, r, depth) =
         match opts.max_depth with
         | Some md when depth > md ->
           (* the state was counted at insertion; depth labels here are
@@ -340,7 +321,7 @@ module Run (S : Spec.S) = struct
           let succs = S.next scenario state in
           E.count_fault_kinds wp scenario succs;
           if succs = [] && opts.check_deadlock then
-            stop_with (E.deadlock lookup scenario fp);
+            stop_with (E.deadlock lookup scenario (Shard_set.fp visited r));
           List.iter
             (fun (event, state') ->
               st_generated.(w) <- st_generated.(w) + 1;
@@ -348,10 +329,10 @@ module Run (S : Spec.S) = struct
                 E.arrive ?probe:wp caches.(w) scenario state'
                   ~insert:(fun fp' ->
                     Shard_set.add_seed visited fp'
-                      (Explorer.Step { parent = fp; event })
+                      (Fp_store.Pstep (r, event))
                       ~depth:(depth + 1))
               with
-              | E.Inserted (fp', sym, true) ->
+              | E.Inserted (fp', sym, Some r') ->
                 st_inserted.(w) <- st_inserted.(w) + 1;
                 Atomic.incr distinct;
                 if Probe.is_on wp then
@@ -368,12 +349,12 @@ module Run (S : Spec.S) = struct
                 | None -> ());
                 Probe.span_end wp "invariant";
                 if S.constraint_ok scenario state' then
-                  route (state', fp', depth + 1);
+                  route fp' (state', r', depth + 1);
                 (match opts.max_states with
                 | Some m when Atomic.get distinct >= m ->
                   stop_with Explorer.Budget_spent
                 | _ -> ())
-              | E.Recalled sym | E.Inserted (_, sym, false) ->
+              | E.Recalled sym | E.Inserted (_, sym, None) ->
                 Probe.count wp "fp.dup" 1;
                 if Probe.is_on wp then
                   Probe.edge wp ~depth:(depth + 1) ~event:(Some event)

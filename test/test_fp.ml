@@ -252,33 +252,18 @@ let test_fp_store_basics () =
   Alcotest.(check int) "iterated all" 1000 !seen;
   Alcotest.(check bool) "store_bytes accounted" true
     (Fp_store.store_bytes s
-    >= (Fp_store.capacity s + (4 * Fp_store.length s)) * (Sys.word_size / 8))
-
-let test_fp_store_pending () =
-  let s = Fp_store.create () in
-  let child = Fingerprint.of_state "child" in
-  let parent = Fingerprint.of_state "parent" in
-  (* child arrives first (checkpoints iterate in hash order, not
-     topological order) *)
-  let c =
-    match Fp_store.add_pending_step s child (ev 1) ~depth:3 with
-    | Fp_store.Fresh e -> e
-    | Fp_store.Dup _ -> Alcotest.fail "fresh expected"
-  in
-  let p =
-    match Fp_store.add s parent (Fp_store.Proot 0) ~depth:2 with
-    | Fp_store.Fresh e -> e
-    | Fp_store.Dup _ -> Alcotest.fail "fresh expected"
-  in
-  Fp_store.set_pred s c p;
-  (match Fp_store.prov s c with
-  | Fp_store.Pstep (pred, e) ->
-    Alcotest.(check int) "patched pred" p pred;
-    Alcotest.(check bool) "event kept" true (Trace.equal_event e (ev 1))
-  | Fp_store.Proot _ -> Alcotest.fail "expected step");
-  (* set_pred must refuse to clobber resolved provenance *)
-  (match Fp_store.set_pred s p 0 with
-  | () -> Alcotest.fail "set_pred on a resolved entry must raise"
+    >= (Fp_store.capacity s + (4 * Fp_store.length s)) * (Sys.word_size / 8));
+  (* set_prov rewrites provenance and depth together, in place *)
+  Fp_store.set_prov s 500 (Fp_store.Pstep (3, ev 5)) ~depth:7;
+  (match Fp_store.prov s 500 with
+  | Fp_store.Pstep (3, e) ->
+    Alcotest.(check bool) "rewritten event" true (Trace.equal_event e (ev 5))
+  | _ -> Alcotest.fail "expected the rewritten step");
+  Alcotest.(check int) "rewritten depth" 7 (Fp_store.depth s 500);
+  Alcotest.(check (option int)) "index unchanged" (Some 500)
+    (Fp_store.find s fps.(500));
+  (match Fp_store.set_prov s 1000 (Fp_store.Proot 0) ~depth:0 with
+  | () -> Alcotest.fail "set_prov past the last entry must raise"
   | exception Invalid_argument _ -> ());
   match Fp_store.add s (Fingerprint.of_state "deep") (Fp_store.Proot 0)
           ~depth:(1 lsl 20)
@@ -297,5 +282,4 @@ let suite =
       case "bucket hash distribution" test_bucket_hash_distribution;
       case "shard key independent of bucket bits" test_shard_key_independent;
       case "marshalled-bytes counter" test_marshalled_bytes_counts;
-      case "fp_store basics" test_fp_store_basics;
-      case "fp_store pending provenance" test_fp_store_pending ] )
+      case "fp_store basics" test_fp_store_basics ] )

@@ -273,7 +273,7 @@ let test_simulate_aggregate_matches () =
     (Coverage.cardinal agg.union_coverage)
 
 let test_shard_set_concurrent () =
-  let set : int Par.Shard_set.t = Par.Shard_set.create ~shards:8 () in
+  let set : int Par.Shard_set.t = Par.Shard_set.create () in
   let fps = Array.init 500 (fun i -> Fingerprint.of_state (i mod 250)) in
   Par.Pool.with_pool 4 (fun pool ->
       Par.Pool.run pool (fun w ->
@@ -281,31 +281,41 @@ let test_shard_set_concurrent () =
             (fun i fp ->
               if i mod 4 = w then
                 ignore
-                  (Par.Shard_set.add_seed set fp (Explorer.Root i) ~depth:0))
+                  (Par.Shard_set.add_seed set fp (Fp_store.Proot i) ~depth:0))
             fps));
   Alcotest.(check int) "distinct" 250 (Par.Shard_set.length set);
   let stats = Par.Shard_set.stats set in
-  Alcotest.(check int) "shards" 8 (Array.length stats);
+  Alcotest.(check int) "shards" 64 (Array.length stats);
   let entries =
     Array.fold_left (fun n (s : Par.Shard_set.stat) -> n + s.s_entries) 0 stats
   in
   Alcotest.(check int) "stat entries" 250 entries;
-  (* every fingerprint is present and kept its first-inserted provenance *)
-  Array.iter
-    (fun fp -> Alcotest.(check bool) "mem" true (Par.Shard_set.mem set fp))
+  (* every fingerprint is present and kept the provenance of one of its
+     two concurrent inserts *)
+  Array.iteri
+    (fun i fp ->
+      match Par.Shard_set.find_prov_opt set fp with
+      | Some (Explorer.Root k) ->
+        Alcotest.(check int) "first insert's root" (i mod 250) (k mod 250)
+      | _ -> Alcotest.failf "fingerprint %d missing" i)
     fps
 
 let test_shard_set_merge_keeps_min () =
-  let set : string Par.Shard_set.t = Par.Shard_set.create ~shards:4 () in
+  let set : string Par.Shard_set.t = Par.Shard_set.create () in
   let fp = Fingerprint.of_state "x" in
   let parent = Fingerprint.of_state "parent" in
-  let step n =
-    Explorer.Step { parent; event = Trace.Timeout { node = n; kind = "t" } }
+  let pref =
+    Option.get (Par.Shard_set.add_seed set parent (Fp_store.Proot 0) ~depth:1)
   in
-  Alcotest.(check bool) "first insert" true
-    (Par.Shard_set.merge set fp ~prov:(step 9) ~depth:2 ~pos:(1, 0)
-       ~state:"late"
-     = Par.Shard_set.Fresh);
+  let step n = Fp_store.Pstep (pref, Trace.Timeout { node = n; kind = "t" }) in
+  let r =
+    match
+      Par.Shard_set.merge set fp ~prov:(step 9) ~depth:2 ~pos:(1, 0)
+        ~state:"late"
+    with
+    | Par.Shard_set.Fresh r -> r
+    | _ -> Alcotest.fail "first insert must be fresh"
+  in
   (* same depth, smaller pos: replaces prov, pos and state together and
      names the displaced edge so the profiler can re-attribute it *)
   (match
@@ -329,13 +339,323 @@ let test_shard_set_merge_keeps_min () =
   | _ -> Alcotest.fail "expected a step provenance");
   Alcotest.(check (pair (pair int int) string))
     "minimal pos and its state kept" ((0, 1), "early")
-    (match Par.Shard_set.take_state set fp with
-    | Some r -> r
+    (match Par.Shard_set.take_state set r with
+    | Some taken -> taken
     | None -> Alcotest.fail "state missing");
   Alcotest.(check bool) "state taken at most once" true
-    (Par.Shard_set.take_state set fp = None);
+    (Par.Shard_set.take_state set r = None);
   Alcotest.(check (pair int int)) "pos still readable" (0, 1)
-    (Par.Shard_set.find_pos set fp)
+    (Par.Shard_set.find_pos set r)
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  m = 0 || go 0
+
+(* ---- the visited stores against a table model ------------------------- *)
+
+(* Random add_seed/merge sequences, differentially checked against a
+   Fingerprint.Tbl model. Keys are built into two shards only (shard_key
+   reads bits 47-52 of [hi]), so a shard outgrows its initial 512-entry
+   columns and 1024 slots and the merge's side columns must follow, while
+   about half the parents sit in the other shard. The same sequence drives
+   an Fp_store through [add], where every insert is first-arrival. *)
+
+type store_op =
+  | Seed of int * int * int * int  (* key, parent pick, event node, depth *)
+  | Merge of int * int * int * int * (int * int)  (* ... and position *)
+
+let store_key k =
+  Fingerprint.of_parts ~hi:(((k land 1) * 37) lsl 47 lor k)
+    ~lo:(k * 0x9E3779B1)
+
+let store_ops =
+  let open QCheck2.Gen in
+  let fields =
+    quad (int_bound 1999) (int_range (-3) 3000) (int_bound 9) (int_bound 3)
+  in
+  (* shrinking a list this long takes minutes; a failure reports its seed *)
+  no_shrink
+  @@ list_size (int_range 0 4000)
+       (oneof
+          [ map (fun (k, p, n, d) -> Seed (k, p, n, d)) fields;
+            map2
+              (fun (k, p, n, d) pos -> Merge (k, p, n, d, pos))
+              fields
+              (pair (int_bound 40) (int_bound 3)) ])
+
+type model_entry = {
+  m_prov : Explorer.provenance;
+  m_depth : int;
+  m_pos : int * int;
+  m_state : int option;
+}
+
+let same_prov (a : Explorer.provenance) (b : Explorer.provenance) =
+  match a, b with
+  | Root i, Root j -> i = j
+  | Step a, Step b ->
+    Fingerprint.equal a.parent b.parent && Trace.equal_event a.event b.event
+  | _ -> false
+
+(* an Fp_store read the way the sequential explorer reads it: a parent
+   index turned back into the parent's fingerprint *)
+let fp_store_prov fs = function
+  | Fp_store.Proot i -> Explorer.Root i
+  | Fp_store.Pstep (p, event) ->
+    Explorer.Step { parent = Fp_store.fp fs p; event }
+
+let fp_store_lookup fs fp =
+  Option.map
+    (fun e -> fp_store_prov fs (Fp_store.prov fs e))
+    (Fp_store.find fs fp)
+
+let event_of : Explorer.provenance -> Trace.event option = function
+  | Root _ -> None
+  | Step { event; _ } -> Some event
+
+(* every model entry comes back through [find_prov] and [depth_of], and
+   [iter] visits exactly the model *)
+let matches_model model ~find_prov ~depth_of ~iter =
+  let seen = ref 0 and ok = ref true in
+  iter (fun fp prov d ->
+      incr seen;
+      match Fingerprint.Tbl.find_opt model fp with
+      | Some m -> ok := !ok && same_prov m.m_prov prov && m.m_depth = d
+      | None -> ok := false);
+  !ok
+  && !seen = Fingerprint.Tbl.length model
+  && Fingerprint.Tbl.fold
+       (fun fp m ok ->
+         ok
+         && (match find_prov fp with
+            | Some p -> same_prov m.m_prov p
+            | None -> false)
+         && depth_of fp = m.m_depth)
+       model true
+
+let run_store_ops ops =
+  let set : int Par.Shard_set.t = Par.Shard_set.create () in
+  let fs = Fp_store.create ~capacity:16 () in
+  let model = Fingerprint.Tbl.create 64 in  (* merge semantics *)
+  let first = Fingerprint.Tbl.create 64 in  (* first arrival *)
+  let refs = Fingerprint.Tbl.create 64 in
+  let order = Array.make (List.length ops) (store_key 0) in
+  let n = ref 0 in
+  let ok = ref true in
+  let expect b = if not b then ok := false in
+  List.iteri
+    (fun i op ->
+      let k, pick, node, depth =
+        match op with Seed (k, p, e, d) | Merge (k, p, e, d, _) -> (k, p, e, d)
+      in
+      let fp = store_key k in
+      let event = Trace.Timeout { node; kind = "t" } in
+      (* a parent from the entries so far, or a root *)
+      let m_prov, set_prov, fs_prov =
+        if pick < 0 || !n = 0 then
+          let i = abs pick in
+          (Explorer.Root i, Fp_store.Proot i, Fp_store.Proot i)
+        else
+          let parent = order.(pick mod !n) in
+          ( Explorer.Step { parent; event },
+            Fp_store.Pstep (Fingerprint.Tbl.find refs parent, event),
+            Fp_store.Pstep (Option.get (Fp_store.find fs parent), event) )
+      in
+      let fresh r entry =
+        Fingerprint.Tbl.replace model fp entry;
+        Fingerprint.Tbl.replace refs fp r;
+        order.(!n) <- fp;
+        incr n
+      in
+      (* Fp_store: first arrival wins, entries dense in arrival order *)
+      (match
+         Fingerprint.Tbl.find_opt first fp, Fp_store.add fs fp fs_prov ~depth
+       with
+      | None, Fp_store.Fresh e ->
+        expect (e = Fingerprint.Tbl.length first);
+        Fingerprint.Tbl.replace first fp
+          { m_prov; m_depth = depth; m_pos = (0, 0); m_state = None }
+      | Some _, Fp_store.Dup e ->
+        expect (Fingerprint.equal (Fp_store.fp fs e) fp)
+      | _ -> ok := false);
+      match op with
+      | Seed _ -> (
+        match
+          Fingerprint.Tbl.find_opt model fp,
+          Par.Shard_set.add_seed set fp set_prov ~depth
+        with
+        | None, Some r ->
+          fresh r { m_prov; m_depth = depth; m_pos = (0, 0); m_state = None }
+        | Some _, None -> ()
+        | _ -> ok := false)
+      | Merge (_, _, _, _, pos) -> (
+        let entry =
+          { m_prov; m_depth = depth; m_pos = pos; m_state = Some i }
+        in
+        match
+          Fingerprint.Tbl.find_opt model fp,
+          Par.Shard_set.merge set fp ~prov:set_prov ~depth ~pos ~state:i
+        with
+        | None, Par.Shard_set.Fresh r -> fresh r entry
+        | Some m, outcome -> (
+          let smaller =
+            depth < m.m_depth || (depth = m.m_depth && pos < m.m_pos)
+          in
+          match outcome with
+          | Par.Shard_set.Dup_kept -> expect (not smaller)
+          | Par.Shard_set.Dup_replaced { old_event; old_depth } ->
+            (* the displaced edge is named, and provenance, position and
+               state are replaced together *)
+            expect smaller;
+            expect (old_depth = m.m_depth);
+            expect
+              (match old_event, event_of m.m_prov with
+              | None, None -> true
+              | Some a, Some b -> Trace.equal_event a b
+              | _ -> false);
+            Fingerprint.Tbl.replace model fp entry
+          | Par.Shard_set.Fresh _ -> ok := false)
+        | None, _ -> ok := false))
+    ops;
+  let shard_ref fp = Option.get (Par.Shard_set.find set fp) in
+  !ok
+  && Par.Shard_set.length set = Fingerprint.Tbl.length model
+  && Fingerprint.Tbl.fold
+       (fun fp r ok -> ok && Par.Shard_set.find set fp = Some r)
+       refs true
+  && matches_model model ~find_prov:(Par.Shard_set.find_prov_opt set)
+       ~depth_of:(fun fp -> Par.Shard_set.depth set (shard_ref fp))
+       ~iter:(Par.Shard_set.iter set)
+  && Fingerprint.Tbl.fold
+       (fun fp m ok ->
+         ok
+         &&
+         match m.m_state with
+         | None -> true
+         | Some v ->
+           let r = shard_ref fp in
+           Par.Shard_set.find_pos set r = m.m_pos
+           && Par.Shard_set.take_state set r = Some (m.m_pos, v))
+       model true
+  && matches_model first ~find_prov:(fp_store_lookup fs)
+       ~depth_of:(fun fp ->
+         Fp_store.depth fs (Option.get (Fp_store.find fs fp)))
+       ~iter:(fun f ->
+         Fp_store.iter fs (fun _ fp prov d -> f fp (fp_store_prov fs prov) d))
+
+let prop_stores_match_model =
+  QCheck2.Test.make ~name:"visited stores match a table model" ~count:30
+    store_ops run_store_ops
+
+(* Resume seeds a store from a snapshot whose entries may come children
+   first; both stores must give every entry back its provenance and
+   depth, and fail closed on a parent that is not there. *)
+let test_restore_children_first () =
+  let module T = Toy_spec.Make (struct
+    let limit = None
+  end) in
+  let module E = Explorer.Run (T) in
+  let scenario = Toy_spec.scenario ~nodes:3 ~timeouts:6 in
+  let snap = ref None in
+  let opts =
+    { Explorer.default with
+      symmetry = false;
+      max_depth = Some 3;
+      on_layer = Some (fun _ s -> snap := Some (Lazy.force s)) }
+  in
+  ignore (Explorer.check (module T) scenario opts);
+  let snap = Option.get !snap in
+  let entries = ref [] in
+  snap.snap_visited (fun fp prov d -> entries := (fp, prov, d) :: !entries);
+  (* discovery order reversed: every child comes before its parent *)
+  let children_first entries =
+    { snap with
+      snap_visited = (fun k -> List.iter (fun (fp, p, d) -> k fp p d) entries) }
+  in
+  let cross_shard = ref 0 in
+  let check_store name ~lookup ~depth_of ~fp_of restore =
+    let frontier = restore (children_first !entries) in
+    List.iter
+      (fun (fp, prov, d) ->
+        (match prov with
+        | Explorer.Step { parent; _ }
+          when Fingerprint.shard_key parent ~mask:63
+               <> Fingerprint.shard_key fp ~mask:63 ->
+          incr cross_shard
+        | _ -> ());
+        Alcotest.(check bool) (name ^ ": provenance back") true
+          (match lookup fp with Some p -> same_prov p prov | None -> false);
+        Alcotest.(check int) (name ^ ": depth back") d (depth_of fp))
+      !entries;
+    Alcotest.(check int) (name ^ ": frontier") (List.length snap.snap_frontier)
+      (List.length frontier);
+    List.iter2
+      (fun fp (state, r) ->
+        Alcotest.(check bool) (name ^ ": frontier reference") true
+          (Fingerprint.equal (fp_of r) fp);
+        Alcotest.(check bool) (name ^ ": frontier state") true
+          (Fingerprint.equal (Fingerprint.of_state ~who:T.name state) fp))
+      snap.snap_frontier frontier
+  in
+  let fresh_fp_store () =
+    let fs = Fp_store.create () in
+    let lookup = fp_store_lookup fs in
+    let restore snap =
+      E.restore snap scenario lookup ~add:(Fp_store.add fs)
+        ~find:(Fp_store.find fs) ~set_prov:(Fp_store.set_prov fs)
+    in
+    (fs, lookup, restore)
+  in
+  let fresh_shard_set () =
+    let set : T.state Par.Shard_set.t = Par.Shard_set.create () in
+    let restore snap =
+      E.restore snap scenario (Par.Shard_set.find_prov_opt set)
+        ~add:(Par.Shard_set.add_seed set) ~find:(Par.Shard_set.find set)
+        ~set_prov:(Par.Shard_set.set_prov set)
+    in
+    (set, restore)
+  in
+  let fs, lookup, restore = fresh_fp_store () in
+  check_store "fp_store" ~lookup
+    ~depth_of:(fun fp -> Fp_store.depth fs (Option.get (Fp_store.find fs fp)))
+    ~fp_of:(Fp_store.fp fs) restore;
+  let set, restore = fresh_shard_set () in
+  check_store "shard_set" ~lookup:(Par.Shard_set.find_prov_opt set)
+    ~depth_of:(fun fp ->
+      Par.Shard_set.depth set (Option.get (Par.Shard_set.find set fp)))
+    ~fp_of:(Par.Shard_set.fp set) restore;
+  let iterated = ref 0 in
+  Par.Shard_set.iter set (fun fp prov d ->
+      incr iterated;
+      Alcotest.(check bool) "iter gives the snapshot entry" true
+        (List.exists
+           (fun (fp', prov', d') ->
+             Fingerprint.equal fp fp' && same_prov prov prov' && d = d')
+           !entries));
+  Alcotest.(check int) "iter visits every entry" (List.length !entries)
+    !iterated;
+  Alcotest.(check bool) "some parents sit in another shard" true
+    (!cross_shard > 0);
+  (* without the root every depth-1 entry's parent is missing *)
+  let rootless =
+    children_first
+      (List.filter
+         (fun (_, prov, _) ->
+           match prov with Explorer.Root _ -> false | Explorer.Step _ -> true)
+         !entries)
+  in
+  let refuses name restore =
+    match restore rootless with
+    | _ -> Alcotest.failf "%s restored a snapshot without its root" name
+    | exception Invalid_argument m ->
+      Alcotest.(check bool) (name ^ " names the missing parent") true
+        (contains m "missing from its visited set")
+  in
+  let _, _, restore = fresh_fp_store () in
+  refuses "fp_store" restore;
+  let _, restore = fresh_shard_set () in
+  refuses "shard_set" restore
 
 let test_pool_runs_all_workers () =
   let hits = Array.make 4 0 in
@@ -351,11 +671,6 @@ let test_pool_propagates_exceptions () =
       match Par.Pool.run pool (fun w -> if w = 1 then failwith "boom") with
       | () -> Alcotest.fail "expected exception"
       | exception Failure m -> Alcotest.(check string) "message" "boom" m)
-
-let contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  m = 0 || go 0
 
 let test_fingerprint_closure_error () =
   (match Fingerprint.of_state ~who:"toy-closure-spec" (fun x -> x + 1) with
@@ -390,6 +705,9 @@ let suite =
         test_simulate_aggregate_matches;
       case "shard set under concurrent insertion" test_shard_set_concurrent;
       case "shard set merge keeps minimum" test_shard_set_merge_keeps_min;
+      QCheck_alcotest.to_alcotest prop_stores_match_model;
+      case "stores restore children before parents"
+        test_restore_children_first;
       case "pool barrier runs every worker" test_pool_runs_all_workers;
       case "pool propagates worker exceptions" test_pool_propagates_exceptions;
       case "fingerprinting a closure names the spec"

@@ -477,12 +477,31 @@ let test_kill_and_resume () =
           check_violation_equal (Fmt.str "seq ckpt, resume j%d" workers) full
             resumed)
         [ 1; 2; 4 ]);
-  (* parallel-written checkpoint, resumed sequentially (cross-engine) *)
+  (* parallel-written checkpoint, resumed by every engine (cross-engine) *)
   with_tmpdir (fun dir ->
       interrupted_checkpoint ~par:true dir;
       let snap = Store.Checkpoint.load ~dir ~identity in
       let resumed = Explorer.check ~resume:snap spec scenario toy_opts in
-      check_violation_equal "par ckpt, resume seq" full resumed)
+      check_violation_equal "par ckpt, resume seq" full resumed;
+      let resumed =
+        Par.Par_explorer.check ~workers:2 ~resume:snap spec scenario toy_opts
+      in
+      check_violation_equal "par ckpt, resume par j2" full resumed.base;
+      (* work stealing reaches the same verdict on a trace that replays to
+         it; its depth and early-stop counters depend on the schedule *)
+      let resumed =
+        Par.Ws_explorer.check ~workers:2 ~resume:snap spec scenario toy_opts
+      in
+      match full.outcome, resumed.base.outcome with
+      | Explorer.Violation fv, Explorer.Violation wv ->
+        let l = "par ckpt, resume ws j2" in
+        Alcotest.(check string) (l ^ " invariant") fv.invariant wv.invariant;
+        Alcotest.(check bool) (l ^ " depth") true (wv.depth >= fv.depth);
+        Alcotest.(check (option (pair string int)))
+          (l ^ " trace replays to the violation")
+          (Some (fv.invariant, List.length wv.events))
+          (Script.violation_after spec scenario wv.events)
+      | _ -> Alcotest.fail "par ckpt, resume ws j2: must violate")
 
 let test_resume_exhaustive () =
   (* no violation: resumed exploration must still cover the exact space *)
