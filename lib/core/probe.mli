@@ -14,7 +14,7 @@
     {b Zero cost when off.} Every helper takes a [t option]; with [None]
     each call is a branch on an immediate value — no closures, no
     [Unix.gettimeofday], no allocation — so the uninstrumented hot path is
-    unchanged (the bench [obs] section quantifies this).
+    unchanged (bench/perf measures its end-to-end metrics this way).
 
     {b Workers.} A probe is bound to a worker index ([0] for the sequential
     engine / the coordinating domain). {!worker} derives a sibling probe for

@@ -306,10 +306,6 @@ let all =
 let find name = List.find (fun s -> String.equal s.name name) all
 let names = List.map (fun s -> s.name) all
 
-(* One cheap spec (pysyncobj) and one with a heavier state (raftos): enough
-   contrast for the worker-scaling benchmark without exploding its runtime. *)
-let scaling = [ pysyncobj; raftos ]
-
 let schedule_of sys name =
   List.assoc_opt name sys.fault_schedules
 

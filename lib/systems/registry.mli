@@ -52,10 +52,6 @@ val find : string -> t
 
 val names : string list
 
-val scaling : t list
-(** The subset exercised by the worker-scaling benchmark section (one cheap
-    spec, one heavier one). *)
-
 val schedule_of : t -> string -> Faults.Schedule.t option
 (** Look up one of the system's named fault schedules. *)
 

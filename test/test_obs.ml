@@ -518,41 +518,88 @@ let test_progress_cadence () =
   Alcotest.(check bool) "no total, no ETA" false
     (has_infix bare "ETA")
 
-(* ---- symmetry candidates: deterministic across engines and -j --------- *)
+(* ---- one symmetric space under every engine and -j -------------------- *)
+
+(* On three nodes the toy's tick vectors tie often, so tie blocks of two
+   and three nodes occur. Each exhaustive run is observed under [Obs.Run]:
+   the sequential engine, then strict BFS and work stealing at -j2 and -j4.
+   The runs are shared by the cases below. *)
+let engine_runs =
+  lazy
+    (let scenario = Toy_spec.scenario ~nodes:3 ~timeouts:5 in
+     let observed ?(workers = 1) run =
+       let obs = Obs.Run.create ~workers () in
+       let r : Explorer.result =
+         run { Explorer.default with probe = Obs.Run.probe obs }
+       in
+       let s =
+         Obs.Run.finish obs ~outcome:"exhausted" ~distinct:r.distinct
+           ~generated:r.generated ~max_depth:r.max_depth
+           ~duration:r.duration ()
+       in
+       (r, s.Obs.Run.s_metrics)
+     in
+     ("seq", 1, observed (Explorer.check spec scenario))
+     :: List.concat_map
+          (fun j ->
+            [ ( "strict-BFS", j,
+                observed ~workers:j (fun o ->
+                    (Par.Par_explorer.check ~workers:j spec scenario o).base) );
+              ( "work-stealing", j,
+                observed ~workers:j (fun o ->
+                    (Par.Ws_explorer.check ~workers:j spec scenario o).base) ) ])
+          [ 2; 4 ])
 
 let test_symmetry_candidates_deterministic () =
-  (* on three nodes the toy's tick vectors tie often, so tie blocks of two
-     and three nodes occur; the fingerprinted-permutation count depends
-     only on each state's orbit, so every engine and worker count agrees *)
-  let scenario = Toy_spec.scenario ~nodes:3 ~timeouts:5 in
-  let candidates ?(workers = 1) run =
-    let obs = Obs.Run.create ~workers () in
-    let r : Explorer.result =
-      run { Explorer.default with probe = Obs.Run.probe obs }
-    in
-    let s =
-      Obs.Run.finish obs ~outcome:"exhausted" ~distinct:r.distinct
-        ~generated:r.generated ~max_depth:r.max_depth ~duration:r.duration ()
-    in
-    (Obs.Metrics.counter s.Obs.Run.s_metrics "symmetry.candidates",
-     r.generated)
+  (* the fingerprinted-permutation count depends only on each state's
+     orbit, so every engine and worker count agrees *)
+  let candidates m = Obs.Metrics.counter m "symmetry.candidates" in
+  match Lazy.force engine_runs with
+  | [] -> assert false
+  | (_, _, (seq_r, seq_m)) :: parallel ->
+    let seq = candidates seq_m and generated = seq_r.Explorer.generated in
+    (* more than one per canonicalisation (ties), fewer than 3! (keys) *)
+    Alcotest.(check bool) "ties tried" true (seq > generated + 1);
+    Alcotest.(check bool) "fewer than all permutations" true
+      (seq < 6 * (generated + 1));
+    List.iter
+      (fun (engine, j, (_, m)) ->
+        Alcotest.(check int) (Fmt.str "%s -j%d" engine j) seq (candidates m))
+      parallel
+
+let test_visited_gauges () =
+  (* the gauges CI's visited-store gate reads from metrics.json *)
+  let gauge (m : Obs.Metrics.summary) name =
+    match List.assoc_opt name m.s_gauges with
+    | Some g -> g.Obs.Metrics.g_last
+    | None -> Alcotest.failf "no %s gauge" name
   in
-  let seq, generated = candidates (Explorer.check spec scenario) in
-  (* more than one per canonicalisation (ties), fewer than 3! (keys) *)
-  Alcotest.(check bool) "ties tried" true (seq > generated + 1);
-  Alcotest.(check bool) "fewer than all permutations" true
-    (seq < 6 * (generated + 1));
+  let runs = Lazy.force engine_runs in
   List.iter
-    (fun j ->
-      Alcotest.(check int) (Fmt.str "strict-BFS -j%d" j) seq
-        (fst
-           (candidates ~workers:j (fun o ->
-                (Par.Par_explorer.check ~workers:j spec scenario o).base)));
-      Alcotest.(check int) (Fmt.str "work-stealing -j%d" j) seq
-        (fst
-           (candidates ~workers:j (fun o ->
-                (Par.Ws_explorer.check ~workers:j spec scenario o).base))))
-    [ 2; 4 ]
+    (fun (engine, j, ((r : Explorer.result), m)) ->
+      let label what = Fmt.str "%s -j%d %s" engine j what in
+      let entries = gauge m "visited.entries" in
+      Alcotest.(check (float 0.)) (label "entries = distinct")
+        (float_of_int r.distinct) entries;
+      Alcotest.(check (float 0.)) (label "bytes_per_state")
+        (gauge m "visited.store_bytes" /. entries)
+        (gauge m "visited.bytes_per_state"))
+    runs;
+  (* the sharded store's layout does not depend on the worker count, so
+     a -j2 row stands for -j4 *)
+  let store_bytes engine j =
+    List.find_map
+      (fun (e, j', (_, m)) ->
+        if e = engine && j' = j then Some (gauge m "visited.store_bytes")
+        else None)
+      runs
+    |> Option.get
+  in
+  List.iter
+    (fun engine ->
+      Alcotest.(check (float 0.)) (engine ^ " store bytes -j2 = -j4")
+        (store_bytes engine 2) (store_bytes engine 4))
+    [ "strict-BFS"; "work-stealing" ]
 
 (* ---- probe off = same exploration ------------------------------------- *)
 
@@ -585,5 +632,7 @@ let suite =
       case "manifest metrics+shrink roundtrip" test_manifest_v3_roundtrip;
       case "symmetry.candidates deterministic across engines and -j"
         test_symmetry_candidates_deterministic;
+      case "visited gauges agree with the store across engines and -j"
+        test_visited_gauges;
       case "probe changes nothing about exploration"
         test_probe_off_same_result ] )
