@@ -9,6 +9,14 @@
    depth/provenance-code, predecessor reference) plus its share of the
    slot array: ~6–8 words, no pointers for the GC to trace.
 
+   Every int column, the slot array included, is a [Bigarray] outside the
+   OCaml heap, so the major GC neither marks them nor grows its heap in
+   proportion to them (OCaml 5 sizes the major heap by its live words,
+   which made heap columns cost peak memory well beyond their own bytes).
+   The entry columns are left uninitialised — they are only read below
+   [n], so their growth slack is never touched and never becomes
+   resident; the slot array is zero-filled (0 = empty).
+
    Entries are dense and append-only: index [i] is the [i]-th distinct
    state in discovery order, and indices never move (only the slot array
    rehashes on growth), so a parent is named by one int and iteration in
@@ -31,12 +39,14 @@ let depth_bits = 20
 let depth_mask = (1 lsl depth_bits) - 1
 let root_pred = -1
 
+type column = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+
 type t = {
-  mutable slots : int array;  (* entry index + 1; 0 = empty *)
-  mutable fp_hi : int array;
-  mutable fp_lo : int array;
-  mutable meta : int array;
-  mutable preds : int array;  (* predecessor reference; root_pred = root *)
+  mutable slots : column;  (* entry index + 1; 0 = empty *)
+  mutable fp_hi : column;
+  mutable fp_lo : column;
+  mutable meta : column;
+  mutable preds : column;  (* predecessor reference; root_pred = root *)
   mutable n : int;
   mutable probes : int;  (* cumulative probe steps beyond the home slot *)
   ev_ids : (Trace.event, int) Hashtbl.t;
@@ -48,14 +58,23 @@ let rec power_of_two n = if n <= 1 then 1 else 2 * power_of_two ((n + 1) / 2)
 
 let dummy_event = Trace.Heal
 
+(* uninitialised: an entry column is read only below [n], and
+   [empty_slots] fills the slot array *)
+let column n : column = Bigarray.(Array1.create int c_layout n)
+
+let empty_slots n =
+  let slots = column n in
+  Bigarray.Array1.fill slots 0;
+  slots
+
 let create ?(capacity = 1 lsl 16) () =
   let cap = power_of_two (max 16 capacity) in
   let ents = cap / 2 in
-  { slots = Array.make cap 0;
-    fp_hi = Array.make ents 0;
-    fp_lo = Array.make ents 0;
-    meta = Array.make ents 0;
-    preds = Array.make ents 0;
+  { slots = empty_slots cap;
+    fp_hi = column ents;
+    fp_lo = column ents;
+    meta = column ents;
+    preds = column ents;
     n = 0;
     probes = 0;
     ev_ids = Hashtbl.create 256;
@@ -63,28 +82,32 @@ let create ?(capacity = 1 lsl 16) () =
     ev_n = 0 }
 
 let length t = t.n
-let capacity t = Array.length t.slots
+let capacity t = Bigarray.Array1.dim t.slots
 
 let store_bytes t =
-  (Array.length t.slots
-  + Array.length t.fp_hi + Array.length t.fp_lo
-  + Array.length t.meta + Array.length t.preds)
-  * (Sys.word_size / 8)
+  Bigarray.Array1.(
+    size_in_bytes t.slots
+    + size_in_bytes t.fp_hi + size_in_bytes t.fp_lo
+    + size_in_bytes t.meta + size_in_bytes t.preds)
 
 let probe_steps t = t.probes
 
 (* Returns the slot holding [fp]'s entry, or the first empty slot of its
    probe chain. Load never exceeds 3/4, so the chain terminates (expected
    probe length stays a small constant; the bucket hash's distribution is
-   asserted in test_fp.ml). *)
+   asserted in test_fp.ml). Unchecked reads: [!i] is masked into the slot
+   array, and a non-empty slot holds an entry below [n]. *)
 let find_slot t (fp : Fingerprint.t) =
-  let mask = Array.length t.slots - 1 in
+  let open Bigarray.Array1 in
+  let slots = t.slots in
+  let mask = dim slots - 1 in
   let i = ref (Fingerprint.bucket_hash fp land mask) in
   let steps = ref 0 in
   (try
-     while t.slots.(!i) <> 0 do
-       let e = t.slots.(!i) - 1 in
-       if t.fp_hi.(e) = fp.hi && t.fp_lo.(e) = fp.lo then raise Exit;
+     while unsafe_get slots !i <> 0 do
+       let e = unsafe_get slots !i - 1 in
+       if unsafe_get t.fp_hi e = fp.hi && unsafe_get t.fp_lo e = fp.lo then
+         raise Exit;
        incr steps;
        i := (!i + 1) land mask
      done
@@ -93,30 +116,34 @@ let find_slot t (fp : Fingerprint.t) =
   !i
 
 let grow_slots t =
-  let cap = 2 * Array.length t.slots in
+  let open Bigarray.Array1 in
+  let cap = 2 * dim t.slots in
   let mask = cap - 1 in
-  let slots = Array.make cap 0 in
+  let slots = empty_slots cap in
   for e = 0 to t.n - 1 do
-    let fp = Fingerprint.of_parts ~hi:t.fp_hi.(e) ~lo:t.fp_lo.(e) in
+    let fp =
+      Fingerprint.of_parts ~hi:(unsafe_get t.fp_hi e) ~lo:(unsafe_get t.fp_lo e)
+    in
     let i = ref (Fingerprint.bucket_hash fp land mask) in
-    while slots.(!i) <> 0 do
+    while unsafe_get slots !i <> 0 do
       i := (!i + 1) land mask
     done;
-    slots.(!i) <- e + 1
+    unsafe_set slots !i (e + 1)
   done;
   t.slots <- slots
 
 (* Columns grow by 1.5x, not 2x: they are pure appends (no rehash), so a
    gentler factor trades a few more copies for ~17% less average slack —
    and the columns are the bulk of the store's bytes. *)
-let grow_column a =
-  let n = Array.length a in
-  let b = Array.make (n + (n / 2) + 1) 0 in
-  Array.blit a 0 b 0 n;
+let grow_column (a : column) =
+  let open Bigarray.Array1 in
+  let n = dim a in
+  let b = column (n + (n / 2) + 1) in
+  blit a (sub b 0 n);
   b
 
 let ensure_entry_room t =
-  if t.n = Array.length t.fp_hi then begin
+  if t.n = Bigarray.Array1.dim t.fp_hi then begin
     t.fp_hi <- grow_column t.fp_hi;
     t.fp_lo <- grow_column t.fp_lo;
     t.meta <- grow_column t.meta;
@@ -143,10 +170,11 @@ let pack_meta depth code =
   depth lor (code lsl depth_bits)
 
 let add t fp prov ~depth =
-  if 4 * (t.n + 1) > 3 * Array.length t.slots then grow_slots t;
+  if 4 * (t.n + 1) > 3 * capacity t then grow_slots t;
   let slot = find_slot t fp in
-  if t.slots.(slot) <> 0 then Dup (t.slots.(slot) - 1)
-  else begin
+  match Bigarray.Array1.unsafe_get t.slots slot with
+  | s when s <> 0 -> Dup (s - 1)
+  | _ ->
     ensure_entry_room t;
     let e = t.n in
     let pred, code =
@@ -154,41 +182,59 @@ let add t fp prov ~depth =
       | Proot i -> root_pred, i
       | Pstep (p, ev) -> p, intern t ev
     in
-    t.fp_hi.(e) <- fp.Fingerprint.hi;
-    t.fp_lo.(e) <- fp.Fingerprint.lo;
-    t.meta.(e) <- pack_meta depth code;
-    t.preds.(e) <- pred;
-    t.slots.(slot) <- e + 1;
+    let open Bigarray.Array1 in
+    unsafe_set t.fp_hi e fp.Fingerprint.hi;
+    unsafe_set t.fp_lo e fp.Fingerprint.lo;
+    unsafe_set t.meta e (pack_meta depth code);
+    unsafe_set t.preds e pred;
+    unsafe_set t.slots slot (e + 1);
     t.n <- e + 1;
     Fresh e
-  end
 
-let room t = Array.length t.fp_hi
+let room t = Bigarray.Array1.dim t.fp_hi
 
 let find t fp =
   let slot = find_slot t fp in
-  if t.slots.(slot) = 0 then None else Some (t.slots.(slot) - 1)
+  match Bigarray.Array1.unsafe_get t.slots slot with
+  | 0 -> None
+  | s -> Some (s - 1)
 
-let fp t e = Fingerprint.of_parts ~hi:t.fp_hi.(e) ~lo:t.fp_lo.(e)
-let depth t e = t.meta.(e) land depth_mask
+(* The columns' growth slack is uninitialised memory: every read of an
+   entry goes through this check first. *)
+let check_entry t e name =
+  if e < 0 || e >= t.n then
+    invalid_arg
+      (Printf.sprintf "Fp_store.%s: no entry %d (length %d)" name e t.n)
+
+let fp t e =
+  check_entry t e "fp";
+  Fingerprint.of_parts
+    ~hi:(Bigarray.Array1.unsafe_get t.fp_hi e)
+    ~lo:(Bigarray.Array1.unsafe_get t.fp_lo e)
+
+let depth t e =
+  check_entry t e "depth";
+  Bigarray.Array1.unsafe_get t.meta e land depth_mask
 
 let prov t e =
-  let code = t.meta.(e) lsr depth_bits in
-  if t.preds.(e) = root_pred then Proot code
-  else Pstep (t.preds.(e), t.evs.(code))
+  check_entry t e "prov";
+  let code = Bigarray.Array1.unsafe_get t.meta e lsr depth_bits in
+  match Bigarray.Array1.unsafe_get t.preds e with
+  | p when p = root_pred -> Proot code
+  | p -> Pstep (p, t.evs.(code))
 
 (* The one way to rewrite an entry: the strict-BFS merge's replacement,
    and checkpoint resume, which inserts every entry before any parent
    reference is known. *)
 let set_prov t e prov ~depth =
-  if e < 0 || e >= t.n then invalid_arg "Fp_store.set_prov: no such entry";
+  check_entry t e "set_prov";
   let pred, code =
     match prov with
     | Proot i -> root_pred, i
     | Pstep (p, ev) -> p, intern t ev
   in
-  t.meta.(e) <- pack_meta depth code;
-  t.preds.(e) <- pred
+  Bigarray.Array1.unsafe_set t.meta e (pack_meta depth code);
+  Bigarray.Array1.unsafe_set t.preds e pred
 
 let iter t f =
   for e = 0 to t.n - 1 do

@@ -2,10 +2,12 @@
     structure-of-arrays layout.
 
     Linear probing over a power-of-two slot array (load factor <= 3/4);
-    entries live in dense append-only [int] columns — fingerprint halves,
+    entries live in dense append-only int columns — fingerprint halves,
     packed depth + provenance code, predecessor reference — so a visited
     state costs ~6–8 words with no per-entry boxing, versus ~14 for the old
-    hashtable of records. Entry indices are stable (growth rehashes only
+    hashtable of records. The slot array and the columns are [Bigarray]s
+    outside the OCaml heap: the major GC neither marks them nor grows its
+    heap for them. Entry indices are stable (growth rehashes only
     the slot array), so a parent is one int and iteration in discovery
     order is free. Events are interned structurally and referenced by id.
     Single-domain: the sequential explorer owns one, and [Par.Shard_set]
@@ -40,6 +42,10 @@ val set_prov : t -> int -> prov -> depth:int -> unit
 
 val find : t -> Fingerprint.t -> int option
 val length : t -> int
+
+(** Entry reads. Each raises [Invalid_argument], naming the index, when
+    it is outside [\[0, length)]. *)
+
 val fp : t -> int -> Fingerprint.t
 val prov : t -> int -> prov
 val depth : t -> int -> int
@@ -56,8 +62,9 @@ val room : t -> int
     it. *)
 
 val store_bytes : t -> int
-(** Exact bytes held by the slot array and entry columns (excludes the
-    interned-event values, which both old and new layouts share). *)
+(** Exact bytes held by the off-heap slot array and entry columns
+    (excludes the interned-event values, which both old and new layouts
+    share). *)
 
 val probe_steps : t -> int
 (** Cumulative linear-probe steps beyond the home slot, over all lookups

@@ -112,6 +112,16 @@ let pp_metrics ppf m =
       Fmt.pf ppf "orbit cache: %.1f%% of canonicalising arrivals recalled@,"
         (100. *. r))
     (metrics_gauge m "symmetry.cache_hit_ratio");
+  Option.iter (Fmt.pf ppf "peak RSS: %.1f MB@,") (num m "peak_rss_mb");
+  (match
+     ( metrics_gauge m "visited.entries",
+       metrics_gauge m "visited.store_bytes",
+       metrics_gauge m "visited.bytes_per_state" )
+   with
+  | Some entries, Some bytes, Some per_state ->
+    Fmt.pf ppf "visited store: %.0f entries, %.1f MB off-heap, %.1f B/state@,"
+      entries (bytes /. 1_048_576.) per_state
+  | _ -> ());
   match
     Option.bind (Store.Sjson.member "metrics" m) (Store.Sjson.member "timers")
   with

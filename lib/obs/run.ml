@@ -145,6 +145,23 @@ let manifest_profile s =
   { Store.Manifest.mp_dup_top_source = s.s_profile.Profile.p_dup_top_source;
     mp_peak_worker_skew_pct = s.s_profile.Profile.p_peak_worker_skew_pct }
 
+(* This process's peak resident set (VmHWM), in MB; [None] where
+   /proc/self/status is unreadable. The visited store lives off the OCaml
+   heap, so the GC's heap figures no longer account for it. *)
+let peak_rss_mb () =
+  match open_in "/proc/self/status" with
+  | exception Sys_error _ -> None
+  | ic ->
+    let rec scan () =
+      match input_line ic with
+      | exception End_of_file -> None
+      | line -> (
+        match Scanf.sscanf line "VmHWM: %d kB" Fun.id with
+        | kb -> Some (float_of_int kb /. 1024.)
+        | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) -> scan ())
+    in
+    Fun.protect ~finally:(fun () -> close_in ic) scan
+
 let finish t ~outcome ?(distinct = 0) ?(generated = 0) ?(max_depth = 0)
     ~duration () =
   t.finished <- true;
@@ -181,7 +198,7 @@ let finish t ~outcome ?(distinct = 0) ?(generated = 0) ?(max_depth = 0)
       let open Store.Sjson in
       let json =
         Obj
-          [ ("outcome", Str outcome);
+          ([ ("outcome", Str outcome);
             ("distinct", Num (float_of_int distinct));
             ("generated", Num (float_of_int generated));
             ("max_depth", Num (float_of_int max_depth));
@@ -189,8 +206,11 @@ let finish t ~outcome ?(distinct = 0) ?(generated = 0) ?(max_depth = 0)
             ("throughput_states_per_sec", Num throughput);
             ("peak_frontier", Num (float_of_int !(t.peak_frontier)));
             ("barrier_idle_pct", Num idle_pct);
-            ("layers", Num (float_of_int !(t.layers)));
-            ("metrics", Metrics.to_json m) ]
+            ("layers", Num (float_of_int !(t.layers))) ]
+          @ (match peak_rss_mb () with
+            | Some mb -> [ ("peak_rss_mb", Num mb) ]
+            | None -> [])
+          @ [ ("metrics", Metrics.to_json m) ])
       in
       Binio.atomic_write (Filename.concat d metrics_file) (fun oc ->
           output_string oc (to_string json)))

@@ -64,7 +64,9 @@ val finish :
   duration:float -> unit -> summary
 (** Idempotent artefact finalization: drain collectors, merge, write
     [metrics.json] and [profile.json], append the "done" event, close
-    trace, event and telemetry files. *)
+    trace, event and telemetry files. [metrics.json] carries a top-level
+    [peak_rss_mb] (the process's VmHWM) where [/proc/self/status] is
+    readable. *)
 
 val manifest_metrics : summary -> Store.Manifest.metrics
 (** The summary trio in the shape the v2 manifest stores. *)

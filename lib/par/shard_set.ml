@@ -11,7 +11,10 @@ open Sandtable
    the concrete state the provenance chain replays to. Only [merge] grows
    them, so the work-stealing engine, which never merges, has none. pos
    packs (parent frontier index p, successor index j) as (p lsl 31) lor j —
-   packed ints compare exactly like the lexicographic pairs. *)
+   packed ints compare exactly like the lexicographic pairs. Like the
+   store's own columns, pos is an off-heap [Bigarray]; it is zero-filled
+   as it grows, so an [add_seed] entry reads position (0, 0). The states
+   column holds OCaml values and stays on the heap. *)
 
 let shard_bits = 6
 let shard_mask = (1 lsl shard_bits) - 1
@@ -21,7 +24,7 @@ let pos_mask = (1 lsl pos_bits) - 1
 type 's shard = {
   lock : Mutex.t;
   store : Fp_store.t;
-  mutable pos : int array;
+  mutable pos : (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t;
   mutable states : 's option array;
 }
 
@@ -38,7 +41,7 @@ let create () =
   Array.init (shard_mask + 1) (fun _ ->
       { lock = Mutex.create ();
         store = Fp_store.create ~capacity:1024 ();
-        pos = [||];
+        pos = Bigarray.(Array1.create int c_layout 0);
         states = [||] })
 
 let key fp = Fingerprint.shard_key fp ~mask:shard_mask
@@ -46,6 +49,15 @@ let reference e k = (e lsl shard_bits) lor k
 
 (* the referenced shard and the entry's index in its store *)
 let locate t r = t.(r land shard_mask), r lsr shard_bits
+
+(* [f] on the referenced shard and entry index, under the shard's lock. A
+   reference to no entry fails closed, before any column is read. *)
+let with_entry t r f =
+  let s, e = locate t r in
+  Mutex.protect s.lock (fun () ->
+      if e >= Fp_store.length s.store then
+        invalid_arg (Printf.sprintf "Shard_set: no entry for reference %d" r);
+      f s e)
 
 let add_seed t fp prov ~depth =
   let k = key fp in
@@ -59,9 +71,12 @@ let add_seed t fp prov ~depth =
    the lock held) *)
 let cover s =
   let room = Fp_store.room s.store in
-  let len = Array.length s.pos in
+  let len = Bigarray.Array1.dim s.pos in
   if len < room then begin
-    s.pos <- Array.append s.pos (Array.make (room - len) 0);
+    let pos = Bigarray.(Array1.create int c_layout room) in
+    Bigarray.Array1.(blit s.pos (sub pos 0 len));
+    Bigarray.Array1.(fill (sub pos len (room - len)) 0);
+    s.pos <- pos;
     s.states <- Array.append s.states (Array.make (room - len) None)
   end
 
@@ -74,7 +89,7 @@ let merge t fp ~prov ~depth ~pos:(p, j) ~state =
       cover s;
       match added with
       | Fp_store.Fresh e ->
-        s.pos.(e) <- packed;
+        s.pos.{e} <- packed;
         s.states.(e) <- Some state;
         Fresh (reference e k)
       | Fp_store.Dup e ->
@@ -83,7 +98,7 @@ let merge t fp ~prov ~depth ~pos:(p, j) ~state =
            always the one the stored chain replays to (under symmetry two
            distinct concrete states can share a fingerprint) *)
         let od = Fp_store.depth s.store e in
-        if depth < od || (depth = od && packed < s.pos.(e)) then begin
+        if depth < od || (depth = od && packed < s.pos.{e}) then begin
           (* the displaced entry's discovering edge had been reported as
              fresh by whichever worker won the insertion race; hand its
              identity back so the caller can re-attribute it as the
@@ -94,7 +109,7 @@ let merge t fp ~prov ~depth ~pos:(p, j) ~state =
             | Fp_store.Pstep (_, event) -> Some event
           in
           Fp_store.set_prov s.store e prov ~depth;
-          s.pos.(e) <- packed;
+          s.pos.{e} <- packed;
           s.states.(e) <- Some state;
           Dup_replaced { old_event; old_depth = od }
         end
@@ -107,16 +122,10 @@ let find t fp =
       Option.map (fun e -> reference e k) (Fp_store.find s.store fp))
 
 let set_prov t r prov ~depth =
-  let s, e = locate t r in
-  Mutex.protect s.lock (fun () -> Fp_store.set_prov s.store e prov ~depth)
+  with_entry t r (fun s e -> Fp_store.set_prov s.store e prov ~depth)
 
-let fp t r =
-  let s, e = locate t r in
-  Mutex.protect s.lock (fun () -> Fp_store.fp s.store e)
-
-let depth t r =
-  let s, e = locate t r in
-  Mutex.protect s.lock (fun () -> Fp_store.depth s.store e)
+let fp t r = with_entry t r (fun s e -> Fp_store.fp s.store e)
+let depth t r = with_entry t r (fun s e -> Fp_store.depth s.store e)
 
 (* the parent's fingerprint is read under its own shard's lock, taken
    only after the child's is released *)
@@ -133,20 +142,17 @@ let find_prov_opt t fp' =
 
 let unpack packed = (packed lsr pos_bits, packed land pos_mask)
 
-let find_pos t r =
-  let s, e = locate t r in
-  Mutex.protect s.lock (fun () -> unpack s.pos.(e))
+let find_pos t r = with_entry t r (fun s e -> unpack s.pos.{e})
 
 let take_state t r =
-  let s, e = locate t r in
-  Mutex.protect s.lock (fun () ->
+  with_entry t r (fun s e ->
       if e >= Array.length s.states then None
       else
         match s.states.(e) with
         | None -> None
         | Some v ->
           s.states.(e) <- None;
-          Some (unpack s.pos.(e), v))
+          Some (unpack s.pos.{e}, v))
 
 (* quiescent: no lock, so parents in other shards read directly *)
 let iter t f =
@@ -174,7 +180,8 @@ let probe_steps t = sum t (fun s -> Fp_store.probe_steps s.store)
 let store_bytes t =
   sum t (fun s ->
       Fp_store.store_bytes s.store
-      + ((Array.length s.pos + Array.length s.states) * (Sys.word_size / 8)))
+      + Bigarray.Array1.size_in_bytes s.pos
+      + (Array.length s.states * (Sys.word_size / 8)))
 
 let stats t =
   Array.map

@@ -16,7 +16,9 @@
     References are stable (entries never move or go away). {!find_prov_opt}
     and {!iter} turn a parent reference back into the parent's
     fingerprint, so {!Sandtable.Explorer.provenance}, checkpoints and
-    traces are the same as the sequential engine's.
+    traces are the same as the sequential engine's. {!set_prov}, {!fp},
+    {!depth}, {!find_pos} and {!take_state} raise [Invalid_argument],
+    naming the reference, when it names no entry.
 
     Locking: every operation holds one shard lock at a time, and never a
     second one — resolving a parent in another shard releases the first

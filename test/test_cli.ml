@@ -141,6 +141,8 @@ let test_stats_compare_and_follow () =
       check_contains "profile rendered" out "top duplicate source";
       check_contains "telemetry summarized" out "telemetry:";
       check_contains "orbit-cache hit ratio" out "orbit cache:";
+      check_contains "peak memory" out "peak RSS:";
+      check_contains "visited-store size" out "visited store:";
       (* compare: identical configurations diff to +0.0% on exploration
          shape (timing-derived rows are free to differ) *)
       let code, out, _ = run_cli [ "stats"; "--compare"; a; b ] in

@@ -265,11 +265,57 @@ let test_fp_store_basics () =
   (match Fp_store.set_prov s 1000 (Fp_store.Proot 0) ~depth:0 with
   | () -> Alcotest.fail "set_prov past the last entry must raise"
   | exception Invalid_argument _ -> ());
+  (* the columns' growth slack is never readable: entry reads outside
+     [0, length) fail closed, naming the index *)
+  List.iter
+    (fun (name, read) ->
+      List.iter
+        (fun e ->
+          Alcotest.check_raises
+            (Fmt.str "%s %d" name e)
+            (Invalid_argument
+               (Fmt.str "Fp_store.%s: no entry %d (length 1000)" name e))
+            (fun () -> read e))
+        [ 1000; 1001; -1 ])
+    [ ("fp", fun e -> ignore (Fp_store.fp s e));
+      ("prov", fun e -> ignore (Fp_store.prov s e));
+      ("depth", fun e -> ignore (Fp_store.depth s e)) ];
   match Fp_store.add s (Fingerprint.of_state "deep") (Fp_store.Proot 0)
           ~depth:(1 lsl 20)
   with
   | _ -> Alcotest.fail "depth over 2^20 must raise"
   | exception Invalid_argument _ -> ()
+
+(* The stores' columns live off the OCaml heap: filling a store 100x
+   leaves its reachable heap words (event intern table, record fields,
+   Bigarray headers) where they were. *)
+let test_stores_off_heap () =
+  let fill add n =
+    for i = 0 to n - 1 do
+      let prov =
+        if i = 0 then Fp_store.Proot 0 else Fp_store.Pstep (i - 1, ev (i mod 7))
+      in
+      add (Fingerprint.of_state (i, "heap")) prov ~depth:(i mod 100)
+    done
+  in
+  let growth name make =
+    let words n = Obj.reachable_words (Obj.repr (make n)) in
+    let small = words 1_000 and large = words 100_000 in
+    let per_entry = float_of_int (large - small) /. 99_000. in
+    if per_entry >= 0.01 then
+      Alcotest.failf "%s: %d -> %d heap words, %.3f per added entry" name
+        small large per_entry
+  in
+  growth "Fp_store" (fun n ->
+      let s = Fp_store.create () in
+      fill (fun fp prov ~depth -> ignore (Fp_store.add s fp prov ~depth)) n;
+      s);
+  growth "Shard_set" (fun n ->
+      let t : unit Par.Shard_set.t = Par.Shard_set.create () in
+      fill
+        (fun fp prov ~depth -> ignore (Par.Shard_set.add_seed t fp prov ~depth))
+        n;
+      t)
 
 let suite =
   ( "fingerprint",
@@ -282,4 +328,5 @@ let suite =
       case "bucket hash distribution" test_bucket_hash_distribution;
       case "shard key independent of bucket bits" test_shard_key_independent;
       case "marshalled-bytes counter" test_marshalled_bytes_counts;
-      case "fp_store basics" test_fp_store_basics ] )
+      case "fp_store basics" test_fp_store_basics;
+      case "visited stores stay off the heap" test_stores_off_heap ] )

@@ -345,7 +345,20 @@ let test_shard_set_merge_keeps_min () =
   Alcotest.(check bool) "state taken at most once" true
     (Par.Shard_set.take_state set r = None);
   Alcotest.(check (pair int int)) "pos still readable" (0, 1)
-    (Par.Shard_set.find_pos set r)
+    (Par.Shard_set.find_pos set r);
+  (* a reference past its shard's entries fails closed, naming it *)
+  let bogus = r + (1000 lsl 6) in
+  let refused =
+    Invalid_argument (Fmt.str "Shard_set: no entry for reference %d" bogus)
+  in
+  Alcotest.check_raises "fp" refused (fun () ->
+      ignore (Par.Shard_set.fp set bogus));
+  Alcotest.check_raises "depth" refused (fun () ->
+      ignore (Par.Shard_set.depth set bogus));
+  Alcotest.check_raises "find_pos" refused (fun () ->
+      ignore (Par.Shard_set.find_pos set bogus));
+  Alcotest.check_raises "take_state" refused (fun () ->
+      ignore (Par.Shard_set.take_state set bogus))
 
 let contains s sub =
   let n = String.length s and m = String.length sub in
