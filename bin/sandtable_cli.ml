@@ -122,10 +122,12 @@ let max_states_arg =
 
 let telemetry_every_arg =
   let doc =
-    "With --run-dir: sample telemetry.ndjsonl every $(docv) BFS layers \
-     (work-stealing engine: quiescent pulses), or on a wall-clock cadence \
-     with a duration suffix ($(b,5s)) — which also sets the pulse period. \
-     Default: every layer; 0 disables the sampler."
+    "With --run-dir, every barrier (a BFS layer, or a quiescent pulse of \
+     the work-stealing engine) appends a layer record to events.ndjsonl. \
+     Every $(docv) barriers, or on a wall-clock cadence with a duration \
+     suffix ($(b,5s)) — which also sets the pulse period — the record \
+     also carries per-worker telemetry (rates, wait split, steals, spill \
+     bytes, table load, GC). Default: every barrier; 0 = counts only."
   in
   Arg.(
     value & opt string "1" & info [ "telemetry-every" ] ~docv:"K|Ks" ~doc)
@@ -274,16 +276,15 @@ let shrink_arg =
 
 let minimized_file = "minimized.trace"
 
+(* Write the minimized trace (binary and text) into the run dir and return
+   the manifest's summary of it. *)
 let save_minimized dir (sh : Shrink.outcome) =
   Trace.save (Filename.concat dir minimized_file) sh.minimized;
   Trace.save_text (Filename.concat dir "minimized.txt") ~labels:sh.labels
     sh.minimized;
-  Some minimized_file
-
-let manifest_shrink rel (sh : Shrink.outcome) =
   { Store.Manifest.ms_original = sh.original_len;
     ms_minimized = sh.minimized_len;
-    ms_trace = rel }
+    ms_trace = minimized_file }
 
 let print_shrink (sh : Shrink.outcome) =
   Fmt.pr "%a@.%a" Shrink.pp_outcome sh (Trace.pp_labelled sh.labels)
@@ -309,7 +310,7 @@ let check_cmd =
         with_parsed "--progress-every" Obs.Progress.parse_cadence
           progress_every
         @@ fun progress_cadence ->
-        with_parsed "--telemetry-every" Obs.Telemetry.parse_cadence
+        with_parsed "--telemetry-every" Obs.Progress.parse_cadence
           telemetry_every
         @@ fun telemetry ->
         let workers = resolve_workers workers in
@@ -461,7 +462,6 @@ let check_cmd =
                         ("nodes", string_of_int scenario.nodes);
                         ("spill_window", string_of_int spill_window);
                         ("checkpoint_every", string_of_int every) ]
-                    ()
                 in
                 (* the canonical schedule source rides in the manifest so
                    resume and shrink replay the same fault plan *)
@@ -501,7 +501,11 @@ let check_cmd =
             | `Ws ->
               (* a wall-clock telemetry cadence doubles as the pulse
                  period, so samples land exactly when asked for *)
-              let pulse_every = telemetry.Obs.Telemetry.tc_seconds in
+              let pulse_every =
+                match telemetry with
+                | Obs.Progress.Every_seconds s -> Some s
+                | Never | Every_states _ -> None
+              in
               let r =
                 Par.Ws_explorer.check ~workers ?pulse_every
                   ?resume:resume_snap spec scenario opts
@@ -536,9 +540,9 @@ let check_cmd =
               save_trace dir ~labels:d.labels d.events
             | _ -> None
           in
-          let shrink_rel =
+          let shrink_summary =
             match (run_dir, shrink_outcome) with
-            | Some dir, Some sh -> save_minimized dir sh
+            | Some dir, Some sh -> Some (save_minimized dir sh)
             | _ -> None
           in
           let obs_summary =
@@ -584,12 +588,7 @@ let check_cmd =
                      then Some Store.Checkpoint.file
                      else None);
                   m_trace = trace_rel;
-                  m_metrics =
-                    Option.map Obs.Run.manifest_metrics obs_summary;
-                  m_profile =
-                    Option.map Obs.Run.manifest_profile obs_summary;
-                  m_shrink =
-                    Option.map (manifest_shrink shrink_rel) shrink_outcome }
+                  m_shrink = shrink_summary }
               in
               Store.Manifest.save ~dir m;
               Fmt.epr "run recorded in %s@." (Filename.concat dir Store.Manifest.file))
@@ -863,19 +862,17 @@ let shrink_cmd =
       | flags -> Ok flags
       | exception Invalid_argument e -> fail "%s" e
     in
-    let scenario =
-      (* node count travels in the manifest flags (v3 runs); older run
-         dirs fall back to the system's default scenario *)
+    let* scenario =
       match
         Option.bind (List.assoc_opt "nodes" m.m_flags) int_of_string_opt
       with
-      | Some n -> { sys.R.default_scenario with nodes = n }
-      | None -> sys.default_scenario
+      | Some n -> Ok { sys.R.default_scenario with nodes = n }
+      | None -> fail "%s: no node count in the manifest flags" dir
     in
     if not (String.equal scenario.name m.m_scenario) then
       Fmt.epr "note: shrinking under scenario %s (run recorded %s)@."
         scenario.name m.m_scenario;
-    (* v4 manifests carry the fault-schedule source: shrinking must replay
+    (* the manifest carries the fault-schedule source: shrinking must replay
        candidates under the same plan or fault events would be disabled *)
     let* scenario =
       match m.m_faults with
@@ -924,9 +921,8 @@ let shrink_cmd =
       | exception Invalid_argument e -> fail "%s" e
     in
     print_shrink sh;
-    let rel = save_minimized dir sh in
     Store.Manifest.save ~dir
-      { m with Store.Manifest.m_shrink = Some (manifest_shrink rel sh) };
+      { m with Store.Manifest.m_shrink = Some (save_minimized dir sh) };
     Fmt.epr "minimized trace written to %s@."
       (Filename.concat dir minimized_file);
     ignore
@@ -966,9 +962,9 @@ let shrink_cmd =
 let stats_cmd =
   let dir_arg =
     let doc =
-      "Run directory to summarize (written by check --run-dir). Works on \
-       pre-observability run dirs too — those show the manifest summary \
-       and note that no metrics were recorded."
+      "Run directory to summarize (written by check --run-dir). A \
+       manifest of another format version, or any artefact that does not \
+       decode, is refused by name (exit 2)."
     in
     Arg.(required & pos 0 (some string) None & info [] ~docv:"RUN_A" ~doc)
   in
@@ -988,8 +984,9 @@ let stats_cmd =
   in
   let follow_arg =
     let doc =
-      "Tail the run's telemetry.ndjsonl live: print each sample as it is \
-       written and exit when the run's manifest leaves the running state."
+      "Tail the run's events.ndjsonl live: print each layer record as it \
+       is written and exit when the run's manifest leaves the running \
+       state (exit 2 if the manifest does not load)."
     in
     Arg.(value & flag & info [ "follow" ] ~doc)
   in
@@ -1061,8 +1058,8 @@ let stats_cmd =
     "Summarize a run directory: manifest, recorded metrics (throughput, \
      peak frontier, barrier idle, phase timers), the exploration profile \
      (where generated states and duplicate work went) and the event log. \
-     --follow tails a live run's telemetry; --compare diffs two runs and \
-     can gate CI on regression thresholds."
+     --follow tails a live run's layer records; --compare diffs two runs \
+     and can gate CI on regression thresholds."
   in
   Cmd.v (Cmd.info "stats" ~doc ~exits)
     Term.(

@@ -279,59 +279,81 @@ let to_json s =
                    ("duplicates", int r.pe_duplicates) ])
              s.p_by_event) ) ]
 
+(* Fail closed: every field is required, so a gate never reads a missing
+   count as 0. Errors name the first bad field (and its row). *)
 let of_json j =
   let open Store.Sjson in
-  let int_of name j ~default =
-    match Option.bind (member name j) to_int with Some n -> n | None -> default
+  let ( let* ) = Result.bind in
+  let field ?(row = "") name conv j =
+    match member name j with
+    | None -> Error (Printf.sprintf "%smissing %S" row name)
+    | Some v -> (
+      match conv v with
+      | Some x -> Ok x
+      | None -> Error (Printf.sprintf "%sill-typed %S" row name))
   in
-  match j with
-  | Obj _ ->
-    let rows name of_row =
-      match member name j with
-      | Some (List l) -> List.filter_map of_row l
-      | _ -> []
+  let rec all f = function
+    | [] -> Ok []
+    | x :: rest ->
+      let* y = f x in
+      let* ys = all f rest in
+      Ok (y :: ys)
+  in
+  let rows name of_row =
+    let* l = field name to_list j in
+    all
+      (fun (i, r) -> of_row (Printf.sprintf "%s[%d]: " name i) r)
+      (List.mapi (fun i r -> (i, r)) l)
+  in
+  let* v = field "version" to_int j in
+  if v <> 1 then Error (Printf.sprintf "version %d, expected 1" v)
+  else
+    let* p_roots = field "roots" to_int j in
+    let* p_generated = field "generated" to_int j in
+    let* p_distinct = field "distinct" to_int j in
+    let* p_duplicates = field "duplicates" to_int j in
+    let* p_dup_top_source =
+      field "dup_top_source"
+        (function Null -> Some None | v -> Option.map Option.some (to_str v))
+        j
     in
-    let by_depth =
-      rows "by_depth" (fun r ->
-          match Option.bind (member "depth" r) to_int with
-          | None -> None
-          | Some d ->
-            Some
-              { pd_depth = d;
-                pd_roots = int_of "roots" r ~default:0;
-                pd_generated = int_of "generated" r ~default:0;
-                pd_duplicates = int_of "duplicates" r ~default:0;
-                pd_sym = int_of "sym_canonicalized" r ~default:0 })
+    let* p_peak_worker_skew_pct = field "peak_worker_skew_pct" to_num j in
+    let* p_worker_edges =
+      field "worker_edges"
+        (fun v ->
+          Option.bind (to_list v) (fun l ->
+              Result.to_option
+                (all (fun e -> Option.to_result ~none:() (to_int e)) l)))
+        j
     in
-    let by_event =
-      rows "by_event" (fun r ->
-          match Option.bind (member "key" r) to_str with
-          | None -> None
-          | Some key ->
-            Some
-              { pe_key = key;
-                pe_kind =
-                  Option.value ~default:"?"
-                    (Option.bind (member "kind" r) to_str);
-                pe_expansions = int_of "expansions" r ~default:0;
-                pe_duplicates = int_of "duplicates" r ~default:0 })
+    let* p_by_depth =
+      rows "by_depth" (fun row r ->
+          let count name = field ~row name to_int r in
+          let* pd_depth = count "depth" in
+          let* pd_roots = count "roots" in
+          let* pd_generated = count "generated" in
+          let* pd_duplicates = count "duplicates" in
+          let* pd_sym = count "sym_canonicalized" in
+          Ok { pd_depth; pd_roots; pd_generated; pd_duplicates; pd_sym })
     in
-    Ok
-      { p_roots = int_of "roots" j ~default:0;
-        p_generated = int_of "generated" j ~default:0;
-        p_distinct = int_of "distinct" j ~default:0;
-        p_duplicates = int_of "duplicates" j ~default:0;
-        p_by_depth = by_depth;
-        p_by_event = by_event;
-        p_dup_top_source = Option.bind (member "dup_top_source" j) to_str;
-        p_worker_edges =
-          (match member "worker_edges" j with
-          | Some (List l) -> List.filter_map to_int l
-          | _ -> []);
-        p_peak_worker_skew_pct =
-          Option.value ~default:0.
-            (Option.bind (member "peak_worker_skew_pct" j) to_num) }
-  | _ -> Error "profile: not a JSON object"
+    let* p_by_event =
+      rows "by_event" (fun row r ->
+          let* pe_key = field ~row "key" to_str r in
+          let* pe_kind = field ~row "kind" to_str r in
+          let* pe_expansions = field ~row "expansions" to_int r in
+          let* pe_duplicates = field ~row "duplicates" to_int r in
+          Ok { pe_key; pe_kind; pe_expansions; pe_duplicates })
+    in
+    if p_distinct <> p_roots + p_generated - p_duplicates then
+      Error
+        (Printf.sprintf
+           "distinct %d is not roots %d + generated %d - duplicates %d"
+           p_distinct p_roots p_generated p_duplicates)
+    else
+      Ok
+        { p_roots; p_generated; p_distinct; p_duplicates; p_by_depth;
+          p_by_event; p_dup_top_source; p_worker_edges;
+          p_peak_worker_skew_pct }
 
 let write ~dir s =
   Binio.atomic_write (Filename.concat dir file) (fun oc ->

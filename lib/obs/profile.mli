@@ -80,12 +80,13 @@ type summary = {
 
 val summarize : t -> summary
 
-val to_json : summary -> Store.Sjson.t
-val of_json : Store.Sjson.t -> (summary, string) result
-
 val write : dir:string -> summary -> unit
 (** Atomic write of [dir ^ "/" ^ file]. *)
 
 val load : dir:string -> (summary, string) result
+(** Fails closed: [version] must be 1, every top-level and row field is
+    required, and [distinct = roots + generated - duplicates] must hold.
+    [Error] names the file and the first field (and row) that is missing
+    or ill-typed. *)
 
 val pp : Format.formatter -> summary -> unit

@@ -25,11 +25,14 @@ val eprint :
 (** {!line} to stderr with a flush (safe to call from worker domains —
     each line is one write). *)
 
-(** {2 Cadence} — what [--progress-every] accepts. *)
+(** {2 Cadence} — what [--progress-every] and [--telemetry-every]
+    accept. *)
 
 type cadence =
   | Never
-  | Every_states of int  (** every N distinct states, e.g. ["5000"] *)
+  | Every_states of int
+      (** every N counted units, e.g. ["5000"]: distinct states (walks,
+          rounds) for progress lines, barriers for telemetry samples *)
   | Every_seconds of float  (** wall-clock, e.g. ["2s"], ["0.5s"] *)
 
 val parse_cadence : string -> (cadence, string) result

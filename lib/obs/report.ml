@@ -1,55 +1,47 @@
-(* The [sandtable stats <run-dir>] reader: summarize whatever artefacts a
-   run directory holds — manifest (any version), metrics.json,
-   events.ndjsonl, profile.json, telemetry.ndjsonl — degrading gracefully
-   when some are absent (a v1 run dir has only the manifest and maybe a
-   checkpoint). Also the run-vs-run comparison behind [stats --compare]
-   and the live telemetry tail behind [stats --follow]. *)
+(* The [sandtable stats <run-dir>] reader: summarize the artefacts a run
+   directory holds — manifest.json, metrics.json, events.ndjsonl,
+   profile.json. Each is optional (a live or killed run has written
+   neither metrics nor profile yet), but one that is present must decode:
+   a bad artefact fails the load, naming it. Also the run-vs-run
+   comparison behind [stats --compare] and the live tail of the layer
+   records behind [stats --follow]. *)
 
 type t = {
   rp_dir : string;
-  rp_manifest : (Store.Manifest.t, string) result option;
+  rp_manifest : Store.Manifest.t option;
   rp_metrics : Store.Sjson.t option;
-  rp_events : (Store.Sjson.t list, string) result option;
-  rp_profile : (Profile.summary, string) result option;
-  rp_telemetry : (Store.Sjson.t list, string) result option;
+  rp_events : Store.Sjson.t list option;
+  rp_profile : Profile.summary option;
 }
+
+let read_json path =
+  match
+    let ic = open_in_bin path in
+    Fun.protect
+      ~finally:(fun () -> close_in ic)
+      (fun () -> really_input_string ic (in_channel_length ic))
+  with
+  | exception Sys_error m -> Error m
+  | raw ->
+    Result.map_error (Printf.sprintf "%s: %s" path) (Store.Sjson.of_string raw)
 
 let load dir =
   if not (Sys.file_exists dir && Sys.is_directory dir) then
     Error (Printf.sprintf "%s: not a directory" dir)
   else begin
-    let manifest =
-      if Sys.file_exists (Filename.concat dir Store.Manifest.file) then
-        Some (Store.Manifest.load ~dir)
-      else None
+    let ( let* ) = Result.bind in
+    let artefact file read =
+      let path = Filename.concat dir file in
+      if Sys.file_exists path then Result.map Option.some (read path)
+      else Ok None
     in
-    let metrics =
-      let path = Filename.concat dir Run.metrics_file in
-      if Sys.file_exists path then
-        let ic = open_in_bin path in
-        let raw =
-          Fun.protect
-            ~finally:(fun () -> close_in ic)
-            (fun () -> really_input_string ic (in_channel_length ic))
-        in
-        Result.to_option (Store.Sjson.of_string raw)
-      else None
+    let* manifest =
+      artefact Store.Manifest.file (fun _ -> Store.Manifest.load ~dir)
     in
-    let events =
-      let path = Filename.concat dir Events.file in
-      if Sys.file_exists path then Some (Events.read_all path) else None
-    in
-    let profile =
-      if Sys.file_exists (Filename.concat dir Profile.file) then
-        Some (Profile.load ~dir)
-      else None
-    in
-    let telemetry =
-      (* same line format and torn-tail tolerance as the event log *)
-      let path = Filename.concat dir Telemetry.file in
-      if Sys.file_exists path then Some (Events.read_all path) else None
-    in
-    match manifest, metrics, events with
+    let* metrics = artefact Run.metrics_file read_json in
+    let* events = artefact Events.file Events.read_all in
+    let* profile = artefact Profile.file (fun _ -> Profile.load ~dir) in
+    match (manifest, metrics, events) with
     | None, None, None ->
       Error
         (Printf.sprintf
@@ -57,8 +49,7 @@ let load dir =
            Store.Manifest.file Run.metrics_file Events.file)
     | _ ->
       Ok { rp_dir = dir; rp_manifest = manifest; rp_metrics = metrics;
-           rp_events = events; rp_profile = profile;
-           rp_telemetry = telemetry }
+           rp_events = events; rp_profile = profile }
   end
 
 let num j name = Option.bind (Store.Sjson.member name j) Store.Sjson.to_num
@@ -67,21 +58,32 @@ let str j name = Option.bind (Store.Sjson.member name j) Store.Sjson.to_str
 let event_type j = match str j "type" with Some t -> t | None -> ""
 
 let pp_events ppf records =
-  let layers = List.filter (fun r -> event_type r = "layer") records in
-  let checkpoints =
-    List.filter (fun r -> event_type r = "checkpoint") records
-  in
-  let violations =
-    List.filter (fun r -> event_type r = "violation") records
-  in
+  let of_type t = List.filter (fun r -> event_type r = t) records in
+  let layers = of_type "layer" in
   Fmt.pf ppf "events: %d records (%d layers, %d checkpoints%s)@,"
-    (List.length records) (List.length layers) (List.length checkpoints)
-    (if violations <> [] then ", violation recorded" else "");
-  match List.rev layers with
+    (List.length records) (List.length layers)
+    (List.length (of_type "checkpoint"))
+    (if of_type "violation" <> [] then ", violation recorded" else "");
+  (match List.rev layers with
   | last :: _ ->
     let get name = Option.value ~default:0. (num last name) in
     Fmt.pf ppf "last layer: depth %.0f, %.0f distinct, frontier %.0f@,"
       (get "depth") (get "distinct") (get "frontier")
+  | [] -> ());
+  (* the barriers [--telemetry-every] selected carry the per-worker split *)
+  let samples =
+    List.filter (fun r -> Store.Sjson.member "workers" r <> None) layers
+  in
+  Fmt.pf ppf "telemetry: %d sampled layers@," (List.length samples);
+  match List.rev samples with
+  | last :: _ ->
+    let get name = Option.value ~default:0. (num last name) in
+    Fmt.pf ppf
+      "last sample: layer %.0f, frontier %.0f, heap %.1f MW, fault phase \
+       %.0f@,"
+      (get "layer") (get "frontier")
+      (get "heap_words" /. 1_000_000.)
+      (get "fault_phase")
   | [] -> ()
 
 (* A cumulative counter out of metrics.json ("metrics" -> "counters"),
@@ -135,43 +137,14 @@ let pp_metrics ppf m =
       timers
   | _ -> ()
 
-let pp_telemetry ppf samples =
-  Fmt.pf ppf "telemetry: %d samples@," (List.length samples);
-  match List.rev samples with
-  | last :: _ ->
-    let get name = Option.value ~default:0. (num last name) in
-    Fmt.pf ppf
-      "last sample: layer %.0f, frontier %.0f, heap %.1f MW, fault phase \
-       %.0f@,"
-      (get "layer") (get "frontier")
-      (get "heap_words" /. 1_000_000.)
-      (get "fault_phase")
-  | [] -> ()
-
 let pp ppf r =
   Fmt.pf ppf "@[<v>%s@," r.rp_dir;
-  (match r.rp_manifest with
-  | Some (Ok m) -> Fmt.pf ppf "%a@," Store.Manifest.pp m
-  | Some (Error e) -> Fmt.pf ppf "manifest unreadable: %s@," e
-  | None -> ());
+  Option.iter (Fmt.pf ppf "%a@," Store.Manifest.pp) r.rp_manifest;
   (match r.rp_metrics with
   | Some m -> pp_metrics ppf m
-  | None ->
-    Fmt.pf ppf
-      "no metrics recorded (pre-observability run, or run without \
-       --run-dir)@,");
-  (match r.rp_profile with
-  | Some (Ok p) -> Profile.pp ppf p
-  | Some (Error e) -> Fmt.pf ppf "profile unreadable: %s@," e
-  | None -> ());
-  (match r.rp_telemetry with
-  | Some (Ok samples) -> pp_telemetry ppf samples
-  | Some (Error e) -> Fmt.pf ppf "telemetry unreadable: %s@," e
-  | None -> ());
-  (match r.rp_events with
-  | Some (Ok records) -> pp_events ppf records
-  | Some (Error e) -> Fmt.pf ppf "events unreadable: %s@," e
-  | None -> ());
+  | None -> Fmt.pf ppf "no metrics recorded (the run has not finished)@,");
+  Option.iter (Profile.pp ppf) r.rp_profile;
+  Option.iter (pp_events ppf) r.rp_events;
   Fmt.pf ppf "@]"
 
 (* --- stats --compare --------------------------------------------------- *)
@@ -188,10 +161,8 @@ type comparison = {
       (** how much slower B ran than A, percent (negative = faster) *)
   cmp_dup_rise_pp : float option;
       (** B's duplicate ratio minus A's, percentage points *)
-  cmp_oversubscribed : string list;
-      (** one message per run whose manifest records fewer cores than
-          workers — throughput gates refuse such rows (they measure the
-          OS scheduler, not the engine) *)
+  cmp_rate_refusals : string list;
+      (** one message per run whose throughput no gate may judge *)
 }
 
 let throughput_of r =
@@ -199,9 +170,6 @@ let throughput_of r =
   with
   | Some t when t > 0. -> Some t
   | _ -> None
-
-let profile_of r =
-  match r.rp_profile with Some (Ok p) -> Some p | _ -> None
 
 let dup_ratio (p : Profile.summary) =
   if p.Profile.p_generated > 0 then
@@ -227,7 +195,7 @@ let compare_runs a b =
   match (load a, load b) with
   | Error e, _ | _, Error e -> Error e
   | Ok ra, Ok rb ->
-    let pa = profile_of ra and pb = profile_of rb in
+    let pa = ra.rp_profile and pb = rb.rp_profile in
     let pnum f = function Some p -> Some (f p) | None -> None in
     let scalar label fa fb = { cr_label = label; cr_a = fa; cr_b = fb } in
     let pint f = pnum (fun p -> float (f p)) in
@@ -261,19 +229,24 @@ let compare_runs a b =
       | (ca, cb), (fa, fb) ->
         [ scalar "steals" ca cb; scalar "steals failed" fa fb ]
     in
-    let oversubscribed =
+    (* a run with more workers than cores measures the OS scheduler, not
+       the engine; a run without a manifest cannot say how many it had *)
+    let rate_refusals =
       List.filter_map
         (fun (label, r) ->
           match r.rp_manifest with
-          | Some (Ok m)
-            when m.Store.Manifest.m_cores > 0
-                 && m.Store.Manifest.m_cores < m.Store.Manifest.m_workers ->
+          | None ->
+            Some
+              (Printf.sprintf "%s=%s has no %s (cores unknown)" label
+                 r.rp_dir Store.Manifest.file)
+          | Some m when m.Store.Manifest.m_cores < m.Store.Manifest.m_workers
+            ->
             Some
               (Printf.sprintf
                  "%s=%s ran %d workers on %d cores (oversubscribed)" label
                  r.rp_dir m.Store.Manifest.m_workers
                  m.Store.Manifest.m_cores)
-          | _ -> None)
+          | Some _ -> None)
         [ ("A", ra); ("B", rb) ]
     in
     let events p =
@@ -314,7 +287,7 @@ let compare_runs a b =
         cmp_depths = align (depths pa) (depths pb);
         cmp_rate_drop_pct = rate_drop;
         cmp_dup_rise_pp = dup_rise;
-        cmp_oversubscribed = oversubscribed }
+        cmp_rate_refusals = rate_refusals }
 
 let pp_cell ppf = function
   | None -> Fmt.pf ppf "%12s" "-"
@@ -342,7 +315,7 @@ let pp_comparison ppf c =
   pp_rows ppf c.cmp_scalars;
   List.iter
     (fun msg -> Fmt.pf ppf "note: %s@," msg)
-    c.cmp_oversubscribed;
+    c.cmp_rate_refusals;
   if c.cmp_events <> [] then begin
     Fmt.pf ppf "duplicate hits by event:@,";
     pp_rows ppf c.cmp_events
@@ -355,9 +328,7 @@ let pp_comparison ppf c =
 
 let regressions ?fail_rate_pct ?fail_dup_pp c =
   let rate =
-    (* refuse to gate throughput on oversubscribed rows: a run with more
-       workers than cores measures the OS scheduler, not the engine *)
-    match (fail_rate_pct, c.cmp_oversubscribed) with
+    match (fail_rate_pct, c.cmp_rate_refusals) with
     | Some _, (_ :: _ as over) ->
       List.map
         (Printf.sprintf "refusing to gate throughput: %s")
@@ -387,7 +358,7 @@ let regressions ?fail_rate_pct ?fail_dup_pp c =
 
 (* --- stats --follow ---------------------------------------------------- *)
 
-let render_sample j =
+let render_layer j =
   let get name = Option.value ~default:0. (num j name) in
   let load =
     match num j "visited_load_pct" with
@@ -397,19 +368,25 @@ let render_sample j =
   Printf.sprintf
     "t=%6.1fs layer %3.0f depth %3.0f  %8.0f distinct %8.0f generated \
      frontier %7.0f%s"
-    (get "t_s") (get "layer") (get "depth") (get "distinct")
+    (get "elapsed_s") (get "layer") (get "depth") (get "distinct")
     (get "generated") (get "frontier") load
 
-(* Tail the telemetry log: print what exists, then poll for growth until
-   the manifest leaves [Running] (or forever when there is no manifest —
-   interrupt with Ctrl-C). Partial trailing lines are retried on the next
-   poll rather than dropped. *)
-let follow ?(poll_s = 0.25) ~dir print =
-  let path = Filename.concat dir Telemetry.file in
+(* Tail the event log: print the layer records that exist, then poll for
+   growth until the manifest leaves [Running] (or forever while there is
+   no manifest yet — interrupt with Ctrl-C). A manifest that does not load
+   would never leave [Running], so it ends the tail with its error.
+   Partial trailing lines are retried on the next poll rather than
+   dropped. *)
+let follow ~dir print =
+  let poll_s = 0.25 in
+  let path = Filename.concat dir Events.file in
   let run_over () =
-    match Store.Manifest.load ~dir with
-    | Ok m -> m.Store.Manifest.m_status <> Store.Manifest.Running
-    | Error _ -> false
+    if not (Sys.file_exists (Filename.concat dir Store.Manifest.file)) then
+      Ok false
+    else
+      Result.map
+        (fun m -> m.Store.Manifest.m_status <> Store.Manifest.Running)
+        (Store.Manifest.load ~dir)
   in
   let buf = Buffer.create 256 in
   let feed ic =
@@ -433,29 +410,36 @@ let follow ?(poll_s = 0.25) ~dir print =
       | line :: rest ->
         (if String.trim line <> "" then
            match Store.Sjson.of_string line with
-           | Ok j when event_type j = "sample" -> print (render_sample j)
+           | Ok j when event_type j = "layer" -> print (render_layer j)
            | Ok _ | Error _ -> ());
         emit rest
     in
     emit parts
   in
+  let ( let* ) = Result.bind in
   let rec wait_for_file tries =
-    if Sys.file_exists path then Some (open_in_bin path)
-    else if run_over () then None
-    else begin
-      Unix.sleepf poll_s;
-      if tries > 0 then wait_for_file (tries - 1) else None
-    end
+    if Sys.file_exists path then Ok (Some (open_in_bin path))
+    else
+      let* over = run_over () in
+      if over || tries = 0 then Ok None
+      else begin
+        Unix.sleepf poll_s;
+        wait_for_file (tries - 1)
+      end
   in
   match wait_for_file 240 with
-  | None -> Error (Printf.sprintf "%s: no telemetry recorded" path)
-  | Some ic ->
+  | Error e -> Error e
+  | Ok None -> Error (Printf.sprintf "%s: no events recorded" path)
+  | Ok (Some ic) ->
     Fun.protect
       ~finally:(fun () -> close_in ic)
       (fun () ->
+        (* the manifest is read before the log, so a run seen over has
+           written its last record by the time it is fed *)
         let rec loop () =
+          let* over = run_over () in
           feed ic;
-          if run_over () && Buffer.length buf = 0 then Ok ()
+          if over && Buffer.length buf = 0 then Ok ()
           else begin
             Unix.sleepf poll_s;
             loop ()

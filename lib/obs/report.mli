@@ -1,20 +1,19 @@
-(** Reader behind [sandtable stats <run-dir>]: loads whatever artefacts
-    the directory holds — manifest (any version), [metrics.json],
-    [events.ndjsonl], [profile.json], [telemetry.ndjsonl] — and
-    pretty-prints a summary. Every artefact is optional (a v1 run dir
-    predating observability has only the manifest); loading fails only
-    when none are present. Also hosts the run-vs-run diff behind
-    [stats --compare] and the live tail behind [stats --follow]. *)
+(** Reader behind [sandtable stats <run-dir>]: loads the artefacts the
+    directory holds — [manifest.json], [metrics.json], [events.ndjsonl],
+    [profile.json] — and pretty-prints a summary. Each artefact is
+    optional (a live or killed run has written neither metrics nor
+    profile yet), but one that is present must decode: {!load} fails on
+    the first that does not, naming it — a manifest of another format
+    version included — and when none of manifest, metrics and events is
+    there. Also hosts the run-vs-run diff behind [stats --compare] and the
+    live tail behind [stats --follow]. *)
 
 type t = {
   rp_dir : string;
-  rp_manifest : (Store.Manifest.t, string) result option;
+  rp_manifest : Store.Manifest.t option;
   rp_metrics : Store.Sjson.t option;  (** parsed [metrics.json] *)
-  rp_events : (Store.Sjson.t list, string) result option;
-  rp_profile : (Profile.summary, string) result option;
-      (** parsed [profile.json] (PR-8+ runs) *)
-  rp_telemetry : (Store.Sjson.t list, string) result option;
-      (** raw [telemetry.ndjsonl] samples *)
+  rp_events : Store.Sjson.t list option;
+  rp_profile : Profile.summary option;  (** parsed [profile.json] *)
 }
 
 val load : string -> (t, string) result
@@ -38,16 +37,17 @@ type comparison = {
       (** how much slower B ran than A, percent (negative = faster) *)
   cmp_dup_rise_pp : float option;
       (** B's duplicate ratio minus A's, percentage points *)
-  cmp_oversubscribed : string list;
-      (** one message per run whose manifest records fewer cores than
-          workers; {!regressions} refuses to gate throughput on such
-          rows *)
+  cmp_rate_refusals : string list;
+      (** one message per run whose throughput no gate may judge: its
+          manifest records fewer cores than workers, or it has no
+          manifest to say; {!regressions} refuses to gate throughput on
+          such rows *)
 }
 
 val compare_runs : string -> string -> (comparison, string) result
 (** [compare_runs a b] loads both run directories and aligns their
-    metrics, A's ordering first. Fails only if a directory is not a run
-    directory at all — missing individual artefacts become holes. *)
+    metrics, A's ordering first. Fails when either directory fails
+    {!load}; missing individual artefacts become holes. *)
 
 val pp_comparison : Format.formatter -> comparison -> unit
 
@@ -59,17 +59,15 @@ val regressions :
     many percentage points. A threshold given against a run missing the
     needed artefact is itself a failure (a gate that silently passes on
     absent data is no gate), and a throughput threshold against a run
-    whose manifest shows fewer cores than workers is refused by name —
-    oversubscribed rows measure the OS scheduler, not the engine. *)
+    whose manifest shows fewer cores than workers, or that has no
+    manifest, is refused by name — oversubscribed rows measure the OS
+    scheduler, not the engine. *)
 
 (** {2 Live tail} — [stats --follow]. *)
 
-val render_sample : Store.Sjson.t -> string
-(** One telemetry sample as a fixed-width human line. *)
-
-val follow : ?poll_s:float -> dir:string -> (string -> unit) -> (unit, string) result
-(** Print existing samples, then poll [telemetry.ndjsonl] for growth until
-    the manifest leaves [Running]; partial trailing lines are retried next
-    poll. Waits up to ~60s for the file to appear (the run may not have
-    reached its first layer barrier yet). Errors if no telemetry ever
-    appears. *)
+val follow : dir:string -> (string -> unit) -> (unit, string) result
+(** Print the [layer] records of [events.ndjsonl] as fixed-width lines,
+    then poll it for growth until the manifest leaves [Running]; partial
+    trailing lines are retried next poll. Waits up to ~60s for the log to
+    appear. Errors if no log ever appears, or with {!Store.Manifest.load}'s
+    message as soon as a present manifest does not load. *)

@@ -2,7 +2,10 @@ open Sandtable
 
 let metrics_file = "metrics.json"
 
-let default_trace_phases =
+(* Only coarse phases reach the trace file: per-state spans (fingerprint,
+   symmetry-normalize, invariant, walk) would bloat it by orders of
+   magnitude, so they aggregate into the phase timers alone. *)
+let trace_phases =
   [ "expand"; "barrier-wait"; "steal-wait"; "walks"; "replay"; "checkpoint";
     "spill-io"; "shrink"; "shrink-eval" ]
 
@@ -18,7 +21,6 @@ type t = {
   collectors : Metrics.collector array;
   trace : Trace_writer.t option;
   events : Events.t option;
-  telemetry : Telemetry.t option;
   profile : Profile.t;
   dir : string option;
   probe : Probe.t option;
@@ -27,8 +29,8 @@ type t = {
   mutable finished : bool;
 }
 
-let create ?(workers = 1) ?trace_out ?dir ?(trace_phases = default_trace_phases)
-    ?(telemetry = Telemetry.default_cadence) () =
+let create ?(workers = 1) ?trace_out ?dir
+    ?(telemetry = Progress.Every_states 1) () =
   let t0 = Unix.gettimeofday () in
   let workers = max 1 workers in
   Option.iter mkdir_p dir;
@@ -45,14 +47,7 @@ let create ?(workers = 1) ?trace_out ?dir ?(trace_phases = default_trace_phases)
       (fun d -> Events.create ~path:(Filename.concat d Events.file))
       dir
   in
-  let telemetry =
-    match dir with
-    | Some d
-      when telemetry.Telemetry.tc_layers <> None
-           || telemetry.Telemetry.tc_seconds <> None ->
-      Some (Telemetry.create ~dir:d ~cadence:telemetry ~t0 ~workers)
-    | _ -> None
-  in
+  let telemetry = Telemetry.create ~cadence:telemetry ~t0 ~workers in
   let peak_frontier = ref 0 in
   let layers = ref 0 in
   (* out-of-range worker indices (defensive) fall back to collector 0 *)
@@ -81,27 +76,29 @@ let create ?(workers = 1) ?trace_out ?dir ?(trace_phases = default_trace_phases)
         (fun tw -> Trace_writer.span tw ~tid:worker ~name ~t0:st0 ~t1:st1)
         trace
   in
+  (* One record per barrier. Its counts and the fault-plan phase are facts
+     about the exploration, identical at every worker count under the
+     strict engines; the hook fires from the coordinator at the barrier,
+     the quiescent point the telemetry sampler requires. *)
   let s_layer ~depth ~distinct ~generated ~frontier ~elapsed =
     incr layers;
     if frontier > !peak_frontier then peak_frontier := frontier;
     Option.iter
       (fun ev ->
         let open Store.Sjson in
+        let int n = Num (float_of_int n) in
         Events.emit ev
-          [ ("type", Str "layer");
-            ("depth", Num (float_of_int depth));
-            ("distinct", Num (float_of_int distinct));
-            ("generated", Num (float_of_int generated));
-            ("frontier", Num (float_of_int frontier));
-            ("elapsed_s", Num elapsed) ])
-      events;
-    (* the layer hook fires from the coordinator at the barrier — the
-       quiescent point the telemetry sampler requires *)
-    Option.iter
-      (fun tl ->
-        Telemetry.sample tl ~layer:!layers ~depth ~distinct ~generated
-          ~frontier ~collectors ~now:(Unix.gettimeofday ()))
-      telemetry
+          ([ ("type", Str "layer");
+             ("layer", int !layers);
+             ("depth", int depth);
+             ("distinct", int distinct);
+             ("generated", int generated);
+             ("frontier", int frontier);
+             ("fault_phase", int (Envgen.phase_watermark ()));
+             ("elapsed_s", Num elapsed) ]
+          @ Telemetry.sample telemetry ~layer:!layers ~collectors
+              ~now:(Unix.gettimeofday ())))
+      events
   in
   let s_edge ~worker ~depth ~event ~dup ~sym =
     Profile.edge profile ~worker ~depth ~event ~dup ~sym
@@ -114,7 +111,7 @@ let create ?(workers = 1) ?trace_out ?dir ?(trace_phases = default_trace_phases)
             { Probe.s_count; s_gauge; s_begin; s_end; s_span; s_layer;
               s_edge; s_edge_fix })
   in
-  { workers; t0; collectors; trace; events; telemetry; profile; dir; probe;
+  { workers; t0; collectors; trace; events; profile; dir; probe;
     peak_frontier; layers; finished = false }
 
 let probe t = t.probe
@@ -135,15 +132,6 @@ type summary = {
   s_metrics : Metrics.summary;
   s_profile : Profile.summary;
 }
-
-let manifest_metrics s =
-  { Store.Manifest.mm_states_per_sec = s.s_throughput;
-    mm_peak_frontier = s.s_peak_frontier;
-    mm_barrier_idle_pct = s.s_barrier_idle_pct }
-
-let manifest_profile s =
-  { Store.Manifest.mp_dup_top_source = s.s_profile.Profile.p_dup_top_source;
-    mp_peak_worker_skew_pct = s.s_profile.Profile.p_peak_worker_skew_pct }
 
 (* This process's peak resident set (VmHWM), in MB; [None] where
    /proc/self/status is unreadable. The visited store lives off the OCaml
@@ -192,7 +180,6 @@ let finish t ~outcome ?(distinct = 0) ?(generated = 0) ?(max_depth = 0)
       s_profile = profile }
   in
   Option.iter (fun d -> Profile.write ~dir:d profile) t.dir;
-  Option.iter Telemetry.close t.telemetry;
   Option.iter
     (fun d ->
       let open Store.Sjson in

@@ -10,28 +10,26 @@
     files, returning the {!summary} the CLI folds into the manifest.
 
     Span → artefact routing: every span feeds the merged phase timers, but
-    only coarse phases ([trace_phases], default {!default_trace_phases})
-    are forwarded to the trace file — per-state spans (fingerprint,
-    symmetry-normalize, invariant, walk) would bloat it by orders of
-    magnitude, so they aggregate silently. *)
+    only coarse phases (expand, barrier and steal waits, walks, replay,
+    checkpoint, spill I/O, shrink) are forwarded to the trace file —
+    per-state spans (fingerprint, symmetry-normalize, invariant, walk)
+    would bloat it by orders of magnitude, so they aggregate silently. *)
 
 type t
 
 val metrics_file : string
 (** ["metrics.json"], relative to the run directory. *)
 
-val default_trace_phases : string list
-(** [expand], [barrier-wait], [walks], [replay], [checkpoint],
-    [spill-io], [shrink], [shrink-eval]. *)
-
 val create :
   ?workers:int -> ?trace_out:string -> ?dir:string ->
-  ?trace_phases:string list -> ?telemetry:Telemetry.cadence -> unit -> t
+  ?telemetry:Progress.cadence -> unit -> t
 (** [workers] sizes the collector array (default 1; out-of-range worker
     indices fall back to collector 0). [dir] is created if missing. With a
-    run dir, a {!Telemetry} sampler writes [telemetry.ndjsonl] at the
-    cadence given (default: every layer; a cadence with both fields [None]
-    disables it), and an exploration {!Profile} is written as
+    run dir, every barrier (strict-BFS layer or work-stealing pulse)
+    appends one [layer] record to [events.ndjsonl] — layer number, depth,
+    distinct, generated, frontier, fault-plan phase and [elapsed_s] — and
+    the barriers [telemetry] selects (default: every one) also carry the
+    {!Telemetry} diagnostics; an exploration {!Profile} is written as
     [profile.json] by [finish]. Creating a run resets the
     {!Sandtable.Envgen} fault-plan phase watermark. *)
 
@@ -64,12 +62,6 @@ val finish :
   duration:float -> unit -> summary
 (** Idempotent artefact finalization: drain collectors, merge, write
     [metrics.json] and [profile.json], append the "done" event, close
-    trace, event and telemetry files. [metrics.json] carries a top-level
+    the trace and event files. [metrics.json] carries a top-level
     [peak_rss_mb] (the process's VmHWM) where [/proc/self/status] is
     readable. *)
-
-val manifest_metrics : summary -> Store.Manifest.metrics
-(** The summary trio in the shape the v2 manifest stores. *)
-
-val manifest_profile : summary -> Store.Manifest.profile
-(** The profile scalars the v5 manifest stores. *)

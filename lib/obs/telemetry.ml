@@ -1,28 +1,3 @@
-open Sandtable
-
-let file = "telemetry.ndjsonl"
-
-type cadence = { tc_layers : int option; tc_seconds : float option }
-
-let default_cadence = { tc_layers = Some 1; tc_seconds = None }
-
-let parse_cadence s =
-  let s = String.trim s in
-  if s = "" then Error "empty cadence"
-  else
-    let n = String.length s in
-    let suffixed c = s.[n - 1] = c in
-    let body () = String.sub s 0 (n - 1) in
-    if suffixed 's' then
-      match float_of_string_opt (body ()) with
-      | Some f when f > 0. -> Ok { tc_layers = None; tc_seconds = Some f }
-      | _ -> Error (Printf.sprintf "%S: bad duration (try \"2s\")" s)
-    else
-      match int_of_string_opt s with
-      | Some 0 -> Ok { tc_layers = None; tc_seconds = None }
-      | Some k when k > 0 -> Ok { tc_layers = Some k; tc_seconds = None }
-      | _ -> Error (Printf.sprintf "%S: expected a layer count or \"Ns\"" s)
-
 (* Per-worker figures carried between samples so each record reports the
    delta (states, expand/barrier seconds) over its own interval. *)
 type wprev = {
@@ -35,43 +10,30 @@ type wprev = {
 }
 
 type t = {
-  oc : out_channel;
-  t0 : float;
-  cadence : cadence;
+  cadence : Progress.cadence;
   prev : wprev array;
   mutable last_t : float;
-  mutable samples : int;
-  mutable closed : bool;
 }
 
-let create ~dir ~cadence ~t0 ~workers =
-  { oc = open_out (Filename.concat dir file);
-    t0;
-    cadence;
+let create ~cadence ~t0 ~workers =
+  { cadence;
     prev =
       Array.init (max 1 workers) (fun _ ->
           { wp_states = 0; wp_expand = 0.; wp_barrier = 0.;
             wp_steal_wait = 0.; wp_steals = 0; wp_steal_failed = 0 });
-    last_t = t0;
-    samples = 0;
-    closed = false }
+    last_t = t0 }
 
 let due t ~layer ~now =
-  (match t.cadence.tc_layers with
-  | Some k -> k > 0 && layer mod k = 0
-  | None -> false)
-  ||
-  match t.cadence.tc_seconds with
-  | Some secs -> now -. t.last_t >= secs
-  | None -> false
+  match t.cadence with
+  | Progress.Never -> false
+  | Every_states k -> k > 0 && layer mod k = 0
+  | Every_seconds secs -> now -. t.last_t >= secs
 
-(* One record, written at a layer barrier while every worker is parked —
-   the only point where reading their collectors is race-free and where
-   layer-aligned fields (depth, distinct, generated, frontier, fault
-   phase) are deterministic for the deterministic engines. Wall-clock
-   fields (rates, GC, spill bytes) are diagnostic only. *)
-let sample t ~layer ~depth ~distinct ~generated ~frontier ~collectors ~now =
-  if (not t.closed) && due t ~layer ~now then begin
+(* Read at a barrier while every worker is parked: the only point where
+   their collectors can be read without races. *)
+let sample t ~layer ~collectors ~now =
+  if not (due t ~layer ~now) then []
+  else begin
     let open Store.Sjson in
     let int n = Num (float_of_int n) in
     let dt = now -. t.last_t in
@@ -141,36 +103,13 @@ let sample t ~layer ~depth ~distinct ~generated ~frontier ~collectors ~now =
       match v with Some f -> [ (name, Num f) ] | None -> []
     in
     let gc = Gc.quick_stat () in
-    let record =
-      Obj
-        ([ ("type", Str "sample");
-           ("t_s", Num (now -. t.t0));
-           ("layer", int layer);
-           ("depth", int depth);
-           ("distinct", int distinct);
-           ("generated", int generated);
-           ("frontier", int frontier);
-           ("spill_bytes", int (sum_counter "spill.bytes_written"));
-           ("steal_count", int (sum_counter "steal.count"));
-           ("steal_failed", int (sum_counter "steal.failed"));
-           ("fault_phase", int (Envgen.phase_watermark ())) ]
-        @ opt_num "visited_load_pct" load_pct
-        @ opt_num "visited_bytes_per_state" bytes_per_state
-        @ [ ("heap_words", int gc.Gc.heap_words);
-            ("major_collections", int gc.Gc.major_collections);
-            ("workers", List workers) ])
-    in
-    output_string t.oc (to_string_compact record);
-    output_char t.oc '\n';
-    flush t.oc;
     t.last_t <- now;
-    t.samples <- t.samples + 1
-  end
-
-let samples t = t.samples
-
-let close t =
-  if not t.closed then begin
-    t.closed <- true;
-    close_out t.oc
+    [ ("spill_bytes", int (sum_counter "spill.bytes_written"));
+      ("steal_count", int (sum_counter "steal.count"));
+      ("steal_failed", int (sum_counter "steal.failed")) ]
+    @ opt_num "visited_load_pct" load_pct
+    @ opt_num "visited_bytes_per_state" bytes_per_state
+    @ [ ("heap_words", int gc.Gc.heap_words);
+        ("major_collections", int gc.Gc.major_collections);
+        ("workers", List workers) ]
   end

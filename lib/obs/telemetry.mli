@@ -1,43 +1,29 @@
-(** Time-series run telemetry: one ndjson record per sampled BFS layer
-    barrier, appended to [telemetry.ndjsonl] in the run directory and
-    flushed per line (a crashed run keeps every completed sample;
-    [stats --follow] tails it live).
+(** Sampled diagnostics for the run directory's time series.
 
-    Samples are taken by {!Run}'s layer hook {e at the barrier}, while
-    every worker domain is parked — the only point where per-worker
-    collectors can be read without races and where the layer-aligned
-    fields (layer, depth, distinct, generated, frontier, fault phase) are
-    deterministic for the deterministic engines, at every worker count.
-    Wall-clock fields — per-worker states/s and expand vs barrier-wait
-    split, spill bytes, GC heap words and major collections — are
-    diagnostic and machine-dependent. *)
+    Every barrier — a strict-BFS layer or a work-stealing pulse — appends
+    one [layer] record to [events.ndjsonl]; {!Run} writes it. On the
+    barriers the [--telemetry-every] cadence selects, the record also
+    carries the fields {!sample} returns: per-worker states/s and
+    expand / barrier-wait / steal-wait split since the previous sample,
+    per-worker queue depth and steal counts, run-wide steal counts, spill
+    bytes written, visited-table load and bytes per state, GC heap words
+    and major collections. Those are wall-clock diagnostics and
+    machine-dependent; the layer-aligned counts beside them are not.
 
-val file : string
-(** ["telemetry.ndjsonl"], relative to the run directory. *)
-
-type cadence = { tc_layers : int option; tc_seconds : float option }
-(** Sample when the layer index is a multiple of [tc_layers], {e or} when
-    [tc_seconds] have elapsed since the previous sample — whichever fires
-    first; both [None] disables sampling entirely. *)
-
-val default_cadence : cadence
-(** Every layer. Layer counts are bounded by the exploration depth (tens,
-    not thousands), so per-layer sampling is cheap. *)
-
-val parse_cadence : string -> (cadence, string) result
-(** ["0"] → never, ["5"] → every 5 layers, ["2s"]/["0.5s"] → time-based. *)
+    Samples are taken {e at the barrier}, while every worker domain is
+    parked — the only point where per-worker collectors can be read
+    without races. *)
 
 type t
 
-val create : dir:string -> cadence:cadence -> t0:float -> workers:int -> t
+val create : cadence:Progress.cadence -> t0:float -> workers:int -> t
+(** [Every_states k] samples every k-th barrier, [Every_seconds s] the
+    first barrier at least [s] seconds after the previous sample, [Never]
+    none. *)
 
 val sample :
-  t -> layer:int -> depth:int -> distinct:int -> generated:int ->
-  frontier:int -> collectors:Metrics.collector array -> now:float -> unit
-(** Append one record if the cadence says this barrier is due; otherwise a
-    no-op. Call only from the coordinator at a quiescent layer barrier. *)
-
-val samples : t -> int
-(** Records written so far. *)
-
-val close : t -> unit
+  t -> layer:int -> collectors:Metrics.collector array -> now:float ->
+  (string * Store.Sjson.t) list
+(** The diagnostic fields for barrier number [layer], or [[]] when the
+    cadence does not select it. Call only from the coordinator at a
+    quiescent barrier. *)

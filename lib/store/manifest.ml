@@ -1,29 +1,12 @@
 type status = Running | Done | Failed
 
-(* Summary observability figures (v2). Plain numbers, not lib/obs types —
-   the store must not depend on obs (obs depends on the store). *)
-type metrics = {
-  mm_states_per_sec : float;
-  mm_peak_frontier : int;
-  mm_barrier_idle_pct : float;
-}
-
-(* Counterexample-shrinking summary (v3). *)
 type shrink = {
   ms_original : int;
   ms_minimized : int;
-  ms_trace : string option;
-}
-
-(* Exploration-profile scalars (v5); the full histograms live in the run
-   directory's profile.json. *)
-type profile = {
-  mp_dup_top_source : string option;
-  mp_peak_worker_skew_pct : float;
+  ms_trace : string;
 }
 
 type t = {
-  m_version : int;
   m_system : string;
   m_scenario : string;
   m_identity : string;
@@ -41,13 +24,11 @@ type t = {
   m_checkpoints : int;
   m_checkpoint : string option;
   m_trace : string option;
-  m_metrics : metrics option;
   m_shrink : shrink option;
   m_faults : string option;
-  m_profile : profile option;
 }
 
-let version = 6
+let version = 7
 let file = "manifest.json"
 
 let status_string = function
@@ -73,9 +54,8 @@ let now_utc () =
     (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min
     tm.Unix.tm_sec
 
-let make ~system ~scenario ~identity ~engine ~workers ?(cores = 0) ~flags () =
-  { m_version = version;
-    m_system = system;
+let make ~system ~scenario ~identity ~engine ~workers ~cores ~flags =
+  { m_system = system;
     m_scenario = scenario;
     m_identity = identity;
     m_created = now_utc ();
@@ -92,189 +72,128 @@ let make ~system ~scenario ~identity ~engine ~workers ?(cores = 0) ~flags () =
     m_checkpoints = 0;
     m_checkpoint = None;
     m_trace = None;
-    m_metrics = None;
     m_shrink = None;
-    m_faults = None;
-    m_profile = None }
+    m_faults = None }
 
 let to_json t =
   let open Sjson in
-  let opt = function Some s -> Str s | None -> Null in
+  let int n = Num (float_of_int n) in
+  let opt f = function Some v -> f v | None -> Null in
+  let str s = Str s in
   Obj
-    ([ ("version", Num (float_of_int t.m_version));
+    [ ("version", int version);
       ("system", Str t.m_system);
       ("scenario", Str t.m_scenario);
       ("identity", Str t.m_identity);
       ("created", Str t.m_created);
       ("engine", Str t.m_engine);
-      ("workers", Num (float_of_int t.m_workers));
-      ("cores", Num (float_of_int t.m_cores));
-      ( "flags",
-        Obj (List.map (fun (k, v) -> (k, Sjson.Str v)) t.m_flags) );
+      ("workers", int t.m_workers);
+      ("cores", int t.m_cores);
+      ("flags", Obj (List.map (fun (k, v) -> (k, Str v)) t.m_flags));
       ("status", Str (status_string t.m_status));
-      ("outcome", opt t.m_outcome);
-      ("distinct", Num (float_of_int t.m_distinct));
-      ("generated", Num (float_of_int t.m_generated));
-      ("max_depth", Num (float_of_int t.m_max_depth));
+      ("outcome", opt str t.m_outcome);
+      ("distinct", int t.m_distinct);
+      ("generated", int t.m_generated);
+      ("max_depth", int t.m_max_depth);
       ("duration_s", Num t.m_duration);
-      ("checkpoints", Num (float_of_int t.m_checkpoints));
-      ("checkpoint", opt t.m_checkpoint);
-      ("trace", opt t.m_trace) ]
-    @ (match t.m_faults with
-      | None -> []
-      | Some src -> [ ("faults", Sjson.Str src) ])
-    @ (match t.m_metrics with
-      | None -> []
-      | Some m ->
-        [ ( "metrics",
-            Sjson.Obj
-              [ ("states_per_sec", Num m.mm_states_per_sec);
-                ("peak_frontier", Num (float_of_int m.mm_peak_frontier));
-                ("barrier_idle_pct", Num m.mm_barrier_idle_pct) ] ) ])
-    @ (match t.m_shrink with
-      | None -> []
-      | Some s ->
-        [ ( "shrink",
-            Sjson.Obj
-              ([ ("original_events", Num (float_of_int s.ms_original));
-                 ("minimized_events", Num (float_of_int s.ms_minimized)) ]
-              @
-              match s.ms_trace with
-              | None -> []
-              | Some t -> [ ("trace", Str t) ]) ) ])
-    @
-    match t.m_profile with
-    | None -> []
-    | Some p ->
-      [ ( "profile",
-          Sjson.Obj
-            ([ ("peak_worker_skew_pct", Num p.mp_peak_worker_skew_pct) ]
-            @
-            match p.mp_dup_top_source with
-            | None -> []
-            | Some k -> [ ("dup_top_source", Str k) ]) ) ] )
+      ("checkpoints", int t.m_checkpoints);
+      ("checkpoint", opt str t.m_checkpoint);
+      ("trace", opt str t.m_trace);
+      ("faults", opt str t.m_faults);
+      ( "shrink",
+        opt
+          (fun s ->
+            Obj
+              [ ("original_events", int s.ms_original);
+                ("minimized_events", int s.ms_minimized);
+                ("trace", Str s.ms_trace) ])
+          t.m_shrink ) ]
+
+(* A reader is what the field must hold, for the error message, and a
+   converter that answers [None] when it does not. *)
+let str = ("a string", Sjson.to_str)
+let int = ("an integer", Sjson.to_int)
+
+let nullable (what, conv) =
+  ( what ^ " or null",
+    function Sjson.Null -> Some None | v -> Option.map Option.some (conv v) )
+
+let field j name (what, conv) =
+  match Sjson.member name j with
+  | None -> Error (Printf.sprintf "missing %S" name)
+  | Some v -> (
+    match conv v with
+    | Some x -> Ok x
+    | None -> Error (Printf.sprintf "%S is not %s" name what))
+
+let cores =
+  ( "an integer >= 1",
+    fun v ->
+      Option.bind (Sjson.to_int v) (fun c -> if c >= 1 then Some c else None)
+  )
+
+let flags =
+  ( "an object of strings",
+    function
+    | Sjson.Obj kvs ->
+      List.fold_right
+        (fun (k, v) acc ->
+          Option.bind acc (fun l ->
+              Option.map (fun s -> (k, s) :: l) (Sjson.to_str v)))
+        kvs (Some [])
+    | _ -> None )
+
+let status =
+  ( "running, done or failed",
+    fun v -> Option.bind (Sjson.to_str v) status_of_string )
+
+let shrink =
+  ( "a shrink summary",
+    fun v ->
+      match
+        ( Option.bind (Sjson.member "original_events" v) Sjson.to_int,
+          Option.bind (Sjson.member "minimized_events" v) Sjson.to_int,
+          Option.bind (Sjson.member "trace" v) Sjson.to_str )
+      with
+      | Some o, Some m, Some tr ->
+        Some { ms_original = o; ms_minimized = m; ms_trace = tr }
+      | _ -> None )
 
 let of_json j =
   let ( let* ) = Result.bind in
-  let field name conv =
-    match Option.bind (Sjson.member name j) conv with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "manifest: missing or ill-typed %S" name)
-  in
-  let opt_str name =
-    match Sjson.member name j with
-    | Some (Sjson.Str s) -> Some s
-    | _ -> None
-  in
-  let* m_version = field "version" Sjson.to_int in
-  let* m_system = field "system" Sjson.to_str in
-  let* m_scenario = field "scenario" Sjson.to_str in
-  let* m_identity = field "identity" Sjson.to_str in
-  let* m_created = field "created" Sjson.to_str in
-  let* m_engine = field "engine" Sjson.to_str in
-  let* m_workers = field "workers" Sjson.to_int in
-  (* absent before v6 — older manifests load with [m_cores = 0] (unknown) *)
-  let m_cores =
-    match Option.bind (Sjson.member "cores" j) Sjson.to_int with
-    | Some c -> c
-    | None -> 0
-  in
-  let* m_status =
-    let* s = field "status" Sjson.to_str in
-    match status_of_string s with
-    | Some st -> Ok st
-    | None -> Error (Printf.sprintf "manifest: unknown status %S" s)
-  in
-  let* m_distinct = field "distinct" Sjson.to_int in
-  let* m_generated = field "generated" Sjson.to_int in
-  let* m_max_depth = field "max_depth" Sjson.to_int in
-  let* m_duration = field "duration_s" Sjson.to_num in
-  let* m_checkpoints = field "checkpoints" Sjson.to_int in
-  let m_flags =
-    match Sjson.member "flags" j with
-    | Some (Sjson.Obj fields) ->
-      List.filter_map
-        (fun (k, v) -> Option.map (fun s -> (k, s)) (Sjson.to_str v))
-        fields
-    | _ -> []
-  in
-  (* absent in v1 manifests — they load with [m_metrics = None] *)
-  let m_metrics =
-    match Sjson.member "metrics" j with
-    | Some (Sjson.Obj _ as mj) -> (
-      let num name = Option.bind (Sjson.member name mj) Sjson.to_num in
-      match
-        (num "states_per_sec", num "peak_frontier", num "barrier_idle_pct")
-      with
-      | Some sps, Some pf, Some bi ->
-        Some
-          { mm_states_per_sec = sps;
-            mm_peak_frontier = int_of_float pf;
-            mm_barrier_idle_pct = bi }
-      | _ -> None)
-    | _ -> None
-  in
-  (* absent before v3 — older manifests load with [m_shrink = None] *)
-  let m_shrink =
-    match Sjson.member "shrink" j with
-    | Some (Sjson.Obj _ as sj) -> (
-      let num name =
-        Option.bind (Option.bind (Sjson.member name sj) Sjson.to_num)
-          (fun f -> Some (int_of_float f))
-      in
-      match (num "original_events", num "minimized_events") with
-      | Some o, Some m ->
-        Some
-          { ms_original = o;
-            ms_minimized = m;
-            ms_trace =
-              (match Sjson.member "trace" sj with
-              | Some (Sjson.Str s) -> Some s
-              | _ -> None) }
-      | _ -> None)
-    | _ -> None
-  in
-  (* absent before v5 — older manifests load with [m_profile = None] *)
-  let m_profile =
-    match Sjson.member "profile" j with
-    | Some (Sjson.Obj _ as pj) -> (
-      match
-        Option.bind (Sjson.member "peak_worker_skew_pct" pj) Sjson.to_num
-      with
-      | Some skew ->
-        Some
-          { mp_peak_worker_skew_pct = skew;
-            mp_dup_top_source =
-              (match Sjson.member "dup_top_source" pj with
-              | Some (Sjson.Str s) -> Some s
-              | _ -> None) }
-      | None -> None)
-    | _ -> None
-  in
-  Ok
-    { m_version;
-      m_system;
-      m_scenario;
-      m_identity;
-      m_created;
-      m_engine;
-      m_workers;
-      m_cores;
-      m_flags;
-      m_status;
-      m_outcome = opt_str "outcome";
-      m_distinct;
-      m_generated;
-      m_max_depth;
-      m_duration;
-      m_checkpoints;
-      m_checkpoint = opt_str "checkpoint";
-      m_trace = opt_str "trace";
-      m_metrics;
-      m_shrink;
-      (* absent before v4 — older manifests load with [m_faults = None] *)
-      m_faults = opt_str "faults";
-      m_profile }
+  let field name reader = field j name reader in
+  let* v = field "version" int in
+  if v <> version then
+    Error
+      (Printf.sprintf
+         "manifest version %d, expected %d (re-run check to record the run \
+          in the current format)"
+         v version)
+  else
+    let* m_system = field "system" str in
+    let* m_scenario = field "scenario" str in
+    let* m_identity = field "identity" str in
+    let* m_created = field "created" str in
+    let* m_engine = field "engine" str in
+    let* m_workers = field "workers" int in
+    let* m_cores = field "cores" cores in
+    let* m_flags = field "flags" flags in
+    let* m_status = field "status" status in
+    let* m_outcome = field "outcome" (nullable str) in
+    let* m_distinct = field "distinct" int in
+    let* m_generated = field "generated" int in
+    let* m_max_depth = field "max_depth" int in
+    let* m_duration = field "duration_s" ("a number", Sjson.to_num) in
+    let* m_checkpoints = field "checkpoints" int in
+    let* m_checkpoint = field "checkpoint" (nullable str) in
+    let* m_trace = field "trace" (nullable str) in
+    let* m_faults = field "faults" (nullable str) in
+    let* m_shrink = field "shrink" (nullable shrink) in
+    Ok
+      { m_system; m_scenario; m_identity; m_created; m_engine; m_workers;
+        m_cores; m_flags; m_status; m_outcome; m_distinct; m_generated;
+        m_max_depth; m_duration; m_checkpoints; m_checkpoint; m_trace;
+        m_shrink; m_faults }
 
 let save ~dir t =
   mkdir_p dir;
@@ -292,13 +211,9 @@ let load ~dir =
   let path = Filename.concat dir file in
   match read_whole path with
   | exception Sys_error m -> Error m
-  | raw -> (
-    match Sjson.of_string raw with
-    | Error m -> Error (Printf.sprintf "%s: %s" path m)
-    | Ok j -> (
-      match of_json j with
-      | Error m -> Error (Printf.sprintf "%s: %s" path m)
-      | Ok t -> Ok t))
+  | raw ->
+    Result.bind (Sjson.of_string raw) of_json
+    |> Result.map_error (Printf.sprintf "%s: %s" path)
 
 let list_runs root =
   match Sys.readdir root with

@@ -3,43 +3,24 @@
 
     Written atomically at run start ([Running]), rewritten at completion
     ([Done] / [Failed]). Human-readable and machine-parseable (plain JSON);
-    the [runs] CLI command lists a tree of run directories from these. *)
+    the [runs] CLI command lists a tree of run directories from these.
+
+    One format generation, {!version}: {!load} reads [version] before any
+    other field and refuses every other value, older or newer, by name.
+    Every field is required; an absent outcome, artefact, schedule or
+    shrink summary is written as [null]. There is no migration — re-run
+    [check] to record a run in the current format. *)
 
 type status = Running | Done | Failed
-
-type metrics = {
-  mm_states_per_sec : float;  (** generated states / wall seconds *)
-  mm_peak_frontier : int;  (** largest BFS layer *)
-  mm_barrier_idle_pct : float;
-      (** % of worker busy+wait time spent waiting at layer barriers
-          (0 for the sequential engine) *)
-}
-(** Observability summary recorded by instrumented runs (schema v2). Plain
-    numbers so the store stays independent of [lib/obs], which computes
-    them. *)
 
 type shrink = {
   ms_original : int;  (** event count of the recorded counterexample *)
   ms_minimized : int;  (** event count after shrinking *)
-  ms_trace : string option;
-      (** relative path of the minimized trace, when written *)
+  ms_trace : string;  (** relative path of the minimized trace *)
 }
-(** Counterexample-shrinking summary (schema v3; absent in older
-    manifests, which load with the field [None]). *)
-
-type profile = {
-  mp_dup_top_source : string option;
-      (** the (event kind × node / node-pair) attribution key with the
-          most duplicate hits, e.g. ["deliver n1>n2"]; [None] when the run
-          saw no duplicates *)
-  mp_peak_worker_skew_pct : float;
-      (** how far the busiest worker's edge count sat above the mean *)
-}
-(** Exploration-profile scalars (schema v5); the per-depth and per-event
-    histograms live in the run directory's [profile.json]. *)
+(** Counterexample-shrinking summary. *)
 
 type t = {
-  m_version : int;  (** manifest schema version, currently 6 *)
   m_system : string;
   m_scenario : string;
   m_identity : string;  (** identity digest ({!Checkpoint.digest_hex}) *)
@@ -47,11 +28,12 @@ type t = {
   m_engine : string;  (** ["seq"], ["par"] or ["ws"] *)
   m_workers : int;
   m_cores : int;
-      (** CPU cores available to the run (schema v6; [0] = unknown, the
-          value pre-v6 manifests load with). Scaling gates refuse to
-          compare runs whose [m_cores < m_workers] — oversubscribed
+      (** CPU cores available to the run, at least 1. Scaling gates refuse
+          to compare runs whose [m_cores < m_workers] — oversubscribed
           workers measure the scheduler, not the engine. *)
-  m_flags : (string * string) list;  (** config knobs, e.g. bug flags *)
+  m_flags : (string * string) list;
+      (** config knobs, e.g. bug flags and the node count [shrink] rebuilds
+          the scenario from *)
   m_status : status;
   m_outcome : string option;  (** e.g. ["violation: AgreeInv"] once done *)
   m_distinct : int;
@@ -61,32 +43,29 @@ type t = {
   m_checkpoints : int;  (** checkpoints written during the run *)
   m_checkpoint : string option;  (** relative path, when one exists *)
   m_trace : string option;  (** relative path of the counterexample trace *)
-  m_metrics : metrics option;
-      (** [None] for uninstrumented runs and all v1 manifests (v1 files
-          still load; the field is simply absent) *)
   m_shrink : shrink option;  (** [None] until a counterexample is shrunk *)
   m_faults : string option;
-      (** canonical fault-schedule source (schema v4) when the run was
-          driven by one; lets resume and shrink replay the same schedule.
-          Absent in older manifests, which load with [None]. *)
-  m_profile : profile option;
-      (** [None] for uninstrumented runs and all pre-v5 manifests *)
+      (** canonical fault-schedule source when the run was driven by one;
+          lets resume and shrink replay the same schedule *)
 }
 
 val version : int
+(** [7]. *)
+
 val file : string
 (** ["manifest.json"], relative to the run directory. *)
 
 val make :
   system:string -> scenario:string -> identity:string -> engine:string ->
-  workers:int -> ?cores:int -> flags:(string * string) list -> unit -> t
-(** A fresh [Running] manifest stamped with the current UTC time.
-    [cores] defaults to [0] (unknown). *)
+  workers:int -> cores:int -> flags:(string * string) list -> t
+(** A fresh [Running] manifest stamped with the current UTC time. *)
 
 val save : dir:string -> t -> unit
 (** Atomic write of [dir ^ "/" ^ file]; creates [dir] if missing. *)
 
 val load : dir:string -> (t, string) result
+(** [Error] names the file and the first bad field, or the version found
+    and the version expected. *)
 
 val list_runs : string -> (string * (t, string) result) list
 (** Immediate subdirectories of the given root that contain a manifest,

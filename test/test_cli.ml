@@ -129,12 +129,15 @@ let test_stats_compare_and_follow () =
       Alcotest.(check int) "run A exits 0" 0 code;
       let code, _, _ = check b in
       Alcotest.(check int) "run B exits 0" 0 code;
-      (* the instrumented run left both new artefacts behind *)
+      (* the instrumented run left both artefacts behind, and one event
+         log carries the time series *)
       List.iter
         (fun f ->
           Alcotest.(check bool) (f ^ " written") true
             (Sys.file_exists (Filename.concat a f)))
-        [ "telemetry.ndjsonl"; "profile.json" ];
+        [ "events.ndjsonl"; "profile.json" ];
+      Alcotest.(check bool) "no second log" false
+        (Sys.file_exists (Filename.concat a "telemetry.ndjsonl"));
       (* plain stats renders the profile sections *)
       let code, out, _ = run_cli [ "stats"; a ] in
       Alcotest.(check int) "stats exit 0" 0 code;
@@ -161,13 +164,179 @@ let test_stats_compare_and_follow () =
         run_cli [ "stats"; "--compare"; a; b; "--fail-threshold-dup"; "5.0" ]
       in
       Alcotest.(check int) "gate passes in bounds" 0 code;
-      (* --follow on a finished run prints every sample and exits *)
+      (* --follow on a finished run prints every layer record and exits *)
       let code, out, _ = run_cli [ "stats"; "--follow"; a ] in
       Alcotest.(check int) "follow exit 0" 0 code;
       check_contains "samples printed" out "layer";
       (* --compare without a second directory is a usage error *)
       let code, _, _ = run_cli [ "stats"; "--compare"; a ] in
       Alcotest.(check int) "compare needs two dirs" 2 code)
+
+(* ---- run directories fail closed ----------------------------------- *)
+
+(* The CI profile baseline, a bounded strict-BFS pysyncobj run. *)
+let baseline = "../ci/pysyncobj-baseline"
+
+let write_file path s =
+  let oc = open_out_bin path in
+  output_string oc s;
+  close_out oc
+
+let copy_baseline dst =
+  Unix.mkdir dst 0o700;
+  Array.iter
+    (fun f ->
+      write_file (Filename.concat dst f) (slurp (Filename.concat baseline f)))
+    (Sys.readdir baseline)
+
+(* rewrite the top-level fields of a JSON object *)
+let edit_fields text f =
+  match Store.Sjson.of_string text with
+  | Ok (Store.Sjson.Obj fields) ->
+    Store.Sjson.to_string (Store.Sjson.Obj (f fields))
+  | _ -> Alcotest.failf "not a JSON object: %s" text
+
+let set_version v =
+  List.map (fun (k, x) ->
+      if k = "version" then (k, Store.Sjson.Num (float_of_int v)) else (k, x))
+
+let v1_manifest =
+  {|{
+  "version": 1,
+  "system": "toy",
+  "scenario": "toy-2n",
+  "identity": "deadbeef0123",
+  "created": "2025-01-01T00:00:00Z",
+  "engine": "seq",
+  "workers": 1,
+  "flags": {},
+  "status": "done",
+  "outcome": "exhausted",
+  "distinct": 42,
+  "generated": 99,
+  "max_depth": 7,
+  "duration_s": 0.5,
+  "checkpoints": 0,
+  "checkpoint": null,
+  "trace": null
+}|}
+
+(* the CI baseline as the previous generation recorded it *)
+let v5_manifest =
+  {|{
+  "version": 5,
+  "system": "pysyncobj",
+  "scenario": "pysyncobj-2n",
+  "identity": "0cb052422fc4",
+  "created": "2026-08-09T08:58:00Z",
+  "engine": "par",
+  "workers": 2,
+  "flags": {
+    "bugs": "",
+    "nodes": "2",
+    "spill_window": "0",
+    "checkpoint_every": "0"
+  },
+  "status": "done",
+  "outcome": "budget spent",
+  "distinct": 4761,
+  "generated": 10601,
+  "max_depth": 9,
+  "duration_s": 0.084498882293701172,
+  "checkpoints": 0,
+  "checkpoint": null,
+  "trace": null,
+  "metrics": {
+    "states_per_sec": 125457.28076204665,
+    "peak_frontier": 2262,
+    "barrier_idle_pct": 5.818875194463522
+  },
+  "profile": {
+    "peak_worker_skew_pct": 6.0931899641577063,
+    "dup_top_source": "timeout n1"
+  }
+}|}
+
+let test_older_manifests_refused () =
+  with_tmpdir (fun root ->
+      let current = slurp (Filename.concat baseline "manifest.json") in
+      let manifests =
+        [ (1, v1_manifest);
+          (5, v5_manifest);
+          (* v6 added [cores] to v5 *)
+          ( 6,
+            edit_fields v5_manifest (fun fields ->
+                set_version 6 fields
+                @ [ ("cores", Store.Sjson.Num 2.) ]) );
+          (8, edit_fields current (set_version 8)) ]
+      in
+      List.iter
+        (fun (v, text) ->
+          let named = Printf.sprintf "version %d, expected 7" v in
+          let dir = Filename.concat root (Printf.sprintf "v%d" v) in
+          Unix.mkdir dir 0o700;
+          write_file (Filename.concat dir "manifest.json") text;
+          (match Store.Manifest.load ~dir with
+          | Ok _ -> Alcotest.failf "v%d manifest loaded" v
+          | Error e -> check_contains "load names the version" e named);
+          List.iter
+            (fun cmd ->
+              let code, _, err = run_cli (cmd @ [ dir ]) in
+              Alcotest.(check int)
+                (Printf.sprintf "v%d: %s exits 2" v (String.concat " " cmd))
+                2 code;
+              check_contains "stderr names the version" err named)
+            [ [ "stats" ]; [ "stats"; "--follow" ]; [ "shrink" ] ])
+        manifests;
+      let code, out, _ = run_cli [ "runs"; root ] in
+      Alcotest.(check int) "runs carries on" 0 code;
+      List.iter
+        (fun (v, _) ->
+          check_contains "runs lists it as unreadable" out
+            (Printf.sprintf
+               "unreadable manifest (%s/v%d/manifest.json: manifest version \
+                %d, expected 7"
+               root v v))
+        manifests)
+
+let test_profile_fail_closed () =
+  with_tmpdir (fun tmp ->
+      let b = Filename.concat tmp "b" in
+      copy_baseline b;
+      let profile = Filename.concat b "profile.json" in
+      write_file profile
+        (edit_fields (slurp profile) (List.remove_assoc "duplicates"));
+      (match Obs.Profile.load ~dir:b with
+      | Ok _ -> Alcotest.fail "a profile without duplicates loaded"
+      | Error e -> check_contains "load names the field" e "duplicates");
+      let code, _, err =
+        run_cli
+          [ "stats"; "--compare"; baseline; b; "--fail-threshold-dup"; "0.5" ]
+      in
+      Alcotest.(check int) "dup gate exits 2" 2 code;
+      check_contains "stderr names the field" err "duplicates")
+
+let test_follow_bad_manifest () =
+  with_tmpdir (fun tmp ->
+      let d = Filename.concat tmp "d" in
+      copy_baseline d;
+      write_file (Filename.concat d "manifest.json") {|{"version": 7|};
+      let code, _, err = run_cli [ "stats"; "--follow"; d ] in
+      Alcotest.(check int) "exit 2" 2 code;
+      check_contains "stderr names the manifest" err "manifest.json")
+
+let test_rate_gate_needs_manifest () =
+  with_tmpdir (fun tmp ->
+      let b = Filename.concat tmp "b" in
+      copy_baseline b;
+      Sys.remove (Filename.concat b "manifest.json");
+      let code, _, err =
+        run_cli
+          [ "stats"; "--compare"; baseline; b; "--fail-threshold-rate"; "5" ]
+      in
+      Alcotest.(check int) "refused: exit 1" 1 code;
+      check_contains "refused by name" err "refusing to gate throughput";
+      check_contains "names what is missing" err "no manifest.json")
 
 let test_bad_cadence_usage () =
   let code, _, err =
@@ -237,6 +406,10 @@ let suite =
       case "check+shrink+runs+stats round trip" test_check_finds_bug_and_records;
       case "clean check: exit 0" test_clean_check_exit_zero;
       case "stats compare/follow round trip" test_stats_compare_and_follow;
+      case "older manifests refused by name" test_older_manifests_refused;
+      case "profile.json read fail-closed" test_profile_fail_closed;
+      case "follow on a bad manifest: exit 2" test_follow_bad_manifest;
+      case "rate gate needs a manifest" test_rate_gate_needs_manifest;
       case "bad cadence flags: exit 2" test_bad_cadence_usage;
       case "stats on missing dir: exit 2" test_stats_missing_dir_usage;
       case "shrink on missing dir: exit 2" test_shrink_missing_dir_usage;

@@ -5,7 +5,7 @@
    timeout restriction), legacy-budget equivalence on real systems,
    worker-count determinism of schedule-driven runs, shrink replay under a
    recorded schedule, clock skew at the implementation level, and the
-   manifest v4 schedule identity surface. *)
+   manifest's schedule identity surface. *)
 
 open Sandtable
 module Sched = Faults.Schedule
@@ -556,7 +556,7 @@ let test_cluster_clock_skew () =
      synchronized cluster exhibits *)
   Alcotest.(check int) "40ms ahead" 40_000 (skew_delta - base_delta)
 
-(* ---- manifest v4: the schedule identity surface ------------------------ *)
+(* ---- manifest: the schedule identity surface --------------------------- *)
 
 let rec rm_rf path =
   if Sys.is_directory path then begin
@@ -571,18 +571,16 @@ let with_tmpdir f =
   Unix.mkdir dir 0o700;
   Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
 
-let test_manifest_v4_roundtrip () =
+let test_manifest_schedule_roundtrip () =
   with_tmpdir @@ fun dir ->
   let src =
     Sched.to_string (Option.get (R.schedule_of (R.find "pysyncobj") "leader-partition"))
   in
   let m =
     { (Store.Manifest.make ~system:"pysyncobj" ~scenario:"default"
-         ~identity:"abc" ~engine:"seq" ~workers:1 ~flags:[] ())
+         ~identity:"abc" ~engine:"seq" ~workers:1 ~cores:1 ~flags:[])
       with Store.Manifest.m_faults = Some src }
   in
-  Alcotest.(check int) "current schema" Store.Manifest.version
-    m.Store.Manifest.m_version;
   Store.Manifest.save ~dir m;
   (match Store.Manifest.load ~dir with
   | Error e -> Alcotest.failf "reload failed: %s" e
@@ -592,14 +590,14 @@ let test_manifest_v4_roundtrip () =
     (* and the stored source still parses to the same canonical form *)
     Alcotest.(check string) "stored source is canonical" src
       (Sched.to_string (ok_exn (Sched.parse (Option.get m'.Store.Manifest.m_faults)))));
-  (* a manifest without the field — any pre-v4 file — loads with None *)
-  let dir_old = Filename.concat dir "old" in
-  Store.Manifest.save ~dir:dir_old
+  (* a run without a schedule records null, which loads as None *)
+  let dir_none = Filename.concat dir "none" in
+  Store.Manifest.save ~dir:dir_none
     { m with Store.Manifest.m_faults = None };
-  match Store.Manifest.load ~dir:dir_old with
+  match Store.Manifest.load ~dir:dir_none with
   | Error e -> Alcotest.failf "reload failed: %s" e
   | Ok m' ->
-    Alcotest.(check (option string)) "absent field loads as None" None
+    Alcotest.(check (option string)) "null loads as None" None
       m'.Store.Manifest.m_faults
 
 let suite =
@@ -623,4 +621,4 @@ let suite =
       case "identical at -j1/-j2/-j4 under a schedule"
         test_workers_determinism_under_schedule;
       case "clock skew reaches implementation clocks" test_cluster_clock_skew;
-      case "manifest v4 records the schedule" test_manifest_v4_roundtrip ] )
+      case "manifest v4 records the schedule" test_manifest_schedule_roundtrip ] )

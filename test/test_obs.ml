@@ -1,7 +1,7 @@
 (* lib/obs: metric merge determinism across worker counts, Chrome
    trace-event output validity and per-tid span nesting, events.ndjsonl
-   agreement with explorer counters, stats-reader tolerance of v1 run
-   directories, manifest v2 metrics roundtrip. *)
+   agreement with explorer counters and its layer records across -j, the
+   manifest roundtrip. *)
 
 open Sandtable
 
@@ -198,117 +198,48 @@ let test_events_match_result () =
       Alcotest.(check bool) "metrics.json written" true
         (Sys.file_exists (Filename.concat dir Obs.Run.metrics_file)))
 
-(* ---- stats reader on a v1 (pre-observability) run dir ----------------- *)
+(* ---- manifest roundtrip ----------------------------------------------- *)
 
-let v1_manifest =
-  {|{
-  "version": 1,
-  "system": "toy",
-  "scenario": "toy-2n",
-  "identity": "deadbeef0123",
-  "created": "2025-01-01T00:00:00Z",
-  "engine": "seq",
-  "workers": 1,
-  "flags": {},
-  "status": "done",
-  "outcome": "exhausted",
-  "distinct": 42,
-  "generated": 99,
-  "max_depth": 7,
-  "duration_s": 0.5,
-  "checkpoints": 0,
-  "checkpoint": null,
-  "trace": null
-}|}
-
-let test_stats_on_v1_run_dir () =
-  with_tmpdir (fun dir ->
-      let oc = open_out (Filename.concat dir Store.Manifest.file) in
-      output_string oc v1_manifest;
-      close_out oc;
-      let report =
-        match Obs.Report.load dir with
-        | Ok r -> r
-        | Error m -> Alcotest.failf "stats refused v1 run dir: %s" m
-      in
-      (match report.Obs.Report.rp_manifest with
-      | Some (Ok m) ->
-        Alcotest.(check int) "v1 version kept" 1 m.Store.Manifest.m_version;
-        Alcotest.(check int) "v1 distinct" 42 m.Store.Manifest.m_distinct;
-        Alcotest.(check bool) "v1 has no metrics" true
-          (m.Store.Manifest.m_metrics = None)
-      | _ -> Alcotest.fail "v1 manifest did not load");
-      Alcotest.(check bool) "no metrics.json" true
-        (report.Obs.Report.rp_metrics = None);
-      (* rendering must not raise *)
-      let rendered = Fmt.str "%a" Obs.Report.pp report in
-      Alcotest.(check bool) "render mentions missing metrics" true
-        (String.length rendered > 0))
-
-(* ---- manifest metrics+shrink roundtrip -------------------------------------------- *)
-
-let test_manifest_v3_roundtrip () =
+let test_manifest_v7_roundtrip () =
   with_tmpdir (fun dir ->
       let m =
         { (Store.Manifest.make ~system:"toy" ~scenario:"toy-2n"
-             ~identity:"cafebabe" ~engine:"par" ~workers:4 ~flags:[] ())
+             ~identity:"cafebabe" ~engine:"par" ~workers:4 ~cores:2
+             ~flags:[ ("nodes", "2") ])
           with
           Store.Manifest.m_status = Store.Manifest.Done;
-          m_metrics =
-            Some
-              { Store.Manifest.mm_states_per_sec = 12345.5;
-                mm_peak_frontier = 678;
-                mm_barrier_idle_pct = 3.25 };
+          m_outcome = Some "violation: Inv";
+          m_trace = Some "trace.bin";
           m_shrink =
             Some
               { Store.Manifest.ms_original = 54;
                 ms_minimized = 12;
-                ms_trace = Some "minimized.trace" };
-          m_profile =
-            Some
-              { Store.Manifest.mp_dup_top_source = Some "deliver n1>n2";
-                mp_peak_worker_skew_pct = 7.5 }
-        }
+                ms_trace = "minimized.trace" } }
       in
       Store.Manifest.save ~dir m;
+      let raw = read_whole (Filename.concat dir Store.Manifest.file) in
+      (match Store.Sjson.of_string raw with
+      | Ok j ->
+        Alcotest.(check (option int)) "written as the current version"
+          (Some Store.Manifest.version)
+          (Option.bind (Store.Sjson.member "version" j) Store.Sjson.to_int);
+        (* absent options are written, as null *)
+        Alcotest.(check bool) "faults written as null" true
+          (Store.Sjson.member "faults" j = Some Store.Sjson.Null)
+      | Error e -> Alcotest.failf "manifest is not JSON: %s" e);
       match Store.Manifest.load ~dir with
       | Error e -> Alcotest.failf "reload failed: %s" e
       | Ok m' ->
-        Alcotest.(check int) "version" Store.Manifest.version
-          m'.Store.Manifest.m_version;
-        (match m'.Store.Manifest.m_metrics with
-        | None -> Alcotest.fail "metrics lost on roundtrip"
-        | Some mm ->
-          Alcotest.(check (float 1e-9)) "states_per_sec" 12345.5
-            mm.Store.Manifest.mm_states_per_sec;
-          Alcotest.(check int) "peak_frontier" 678
-            mm.Store.Manifest.mm_peak_frontier;
-          Alcotest.(check (float 1e-9)) "barrier_idle_pct" 3.25
-            mm.Store.Manifest.mm_barrier_idle_pct);
-        (match m'.Store.Manifest.m_shrink with
-        | None -> Alcotest.fail "shrink summary lost on roundtrip"
-        | Some s ->
-          Alcotest.(check int) "shrink original" 54
-            s.Store.Manifest.ms_original;
-          Alcotest.(check int) "shrink minimized" 12
-            s.Store.Manifest.ms_minimized;
-          Alcotest.(check (option string)) "shrink trace"
-            (Some "minimized.trace") s.Store.Manifest.ms_trace);
-        match m'.Store.Manifest.m_profile with
-        | None -> Alcotest.fail "profile summary lost on roundtrip"
-        | Some p ->
-          Alcotest.(check (option string)) "dup top source"
-            (Some "deliver n1>n2") p.Store.Manifest.mp_dup_top_source;
-          Alcotest.(check (float 1e-9)) "peak worker skew" 7.5
-            p.Store.Manifest.mp_peak_worker_skew_pct)
+        Alcotest.(check int) "cores" 2 m'.Store.Manifest.m_cores;
+        Alcotest.(check bool) "every field survives" true (m = m'))
 
 (* ---- telemetry: layer-aligned fields deterministic across -j ---------- *)
 
-let sample_fields r =
+let layer_fields r =
   let num name =
     match Option.bind (Store.Sjson.member name r) Store.Sjson.to_int with
     | Some n -> n
-    | None -> Alcotest.failf "sample missing %s" name
+    | None -> Alcotest.failf "layer record missing %s" name
   in
   ( num "layer",
     num "depth",
@@ -317,26 +248,26 @@ let sample_fields r =
     num "frontier",
     num "fault_phase" )
 
-let telemetry_samples dir =
-  match Obs.Events.read_all (Filename.concat dir Obs.Telemetry.file) with
-  | Error m -> Alcotest.failf "telemetry unreadable: %s" m
+let layer_records dir =
+  match Obs.Events.read_all (Filename.concat dir Obs.Events.file) with
+  | Error m -> Alcotest.failf "events unreadable: %s" m
   | Ok records ->
     List.filter
       (fun r ->
         Option.bind (Store.Sjson.member "type" r) Store.Sjson.to_str
-        = Some "sample")
+        = Some "layer")
       records
 
 let test_telemetry_layer_aligned () =
-  (* the counts a sample carries at each layer barrier are facts about the
-     exploration, not the schedule: identical at every worker count (the
-     rates, GC and per-worker split around them are diagnostic only) *)
+  (* the counts a layer record carries at each barrier are facts about
+     the exploration, not the schedule: identical at every worker count
+     (the rates, GC and per-worker split beside them are diagnostic only) *)
   let runs =
     List.map
       (fun j ->
         with_tmpdir (fun dir ->
             let _ = check_with_workers ~dir j in
-            (j, List.map sample_fields (telemetry_samples dir))))
+            (j, List.map layer_fields (layer_records dir))))
       [ 1; 2; 4 ]
   in
   let _, base = List.hd runs in
@@ -628,8 +559,7 @@ let suite =
         test_profile_reconciles_all_systems;
       case "events tolerate a torn tail" test_events_torn_tail;
       case "progress cadence parsing and ETA" test_progress_cadence;
-      case "stats tolerates v1 run dirs" test_stats_on_v1_run_dir;
-      case "manifest metrics+shrink roundtrip" test_manifest_v3_roundtrip;
+      case "manifest v7 roundtrip" test_manifest_v7_roundtrip;
       case "symmetry.candidates deterministic across engines and -j"
         test_symmetry_candidates_deterministic;
       case "visited gauges agree with the store across engines and -j"

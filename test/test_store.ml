@@ -932,8 +932,8 @@ let test_manifest_roundtrip () =
       let dir = Filename.concat root "run-a" in
       let m =
         { (Store.Manifest.make ~system:"toy" ~scenario:"toy-2n"
-             ~identity:"abc123" ~engine:"seq" ~workers:1
-             ~flags:[ ("bugs", "pso4") ] ())
+             ~identity:"abc123" ~engine:"seq" ~workers:1 ~cores:1
+             ~flags:[ ("bugs", "pso4") ])
           with
           Store.Manifest.m_status = Store.Manifest.Done;
           m_outcome = Some "violation: BelowLimit";
@@ -953,7 +953,7 @@ let test_manifest_roundtrip () =
       let dir_b = Filename.concat root "run-b" in
       Store.Manifest.save ~dir:dir_b
         (Store.Manifest.make ~system:"toy" ~scenario:"toy-3n" ~identity:"def"
-           ~engine:"par" ~workers:4 ~flags:[] ());
+           ~engine:"par" ~workers:4 ~cores:2 ~flags:[]);
       let dir_c = Filename.concat root "run-c" in
       Unix.mkdir dir_c 0o700;
       rewrite (Filename.concat dir_c Store.Manifest.file) "{ not json";

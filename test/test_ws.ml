@@ -341,7 +341,7 @@ let test_cli_ws_checkpoint_and_strict_refusal () =
       check_one_verdict "budgeted run" out err;
       check_contains "checkpoint saved at a pulse" err "checkpoint at depth";
       check_contains "steal telemetry recorded"
-        (slurp (Filename.concat dir "telemetry.ndjsonl"))
+        (slurp (Filename.concat dir "events.ndjsonl"))
         "steal_count";
       (* the checkpoint has an unordered frontier: strict-BFS must refuse
          it by name before touching the run dir... *)
