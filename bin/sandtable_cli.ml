@@ -99,9 +99,12 @@ let resume_arg =
 
 let spill_window_arg =
   let doc =
-    "Keep at most $(docv) frontier entries in memory, spilling the rest to \
-     sequential files on disk (0 = all in RAM). Sequential engine only; \
-     exploration order is unchanged."
+    "Keep about $(docv) frontier entries in memory, in every engine (with \
+     --strict-bfs, $(docv) for the layer being expanded and $(docv) for the \
+     one being built): past that, whole chunks of queued states go to \
+     files under --run-dir's spill/ (or a temporary directory) as they \
+     are, and are read back when their turn comes (0 = all in memory). \
+     Exploration order is unchanged."
   in
   Arg.(value & opt int 0 & info [ "spill-window" ] ~docv:"N" ~doc)
 
@@ -307,6 +310,15 @@ let check_cmd =
       spill_window progress_every max_states telemetry_every trace_out
       do_shrink faults =
     with_system name bugs (fun sys flags ->
+        with_parsed "--spill-window"
+          (fun n ->
+            if n >= 0 then Ok n
+            else
+              Error
+                (Fmt.str "%d is negative (0 keeps the whole frontier in \
+                          memory)" n))
+          spill_window
+        @@ fun spill_window ->
         with_parsed "--progress-every" Obs.Progress.parse_cadence
           progress_every
         @@ fun progress_cadence ->
@@ -337,17 +349,11 @@ let check_cmd =
           end
           else None
         in
-        let frontier =
-          if spill_window > 0 then begin
-            if workers > 1 then
-              Fmt.epr
-                "note: --spill-window only bounds the sequential engine; \
-                 the parallel frontier stays in RAM@.";
+        let spill =
+          if spill_window > 0 then
             Some
-              (Store.Spill.factory
-                 ?dir:(Option.map (fun d -> Filename.concat d "spill") run_dir)
-                 ?probe ~window:spill_window ())
-          end
+              { Frontier.window = spill_window;
+                dir = Option.map (fun d -> Filename.concat d "spill") run_dir }
           else None
         in
         let base_opts =
@@ -356,7 +362,7 @@ let check_cmd =
             max_states;
             progress_every = (if progress_every > 0 then progress_every else 0);
             progress;
-            frontier;
+            spill;
             probe }
         in
         let bug_flags = String.concat "," (Bug.Flags.elements flags) in

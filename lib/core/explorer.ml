@@ -26,16 +26,6 @@ type snapshot = {
   snap_visited : (Fingerprint.t -> provenance -> int -> unit) -> unit;
 }
 
-type 'a frontier_ops = {
-  fr_push : 'a -> unit;
-  fr_pop : unit -> 'a option;
-  fr_length : unit -> int;
-  fr_iter : ('a -> unit) -> unit;  (* queue order, non-destructive *)
-  fr_close : unit -> unit;
-}
-
-type frontier_factory = { make_frontier : 'a. unit -> 'a frontier_ops }
-
 type options = {
   symmetry : bool;
   max_states : int option;
@@ -46,7 +36,7 @@ type options = {
   progress_every : int;
   progress : (stats -> unit) option;
   on_layer : (int -> snapshot Lazy.t -> unit) option;
-  frontier : frontier_factory option;
+  spill : Frontier.spill option;
   probe : Probe.t option;
 }
 
@@ -68,16 +58,8 @@ let default =
     progress_every = 0;
     progress = None;
     on_layer = None;
-    frontier = None;
+    spill = None;
     probe = None }
-
-let queue_frontier () =
-  let q = Queue.create () in
-  { fr_push = (fun x -> Queue.add x q);
-    fr_pop = (fun () -> Queue.take_opt q);
-    fr_length = (fun () -> Queue.length q);
-    fr_iter = (fun f -> Queue.iter f q);
-    fr_close = ignore }
 
 type violation = {
   invariant : string;
@@ -326,6 +308,18 @@ module Run (S : Spec.S) = struct
           | None -> ())
         successors
 
+  let frontier_gauges probe ~resident ~spilled =
+    if Probe.is_on probe then begin
+      Probe.gauge probe "frontier.bytes" (float_of_int resident);
+      Probe.gauge probe "frontier.spilled_bytes" (float_of_int spilled)
+    end
+
+  let with_disk opts f =
+    let disk = Option.map Frontier.open_disk opts.spill in
+    Fun.protect
+      ~finally:(fun () -> Option.iter Frontier.close_disk disk)
+      (fun () -> f disk)
+
   let visited_gauges ?(final = false) probe store =
     if Probe.is_on probe then begin
       let entries, capacity, bytes, probe_steps = store () in
@@ -343,15 +337,12 @@ module Run (S : Spec.S) = struct
   (* ---- the sequential engine --------------------------------------------- *)
 
   let check ?resume scenario opts =
+    with_disk opts @@ fun disk ->
     let started = Unix.gettimeofday () in
     let probe = opts.probe in
     refuse_unordered resume;
     let visited = Fp_store.create () in
-    let fr =
-      match opts.frontier with
-      | None -> queue_frontier ()
-      | Some { make_frontier } -> make_frontier ()
-    in
+    let fr : S.state Frontier.t = Frontier.create ?disk () in
     let generated = ref 0 in
     let max_depth_seen = ref 0 in
     let deadline =
@@ -414,13 +405,16 @@ module Run (S : Spec.S) = struct
         edge prov depth ~dup:false ~sym;
         if depth > !max_depth_seen then max_depth_seen := depth;
         check_invariants fp depth state;
-        if S.constraint_ok scenario state then fr.fr_push (state, idx, depth);
+        (* the own fingerprint's bytes are still in the arena: nothing
+           since has marshalled on this domain *)
+        if S.constraint_ok scenario state then
+          Frontier.push ?probe fr ~entry:idx ~depth;
         let n = Fp_store.length visited in
         if opts.progress_every > 0 && n mod opts.progress_every = 0 then
           Option.iter
             (fun f ->
               f { distinct = n; generated = !generated; depth;
-                  frontier_len = fr.fr_length (); elapsed = elapsed () })
+                  frontier_len = Frontier.length fr; elapsed = elapsed () })
             opts.progress
     in
     (* cur_depth is the layer currently being expanded; layer_remaining its
@@ -443,11 +437,12 @@ module Run (S : Spec.S) = struct
       max_depth_seen := snap.snap_max_depth;
       cur_depth := snap.snap_depth;
       List.iter
-        (fun (state, idx) -> fr.fr_push (state, idx, snap.snap_depth))
+        (fun (state, idx) ->
+          Frontier.push_state ?probe fr ~entry:idx ~depth:snap.snap_depth state)
         frontier);
     let snapshot_now () =
       let fps = ref [] in
-      fr.fr_iter (fun (_, idx, _) -> fps := Fp_store.fp visited idx :: !fps);
+      Frontier.iter fr (fun idx _ -> fps := Fp_store.fp visited idx :: !fps);
       { snap_depth = !cur_depth;
         snap_frontier = List.rev !fps;
         snap_distinct = Fp_store.length visited;
@@ -459,20 +454,25 @@ module Run (S : Spec.S) = struct
             Fp_store.iter visited (fun _ fp prov depth ->
                 k fp (provenance prov) depth)) }
     in
-    let layer_remaining = ref (fr.fr_length ()) in
+    let layer_remaining = ref (Frontier.length fr) in
+    let gauges () =
+      visited_gauges probe store;
+      frontier_gauges probe ~resident:(Frontier.resident_bytes fr)
+        ~spilled:(Frontier.spilled_bytes fr)
+    in
     Probe.span_begin probe "expand";
     let outcome =
       try
         let continue = ref true in
         while !continue do
           if !layer_remaining = 0 then begin
-            match fr.fr_length () with
+            match Frontier.length fr with
             | 0 ->
               continue := false;
               (* terminal empty-frontier record, matching the parallel
                  engine's last layer barrier — keeps per-layer event logs
                  identical across engines and worker counts *)
-              visited_gauges probe store;
+              gauges ();
               Probe.layer probe ~depth:(!cur_depth + 1)
                 ~distinct:(Fp_store.length visited)
                 ~generated:!generated ~frontier:0 ~elapsed:(elapsed ())
@@ -480,9 +480,10 @@ module Run (S : Spec.S) = struct
               layer_remaining := n;
               incr cur_depth;
               Probe.span_end probe "expand";
-              (* refresh visited gauges before the layer record so the
-                 telemetry sampler reads this layer's values *)
-              visited_gauges probe store;
+              (* refresh the store and frontier gauges before the layer
+                 record so the telemetry sampler reads this layer's
+                 values *)
+              gauges ();
               Probe.layer probe ~depth:!cur_depth
                 ~distinct:(Fp_store.length visited)
                 ~generated:!generated ~frontier:n ~elapsed:(elapsed ());
@@ -492,7 +493,7 @@ module Run (S : Spec.S) = struct
               Probe.span_begin probe "expand"
           end;
           if !continue then begin
-            let state, idx, depth = Option.get (fr.fr_pop ()) in
+            let state, idx, depth = Option.get (Frontier.pop ?probe fr) in
             decr layer_remaining;
             Probe.count probe "expand.states" 1;
             if over_budget depth then raise (Stop Budget_spent);
@@ -511,7 +512,7 @@ module Run (S : Spec.S) = struct
       with Stop o -> o
     in
     Probe.span_end probe "expand";
-    fr.fr_close ();
+    Frontier.close fr;
     visited_gauges ~final:true probe store;
     cache_gauge probe [ cache ];
     { outcome;

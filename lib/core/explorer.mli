@@ -3,7 +3,13 @@
     BFS over the specification state space with fingerprint-based
     deduplication, optional symmetry reduction, invariant checking and
     counterexample reconstruction. Because search is breadth-first, the
-    first violation found has minimal depth (§5.1.1). *)
+    first violation found has minimal depth (§5.1.1).
+
+    Every engine queues its unexpanded states in a {!Frontier}: each as
+    the [No_sharing] bytes its own fingerprint marshalled, copied from the
+    fingerprint arena when the state is found fresh and unmarshalled once,
+    when it is expanded. With [options.spill] the frontier's chunks past
+    the window go to disk, in every engine. *)
 
 type provenance =
   | Root of int  (** index into the init-state list *)
@@ -41,21 +47,6 @@ type snapshot = {
     states are recovered by replaying their provenance chains, so
     snapshots contain only codec-friendly data). *)
 
-type 'a frontier_ops = {
-  fr_push : 'a -> unit;
-  fr_pop : unit -> 'a option;  (** FIFO *)
-  fr_length : unit -> int;
-  fr_iter : ('a -> unit) -> unit;
-      (** non-destructive, in queue order (may read spill files) *)
-  fr_close : unit -> unit;  (** release any backing resources *)
-}
-
-type frontier_factory = { make_frontier : 'a. unit -> 'a frontier_ops }
-(** A pluggable BFS frontier. The default is an in-memory [Queue];
-    [Store.Spill.factory] bounds resident memory by spilling the middle of
-    the queue to sequential chunk files. Must be FIFO — exploration order,
-    and therefore every reported counter and counterexample, depends on it. *)
-
 type options = {
   symmetry : bool;  (** collapse node-permutation-equivalent states *)
   max_states : int option;  (** distinct-state budget *)
@@ -71,7 +62,10 @@ type options = {
           of its states expand) with a lazy snapshot — forcing it costs a
           frontier + visited-set walk, so hooks should only force when they
           actually persist (e.g. every k layers) *)
-  frontier : frontier_factory option;  (** [None] = in-memory queue *)
+  spill : Frontier.spill option;
+      (** the frontier's disk tier ([--spill-window]): [None] keeps every
+          queued state in memory. Every engine honours it; exploration
+          order does not depend on it *)
   probe : Probe.t option;
       (** observability hook ([None] = zero-cost off): phase spans
           (expand / fingerprint / symmetry-normalize / invariant), counters
@@ -232,6 +226,14 @@ module Run (S : Spec.S) : sig
     Probe.t option -> Scenario.t -> (Trace.event * S.state) list -> unit
   (** Count a successor list's fault events per {!Fault_plan.obs_kind}.
       A no-op unless the probe is on and the scenario has a fault plan. *)
+
+  val with_disk : options -> (Frontier.disk option -> 'a) -> 'a
+  (** Run an engine with the run's disk tier open ([opts.spill]), closing
+      it however the engine ends. *)
+
+  val frontier_gauges : Probe.t option -> resident:int -> spilled:int -> unit
+  (** Publish the [frontier.bytes] (resident) and
+      [frontier.spilled_bytes] gauges, at a layer barrier or a pulse. *)
 
   val visited_gauges :
     ?final:bool -> Probe.t option -> (unit -> int * int * int * int) -> unit

@@ -13,20 +13,26 @@ let () =
   if Sys.int_size <> 63 then
     failwith "Fingerprint: the hash kernel requires 63-bit native ints"
 
-(* ---- domain-local marshal arena ---------------------------------------
+(* ---- domain-local marshal arenas --------------------------------------
 
    [Marshal.to_string] allocates a fresh heap string per call — on the BFS
    hot path that is one short-lived allocation (plus a copy) per generated
    state, multiplied by n! under symmetry reduction. Instead each domain
-   keeps one growable [Bytes] arena and marshals into it in place with
+   keeps growable [Bytes] arenas and marshals into them in place with
    [Marshal.to_buffer]; the hash kernel then reads the arena directly, so
-   no intermediate string ever exists. *)
+   no intermediate string ever exists.
+
+   There are two per domain. [of_state] writes the own arena, whose prefix
+   then holds the state's bytes until the next [of_state] on the domain:
+   the frontier copies a fresh state from there instead of marshalling it
+   again. Symmetry's non-identity candidates ([of_candidate]) write the
+   other one, so canonicalising a state leaves its own bytes in place. *)
 
 type arena = { mutable buf : Bytes.t; mutable marshalled : int }
 
-let arena_key =
-  Domain.DLS.new_key (fun () ->
-      { buf = Bytes.create (1 lsl 16); marshalled = 0 })
+let new_arena () = { buf = Bytes.create (1 lsl 16); marshalled = 0 }
+let arena_key = Domain.DLS.new_key new_arena
+let candidate_key = Domain.DLS.new_key new_arena
 
 (* [No_sharing] makes the fingerprint a function of the state's *structure*
    alone. With sharing enabled the encoding depends on which subvalues
@@ -129,8 +135,7 @@ let hash_bytes b n =
   let lo = avalanche ((a2 lxor rotl a1 23) + (n * p2)) in
   { hi; lo }
 
-let of_state ?who state =
-  let a = Domain.DLS.get arena_key in
+let digest a ?who state =
   match marshal_into a state with
   | n ->
     a.marshalled <- a.marshalled + n;
@@ -144,7 +149,15 @@ let of_state ?who state =
           unmarshallable components"
          spec reason)
 
-let marshalled_bytes () = (Domain.DLS.get arena_key).marshalled
+let of_state ?who state = digest (Domain.DLS.get arena_key) ?who state
+let of_candidate ?who state = digest (Domain.DLS.get candidate_key) ?who state
+
+let marshalled_bytes () =
+  (Domain.DLS.get arena_key).marshalled
+  + (Domain.DLS.get candidate_key).marshalled
+
+let last_marshal () = (Domain.DLS.get arena_key).buf
+let of_bytes b n = hash_bytes b n
 
 (* ---- representation ---------------------------------------------------- *)
 

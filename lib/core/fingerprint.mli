@@ -8,7 +8,14 @@
     zero-copy (no intermediate string) and allocation-free on the hot
     path. Collision probability at 10{^9} states is ~10{^-11} — weaker
     than the old MD5 digest's ~10{^-20} but still far below TLC's 64-bit
-    fingerprint guarantees, at a fraction of the cost per byte. *)
+    fingerprint guarantees, at a fraction of the cost per byte.
+
+    Each domain has two arenas. {!of_state} marshals into its own, which
+    then holds the state's [No_sharing] bytes until the next {!of_state}
+    on that domain: {!Frontier} queues a fresh state by copying them
+    ({!last_marshal}) rather than marshalling it again. Symmetry's
+    non-identity candidates go through {!of_candidate} into the second
+    arena, so canonicalising a state leaves its own bytes in place. *)
 
 type t = private { hi : int; lo : int }
 (** Two 63-bit halves. The representation is exposed (read-only) so the
@@ -24,13 +31,28 @@ val of_state : ?who:string -> 'a -> t
     contains unmarshallable values (closures, lazy thunks), raises
     [Invalid_argument] with a message naming the offending spec [who]. *)
 
+val of_candidate : ?who:string -> 'a -> t
+(** {!of_state} through the domain's second arena, leaving the bytes of
+    the last {!of_state} in place: for symmetry candidates, which are
+    never queued. *)
+
+val last_marshal : unit -> Bytes.t
+(** This domain's own arena. Its prefix is the marshalled state of the
+    last {!of_state} on the domain ([Marshal.total_size] gives its
+    length), valid until the next one; the caller copies, never keeps,
+    it. *)
+
+val of_bytes : Bytes.t -> int -> t
+(** The kernel over the first [n] bytes of a buffer (the frontier's chunk
+    digests). *)
+
 val of_parts : hi:int -> lo:int -> t
 (** Rebuild a fingerprint from halves previously read off {!t} (the
     visited stores' SoA columns). No validation — halves are opaque. *)
 
 val marshalled_bytes : unit -> int
-(** Total bytes marshalled into this domain's arena since it was created
-    (feeds the [fp.bytes] metric; deltas are per-domain exact). *)
+(** Total bytes marshalled into this domain's two arenas since they were
+    created (feeds the [fp.bytes] metric; deltas are per-domain exact). *)
 
 val to_hex : t -> string
 (** 32 lowercase hex characters (the {!to_raw} bytes). *)

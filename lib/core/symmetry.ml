@@ -70,7 +70,8 @@ let minimise ?who ~key ~permute ~nodes ~own state =
   let try_candidate () =
     incr candidates;
     let fp =
-      if not (is_identity ()) then Fingerprint.of_state ?who (permute p state)
+      if not (is_identity ()) then
+        Fingerprint.of_candidate ?who (permute p state)
       else match own with
         | Some fp -> fp
         | None -> Fingerprint.of_state ?who state

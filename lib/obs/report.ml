@@ -93,11 +93,12 @@ let metrics_counter m name =
       Option.bind (Store.Sjson.member "counters" mj) (fun cj ->
           Option.bind (Store.Sjson.member name cj) Store.Sjson.to_num))
 
-(* A gauge's last value out of metrics.json ("metrics" -> "gauges"). *)
-let metrics_gauge m name =
+(* A gauge's last (or peak, [~field:"max"]) value out of metrics.json
+   ("metrics" -> "gauges"). *)
+let metrics_gauge ?(field = "last") m name =
   Option.bind (Store.Sjson.member "metrics" m) (fun mj ->
       Option.bind (Store.Sjson.member "gauges" mj) (fun gj ->
-          Option.bind (Store.Sjson.member name gj) (fun g -> num g "last")))
+          Option.bind (Store.Sjson.member name gj) (fun g -> num g field)))
 
 let pp_metrics ppf m =
   let fnum name = Option.value ~default:0. (num m name) in
@@ -124,6 +125,15 @@ let pp_metrics ppf m =
     Fmt.pf ppf "visited store: %.0f entries, %.1f MB off-heap, %.1f B/state@,"
       entries (bytes /. 1_048_576.) per_state
   | _ -> ());
+  Option.iter
+    (fun resident ->
+      Fmt.pf ppf "frontier: peak %.0f entries, %.1f MB resident, %.1f MB \
+                  spilled@,"
+        (fnum "peak_frontier") (resident /. 1_048_576.)
+        (Option.value ~default:0.
+           (metrics_gauge ~field:"max" m "frontier.spilled_bytes")
+         /. 1_048_576.))
+    (metrics_gauge ~field:"max" m "frontier.bytes");
   match
     Option.bind (Store.Sjson.member "metrics" m) (Store.Sjson.member "timers")
   with

@@ -29,31 +29,41 @@ module Run (S : Spec.S) = struct
      chains, violation choice and early-stop accounting all coincide with
      the sequential explorer regardless of worker count.
 
-     The concrete state the winning provenance chain replays to is stored
-     alongside it, [Some] only for states in the layer currently being
-     built. It must live inside the entry: under symmetry reduction two
-     distinct concrete states canonicalize to the same fingerprint, and if
-     the frontier kept whichever variant won the insertion race while the
+     The concrete state the winning provenance chain replays to must be
+     the one the next layer expands: under symmetry reduction two distinct
+     concrete states canonicalize to the same fingerprint, and if the
+     frontier kept whichever variant won the insertion race while the
      merge kept the minimal-pos provenance, the next layer's events would
-     be generated from a state the stored chain does not replay to.
-     [Shard_set.merge] selects state and provenance together under the
-     shard lock; the barrier checks the state constraint (winners only —
-     checking every generated candidate would be measurably slower) and
-     [take_state] clears it once the next frontier is built, bounding
-     memory to one layer of states.
+     be generated from a state the stored chain does not replay to. So a
+     winning arrival ([Fresh] or [Dup_replaced]) that satisfies the state
+     constraint — evaluated while it is still a live state — appends its
+     bytes, copied from the fingerprint arena, to its worker's [building]
+     frontier, and the merge records, together with the provenance, the
+     slot it went to: (position in that frontier) * workers + worker.
+     Worker [w] expands the [w]-th contiguous range of the layer, in
+     (p, j) order, so the building frontiers taken in worker order list
+     every winning arrival in (p, j) order. At the barrier the next layer
+     is that sequence filtered to the entries whose recorded slot is
+     still this one ([Frontier.transfer]): a displaced arrival, or one
+     whose winner broke the constraint, is dropped. No state is
+     unmarshalled before its expansion, and with a spill window the
+     layer being built spills like the one being expanded.
 
-     A frontier item is a state and its entry's reference, which names the
-     parent of every successor it generates. *)
+     The layer is a [Frontier] read by index: worker [w] expands entries
+     [lo, hi) of it, and an entry's reference names the parent of every
+     successor it generates. *)
 
   module E = Explorer.Run (S)
 
   let check ?resume pool scenario (opts : Explorer.options) =
+    E.with_disk opts @@ fun disk ->
     let started = Unix.gettimeofday () in
     let elapsed () = Unix.gettimeofday () -. started in
     let workers = Pool.size pool in
     let probe = opts.probe in
     E.refuse_unordered resume;
-    let visited : S.state Shard_set.t = Shard_set.create () in
+    let visited = Shard_set.create () in
+    let keep = S.constraint_ok scenario in
     let lookup = Shard_set.find_prov_opt visited in
     let store () =
       Shard_set.(length visited, capacity visited, store_bytes visited,
@@ -87,18 +97,27 @@ module Run (S : Spec.S) = struct
       end
     in
     let outcome = ref None in
-    let frontier = ref [||] in
+    let frontier : S.state Frontier.t ref = ref (Frontier.create ?disk ()) in
+    (* the workers share the window for the layer being built *)
+    let share =
+      Option.map (fun d -> max 2 (Frontier.window d / workers)) disk
+    in
+    let seed items ~depth =
+      List.iter
+        (fun (state, r) ->
+          Frontier.push_state ?probe !frontier ~entry:r ~depth state)
+        items
+    in
     let depth = ref 0 in
     (match resume with
     | Some snap ->
       (* seed from a layer-barrier checkpoint: entries' pos is never
          consulted again (only same-depth insertions compare positions,
          and every future candidate is strictly deeper) *)
-      frontier :=
-        Array.of_list
-          (E.restore snap scenario lookup ~add:(Shard_set.add_seed visited)
-             ~find:(Shard_set.find visited)
-             ~set_prov:(Shard_set.set_prov visited));
+      seed ~depth:snap.Explorer.snap_depth
+        (E.restore snap scenario lookup ~add:(Shard_set.add_seed visited)
+           ~find:(Shard_set.find visited)
+           ~set_prov:(Shard_set.set_prov visited));
       distinct_total := snap.Explorer.snap_distinct;
       gen_prev := snap.Explorer.snap_generated;
       max_depth_seen := snap.Explorer.snap_max_depth;
@@ -110,13 +129,15 @@ module Run (S : Spec.S) = struct
          E.seed_roots opts caches.(0) scenario lookup ~insert:(fun fp i ->
              Shard_set.add_seed visited fp (Fp_store.Proot i) ~depth:0)
        with
-      | Ok items -> frontier := Array.of_list items
+      | Ok items -> seed items ~depth:0
       | Error v -> outcome := Some (Explorer.Violation v));
       distinct_total := Shard_set.length visited);
     let snapshot_now () =
+      let fps = ref [] in
+      Frontier.iter !frontier (fun r _ ->
+          fps := Shard_set.fp visited r :: !fps);
       { Explorer.snap_depth = !depth;
-        snap_frontier =
-          List.map (fun (_, r) -> Shard_set.fp visited r) (Array.to_list !frontier);
+        snap_frontier = List.rev !fps;
         snap_distinct = !distinct_total;
         snap_generated = !gen_prev;
         snap_max_depth = !max_depth_seen;
@@ -125,7 +146,7 @@ module Run (S : Spec.S) = struct
     in
     (* ---- layer-synchronous BFS ---- *)
     let abort = Atomic.make false in
-    while !outcome = None && Array.length !frontier > 0 do
+    while !outcome = None && Frontier.length !frontier > 0 do
       let d = !depth in
       let over_layer_budget =
         (match opts.max_states with
@@ -140,12 +161,15 @@ module Run (S : Spec.S) = struct
       if over_layer_budget then outcome := Some Explorer.Budget_spent
       else begin
         let fr = !frontier in
-        let n = Array.length fr in
+        let n = Frontier.length fr in
         let ranges = Array.of_list (Pool.split ~chunks:workers ~len:n) in
         let succ_counts = Array.make n 0 in
         let inserted : int list array = Array.make workers [] in
         let cands : candidate list array = Array.make workers [] in
         let layer_gen = Array.make workers 0 in
+        let building : S.state Frontier.t array =
+          Array.init workers (fun _ -> Frontier.create ?disk ?window:share ())
+        in
         (* per-worker layer end times, seeded with the layer start so idle
            workers (empty range) count as waiting the whole layer; the
            coordinator turns [wend.(w) .. barrier] into barrier-wait spans *)
@@ -162,66 +186,75 @@ module Run (S : Spec.S) = struct
               let gen = ref 0 in
               let ins = ref 0 in
               let expanded = ref 0 in
+              let mine = building.(w) in
+              (* the state's bytes are still in this domain's own
+                 fingerprint arena: nothing since has marshalled *)
+              let build r' state' =
+                if keep state' then
+                  Frontier.push ?probe:wp mine ~entry:r' ~depth:(d + 1)
+              in
               (try
-                 for p = lo to hi - 1 do
-                   if Atomic.get abort then raise Exit;
-                   let state, r = fr.(p) in
-                   incr expanded;
-                   let succs = S.next scenario state in
-                   succ_counts.(p) <- List.length succs;
-                   E.count_fault_kinds wp scenario succs;
-                   if succs = [] && opts.check_deadlock then
-                     my_cands := Dead (p, r) :: !my_cands;
-                   List.iteri
-                     (fun j (event, state') ->
-                       incr gen;
-                       match
-                         E.arrive ?probe:wp caches.(w) scenario state'
-                           ~insert:(fun fp' ->
-                             Shard_set.merge visited fp'
-                               ~prov:(Fp_store.Pstep (r, event))
-                               ~depth:(d + 1) ~pos:(p, j) ~state:state')
-                       with
-                       | E.Inserted (_, sym, Shard_set.Fresh r') ->
-                         incr ins;
-                         if Probe.is_on wp then
-                           Probe.edge wp ~depth:(d + 1) ~event:(Some event)
-                             ~dup:false ~sym;
-                         my_inserted := r' :: !my_inserted;
-                         Probe.span_begin wp "invariant";
-                         (match E.first_broken invariants scenario state' with
-                         | Some inv ->
-                           my_cands := Broken (r', inv) :: !my_cands
-                         | None -> ());
-                         Probe.span_end wp "invariant"
-                       | E.Recalled sym
-                       | E.Inserted (_, sym, Shard_set.Dup_kept) ->
-                         Probe.count wp "fp.dup" 1;
-                         if Probe.is_on wp then
-                           Probe.edge wp ~depth:(d + 1) ~event:(Some event)
-                             ~dup:true ~sym
-                       | E.Inserted
-                           ( _, sym,
-                             Shard_set.Dup_replaced { old_event; old_depth } )
-                         ->
-                         (* this arrival is the minimal (depth, pos) edge —
-                            the one sequential BFS keeps; the displaced
-                            discovering edge, already reported fresh by the
-                            insertion-race winner, is the real duplicate *)
-                         Probe.count wp "fp.dup" 1;
-                         if Probe.is_on wp then begin
-                           Probe.edge wp ~depth:(d + 1) ~event:(Some event)
-                             ~dup:false ~sym;
-                           Probe.edge_fix wp ~depth:old_depth
-                             ~event:old_event
-                         end)
-                     succs;
-                   match deadline with
-                   | Some t
-                     when (p - lo) land 63 = 63 && Unix.gettimeofday () > t ->
-                     Atomic.set abort true
-                   | _ -> ()
-                 done
+                 Frontier.iter_states ?probe:wp fr ~lo ~hi
+                   (fun p r _ state ->
+                     if Atomic.get abort then raise Exit;
+                     incr expanded;
+                     let succs = S.next scenario state in
+                     succ_counts.(p) <- List.length succs;
+                     E.count_fault_kinds wp scenario succs;
+                     if succs = [] && opts.check_deadlock then
+                       my_cands := Dead (p, r) :: !my_cands;
+                     List.iteri
+                       (fun j (event, state') ->
+                         incr gen;
+                         match
+                           E.arrive ?probe:wp caches.(w) scenario state'
+                             ~insert:(fun fp' ->
+                               Shard_set.merge visited fp'
+                                 ~prov:(Fp_store.Pstep (r, event))
+                                 ~depth:(d + 1) ~pos:(p, j)
+                                 ~slot:((Frontier.length mine * workers) + w))
+                         with
+                         | E.Inserted (_, sym, Shard_set.Fresh r') ->
+                           build r' state';
+                           incr ins;
+                           if Probe.is_on wp then
+                             Probe.edge wp ~depth:(d + 1) ~event:(Some event)
+                               ~dup:false ~sym;
+                           my_inserted := r' :: !my_inserted;
+                           Probe.span_begin wp "invariant";
+                           (match E.first_broken invariants scenario state' with
+                           | Some inv ->
+                             my_cands := Broken (r', inv) :: !my_cands
+                           | None -> ());
+                           Probe.span_end wp "invariant"
+                         | E.Recalled sym
+                         | E.Inserted (_, sym, Shard_set.Dup_kept) ->
+                           Probe.count wp "fp.dup" 1;
+                           if Probe.is_on wp then
+                             Probe.edge wp ~depth:(d + 1) ~event:(Some event)
+                               ~dup:true ~sym
+                         | E.Inserted
+                             ( _, sym,
+                               Shard_set.Dup_replaced
+                                 { entry; old_event; old_depth } ) ->
+                           build entry state';
+                           (* this arrival is the minimal (depth, pos) edge —
+                              the one sequential BFS keeps; the displaced
+                              discovering edge, already reported fresh by the
+                              insertion-race winner, is the real duplicate *)
+                           Probe.count wp "fp.dup" 1;
+                           if Probe.is_on wp then begin
+                             Probe.edge wp ~depth:(d + 1) ~event:(Some event)
+                               ~dup:false ~sym;
+                             Probe.edge_fix wp ~depth:old_depth
+                               ~event:old_event
+                           end)
+                       succs;
+                     match deadline with
+                     | Some t
+                       when (p - lo) land 63 = 63 && Unix.gettimeofday () > t ->
+                       Atomic.set abort true
+                     | _ -> ())
                with Exit -> ());
               inserted.(w) <- !my_inserted;
               cands.(w) <- !my_cands;
@@ -248,7 +281,9 @@ module Run (S : Spec.S) = struct
           Array.fold_right (fun l acc -> List.rev_append l acc) inserted []
         in
         let layer_generated = Array.fold_left ( + ) 0 layer_gen in
+        let close_building () = Array.iter Frontier.close building in
         if Atomic.get abort then begin
+          close_building ();
           (* mid-layer deadline: report what actually got explored *)
           distinct_total := !distinct_total + List.length all_inserted;
           gen_prev := !gen_prev + layer_generated;
@@ -278,6 +313,7 @@ module Run (S : Spec.S) = struct
           in
           match best with
           | Some cand ->
+            close_building ();
             (* reconstruct the exact counters sequential BFS would have
                reported when it raised Stop at this discovery position *)
             let vpos = key cand in
@@ -308,33 +344,35 @@ module Run (S : Spec.S) = struct
             distinct_total := !distinct_total + List.length all_inserted;
             gen_prev := !gen_prev + layer_generated;
             if all_inserted <> [] then max_depth_seen := d + 1;
-            (* the table entry won the (depth, pos) merge, so its state is
-               the one its provenance replays to — take it (which clears
-               the stored copy) and keep it only if it satisfies the
-               exploration constraint *)
-            let next =
-              List.filter_map
-                (fun r ->
-                  match Shard_set.take_state visited r with
-                  | Some (pos, s) when S.constraint_ok scenario s ->
-                    Some (pos, s, r)
-                  | Some _ | None -> None)
-                all_inserted
+            (* the layer's peak: the one expanded and the one built *)
+            let total f =
+              Array.fold_left (fun n b -> n + f b) (f fr) building
             in
-            let next =
-              List.sort (fun (a, _, _) (b, _, _) -> compare a b) next
-            in
-            frontier := Array.of_list (List.map (fun (_, s, r) -> s, r) next);
+            E.frontier_gauges probe ~resident:(total Frontier.resident_bytes)
+              ~spilled:(total Frontier.spilled_bytes);
+            Frontier.close fr;
+            (* the next layer: each entry's arrival whose slot won the
+               (depth, pos) merge, so its bytes are the state its
+               provenance replays to *)
+            let next = Frontier.create ?disk () in
+            Array.iteri
+              (fun w b ->
+                Frontier.transfer ?probe b ~into:next ~keep:(fun k r ->
+                    Shard_set.arrival visited r = (k * workers) + w))
+              building;
+            frontier := next;
             depth := d + 1;
-            (* refresh visited gauges before the layer record so the
-               telemetry sampler reads this layer's values *)
+            let len = Frontier.length next in
+            (* refresh the store and frontier gauges before the layer
+               record so the telemetry sampler reads this layer's values *)
             E.visited_gauges probe store;
+            E.frontier_gauges probe ~resident:(Frontier.resident_bytes next)
+              ~spilled:(Frontier.spilled_bytes next);
             Probe.layer probe ~depth:(d + 1) ~distinct:!distinct_total
-              ~generated:!gen_prev ~frontier:(Array.length !frontier)
-              ~elapsed:(elapsed ());
-            progress_tick (d + 1) ~frontier_len:(Array.length !frontier);
+              ~generated:!gen_prev ~frontier:len ~elapsed:(elapsed ());
+            progress_tick (d + 1) ~frontier_len:len;
             (* the natural barrier: no layer in flight, frontier complete *)
-            if Array.length !frontier > 0 then
+            if len > 0 then
               Option.iter
                 (fun hook -> hook (d + 1) (lazy (snapshot_now ())))
                 opts.on_layer
@@ -344,6 +382,7 @@ module Run (S : Spec.S) = struct
     let outcome =
       match !outcome with Some o -> o | None -> Explorer.Exhausted
     in
+    Frontier.close !frontier;
     E.visited_gauges ~final:true probe store;
     E.cache_gauge probe (Array.to_list caches);
     let worker_stats =

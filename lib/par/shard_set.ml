@@ -7,42 +7,50 @@ open Sandtable
 
    The strict-BFS merge keeps two side columns per shard, indexed like the
    store's entries and as long as its columns: the packed in-layer
-   discovery position, and — only while the next frontier is being built —
-   the concrete state the provenance chain replays to. Only [merge] grows
-   them, so the work-stealing engine, which never merges, has none. pos
-   packs (parent frontier index p, successor index j) as (p lsl 31) lor j —
-   packed ints compare exactly like the lexicographic pairs. Like the
-   store's own columns, pos is an off-heap [Bigarray]; it is zero-filled
-   as it grows, so an [add_seed] entry reads position (0, 0). The states
-   column holds OCaml values and stays on the heap. *)
+   discovery position, and the slot of the layer's winning arrival. pos
+   packs (parent frontier index p, successor index j) as (p lsl 31) lor j
+   — packed ints compare exactly like the lexicographic pairs. The slot
+   is the caller's name for where it keeps that arrival's state; -1 =
+   none. Both columns are off-heap [Bigarray]s; only [merge] grows them,
+   so the work-stealing engine, which never merges, has none. pos is
+   zero-filled as it grows, so an [add_seed] entry reads position
+   (0, 0). *)
 
 let shard_bits = 6
 let shard_mask = (1 lsl shard_bits) - 1
 let pos_bits = 31
 let pos_mask = (1 lsl pos_bits) - 1
 
-type 's shard = {
+type column = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+type shard = {
   lock : Mutex.t;
   store : Fp_store.t;
-  mutable pos : (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t;
-  mutable states : 's option array;
+  mutable pos : column;
+  mutable arrival : column;
 }
 
-type 's t = 's shard array
+type t = shard array
 
 type stat = { s_entries : int }
 
 type merge_outcome =
   | Fresh of int
   | Dup_kept
-  | Dup_replaced of { old_event : Trace.event option; old_depth : int }
+  | Dup_replaced of {
+      entry : int;
+      old_event : Trace.event option;
+      old_depth : int;
+    }
+
+let empty_column () = Bigarray.(Array1.create int c_layout 0)
 
 let create () =
   Array.init (shard_mask + 1) (fun _ ->
       { lock = Mutex.create ();
         store = Fp_store.create ~capacity:1024 ();
-        pos = Bigarray.(Array1.create int c_layout 0);
-        states = [||] })
+        pos = empty_column ();
+        arrival = empty_column () })
 
 let key fp = Fingerprint.shard_key fp ~mask:shard_mask
 let reference e k = (e lsl shard_bits) lor k
@@ -73,14 +81,17 @@ let cover s =
   let room = Fp_store.room s.store in
   let len = Bigarray.Array1.dim s.pos in
   if len < room then begin
-    let pos = Bigarray.(Array1.create int c_layout room) in
-    Bigarray.Array1.(blit s.pos (sub pos 0 len));
-    Bigarray.Array1.(fill (sub pos len (room - len)) 0);
-    s.pos <- pos;
-    s.states <- Array.append s.states (Array.make (room - len) None)
+    let grow col v =
+      let c = Bigarray.(Array1.create int c_layout room) in
+      Bigarray.Array1.(blit col (sub c 0 len));
+      Bigarray.Array1.(fill (sub c len (room - len)) v);
+      c
+    in
+    s.pos <- grow s.pos 0;
+    s.arrival <- grow s.arrival (-1)
   end
 
-let merge t fp ~prov ~depth ~pos:(p, j) ~state =
+let merge t fp ~prov ~depth ~pos:(p, j) ~slot =
   let packed = (p lsl pos_bits) lor j in
   let k = key fp in
   let s = t.(k) in
@@ -90,13 +101,14 @@ let merge t fp ~prov ~depth ~pos:(p, j) ~state =
       match added with
       | Fp_store.Fresh e ->
         s.pos.{e} <- packed;
-        s.states.(e) <- Some state;
+        s.arrival.{e} <- slot;
         Fresh (reference e k)
       | Fp_store.Dup e ->
         (* keep the strictly minimal (depth, pos) entry — provenance,
-           position and state replace *together*, so the stored state is
-           always the one the stored chain replays to (under symmetry two
-           distinct concrete states can share a fingerprint) *)
+           position and arrival slot replace *together*, so the slot
+           always names the state the stored chain replays to (under
+           symmetry two distinct concrete states can share a
+           fingerprint) *)
         let od = Fp_store.depth s.store e in
         if depth < od || (depth = od && packed < s.pos.{e}) then begin
           (* the displaced entry's discovering edge had been reported as
@@ -110,8 +122,8 @@ let merge t fp ~prov ~depth ~pos:(p, j) ~state =
           in
           Fp_store.set_prov s.store e prov ~depth;
           s.pos.{e} <- packed;
-          s.states.(e) <- Some state;
-          Dup_replaced { old_event; old_depth = od }
+          s.arrival.{e} <- slot;
+          Dup_replaced { entry = reference e k; old_event; old_depth = od }
         end
         else Dup_kept)
 
@@ -144,15 +156,9 @@ let unpack packed = (packed lsr pos_bits, packed land pos_mask)
 
 let find_pos t r = with_entry t r (fun s e -> unpack s.pos.{e})
 
-let take_state t r =
+let arrival t r =
   with_entry t r (fun s e ->
-      if e >= Array.length s.states then None
-      else
-        match s.states.(e) with
-        | None -> None
-        | Some v ->
-          s.states.(e) <- None;
-          Some (unpack s.pos.{e}, v))
+      if e < Bigarray.Array1.dim s.arrival then s.arrival.{e} else -1)
 
 (* quiescent: no lock, so parents in other shards read directly *)
 let iter t f =
@@ -181,7 +187,7 @@ let store_bytes t =
   sum t (fun s ->
       Fp_store.store_bytes s.store
       + Bigarray.Array1.size_in_bytes s.pos
-      + (Array.length s.states * (Sys.word_size / 8)))
+      + Bigarray.Array1.size_in_bytes s.arrival)
 
 let stats t =
   Array.map

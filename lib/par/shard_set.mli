@@ -17,16 +17,19 @@
     and {!iter} turn a parent reference back into the parent's
     fingerprint, so {!Sandtable.Explorer.provenance}, checkpoints and
     traces are the same as the sequential engine's. {!set_prov}, {!fp},
-    {!depth}, {!find_pos} and {!take_state} raise [Invalid_argument],
-    naming the reference, when it names no entry.
+    {!depth}, {!find_pos} and {!arrival} raise [Invalid_argument], naming
+    the reference, when it names no entry.
+
+    The strict-BFS merge also keeps, for each entry of the layer being
+    built, the {e slot} of its winning arrival: an int the engine chose to
+    name where it keeps that arrival's state (its worker's frontier and
+    the position in it). The states themselves never enter the set.
 
     Locking: every operation holds one shard lock at a time, and never a
     second one — resolving a parent in another shard releases the first
     lock before taking the other. {!iter} runs only at quiescent points. *)
 
-type 's t
-(** ['s] is the spec's concrete state type, held only for entries of the
-    layer currently being built (see {!merge} / {!take_state}). *)
+type t
 
 type stat = {
   s_entries : int;  (** distinct fingerprints stored in the shard *)
@@ -36,18 +39,20 @@ type merge_outcome =
   | Fresh of int  (** the fingerprint was new; the new entry's reference *)
   | Dup_kept  (** already present, and the stored entry kept its place *)
   | Dup_replaced of {
+      entry : int;
       old_event : Sandtable.Trace.event option;
       old_depth : int;
     }
       (** already present, but the new [(depth, pos)] was strictly smaller
-          and displaced the stored entry; [old_event]/[old_depth] identify
-          the displaced discovering edge ([None] = a root) so the caller
-          can re-attribute it as the duplicate it turned out to be *)
+          and displaced the stored entry, whose reference is [entry];
+          [old_event]/[old_depth] identify the displaced discovering edge
+          ([None] = a root) so the caller can re-attribute it as the
+          duplicate it turned out to be *)
 
-val create : unit -> 's t
+val create : unit -> t
 
 val add_seed :
-  's t -> Sandtable.Fingerprint.t -> Sandtable.Fp_store.prov -> depth:int ->
+  t -> Sandtable.Fingerprint.t -> Sandtable.Fp_store.prov -> depth:int ->
   int option
 (** Insert if absent (first arrival wins), returning the new entry's
     reference; [None] when the fingerprint was already present. For roots,
@@ -55,54 +60,54 @@ val add_seed :
     merges. A [Pstep] names its parent by reference. *)
 
 val merge :
-  's t -> Sandtable.Fingerprint.t -> prov:Sandtable.Fp_store.prov ->
-  depth:int -> pos:int * int -> state:'s -> merge_outcome
-(** Atomically insert a layer candidate ([Fresh]), or — if the fingerprint
-    is already present — replace the stored provenance, depth, position
-    and state (together) iff the new [(depth, pos)] is strictly smaller
-    ([Dup_replaced]), else leave it ([Dup_kept]). Keeping the minimal
+  t -> Sandtable.Fingerprint.t -> prov:Sandtable.Fp_store.prov -> depth:int ->
+  pos:int * int -> slot:int -> merge_outcome
+(** [merge t fp ~prov ~depth ~pos ~slot] atomically inserts a layer
+    candidate ([Fresh]), or — if the fingerprint is already present —
+    replaces the stored provenance, depth, position and arrival slot
+    (together) iff the new [(depth, pos)] is strictly smaller
+    ([Dup_replaced]), else leaves it ([Dup_kept]). Keeping the minimal
     discovery position makes provenance chains, violation choice and
     early-stop accounting coincide with sequential BFS regardless of
-    worker count; replacing state and provenance together keeps the stored
-    state the one the stored chain replays to (under symmetry reduction
-    two distinct concrete states can share a fingerprint). Only [merge]
-    allocates the position and state side columns; an entry {!add_seed}
-    inserted has position [(0, 0)] and no state. [pos = (p, j)] must
-    satisfy [0 <= j < 2{^31}]; depth must be [< 2{^20}]. *)
+    worker count; replacing the slot with the provenance keeps it naming
+    the state the stored chain replays to (under symmetry reduction two
+    distinct concrete states can share a fingerprint). Only [merge]
+    allocates the position and slot side columns; an entry {!add_seed}
+    inserted has position [(0, 0)] and slot [-1]. [pos = (p, j)] must
+    satisfy [0 <= j < 2{^31}]; depth must be [< 2{^20}]; [slot >= 0]. *)
 
-val find : 's t -> Sandtable.Fingerprint.t -> int option
+val find : t -> Sandtable.Fingerprint.t -> int option
 (** The entry's reference; [None] when absent. *)
 
-val set_prov : 's t -> int -> Sandtable.Fp_store.prov -> depth:int -> unit
+val set_prov : t -> int -> Sandtable.Fp_store.prov -> depth:int -> unit
 (** {!Sandtable.Fp_store.set_prov} on the referenced entry (resume's
     second pass). *)
 
-val fp : 's t -> int -> Sandtable.Fingerprint.t
+val fp : t -> int -> Sandtable.Fingerprint.t
 (** The referenced entry's fingerprint. *)
 
-val depth : 's t -> int -> int
+val depth : t -> int -> int
 (** The referenced entry's discovery depth. *)
 
 val find_prov_opt :
-  's t -> Sandtable.Fingerprint.t -> Sandtable.Explorer.provenance option
+  t -> Sandtable.Fingerprint.t -> Sandtable.Explorer.provenance option
 (** The entry's provenance, its parent named by fingerprint — the lookup
     the shared recovery helpers of {!Sandtable.Explorer.Run} walk. [None]
     when absent. Safe while other domains insert (the work-stealing
     engine builds a violation's trace without stopping its workers). *)
 
-val find_pos : 's t -> int -> int * int
+val find_pos : t -> int -> int * int
 (** The discovery position {!merge} stored for the referenced entry. *)
 
-val take_state : 's t -> int -> ((int * int) * 's) option
-(** Return the referenced entry's position and concrete state and clear
-    the stored state (bounding resident states to one layer); [None] if
-    it has none or it was already taken. *)
+val arrival : t -> int -> int
+(** The slot the referenced entry's winning {!merge} arrival recorded;
+    [-1] when it has none. *)
 
-val length : 's t -> int
+val length : t -> int
 (** Total distinct fingerprints. *)
 
 val iter :
-  's t ->
+  t ->
   (Sandtable.Fingerprint.t -> Sandtable.Explorer.provenance -> int -> unit) ->
   unit
 (** Iterate every entry — fingerprint, provenance (parent by
@@ -112,14 +117,14 @@ val iter :
     set: it takes no lock, so [f] may call back into the set. Used for
     checkpoint snapshots. *)
 
-val capacity : 's t -> int
+val capacity : t -> int
 (** Total slot-array length across shards. *)
 
-val store_bytes : 's t -> int
+val store_bytes : t -> int
 (** Exact bytes held by the slot arrays, entry columns and side columns
-    across shards (excluding interned events and layer-local states). *)
+    across shards (excluding interned events). *)
 
-val probe_steps : 's t -> int
+val probe_steps : t -> int
 (** Cumulative linear-probe steps beyond the home slot across shards. *)
 
-val stats : 's t -> stat array
+val stats : t -> stat array

@@ -7,11 +7,14 @@ open Sandtable
    and the telemetry "expand/barrier" split shows that wait dominating at
    higher worker counts. This engine removes the barrier entirely:
 
-   - The frontier lives in per-worker queues of fixed-size state batches.
-     A generated state is routed to the worker that owns its fingerprint
-     shard — [Fingerprint.shard_key], the same and only routing function
-     the visited set uses — so each worker touches a disjoint slice of the
-     shard space and dedup locality follows for free.
+   - The frontier lives in per-worker queues of state batches, each queue
+     a [Frontier] used chunk-wise: a batch is one chunk of up to 64
+     marshalled states. A generated state is routed to the worker that
+     owns its fingerprint shard — [Fingerprint.shard_key], the same and
+     only routing function the visited set uses — so each worker touches a
+     disjoint slice of the shard space and dedup locality follows for
+     free. Its outbox for that worker appends the state's bytes, copied
+     from the fingerprint arena.
    - A worker drains its own queue FIFO; when empty it steals a whole
      batch from the tail of another worker's queue (one mutex hold per
      batch, never per state).
@@ -28,10 +31,14 @@ open Sandtable
      routed state sits in some queue), and the paused world is a
      consistent snapshot: visited set + queued states.
 
-   A queued item is a state, its entry's reference (the parent of every
-   successor it generates) and its depth. States are deduplicated with
-   first-arrival-wins [Shard_set.add_seed] — no (depth, pos) merge, so the
-   store never allocates its position and state side columns.
+   A queued entry is a state's bytes, its entry's reference (the parent of
+   every successor it generates) and its depth; pulses and checkpoints
+   read the references and depths without unmarshalling a state. With a
+   spill window each queue keeps its oldest and newest chunks in memory
+   and spills the ones between, past its share of the window. States are
+   deduplicated with first-arrival-wins [Shard_set.add_seed] — no (depth,
+   pos) merge, so the store never allocates its position and arrival side
+   columns.
    Consequences, also spelled out in DESIGN.md: each distinct state is
    expanded exactly once, so [distinct] and [generated] totals at
    exhaustion are schedule- and worker-count-invariant and equal to the
@@ -62,68 +69,17 @@ type result = {
 
 (* ---- per-worker batch queue ------------------------------------------- *)
 
-(* A mutex-guarded ring of batches. The owner pops from the head (FIFO —
-   keeps discovery roughly breadth-first, which keeps the duplicate rate
-   close to the strict engine's); a thief takes from the tail (the work
-   least likely to be hot in the owner's cache). Item counts are kept for
-   the queue-depth gauge. *)
-type 'a queue = {
-  qlock : Mutex.t;
-  mutable qbuf : 'a array array;
-  mutable qhead : int;
-  mutable qcount : int;  (* batches *)
-  mutable qitems : int;  (* states across all batches *)
-}
-
-let q_make () =
-  { qlock = Mutex.create ();
-    qbuf = Array.make 16 [||];
-    qhead = 0;
-    qcount = 0;
-    qitems = 0 }
+(* A mutex-guarded [Frontier] used chunk-wise: a batch is a chunk of up to
+   [batch_size] marshalled states. The owner takes the oldest chunk (FIFO
+   — keeps discovery roughly breadth-first, which keeps the duplicate rate
+   close to the strict engine's); a thief takes the newest (the work least
+   likely to be hot in the owner's cache). With a spill window, chunks
+   between the two ends go to disk. *)
+type 's queue = { qlock : Mutex.t; q : 's Frontier.t }
 
 let q_locked q f =
   Mutex.lock q.qlock;
   Fun.protect ~finally:(fun () -> Mutex.unlock q.qlock) f
-
-let q_push q batch =
-  q_locked q (fun () ->
-      let cap = Array.length q.qbuf in
-      if q.qcount = cap then begin
-        let b = Array.make (2 * cap) [||] in
-        for i = 0 to q.qcount - 1 do
-          b.(i) <- q.qbuf.((q.qhead + i) mod cap)
-        done;
-        q.qbuf <- b;
-        q.qhead <- 0
-      end;
-      let cap = Array.length q.qbuf in
-      q.qbuf.((q.qhead + q.qcount) mod cap) <- batch;
-      q.qcount <- q.qcount + 1;
-      q.qitems <- q.qitems + Array.length batch)
-
-let q_take q ~back =
-  q_locked q (fun () ->
-      if q.qcount = 0 then None
-      else begin
-        let cap = Array.length q.qbuf in
-        let i =
-          if back then (q.qhead + q.qcount - 1) mod cap else q.qhead
-        in
-        let batch = q.qbuf.(i) in
-        q.qbuf.(i) <- [||];
-        if not back then q.qhead <- (q.qhead + 1) mod cap;
-        q.qcount <- q.qcount - 1;
-        q.qitems <- q.qitems - Array.length batch;
-        Some batch
-      end)
-
-let q_iter q f =
-  q_locked q (fun () ->
-      let cap = Array.length q.qbuf in
-      for i = 0 to q.qcount - 1 do
-        Array.iter f q.qbuf.((q.qhead + i) mod cap)
-      done)
 
 (* how long an idle or parked worker sleeps between polls; stdlib
    [Condition] has no timed wait, and at this grain the poll is invisible
@@ -131,16 +87,21 @@ let q_iter q f =
 let poll_sleep = 0.0002
 let batch_size = 64
 
+(* chunk buffer size: a batch of typical states fits, and a chunk closes
+   early when the next state does not *)
+let batch_bytes = 16 lsl 10
+
 module Run (S : Spec.S) = struct
   module E = Explorer.Run (S)
 
   let check ?(pulse_every = 1.0) ?resume pool scenario
       (opts : Explorer.options) =
+    E.with_disk opts @@ fun disk ->
     let started = Unix.gettimeofday () in
     let elapsed () = Unix.gettimeofday () -. started in
     let workers = Pool.size pool in
     let probe = opts.probe in
-    let visited : S.state Shard_set.t = Shard_set.create () in
+    let visited = Shard_set.create () in
     let lookup = Shard_set.find_prov_opt visited in
     let store () =
       Shard_set.(length visited, capacity visited, store_bytes visited,
@@ -153,15 +114,38 @@ module Run (S : Spec.S) = struct
     let dest fp =
       Fingerprint.shard_key fp ~mask:route_mask * workers / (route_mask + 1)
     in
-    let queues : (S.state * int * int) queue array =
-      Array.init workers (fun _ -> q_make ())
+    (* the spill window is shared out between the queues; a chunk holds at
+       most half a queue's share *)
+    let window =
+      Option.map (fun d -> max 2 (Frontier.window d / workers)) disk
+    in
+    let batch =
+      match window with
+      | Some w -> min batch_size (max 1 (w / 2))
+      | None -> batch_size
+    in
+    let queues : S.state queue array =
+      Array.init workers (fun _ ->
+          { qlock = Mutex.create ();
+            q =
+              Frontier.create ?disk ?window ~batch ~chunk_bytes:batch_bytes
+                () })
+    in
+    (* one outbox per destination worker, filled by one worker *)
+    let outboxes () =
+      Array.init workers (fun _ ->
+          Frontier.create ~batch ~chunk_bytes:batch_bytes ())
     in
     let outstanding = Atomic.make 0 in
-    let enqueue d batch =
+    let enqueue ?probe d chunk =
       (* increment before the batch is visible: the counter over-approximates
          live work, so 0 is a stable "nothing anywhere" signal *)
       Atomic.incr outstanding;
-      q_push queues.(d) batch
+      let q = queues.(d) in
+      q_locked q (fun () -> Frontier.add_chunk ?probe q.q chunk)
+    in
+    let queued () =
+      Array.fold_left (fun n q -> n + Frontier.length q.q) 0 queues
     in
     (* engine-wide counters; [distinct] is atomic because the max_states
        budget reads it cross-worker, the rest are disjointly indexed *)
@@ -227,24 +211,27 @@ module Run (S : Spec.S) = struct
         in
         List.map (fun (s, r) -> (s, r, depth_of r)) frontier
     in
+    (* move a worker's closed outbox chunks (or all of them, [~all]) to
+       their destination queues, each in a buffer cut to its entries: most
+       batches leave partly filled *)
+    let flush ?probe ?(all = false) outbox d =
+      let ob = outbox.(d) in
+      while Frontier.chunks ob > (if all then 0 else 1) do
+        Option.iter (enqueue ?probe d)
+          (Frontier.take_chunk ob ~fit:true ~back:false)
+      done
+    in
     (* batch the seeds by destination worker *)
-    let per_dest = Array.make workers [] in
-    let per_cnt = Array.make workers 0 in
+    let seed_box = outboxes () in
     List.iter
-      (fun ((_, r, _) as it) ->
+      (fun (state, r, depth) ->
         let d = dest (Shard_set.fp visited r) in
-        per_dest.(d) <- it :: per_dest.(d);
-        per_cnt.(d) <- per_cnt.(d) + 1;
-        if per_cnt.(d) >= batch_size then begin
-          enqueue d (Array.of_list (List.rev per_dest.(d)));
-          per_dest.(d) <- [];
-          per_cnt.(d) <- 0
-        end)
+        Frontier.push_state ?probe seed_box.(d) ~entry:r ~depth state;
+        flush ?probe seed_box d)
       seed_items;
-    Array.iteri
-      (fun d items ->
-        if items <> [] then enqueue d (Array.of_list (List.rev items)))
-      per_dest;
+    for d = 0 to workers - 1 do
+      flush ?probe ~all:true seed_box d
+    done;
     (* a paused world is quiescent: every worker is between batches with
        flushed outboxes, so the frontier is exactly the queued states *)
     let snapshot_now ~gen_now ~maxd () =
@@ -252,9 +239,10 @@ module Run (S : Spec.S) = struct
       let mind = ref max_int in
       Array.iter
         (fun q ->
-          q_iter q (fun (_, r, d) ->
-              fps := Shard_set.fp visited r :: !fps;
-              if d < !mind then mind := d))
+          q_locked q (fun () ->
+              Frontier.iter q.q (fun r d ->
+                  fps := Shard_set.fp visited r :: !fps;
+                  if d < !mind then mind := d)))
         queues;
       { Explorer.snap_depth = (if !mind = max_int then maxd else !mind);
         snap_frontier = List.rev !fps;
@@ -267,24 +255,20 @@ module Run (S : Spec.S) = struct
     let sum a = Array.fold_left ( + ) 0 a in
     let cur_generated () = !gen_base + sum st_generated in
     let cur_maxdepth () = Array.fold_left max !maxdepth_base st_maxdepth in
+    let take ?probe v ~back =
+      let q = queues.(v) in
+      q_locked q (fun () -> Frontier.take_chunk ?probe q.q ~back)
+    in
     (* ---- worker loop --------------------------------------------------- *)
     let worker_loop w =
       let wp = Probe.worker probe w in
-      let obuf = Array.make workers [] in
-      let ocnt = Array.make workers 0 in
-      let flush d =
-        if ocnt.(d) > 0 then begin
-          let batch = Array.of_list (List.rev obuf.(d)) in
-          obuf.(d) <- [];
-          ocnt.(d) <- 0;
-          enqueue d batch
-        end
-      in
-      let route fp it =
+      let outbox = outboxes () in
+      (* the state's bytes are still in this domain's own fingerprint
+         arena: nothing since its own fingerprint has marshalled *)
+      let route fp r depth =
         let d = dest fp in
-        obuf.(d) <- it :: obuf.(d);
-        ocnt.(d) <- ocnt.(d) + 1;
-        if ocnt.(d) >= batch_size then flush d
+        Frontier.push outbox.(d) ~entry:r ~depth;
+        flush ?probe:wp outbox d
       in
       (* busy and idle time are coalesced into episode spans — one
          "expand" span per contiguous run of batches and one "steal-wait"
@@ -309,7 +293,7 @@ module Run (S : Spec.S) = struct
           idle_t0 := None
       in
       let tick = ref 0 in
-      let expand_one (state, r, depth) =
+      let expand_one r depth state =
         match opts.max_depth with
         | Some md when depth > md ->
           (* the state was counted at insertion; depth labels here are
@@ -349,7 +333,7 @@ module Run (S : Spec.S) = struct
                 | None -> ());
                 Probe.span_end wp "invariant";
                 if S.constraint_ok scenario state' then
-                  route fp' (state', r', depth + 1);
+                  route fp' r' (depth + 1);
                 (match opts.max_states with
                 | Some m when Atomic.get distinct >= m ->
                   stop_with Explorer.Budget_spent
@@ -372,7 +356,7 @@ module Run (S : Spec.S) = struct
           if k >= workers then None
           else
             let v = (w + k) mod workers in
-            match q_take queues.(v) ~back:true with
+            match take ?probe:wp v ~back:true with
             | Some b ->
               Probe.count wp "steal.count" 1;
               Atomic.incr steals;
@@ -397,15 +381,19 @@ module Run (S : Spec.S) = struct
           done;
           if not (Atomic.get stop) then begin
             incr pulses;
-            let frontier = Array.fold_left (fun n q -> n + q.qitems) 0 queues in
+            let frontier = queued () in
             let gen_now = cur_generated () in
             let maxd = cur_maxdepth () in
             if Probe.is_on probe then begin
+              let sum f = Array.fold_left (fun n q -> n + f q.q) 0 queues in
               for v = 0 to workers - 1 do
                 Probe.gauge (Probe.worker probe v) "queue.depth"
-                  (float_of_int queues.(v).qitems)
+                  (float_of_int (Frontier.length queues.(v).q))
               done;
-              E.visited_gauges probe store
+              E.visited_gauges probe store;
+              E.frontier_gauges probe
+                ~resident:(sum Frontier.resident_bytes)
+                ~spilled:(sum Frontier.spilled_bytes)
             end;
             Probe.layer probe ~depth:maxd ~distinct:(Atomic.get distinct)
               ~generated:gen_now ~frontier ~elapsed:(elapsed ());
@@ -441,7 +429,7 @@ module Run (S : Spec.S) = struct
         else begin
           if w = 0 then maybe_pulse ();
           let batch =
-            match q_take queues.(w) ~back:false with
+            match take ?probe:wp w ~back:false with
             | Some b -> Some b
             | None -> steal ()
           in
@@ -450,15 +438,14 @@ module Run (S : Spec.S) = struct
             end_idle ();
             if !busy_t0 = None then busy_t0 := Some (Unix.gettimeofday ());
             let exp0 = st_expanded.(w) in
-            Array.iter
-              (fun it -> if not (Atomic.get stop) then expand_one it)
-              batch;
+            Frontier.chunk_iter batch (fun r depth state ->
+                if not (Atomic.get stop) then expand_one r depth state);
             Probe.count wp "expand.states" (st_expanded.(w) - exp0);
             (* flush every outbox before the decrement: between batches
                all routed states live in queues, and the children were
                counted into [outstanding] before the parent batch retires *)
             for d = 0 to workers - 1 do
-              flush d
+              flush ?probe:wp ~all:true outbox d
             done;
             Atomic.decr outstanding
           | None ->
@@ -496,6 +483,7 @@ module Run (S : Spec.S) = struct
         if Atomic.get depth_pruned then Explorer.Budget_spent
         else Explorer.Exhausted
     in
+    Array.iter (fun q -> Frontier.close q.q) queues;
     E.visited_gauges ~final:true probe store;
     E.cache_gauge probe (Array.to_list caches);
     let worker_stats =

@@ -2,7 +2,8 @@
 
     The scalable counterpart of {!Par_explorer}: instead of a
     layer-synchronous BFS with a full barrier per layer, the frontier
-    lives in per-worker queues of state batches routed by
+    lives in per-worker queues of state batches (each a
+    {!Sandtable.Frontier} chunk of marshalled states) routed by
     {!Sandtable.Fingerprint.shard_key} (the only routing function — the
     same bits that pick a {!Shard_set} shard pick the owning worker).
     Idle workers steal whole batches from the tail of busy workers'

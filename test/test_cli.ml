@@ -146,6 +146,8 @@ let test_stats_compare_and_follow () =
       check_contains "orbit-cache hit ratio" out "orbit cache:";
       check_contains "peak memory" out "peak RSS:";
       check_contains "visited-store size" out "visited store:";
+      check_contains "frontier size" out "frontier: peak";
+      check_contains "frontier bytes" out "MB resident";
       (* compare: identical configurations diff to +0.0% on exploration
          shape (timing-derived rows are free to differ) *)
       let code, out, _ = run_cli [ "stats"; "--compare"; a; b ] in
@@ -350,6 +352,17 @@ let test_bad_cadence_usage () =
   Alcotest.(check int) "bad telemetry cadence exits 2" 2 code;
   check_contains "stderr explains" err "--telemetry-every"
 
+let test_negative_spill_window_usage () =
+  let code, out, err =
+    run_cli
+      [ "check"; "pysyncobj"; "-j"; "1"; "--max-states"; "2000";
+        "--spill-window=-5" ]
+  in
+  Alcotest.(check int) "exit 2" 2 code;
+  check_contains "stderr names the flag" err "--spill-window";
+  check_contains "stderr names the value" err "-5";
+  Alcotest.(check string) "stdout clean" "" out
+
 let test_stats_missing_dir_usage () =
   let code, _, err = run_cli [ "stats"; "/nonexistent/run-dir" ] in
   Alcotest.(check int) "exit 2" 2 code;
@@ -411,6 +424,7 @@ let suite =
       case "follow on a bad manifest: exit 2" test_follow_bad_manifest;
       case "rate gate needs a manifest" test_rate_gate_needs_manifest;
       case "bad cadence flags: exit 2" test_bad_cadence_usage;
+      case "negative spill window: exit 2" test_negative_spill_window_usage;
       case "stats on missing dir: exit 2" test_stats_missing_dir_usage;
       case "shrink on missing dir: exit 2" test_shrink_missing_dir_usage;
       case "unknown fault schedule: exit 2" test_faults_unknown_schedule_usage;

@@ -311,7 +311,7 @@ let test_stores_off_heap () =
       fill (fun fp prov ~depth -> ignore (Fp_store.add s fp prov ~depth)) n;
       s);
   growth "Shard_set" (fun n ->
-      let t : unit Par.Shard_set.t = Par.Shard_set.create () in
+      let t = Par.Shard_set.create () in
       fill
         (fun fp prov ~depth -> ignore (Par.Shard_set.add_seed t fp prov ~depth))
         n;

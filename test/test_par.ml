@@ -273,7 +273,7 @@ let test_simulate_aggregate_matches () =
     (Coverage.cardinal agg.union_coverage)
 
 let test_shard_set_concurrent () =
-  let set : int Par.Shard_set.t = Par.Shard_set.create () in
+  let set = Par.Shard_set.create () in
   let fps = Array.init 500 (fun i -> Fingerprint.of_state (i mod 250)) in
   Par.Pool.with_pool 4 (fun pool ->
       Par.Pool.run pool (fun w ->
@@ -300,8 +300,13 @@ let test_shard_set_concurrent () =
       | _ -> Alcotest.failf "fingerprint %d missing" i)
     fps
 
+(* an arrival, as the strict engine makes one: [slot] names where it keeps
+   the arrival's state *)
+let merge_state set fp ~prov ~depth ~pos slot =
+  Par.Shard_set.merge set fp ~prov ~depth ~pos ~slot
+
 let test_shard_set_merge_keeps_min () =
-  let set : string Par.Shard_set.t = Par.Shard_set.create () in
+  let set = Par.Shard_set.create () in
   let fp = Fingerprint.of_state "x" in
   let parent = Fingerprint.of_state "parent" in
   let pref =
@@ -309,43 +314,35 @@ let test_shard_set_merge_keeps_min () =
   in
   let step n = Fp_store.Pstep (pref, Trace.Timeout { node = n; kind = "t" }) in
   let r =
-    match
-      Par.Shard_set.merge set fp ~prov:(step 9) ~depth:2 ~pos:(1, 0)
-        ~state:"late"
-    with
+    match merge_state set fp ~prov:(step 9) ~depth:2 ~pos:(1, 0) 1 with
     | Par.Shard_set.Fresh r -> r
     | _ -> Alcotest.fail "first insert must be fresh"
   in
-  (* same depth, smaller pos: replaces prov, pos and state together and
+  Alcotest.(check int) "fresh arrival's slot" 1 (Par.Shard_set.arrival set r);
+  (* same depth, smaller pos: replaces prov, pos and slot together and
      names the displaced edge so the profiler can re-attribute it *)
-  (match
-     Par.Shard_set.merge set fp ~prov:(step 3) ~depth:2 ~pos:(0, 1)
-       ~state:"early"
-   with
+  (match merge_state set fp ~prov:(step 3) ~depth:2 ~pos:(0, 1) 2 with
   | Par.Shard_set.Dup_replaced
-      { old_event = Some (Trace.Timeout { node; _ }); old_depth } ->
+      { entry; old_event = Some (Trace.Timeout { node; _ }); old_depth } ->
+    Alcotest.(check int) "displaced entry" r entry;
     Alcotest.(check int) "displaced event" 9 node;
     Alcotest.(check int) "displaced depth" 2 old_depth
   | _ -> Alcotest.fail "expected Dup_replaced naming the displaced edge");
   (* larger pos: existing minimal entry is retained *)
   Alcotest.(check bool) "larger pos ignored" true
-    (Par.Shard_set.merge set fp ~prov:(step 7) ~depth:2 ~pos:(0, 2)
-       ~state:"later"
+    (merge_state set fp ~prov:(step 7) ~depth:2 ~pos:(0, 2) 3
      = Par.Shard_set.Dup_kept);
   (match Par.Shard_set.find_prov_opt set fp with
   | Some (Explorer.Step { parent = p; event = Trace.Timeout { node; _ } }) ->
     Alcotest.(check bool) "parent kept" true (Fingerprint.equal p parent);
     Alcotest.(check int) "minimal event kept" 3 node
   | _ -> Alcotest.fail "expected a step provenance");
-  Alcotest.(check (pair (pair int int) string))
-    "minimal pos and its state kept" ((0, 1), "early")
-    (match Par.Shard_set.take_state set r with
-    | Some taken -> taken
-    | None -> Alcotest.fail "state missing");
-  Alcotest.(check bool) "state taken at most once" true
-    (Par.Shard_set.take_state set r = None);
+  Alcotest.(check int) "minimal arrival's slot kept" 2
+    (Par.Shard_set.arrival set r);
   Alcotest.(check (pair int int)) "pos still readable" (0, 1)
     (Par.Shard_set.find_pos set r);
+  Alcotest.(check int) "a seeded entry has no arrival" (-1)
+    (Par.Shard_set.arrival set pref);
   (* a reference past its shard's entries fails closed, naming it *)
   let bogus = r + (1000 lsl 6) in
   let refused =
@@ -357,8 +354,8 @@ let test_shard_set_merge_keeps_min () =
       ignore (Par.Shard_set.depth set bogus));
   Alcotest.check_raises "find_pos" refused (fun () ->
       ignore (Par.Shard_set.find_pos set bogus));
-  Alcotest.check_raises "take_state" refused (fun () ->
-      ignore (Par.Shard_set.take_state set bogus))
+  Alcotest.check_raises "arrival" refused (fun () ->
+      ignore (Par.Shard_set.arrival set bogus))
 
 let contains s sub =
   let n = String.length s and m = String.length sub in
@@ -401,7 +398,7 @@ type model_entry = {
   m_prov : Explorer.provenance;
   m_depth : int;
   m_pos : int * int;
-  m_state : int option;
+  m_slot : int option;
 }
 
 let same_prov (a : Explorer.provenance) (b : Explorer.provenance) =
@@ -448,7 +445,7 @@ let matches_model model ~find_prov ~depth_of ~iter =
        model true
 
 let run_store_ops ops =
-  let set : int Par.Shard_set.t = Par.Shard_set.create () in
+  let set = Par.Shard_set.create () in
   let fs = Fp_store.create ~capacity:16 () in
   let model = Fingerprint.Tbl.create 64 in  (* merge semantics *)
   let first = Fingerprint.Tbl.create 64 in  (* first arrival *)
@@ -488,7 +485,7 @@ let run_store_ops ops =
       | None, Fp_store.Fresh e ->
         expect (e = Fingerprint.Tbl.length first);
         Fingerprint.Tbl.replace first fp
-          { m_prov; m_depth = depth; m_pos = (0, 0); m_state = None }
+          { m_prov; m_depth = depth; m_pos = (0, 0); m_slot = None }
       | Some _, Fp_store.Dup e ->
         expect (Fingerprint.equal (Fp_store.fp fs e) fp)
       | _ -> ok := false);
@@ -499,16 +496,16 @@ let run_store_ops ops =
           Par.Shard_set.add_seed set fp set_prov ~depth
         with
         | None, Some r ->
-          fresh r { m_prov; m_depth = depth; m_pos = (0, 0); m_state = None }
+          fresh r { m_prov; m_depth = depth; m_pos = (0, 0); m_slot = None }
         | Some _, None -> ()
         | _ -> ok := false)
       | Merge (_, _, _, _, pos) -> (
         let entry =
-          { m_prov; m_depth = depth; m_pos = pos; m_state = Some i }
+          { m_prov; m_depth = depth; m_pos = pos; m_slot = Some i }
         in
         match
           Fingerprint.Tbl.find_opt model fp,
-          Par.Shard_set.merge set fp ~prov:set_prov ~depth ~pos ~state:i
+          merge_state set fp ~prov:set_prov ~depth ~pos i
         with
         | None, Par.Shard_set.Fresh r -> fresh r entry
         | Some m, outcome -> (
@@ -517,10 +514,11 @@ let run_store_ops ops =
           in
           match outcome with
           | Par.Shard_set.Dup_kept -> expect (not smaller)
-          | Par.Shard_set.Dup_replaced { old_event; old_depth } ->
+          | Par.Shard_set.Dup_replaced { entry = r; old_event; old_depth } ->
             (* the displaced edge is named, and provenance, position and
-               state are replaced together *)
+               slot are replaced together *)
             expect smaller;
+            expect (r = Fingerprint.Tbl.find refs fp);
             expect (old_depth = m.m_depth);
             expect
               (match old_event, event_of m.m_prov with
@@ -542,14 +540,10 @@ let run_store_ops ops =
        ~iter:(Par.Shard_set.iter set)
   && Fingerprint.Tbl.fold
        (fun fp m ok ->
+         let r = shard_ref fp in
          ok
-         &&
-         match m.m_state with
-         | None -> true
-         | Some v ->
-           let r = shard_ref fp in
-           Par.Shard_set.find_pos set r = m.m_pos
-           && Par.Shard_set.take_state set r = Some (m.m_pos, v))
+         && Par.Shard_set.arrival set r = Option.value ~default:(-1) m.m_slot
+         && (m.m_slot = None || Par.Shard_set.find_pos set r = m.m_pos))
        model true
   && matches_model first ~find_prov:(fp_store_lookup fs)
        ~depth_of:(fun fp ->
@@ -621,7 +615,7 @@ let test_restore_children_first () =
     (fs, lookup, restore)
   in
   let fresh_shard_set () =
-    let set : T.state Par.Shard_set.t = Par.Shard_set.create () in
+    let set = Par.Shard_set.create () in
     let restore snap =
       E.restore snap scenario (Par.Shard_set.find_prov_opt set)
         ~add:(Par.Shard_set.add_seed set) ~find:(Par.Shard_set.find set)

@@ -1,7 +1,7 @@
 (* lib/store: codec roundtrips and corruption rejection, checkpoint
    save/load, kill-and-resume bit-for-bit equivalence (sequential and
-   parallel, cross-engine), disk-spilled frontier equivalence, manifests
-   and exit codes. *)
+   parallel, cross-engine), the compact frontier and its disk tier in
+   every engine, manifests and exit codes. *)
 
 open Sandtable
 
@@ -769,76 +769,152 @@ let test_previous_generation_checkpoint_refused () =
           (Fmt.str "%S names %S" m previous_generation)
           true (contains m previous_generation))
 
-(* ---- spilled frontier ------------------------------------------------- *)
+(* ---- the frontier and its disk tier ------------------------------------ *)
+
+let chunk_files dir =
+  List.filter
+    (fun f -> Filename.check_suffix f ".spill")
+    (Array.to_list (Sys.readdir dir))
+
+let with_disk ~window dir f =
+  let disk = Frontier.open_disk { Frontier.window; dir = Some dir } in
+  Fun.protect ~finally:(fun () -> Frontier.close_disk disk) (fun () -> f disk)
+
+let drain fr =
+  let rec go acc =
+    match Frontier.pop fr with
+    | Some (v, entry, depth) -> go ((v, entry, depth) :: acc)
+    | None -> List.rev acc
+  in
+  go []
 
 let test_spill_chunk_corruption () =
   (* a truncated or clobbered chunk file must surface as Binio.Corrupt
      naming the file, not a bare End_of_file/Failure from Marshal *)
-  let exercise label damage needle =
+  let exercise label damage =
     with_tmpdir (fun dir ->
-        let factory = Store.Spill.factory ~dir ~window:2 () in
-        let q = factory.Explorer.make_frontier () in
-        for i = 1 to 40 do
-          q.Explorer.fr_push i
-        done;
-        let chunk =
-          match
-            List.find_opt
-              (fun f -> Filename.check_suffix f ".spill")
-              (Array.to_list (Sys.readdir dir))
-          with
-          | Some f -> Filename.concat dir f
-          | None -> Alcotest.fail "no chunk file spilled"
-        in
-        damage chunk;
-        expect_corrupt label needle (fun () ->
-            let rec drain () =
-              match q.Explorer.fr_pop () with
-              | Some _ -> drain ()
-              | None -> ()
+        with_disk ~window:2 dir (fun disk ->
+            let q : int Frontier.t = Frontier.create ~disk () in
+            for i = 1 to 40 do
+              Frontier.push_state q ~entry:i ~depth:0 i
+            done;
+            let chunk =
+              match chunk_files dir with
+              | f :: _ -> Filename.concat dir f
+              | [] -> Alcotest.fail "no chunk file spilled"
             in
-            drain ());
-        q.Explorer.fr_close ())
+            damage chunk;
+            expect_corrupt label
+              (Filename.basename chunk ^ ": spill chunk")
+              (fun () -> drain q);
+            Frontier.close q))
   in
-  exercise "truncated chunk"
-    (fun chunk ->
+  exercise "truncated chunk" (fun chunk ->
       let raw = read_raw chunk in
-      rewrite chunk (String.sub raw 0 (String.length raw / 2)))
-    "spill chunk";
-  exercise "clobbered chunk"
-    (fun chunk -> rewrite chunk "not a marshalled array at all")
-    "spill chunk"
+      rewrite chunk (String.sub raw 0 (String.length raw / 2)));
+  exercise "clobbered chunk" (fun chunk ->
+      rewrite chunk "not a frontier chunk at all");
+  exercise "bit-flipped payload" (fun chunk ->
+      let raw = Bytes.of_string (read_raw chunk) in
+      let i = Bytes.length raw - 1 in
+      Bytes.set raw i (Char.chr (Char.code (Bytes.get raw i) lxor 1));
+      rewrite chunk (Bytes.to_string raw))
+
+(* Counts the chunk files an engine writes, from any worker. *)
+let spill_counter () =
+  let writes = Atomic.make 0 in
+  let sink =
+    { Probe.s_count =
+        (fun ~worker:_ name n ->
+          if name = "spill.chunk_writes" then
+            ignore (Atomic.fetch_and_add writes n));
+      s_gauge = (fun ~worker:_ _ _ -> ());
+      s_begin = (fun ~worker:_ _ -> ());
+      s_end = (fun ~worker:_ _ -> ());
+      s_span = (fun ~worker:_ _ _ _ -> ());
+      s_layer =
+        (fun ~depth:_ ~distinct:_ ~generated:_ ~frontier:_ ~elapsed:_ -> ());
+      s_edge = (fun ~worker:_ ~depth:_ ~event:_ ~dup:_ ~sym:_ -> ());
+      s_edge_fix = (fun ~worker:_ ~depth:_ ~event:_ -> ()) }
+  in
+  (Some (Probe.make sink), fun () -> Atomic.get writes)
+
+let engines =
+  [ ("-j 1", fun spec scenario opts -> Explorer.check spec scenario opts);
+    ( "--strict-bfs -j 2",
+      fun spec scenario opts ->
+        (Par.Par_explorer.check ~workers:2 spec scenario opts).base );
+    ( "-j 2",
+      fun spec scenario opts ->
+        (Par.Ws_explorer.check ~workers:2 spec scenario opts).base ) ]
+
+(* Each engine, with and without a spill window, with symmetry reduction
+   on (the toy spec is permutable) and off: the spilled run must write at
+   least one chunk file and leave the directory empty; [same] compares the
+   two results. The toy scenarios below have 4 nodes: at 3, a symmetric
+   run's frontier stays too small for every engine to spill. *)
+let spill_each_engine ~window spec scenario same =
+  List.iter
+    (fun symmetry ->
+      let opts = { toy_opts with symmetry } in
+      List.iter
+        (fun (engine, run) ->
+          let name = Fmt.str "%s, symmetry %b" engine symmetry in
+          let plain = run spec scenario opts in
+          with_tmpdir (fun dir ->
+              let probe, writes = spill_counter () in
+              let spilled =
+                run spec scenario
+                  { opts with
+                    Explorer.spill = Some { Frontier.window; dir = Some dir };
+                    probe }
+              in
+              same engine name plain spilled;
+              Alcotest.(check bool)
+                (Fmt.str "%s: chunks written (%d)" name (writes ()))
+                true
+                (writes () > 0);
+              Alcotest.(check (list string))
+                (name ^ ": chunk files cleaned up") [] (chunk_files dir)))
+        engines)
+    [ true; false ]
 
 let test_spill_equivalence () =
   let spec = Toy_spec.spec () in
-  let scenario = Toy_spec.scenario ~nodes:3 ~timeouts:6 in
-  let plain = Explorer.check spec scenario toy_opts in
-  with_tmpdir (fun dir ->
-      let factory, stats =
-        Store.Spill.factory_with_stats ~dir ~window:4 ()
-      in
-      let spilled =
-        Explorer.check spec scenario { toy_opts with frontier = Some factory }
-      in
+  let scenario = Toy_spec.scenario ~nodes:4 ~timeouts:8 in
+  spill_each_engine ~window:4 spec scenario
+    (fun engine name (plain : Explorer.result) (spilled : Explorer.result) ->
       (match plain.outcome, spilled.outcome with
       | Explorer.Exhausted, Explorer.Exhausted -> ()
-      | _ -> Alcotest.fail "both runs must exhaust");
-      Alcotest.(check (triple int int int))
-        "counters"
-        (plain.distinct, plain.generated, plain.max_depth)
-        (spilled.distinct, spilled.generated, spilled.max_depth);
-      let s = stats () in
-      Alcotest.(check bool)
-        (Fmt.str "spilled (%d chunks, %d items)" s.sp_chunks s.sp_items)
-        true
-        (s.sp_chunks > 0 && s.sp_items > 0);
-      Alcotest.(check (array string))
-        "chunk files cleaned up" [||] (Sys.readdir dir))
+      | _ -> Alcotest.failf "%s: both runs must exhaust" name);
+      Alcotest.(check (pair int int))
+        (name ^ " totals")
+        (plain.distinct, plain.generated)
+        (spilled.distinct, spilled.generated);
+      (* work-stealing discovery depths are schedule-dependent *)
+      if engine <> "-j 2" then
+        Alcotest.(check int) (name ^ " depth") plain.max_depth
+          spilled.max_depth)
+
+let test_spill_violation_equivalence () =
+  let spec = Toy_spec.spec ~limit:5 () in
+  let scenario = Toy_spec.scenario ~nodes:4 ~timeouts:8 in
+  spill_each_engine ~window:3 spec scenario (fun engine name plain spilled ->
+      (* work stealing stops wherever its schedule meets the violation:
+         only its verdict is schedule-independent *)
+      if engine <> "-j 2" then check_violation_equal name plain spilled
+      else
+        match plain.outcome, spilled.outcome with
+        | Explorer.Violation a, Explorer.Violation b ->
+          Alcotest.(check string) (name ^ " invariant") a.invariant
+            b.invariant
+        | _ -> Alcotest.failf "%s: both runs must violate" name)
 
 (* Regression: the spilled run must match the in-RAM run even when states go
    through a Marshal round-trip that breaks physical sharing with global
    constants (pysyncobj's crash transition aliases [Log.empty]). Caught a
-   real bug: sharing-sensitive fingerprints diverged after a spill. *)
+   real bug: sharing-sensitive fingerprints diverged after a spill. Every
+   queued state now makes that round trip. *)
 let test_spill_sharing_robust () =
   let bugs = Systems.Bug.flags [ "pso3" ] in
   let spec = Systems.Pysyncobj.spec ~bugs () in
@@ -848,58 +924,174 @@ let test_spill_sharing_robust () =
       let spilled =
         Explorer.check spec scenario
           { Explorer.default with
-            frontier = Some (Store.Spill.factory ~dir ~window:64 ()) }
+            spill = Some { Frontier.window = 64; dir = Some dir } }
       in
       check_violation_equal "spill after marshal round-trip" plain spilled)
 
-let test_spill_violation_equivalence () =
-  let spec = Toy_spec.spec ~limit:3 () in
-  let scenario = Toy_spec.scenario ~nodes:3 ~timeouts:6 in
-  let plain = Explorer.check spec scenario toy_opts in
+(* A run killed with chunk files on disk leaves them behind; the next run
+   spilling into that directory owns it and removes them. *)
+let test_spill_removes_stale_chunks () =
   with_tmpdir (fun dir ->
-      let spilled =
-        Explorer.check spec scenario
-          { toy_opts with
-            frontier = Some (Store.Spill.factory ~dir ~window:3 ()) }
-      in
-      check_violation_equal "spill violation" plain spilled)
+      rewrite (Filename.concat dir "chunk-1-000001.spill") "left by a kill";
+      let spec = Toy_spec.spec () in
+      let scenario = Toy_spec.scenario ~nodes:3 ~timeouts:6 in
+      ignore
+        (Explorer.check spec scenario
+           { toy_opts with
+             spill = Some { Frontier.window = 4; dir = Some dir } });
+      Alcotest.(check (array string)) "directory ends empty" [||]
+        (Sys.readdir dir))
 
 let test_spill_ops_fifo () =
   with_tmpdir (fun dir ->
-      let factory, stats =
-        Store.Spill.factory_with_stats ~dir ~window:2 ()
-      in
-      let q = factory.make_frontier () in
-      let n = 50 in
-      for i = 1 to n do
-        q.fr_push i
-      done;
-      Alcotest.(check int) "length" n (q.fr_length ());
-      let seen = ref [] in
-      q.fr_iter (fun x -> seen := x :: !seen);
-      Alcotest.(check (list int))
-        "iter order" (List.init n (fun i -> i + 1)) (List.rev !seen);
-      (* interleave pops and pushes across the spill boundary *)
-      let out = ref [] in
-      for i = n + 1 to n + 10 do
-        (match q.fr_pop () with
-        | Some x -> out := x :: !out
-        | None -> Alcotest.fail "premature empty");
-        q.fr_push i
-      done;
-      let rec drain () =
-        match q.fr_pop () with
-        | Some x ->
-          out := x :: !out;
-          drain ()
-        | None -> ()
-      in
-      drain ();
-      Alcotest.(check (list int))
-        "fifo order" (List.init (n + 10) (fun i -> i + 1)) (List.rev !out);
-      Alcotest.(check bool) "spilled" true ((stats ()).sp_chunks > 0);
-      q.fr_close ();
-      Alcotest.(check (array string)) "cleaned" [||] (Sys.readdir dir))
+      with_disk ~window:2 dir (fun disk ->
+          let q : int Frontier.t = Frontier.create ~disk () in
+          let n = 50 in
+          for i = 1 to n do
+            Frontier.push_state q ~entry:i ~depth:(i mod 7) i
+          done;
+          Alcotest.(check int) "length" n (Frontier.length q);
+          Alcotest.(check bool) "spilled" true
+            (Frontier.spilled_bytes q > 0);
+          let seen = ref [] in
+          Frontier.iter q (fun entry depth ->
+              seen := (entry, depth) :: !seen);
+          Alcotest.(check (list (pair int int)))
+            "iter order"
+            (List.init n (fun i -> (i + 1, (i + 1) mod 7)))
+            (List.rev !seen);
+          (* interleave pops and pushes across the spill boundary *)
+          let out = ref [] in
+          for i = n + 1 to n + 10 do
+            (match Frontier.pop q with
+            | Some (x, entry, _) ->
+              Alcotest.(check int) "entry travels with its state" x entry;
+              out := x :: !out
+            | None -> Alcotest.fail "premature empty");
+            Frontier.push_state q ~entry:i ~depth:0 i
+          done;
+          out :=
+            List.rev_append (List.map (fun (x, _, _) -> x) (drain q)) !out;
+          Alcotest.(check (list int))
+            "fifo order"
+            (List.init (n + 10) (fun i -> i + 1))
+            (List.rev !out);
+          Alcotest.(check int) "nothing left on disk" 0
+            (Frontier.spilled_bytes q);
+          Frontier.close q;
+          Alcotest.(check (list string)) "cleaned" [] (chunk_files dir)))
+
+(* FIFO across chunk boundaries (small chunks, several per window) and
+   disk boundaries, for a mix of state sizes. *)
+let test_frontier_fifo_boundaries () =
+  with_tmpdir (fun dir ->
+      with_disk ~window:64 dir (fun disk ->
+          let q : string Frontier.t =
+            Frontier.create ~chunk_bytes:256 ~disk
+              ()
+          in
+          let value i =
+            String.make (i mod 37) (Char.chr (65 + (i mod 26)))
+          in
+          let pushed = ref 0 and popped = ref 0 in
+          let push () =
+            Frontier.push_state q ~entry:!pushed
+              ~depth:(!pushed land 0xfffff) (value !pushed);
+            incr pushed
+          in
+          let pop () =
+            match Frontier.pop q with
+            | Some (v, entry, depth) ->
+              Alcotest.(check (triple string int int))
+                (Fmt.str "entry %d" !popped)
+                (value !popped, !popped, !popped land 0xfffff)
+                (v, entry, depth);
+              incr popped
+            | None -> Alcotest.fail "premature empty"
+          in
+          for round = 1 to 40 do
+            for _ = 1 to 50 + (round mod 7) do
+              push ()
+            done;
+            for _ = 1 to 45 do
+              pop ()
+            done
+          done;
+          Alcotest.(check bool) "went to disk" true
+            (Frontier.spilled_bytes q > 0);
+          while !popped < !pushed do
+            pop ()
+          done;
+          Alcotest.(check bool) "empty" true (Frontier.pop q = None);
+          Alcotest.(check (list string)) "cleaned" [] (chunk_files dir)))
+
+(* [iter] walks headers only: a payload whose marshalled data no decoder
+   accepts is listed by [iter], and only [pop] trips on it. *)
+let test_frontier_iter_headers_only () =
+  let q : int Frontier.t = Frontier.create () in
+  let poisoned = Marshal.to_bytes 0 [ Marshal.No_sharing ] in
+  Bytes.set poisoned (Bytes.length poisoned - 1) '\x1f';
+  Frontier.push_state q ~entry:1 ~depth:3 7;
+  Frontier.push_bytes q ~entry:2 ~depth:4 poisoned 0;
+  let seen = ref [] in
+  Frontier.iter q (fun entry depth -> seen := (entry, depth) :: !seen);
+  Alcotest.(check (list (pair int int)))
+    "headers" [ (1, 3); (2, 4) ] (List.rev !seen);
+  Alcotest.(check bool) "first pops" true (Frontier.pop q = Some (7, 1, 3));
+  match Frontier.pop q with
+  | _ -> Alcotest.fail "the poisoned payload unmarshalled"
+  | exception Failure _ -> ()
+
+let test_frontier_oversized_entry () =
+  let q : string Frontier.t =
+    Frontier.create ~chunk_bytes:1024 ()
+  in
+  let big = String.make 10_000 'x' in
+  Frontier.push_state q ~entry:1 ~depth:1 "before";
+  Frontier.push_state q ~entry:2 ~depth:1 big;
+  Frontier.push_state q ~entry:3 ~depth:1 "after";
+  Alcotest.(check bool) "a chunk of its own" true
+    (Frontier.resident_bytes q >= 1024 + 10_000);
+  Alcotest.(check (list string))
+    "fifo" [ "before"; big; "after" ]
+    (List.map (fun (v, _, _) -> v) (drain q));
+  Alcotest.(check int) "nothing resident" 0 (Frontier.resident_bytes q)
+
+(* The point of the compact frontier: a queued state costs its marshalled
+   bytes plus the 8-byte header, not its heap words, and those bytes are
+   outside the OCaml heap. *)
+let test_frontier_resident_size () =
+  let module T = Toy_spec.Make (struct
+    let limit = None
+  end) in
+  let scenario = Toy_spec.scenario ~nodes:5 ~timeouts:40 in
+  let states =
+    List.init 10_000 (fun i ->
+        let s = List.hd (T.init scenario) in
+        { s with
+          Toy_spec.ticks = Array.init 5 (fun k -> (i lsr (2 * k)) land 3) })
+  in
+  let q : Toy_spec.state Frontier.t =
+    Frontier.create ~chunk_bytes:(64 lsl 10) ()
+  in
+  List.iteri (fun i s -> Frontier.push_state q ~entry:i ~depth:1 s) states;
+  let payload =
+    List.fold_left
+      (fun n s ->
+        n + 8 + Bytes.length (Marshal.to_bytes s [ Marshal.No_sharing ]))
+      0 states
+  in
+  let resident = Frontier.resident_bytes q in
+  let ratio = float_of_int resident /. float_of_int payload in
+  Alcotest.(check bool)
+    (Fmt.str "%d B resident for %d B of entries (%.2fx)" resident payload
+       ratio)
+    true (ratio <= 1.2);
+  let heap_words = Obj.reachable_words (Obj.repr q) in
+  Alcotest.(check bool)
+    (Fmt.str "%d heap words for 10,000 entries" heap_words)
+    true (heap_words < 1_000);
+  Alcotest.(check int) "all queued" 10_000 (Frontier.length q)
 
 (* ---- sjson ------------------------------------------------------------ *)
 
@@ -1042,6 +1234,13 @@ let suite =
       case "spilled frontier violation" test_spill_violation_equivalence;
       case "spill robust to sharing breaks" test_spill_sharing_robust;
       case "spill ops FIFO across chunks" test_spill_ops_fifo;
+      case "spill removes stale chunks" test_spill_removes_stale_chunks;
+      case "frontier FIFO across chunk and disk boundaries"
+        test_frontier_fifo_boundaries;
+      case "frontier iter reads headers only"
+        test_frontier_iter_headers_only;
+      case "frontier entry bigger than a chunk" test_frontier_oversized_entry;
+      case "frontier resident bytes per entry" test_frontier_resident_size;
       case "sjson roundtrip" test_sjson_roundtrip;
       case "sjson rejects malformed" test_sjson_errors;
       case "manifest roundtrip + listing" test_manifest_roundtrip;
