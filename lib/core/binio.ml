@@ -97,14 +97,14 @@ let atomic_write path fill =
 let magic = "SNTB"
 let format_version = 1
 
-(* FNV-1a, 64-bit *)
-let checksum s =
+(* FNV-1a, 64-bit, of [get 0], ..., [get (len - 1)]: the payload is
+   checksummed where it lies, in the sink or in the file's bytes. *)
+let checksum get len =
   let h = ref (-0x340d631b7bdddcdbL) (* 0xcbf29ce484222325 *) in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h 0x100000001b3L)
-    s;
+  for i = 0 to len - 1 do
+    h := Int64.logxor !h (Int64.of_int (Char.code (get i)));
+    h := Int64.mul !h 0x100000001b3L
+  done;
   !h
 
 let u64le buf v =
@@ -129,18 +129,18 @@ let header_len = 4 + 1 + 1 + 8
 let write_file path ~kind fill =
   let payload = sink () in
   fill payload;
-  let payload = contents payload in
+  let len = Buffer.length payload in
   atomic_write path (fun oc ->
       let head = Buffer.create header_len in
       Buffer.add_string head magic;
       Buffer.add_char head (Char.chr format_version);
       Buffer.add_char head (Char.chr (kind land 0xff));
-      u64le head (Int64.of_int (String.length payload));
-      output_string oc (Buffer.contents head);
-      output_string oc payload;
+      u64le head (Int64.of_int len);
+      Buffer.output_buffer oc head;
+      Buffer.output_buffer oc payload;
       let tail = Buffer.create 8 in
-      u64le tail (checksum payload);
-      output_string oc (Buffer.contents tail))
+      u64le tail (checksum (Buffer.nth payload) len);
+      Buffer.output_buffer oc tail)
 
 let read_whole_file path =
   let ic = open_in_bin path in
@@ -191,9 +191,8 @@ let read_file path ~kind =
        follow (interrupted write?)"
       path payload_len
       (max 0 (len - header_len));
-  let payload = String.sub raw header_len payload_len in
   let stored = read_u64le raw (header_len + payload_len) in
-  let actual = checksum payload in
+  let actual = checksum (fun i -> raw.[header_len + i]) payload_len in
   if not (Int64.equal stored actual) then
     corrupt "%s: checksum mismatch (corrupted file)" path;
-  of_string payload
+  { data = raw; pos = header_len; limit = header_len + payload_len }

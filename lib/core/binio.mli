@@ -68,12 +68,15 @@ val format_version : int
 val write_file : string -> kind:int -> (sink -> unit) -> unit
 (** [write_file path ~kind fill] writes magic/version/kind, the payload
     produced by [fill], its length and checksum — to a temp file in
-    [path]'s directory, then renames over [path] (atomic on POSIX). *)
+    [path]'s directory, then renames over [path] (atomic on POSIX). The
+    payload is written and checksummed from the sink, never copied. *)
 
 val read_file : string -> kind:int -> source
-(** Validates the envelope and returns a source over the payload. Raises
-    {!Corrupt} on bad magic, unsupported version, wrong kind, truncation
-    or checksum mismatch; [Sys_error] if the file cannot be read. *)
+(** Validates the envelope and returns a source over the payload, in place
+    in the file's bytes (offsets in later {!Corrupt} messages count from
+    the start of the file). Raises {!Corrupt} on bad magic, unsupported
+    version, wrong kind, truncation or checksum mismatch; [Sys_error] if
+    the file cannot be read. *)
 
 val section_kind : string -> int option
 (** The section kind in the header of the file at this path, read without

@@ -7,7 +7,38 @@ end
 
 type semantics = Tcp | Udp
 
+module type S = sig
+  type msg
+  type t
+
+  val create : nodes:int -> semantics -> t
+  val nodes : t -> int
+  val semantics : t -> semantics
+  val connected : t -> int -> int -> bool
+  val send : t -> src:int -> dst:int -> msg -> t * bool
+  val deliverable : t -> (int * int * int * msg) list
+  val peek : t -> src:int -> dst:int -> index:int -> msg option
+  val describe : t -> Trace.event -> string
+  val deliver : t -> src:int -> dst:int -> index:int -> (msg * t) option
+  val drop : t -> src:int -> dst:int -> index:int -> t option
+  val duplicate : t -> src:int -> dst:int -> index:int -> t option
+  val queue : t -> src:int -> dst:int -> msg list
+  val queue_len : t -> src:int -> dst:int -> int
+  val max_queue_len : t -> int
+  val total_in_flight : t -> int
+  val partition : t -> group:int list -> t
+  val heal : t -> t
+  val disconnect_node : t -> int -> t
+  val reconnect_node : t -> int -> t
+  val fully_connected : t -> bool
+  val map_queues : (msg -> msg) -> t -> t
+  val permute : int array -> t -> t
+  val observe : t -> Tla.Value.t
+end
+
 module Make (M : MSG) = struct
+  type msg = M.t
+
   type t = {
     n : int;
     sem : semantics;

@@ -19,7 +19,9 @@ end
 
 type semantics = Tcp | Udp
 
-module Make (M : MSG) : sig
+(** A network over messages of type [msg]. *)
+module type S = sig
+  type msg
   type t
 
   val create : nodes:int -> semantics -> t
@@ -29,30 +31,31 @@ module Make (M : MSG) : sig
   val connected : t -> int -> int -> bool
   (** Link usable in both directions; self-links are never connected. *)
 
-  val send : t -> src:int -> dst:int -> M.t -> t * bool
+  val send : t -> src:int -> dst:int -> msg -> t * bool
   (** Enqueue a message. Returns [false] (network unchanged) when the link is
       down: under TCP the sender observes the send failure; under UDP the
       packet is silently lost. *)
 
-  val deliverable : t -> (int * int * int * M.t) list
+  val deliverable : t -> (int * int * int * msg) list
   (** All [(src, dst, index, msg)] delivery choices: index 0 of each
       non-empty queue under TCP, every index under UDP. *)
 
-  val peek : t -> src:int -> dst:int -> index:int -> M.t option
+  val peek : t -> src:int -> dst:int -> index:int -> msg option
 
   val describe : t -> Trace.event -> string
-  (** The label of an event taken from this network: [M.describe] of the
-      message a [Deliver] would take ({!peek} at its address), [""] for
-      every other event. A spec's [S.describe] is this on its network. *)
+  (** The label of an event taken from this network: the message module's
+      [describe] of the message a [Deliver] would take ({!peek} at its
+      address), [""] for every other event. A spec's [S.describe] is this
+      on its network. *)
 
-  val deliver : t -> src:int -> dst:int -> index:int -> (M.t * t) option
+  val deliver : t -> src:int -> dst:int -> index:int -> (msg * t) option
   val drop : t -> src:int -> dst:int -> index:int -> t option
   (** UDP only: silently lose the packet. *)
 
   val duplicate : t -> src:int -> dst:int -> index:int -> t option
   (** UDP only: re-enqueue a copy of the packet at the tail. *)
 
-  val queue : t -> src:int -> dst:int -> M.t list
+  val queue : t -> src:int -> dst:int -> msg list
   val queue_len : t -> src:int -> dst:int -> int
   val max_queue_len : t -> int
   val total_in_flight : t -> int
@@ -70,8 +73,10 @@ module Make (M : MSG) : sig
   val reconnect_node : t -> int -> t
   val fully_connected : t -> bool
 
-  val map_queues : (M.t -> M.t) -> t -> t
+  val map_queues : (msg -> msg) -> t -> t
 
   val permute : int array -> t -> t
   val observe : t -> Tla.Value.t
 end
+
+module Make (M : MSG) : S with type msg = M.t

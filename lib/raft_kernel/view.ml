@@ -37,7 +37,14 @@ let observe v =
         ( "voted_for",
           match v.voted_for with None -> str "none" | Some n -> int n ) ]
 
-let observe_cluster views =
-  Tla.Value.map
-    (List.init (Array.length views) (fun i ->
-         Tla.Value.str (Sandtable.Trace.node_name i), observe views.(i)))
+let pp ppf i v =
+  Fmt.pf ppf "%s: %s role=%a term=%d voted=%a commit=%d %a next=%a match=%a@."
+    (Sandtable.Trace.node_name i)
+    (if v.alive then "up" else "down")
+    Types.pp_role v.role v.current_term
+    Fmt.(option ~none:(any "-") int)
+    v.voted_for v.commit_index Log.pp v.log
+    Fmt.(Dump.array int)
+    v.next_index
+    Fmt.(Dump.array int)
+    v.match_index

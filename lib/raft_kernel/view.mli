@@ -23,5 +23,6 @@ val observe : t -> Tla.Value.t
 (** Record with fields [status role term voted_for log commit next match];
     down nodes observe as [[status |-> "down"]] plus persistent state. *)
 
-val observe_cluster : t array -> Tla.Value.t
-(** Map from node name to {!observe}. *)
+val pp : Format.formatter -> int -> t -> unit
+(** One line for node [i]: liveness, role, term, vote, commit index, log,
+    next and match indexes. *)

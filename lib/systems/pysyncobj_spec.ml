@@ -11,9 +11,6 @@
      pso5 — commit advance skips the current-term entry check *)
 
 open Raft_kernel
-module Scenario = Sandtable.Scenario
-module Counters = Sandtable.Counters
-module Trace = Sandtable.Trace
 module Arr = Sandtable.Arr
 module Coverage = Sandtable.Coverage
 
@@ -33,14 +30,9 @@ type node_st = {
   match_index : int array;
 }
 
-type state = {
-  nodes : node_st array;
-  net : Net.t;
-  counters : Counters.t;
-  flags : string list;  (* violated action properties, sorted *)
-}
+type state = node_st Raft_spec.t
 
-let fresh_node n =
+let fresh_node ~nodes:n _ =
   { alive = true;
     role = Types.Follower;
     current_term = 0;
@@ -69,27 +61,7 @@ end) : Sandtable.Spec.S with type state = state = struct
   let name = "pysyncobj"
   let has flag = Bug.Flags.mem flag P.bugs
 
-  let init (scenario : Scenario.t) =
-    let n = scenario.nodes in
-    [ { nodes = Array.init n (fun _ -> fresh_node n);
-        net = Net.create ~nodes:n Sandtable.Spec_net.Tcp;
-        counters = Counters.zero;
-        flags = [] } ]
-
-  let raise_flag st flag =
-    if List.mem flag st.flags then st
-    else { st with flags = List.sort String.compare (flag :: st.flags) }
-
-  let with_node st i f = { st with nodes = Arr.set st.nodes i (f st.nodes.(i)) }
-
-  let send st ~src ~dst msg =
-    let net, _accepted = Net.send st.net ~src ~dst msg in
-    { st with net }
-
-  let broadcast st ~src msg =
-    Arr.foldi
-      (fun st dst _ -> if dst = src then st else send st ~src ~dst msg)
-      st st.nodes
+  open Raft_spec
 
   (* Step down to follower on observing a higher term. *)
   let maybe_step_down ns term =
@@ -101,27 +73,11 @@ end) : Sandtable.Spec.S with type state = state = struct
         votes = [] }
     else ns
 
-  let up_to_date ns ~last_log_term ~last_log_index =
-    last_log_term > Log.last_term ns.log
-    || (last_log_term = Log.last_term ns.log
-       && last_log_index >= Log.last_index ns.log)
-
-  (* Largest index replicated on a quorum (the leader's own log counts). *)
-  let quorum_match st leader =
-    let n = Array.length st.nodes in
-    let replicated =
-      List.init n (fun j ->
-          if j = leader then Log.last_index st.nodes.(leader).log
-          else st.nodes.(leader).match_index.(j))
-    in
-    let sorted = List.sort (fun a b -> Int.compare b a) replicated in
-    List.nth sorted (Types.quorum n - 1)
-
   (* Recompute the leader's commit index after replication progress,
      honouring or skipping the safety checks depending on the bug flags. *)
   let advance_commit st leader =
     let ns = st.nodes.(leader) in
-    let candidate = quorum_match st leader in
+    let candidate = quorum_match ns.log ns.match_index ~self:leader in
     let candidate =
       if has "pso5" then candidate
       else if
@@ -185,15 +141,15 @@ end) : Sandtable.Spec.S with type state = state = struct
      optimistically advances nextIndex past what it just sent. *)
   let append_entries_to st leader peer =
     let ns = st.nodes.(leader) in
-    let next = ns.next_index.(peer) in
-    let prev_index = next - 1 in
+    let next_idx = ns.next_index.(peer) in
+    let prev_index = next_idx - 1 in
     let prev_term = Option.value (Log.term_at ns.log prev_index) ~default:0 in
     let entries =
       let rec take n l =
         if n = 0 then []
         else match l with [] -> [] | x :: r -> x :: take (n - 1) r
       in
-      take batch_size (Log.entries_from ns.log next)
+      take batch_size (Log.entries_from ns.log next_idx)
     in
     let st =
       send st ~src:leader ~dst:peer
@@ -238,7 +194,7 @@ end) : Sandtable.Spec.S with type state = state = struct
       let grant =
         term = ns.current_term
         && (ns.voted_for = None || ns.voted_for = Some src)
-        && up_to_date ns ~last_log_term ~last_log_index
+        && up_to_date ns.log ~last_log_term ~last_log_index
       in
       Coverage.hit
         (if grant then "pysyncobj/vote/grant" else "pysyncobj/vote/deny");
@@ -412,185 +368,70 @@ end) : Sandtable.Spec.S with type state = state = struct
       (* PySyncObj's modelled core has no snapshot transfer. *)
       assert false
 
-  let crash st node =
-    Coverage.hit "pysyncobj/crash";
-    let n = Array.length st.nodes in
-    let st =
-      (* Volatile state is normalised at crash time so that equivalent
-         post-crash states share a fingerprint. PySyncObj's default
-         deployment keeps no journal: the log itself is volatile; only the
-         raft metadata (term, vote) survives. *)
-      with_node st node (fun ns ->
-          { ns with
-            alive = false;
-            role = Types.Follower;
-            votes = [];
-            log = Log.empty;
-            commit_index = 0;
-            next_index = Array.make n 1;
-            match_index = Array.make n 0 })
-    in
-    { st with net = Net.disconnect_node st.net node }
+  include Sandtable.Cluster_spec.Make (struct
+    include State
 
-  let restart st node =
-    Coverage.hit "pysyncobj/restart";
-    let st = with_node st node (fun ns -> { ns with alive = true }) in
-    { st with net = Net.reconnect_node st.net node }
+    type node = node_st
+    type nonrec state = state
 
-  let partition st group =
-    Coverage.hit "pysyncobj/partition";
-    { st with net = Net.partition st.net ~group }
+    let name = name
+    let default_requests = 3
+    let default_buffer = 4
+    let alive ns = ns.alive
+    let is_leader ns = ns.role = Types.Leader
+    let handle_message = handle_message
 
-  let heal st =
-    Coverage.hit "pysyncobj/heal";
-    let net = Net.heal st.net in
-    let net =
-      Arr.foldi
-        (fun net i ns -> if ns.alive then net else Net.disconnect_node net i)
-        net st.nodes
-    in
-    { st with net }
+    let timeouts =
+      [ ("election", (fun ns -> not (is_leader ns)), election_timeout);
+        ("heartbeat", is_leader, heartbeat) ]
 
-  (* --- transition enumeration --------------------------------------- *)
+    let accepts_client = is_leader
+    let client_ops = [ ((fun v -> "put:" ^ string_of_int v), client_request) ]
 
-  let current_leader st =
-    let rec find i =
-      if i >= Array.length st.nodes then None
-      else if st.nodes.(i).alive && st.nodes.(i).role = Types.Leader then
-        Some i
-      else find (i + 1)
-    in
-    find 0
+    (* Volatile state is normalised at crash time so that equivalent
+       post-crash states share a fingerprint. PySyncObj's default deployment
+       keeps no journal: the log itself is volatile; only the raft metadata
+       (term, vote) survives. *)
+    let crash ~nodes:n _ ns =
+      { ns with
+        alive = false;
+        role = Types.Follower;
+        votes = [];
+        log = Log.empty;
+        commit_index = 0;
+        next_index = Array.make n 1;
+        match_index = Array.make n 0 }
 
-  let env_ops : state Sandtable.Envgen.ops =
-    { counters = (fun st -> st.counters);
-      with_counters = (fun st counters -> { st with counters });
-      node_count = (fun st -> Array.length st.nodes);
-      alive = (fun st node -> st.nodes.(node).alive);
-      fully_connected = (fun st -> Net.fully_connected st.net);
-      crash;
-      restart;
-      partition = (fun st group -> partition st group);
-      heal;
-      leader = current_leader }
+    let restart ns = { ns with alive = true }
 
-  let next (scenario : Scenario.t) st =
-    let budget key ~default =
-      Scenario.budget_get scenario.budget key ~default
-    in
-    let transitions = ref [] in
-    let add event st' = transitions := (event, st') :: !transitions in
-    (* message deliveries *)
-    List.iter
-      (fun (src, dst, index, _msg) ->
-        if st.nodes.(dst).alive then
-          match Net.deliver st.net ~src ~dst ~index with
-          | None -> ()
-          | Some (m, net) ->
-            let st' = handle_message { st with net } ~dst ~src m in
-            add (Trace.Deliver { src; dst; index }) st')
-      (Net.deliverable st.net);
-    (* timeouts *)
-    if st.counters.timeouts < budget "timeouts" ~default:3 then
-      Array.iteri
-        (fun node ns ->
-          if
-            ns.alive
-            && Sandtable.Envgen.timeout_allowed env_ops scenario st ~node
-          then begin
-            let counters =
-              Counters.bump st.counters (Trace.Timeout { node; kind = "" })
-            in
-            if ns.role <> Types.Leader then
-              add
-                (Trace.Timeout { node; kind = "election" })
-                (election_timeout { st with counters } node);
-            if ns.role = Types.Leader then
-              add
-                (Trace.Timeout { node; kind = "heartbeat" })
-                (heartbeat { st with counters } node)
-          end)
-        st.nodes;
-    (* client requests, at the leader *)
-    if st.counters.requests < budget "requests" ~default:3 then
-      Array.iteri
-        (fun node ns ->
-          if ns.alive && ns.role = Types.Leader then begin
-            let value =
-              List.nth scenario.workload
-                (st.counters.requests mod List.length scenario.workload)
-            in
-            let op = "put:" ^ string_of_int value in
-            let counters = Counters.bump st.counters (Trace.Client { node; op }) in
-            add
-              (Trace.Client { node; op })
-              (client_request { st with counters } node value)
-          end)
-        st.nodes;
-    List.rev !transitions @ Sandtable.Envgen.failure_events env_ops scenario st
-
-  let constraint_ok (scenario : Scenario.t) st =
-    Counters.within st.counters scenario.budget
-    && Net.max_queue_len st.net
-       <= Scenario.budget_get scenario.budget "buffer" ~default:4
-
-  let views st = Array.map view_of st.nodes
-
-  let invariants =
-    (* CommitQuorumDurability is omitted: the journal-less (in-memory)
-       PySyncObj deployment modelled here loses its log on crash, so
-       committed entries are genuinely not crash-durable. *)
-    List.map
-      (fun (name, check) -> name, fun (_ : Scenario.t) st -> check (views st))
-      (List.filter
-         (fun (name, _) -> name <> "CommitQuorumDurability")
-         Invariants.standard)
-    @ List.map
-        (fun flag ->
-          flag, fun (_ : Scenario.t) st -> Invariants.no_flag flag st.flags)
-        [ "CommitIndexMonotonic"; "MatchIndexMonotonic"; "NoOlderTermCommit" ]
-
-  let observe st =
-    Tla.Value.record
-      [ "counters", Counters.observe st.counters;
-        "flags", Tla.Value.set (List.map Tla.Value.str st.flags);
-        "net", Net.observe st.net;
-        "nodes", View.observe_cluster (views st) ]
-
-  let permutable = true
-  let node_key st i = View.node_key ~self:i (view_of st.nodes.(i))
-
-  let permute p st =
-    let permute_node ns =
+    let permute_node p ns =
       { ns with
         voted_for = Option.map (fun v -> p.(v)) ns.voted_for;
         votes = List.sort Int.compare (List.map (fun v -> p.(v)) ns.votes);
         next_index = Arr.permute p ns.next_index;
         match_index = Arr.permute p ns.match_index }
-    in
-    { st with
-      nodes = Arr.permute p (Array.map permute_node st.nodes);
-      net = Net.permute p st.net }
 
-  let describe st e = Net.describe st.net e
+    let permute_msg = None
+    let observe_node ns = View.observe (view_of ns)
+    let observe_extra _ = []
+    let pp_node ppf i ns = View.pp ppf i (view_of ns)
+    let pp_extra _ _ = ()
+  end)
 
-  let pp_state ppf st =
-    Array.iteri
-      (fun i ns ->
-        Fmt.pf ppf "%s: %s role=%a term=%d voted=%a commit=%d %a next=%a match=%a@."
-          (Trace.node_name i)
-          (if ns.alive then "up" else "down")
-          Types.pp_role ns.role ns.current_term
-          Fmt.(option ~none:(any "-") int)
-          ns.voted_for ns.commit_index Log.pp ns.log
-          Fmt.(Dump.array int)
-          ns.next_index
-          Fmt.(Dump.array int)
-          ns.match_index)
-      st.nodes;
-    Fmt.pf ppf "in-flight=%d flags=[%a]@." (Net.total_in_flight st.net)
-      Fmt.(list ~sep:(any ",") string)
-      st.flags
+  let init = init Sandtable.Spec_net.Tcp fresh_node
+
+  let invariants =
+    (* CommitQuorumDurability is omitted: the journal-less (in-memory)
+       PySyncObj deployment modelled here loses its log on crash, so
+       committed entries are genuinely not crash-durable. *)
+    Raft_spec.invariants view_of
+      (List.filter
+         (fun (name, _) -> name <> "CommitQuorumDurability")
+         Invariants.standard)
+      [ "CommitIndexMonotonic"; "MatchIndexMonotonic"; "NoOlderTermCommit" ]
+
+  let permutable = true
+  let node_key st i = View.node_key ~self:i (view_of st.nodes.(i))
 end
 
 let spec ?(bugs = Bug.Flags.empty) () : Sandtable.Spec.t =

@@ -11,9 +11,6 @@
                skipping it, so quorum-replicated entries never commit *)
 
 open Raft_kernel
-module Scenario = Sandtable.Scenario
-module Counters = Sandtable.Counters
-module Trace = Sandtable.Trace
 module Arr = Sandtable.Arr
 module Coverage = Sandtable.Coverage
 
@@ -29,14 +26,9 @@ type node_st = {
   match_index : int array;
 }
 
-type state = {
-  nodes : node_st array;
-  net : Net.t;
-  counters : Counters.t;
-  flags : string list;
-}
+type state = node_st Raft_spec.t
 
-let fresh_node n =
+let fresh_node ~nodes:n _ =
   { alive = true;
     role = Types.Follower;
     current_term = 0;
@@ -57,19 +49,6 @@ let view_of (ns : node_st) : View.t =
     next_index = ns.next_index;
     match_index = ns.match_index }
 
-(* Largest index replicated on a quorum, from the outside view; shared with
-   the CommitAdvancesWithQuorum invariant. *)
-let quorum_match_views (views : View.t array) leader =
-  let n = Array.length views in
-  let replicated =
-    List.init n (fun j ->
-        if j = leader then Log.last_index views.(leader).log
-        else views.(leader).match_index.(j))
-  in
-  List.nth
-    (List.sort (fun a b -> Int.compare b a) replicated)
-    (Types.quorum n - 1)
-
 (* RaftOS#4's oracle: a leader that has a current-term entry replicated on a
    quorum beyond its commit index has failed to advance commitment. The
    fixed code commits within the same atomic step, so this is never true at
@@ -79,7 +58,7 @@ let commit_advances_with_quorum views =
     (fun leader (v : View.t) ->
       (not (v.alive && v.role = Types.Leader))
       ||
-      let qm = quorum_match_views views leader in
+      let qm = Raft_spec.quorum_match v.log v.match_index ~self:leader in
       qm <= v.commit_index || Log.term_at v.log qm <> Some v.current_term)
     views
 
@@ -100,27 +79,7 @@ end) : Sandtable.Spec.S with type state = state = struct
   let has flag = Bug.Flags.mem flag P.bugs
   let hit branch = Coverage.hit ("raftos/" ^ branch)
 
-  let init (scenario : Scenario.t) =
-    let n = scenario.nodes in
-    [ { nodes = Array.init n (fun _ -> fresh_node n);
-        net = Net.create ~nodes:n Sandtable.Spec_net.Udp;
-        counters = Counters.zero;
-        flags = [] } ]
-
-  let raise_flag st flag =
-    if List.mem flag st.flags then st
-    else { st with flags = List.sort String.compare (flag :: st.flags) }
-
-  let with_node st i f = { st with nodes = Arr.set st.nodes i (f st.nodes.(i)) }
-
-  let send st ~src ~dst msg =
-    let net, _ = Net.send st.net ~src ~dst msg in
-    { st with net }
-
-  let broadcast st ~src msg =
-    Arr.foldi
-      (fun st dst _ -> if dst = src then st else send st ~src ~dst msg)
-      st st.nodes
+  open Raft_spec
 
   let step_down st node term =
     if term > st.nodes.(node).current_term then
@@ -132,20 +91,12 @@ end) : Sandtable.Spec.S with type state = state = struct
             votes = [] })
     else st
 
-  let up_to_date ns ~last_log_term ~last_log_index =
-    last_log_term > Log.last_term ns.log
-    || (last_log_term = Log.last_term ns.log
-       && last_log_index >= Log.last_index ns.log)
-
-  let views st = Array.map view_of st.nodes
-
   (* RaftOS walks from commit+1 upward; the fixed code skips older-term
      entries (committing them only once covered by a current-term entry),
      the buggy code breaks out of the loop. *)
   let advance_commit st leader =
-    let vs = views st in
-    let qm = quorum_match_views vs leader in
     let ns = st.nodes.(leader) in
+    let qm = quorum_match ns.log ns.match_index ~self:leader in
     let rec scan i best =
       if i > qm then best
       else
@@ -195,15 +146,15 @@ end) : Sandtable.Spec.S with type state = state = struct
 
   let append_entries_to st leader peer =
     let ns = st.nodes.(leader) in
-    let next = ns.next_index.(peer) in
-    let prev_index = next - 1 in
+    let next_idx = ns.next_index.(peer) in
+    let prev_index = next_idx - 1 in
     let prev_term = Option.value (Log.term_at ns.log prev_index) ~default:0 in
     send st ~src:leader ~dst:peer
       (Msg.Append_entries
          { term = ns.current_term;
            prev_index;
            prev_term;
-           entries = Log.entries_from ns.log next;
+           entries = Log.entries_from ns.log next_idx;
            commit = ns.commit_index })
 
   let heartbeat st node =
@@ -228,7 +179,7 @@ end) : Sandtable.Spec.S with type state = state = struct
     let grant =
       term = ns.current_term
       && (ns.voted_for = None || ns.voted_for = Some src)
-      && up_to_date ns ~last_log_term ~last_log_index
+      && up_to_date ns.log ~last_log_term ~last_log_index
     in
     hit (if grant then "vote/grant" else "vote/deny");
     let st =
@@ -380,184 +331,62 @@ end) : Sandtable.Spec.S with type state = state = struct
       handle_append_reply st ~dst ~src ~term ~success ~next_hint
     | Snapshot _ | Snapshot_reply _ -> assert false
 
-  let crash st node =
-    hit "crash";
-    let n = Array.length st.nodes in
-    let st =
-      with_node st node (fun ns ->
-          { ns with
-            alive = false;
-            role = Types.Follower;
-            votes = [];
-            commit_index = 0;
-            next_index = Array.make n 1;
-            match_index = Array.make n 0 })
-    in
-    { st with net = Net.disconnect_node st.net node }
+  include Sandtable.Cluster_spec.Make (struct
+    include State
 
-  let restart st node =
-    hit "restart";
-    let st = with_node st node (fun ns -> { ns with alive = true }) in
-    { st with net = Net.reconnect_node st.net node }
+    type node = node_st
+    type nonrec state = state
 
-  let env_ops : state Sandtable.Envgen.ops =
-    { counters = (fun st -> st.counters);
-      with_counters = (fun st counters -> { st with counters });
-      node_count = (fun st -> Array.length st.nodes);
-      alive = (fun st node -> st.nodes.(node).alive);
-      fully_connected = (fun st -> Net.fully_connected st.net);
-      crash;
-      restart;
-      partition =
-        (fun st group ->
-          hit "partition";
-          { st with net = Net.partition st.net ~group });
-      heal =
-        (fun st ->
-          hit "heal";
-          let net = Net.heal st.net in
-          let net =
-            Arr.foldi
-              (fun net i ns ->
-                if ns.alive then net else Net.disconnect_node net i)
-              net st.nodes
-          in
-          { st with net });
-      leader =
-        (fun st ->
-          let rec find i =
-            if i >= Array.length st.nodes then None
-            else if st.nodes.(i).alive && st.nodes.(i).role = Types.Leader
-            then Some i
-            else find (i + 1)
-          in
-          find 0) }
+    let name = name
+    let default_requests = 3
+    let default_buffer = 4
+    let alive ns = ns.alive
+    let is_leader ns = ns.role = Types.Leader
+    let handle_message = handle_message
 
-  let net_ops : state Sandtable.Envgen.net_ops =
-    { net_deliverable =
-        (fun st ->
-          List.map (fun (src, dst, index, _msg) -> (src, dst, index))
-            (Net.deliverable st.net));
-      net_drop =
-        (fun st ~src ~dst ~index ->
-          Option.map (fun net -> { st with net })
-            (Net.drop st.net ~src ~dst ~index));
-      net_duplicate =
-        (fun st ~src ~dst ~index ->
-          Option.map (fun net -> { st with net })
-            (Net.duplicate st.net ~src ~dst ~index)) }
+    let timeouts =
+      [ ("election", (fun ns -> not (is_leader ns)), election_timeout);
+        ("heartbeat", is_leader, heartbeat) ]
 
-  let next (scenario : Scenario.t) st =
-    let budget key ~default = Scenario.budget_get scenario.budget key ~default in
-    let transitions = ref [] in
-    let add event st' = transitions := (event, st') :: !transitions in
-    let deliverable = Net.deliverable st.net in
-    List.iter
-      (fun (src, dst, index, _msg) ->
-        if st.nodes.(dst).alive then
-          match Net.deliver st.net ~src ~dst ~index with
-          | None -> ()
-          | Some (m, net) ->
-            add (Trace.Deliver { src; dst; index })
-              (handle_message { st with net } ~dst ~src m))
-      deliverable;
-    List.iter
-      (fun (event, st') -> add event st')
-      (Sandtable.Envgen.packet_events env_ops net_ops scenario st);
-    if st.counters.timeouts < budget "timeouts" ~default:3 then
-      Array.iteri
-        (fun node ns ->
-          if
-            ns.alive
-            && Sandtable.Envgen.timeout_allowed env_ops scenario st ~node
-          then begin
-            let counters =
-              Counters.bump st.counters (Trace.Timeout { node; kind = "" })
-            in
-            let stb = { st with counters } in
-            if ns.role <> Types.Leader then
-              add
-                (Trace.Timeout { node; kind = "election" })
-                (election_timeout stb node);
-            if ns.role = Types.Leader then
-              add
-                (Trace.Timeout { node; kind = "heartbeat" })
-                (heartbeat stb node)
-          end)
-        st.nodes;
-    if st.counters.requests < budget "requests" ~default:3 then
-      Array.iteri
-        (fun node ns ->
-          if ns.alive && ns.role = Types.Leader then begin
-            let value =
-              List.nth scenario.workload
-                (st.counters.requests mod List.length scenario.workload)
-            in
-            let op = "put:" ^ string_of_int value in
-            let event = Trace.Client { node; op } in
-            let counters = Counters.bump st.counters event in
-            add event (client_request { st with counters } node value)
-          end)
-        st.nodes;
-    List.rev !transitions @ Sandtable.Envgen.failure_events env_ops scenario st
+    let accepts_client = is_leader
+    let client_ops = [ ((fun v -> "put:" ^ string_of_int v), client_request) ]
 
-  let constraint_ok (scenario : Scenario.t) st =
-    Counters.within st.counters scenario.budget
-    && Net.max_queue_len st.net
-       <= Scenario.budget_get scenario.budget "buffer" ~default:4
+    let crash ~nodes:n _ ns =
+      { ns with
+        alive = false;
+        role = Types.Follower;
+        votes = [];
+        commit_index = 0;
+        next_index = Array.make n 1;
+        match_index = Array.make n 0 }
 
-  let invariants =
-    List.map
-      (fun (name, check) -> name, fun (_ : Scenario.t) st -> check (views st))
-      (Invariants.standard
-      @ [ "CommitAdvancesWithQuorum", commit_advances_with_quorum;
-          "CommitIndexWithinLog", commit_within_log ])
-    @ [ ( "MatchIndexMonotonic",
-          fun (_ : Scenario.t) st ->
-            Invariants.no_flag "MatchIndexMonotonic" st.flags ) ]
+    let restart ns = { ns with alive = true }
 
-  let observe st =
-    Tla.Value.record
-      [ "counters", Counters.observe st.counters;
-        "flags", Tla.Value.set (List.map Tla.Value.str st.flags);
-        "net", Net.observe st.net;
-        "nodes", View.observe_cluster (views st) ]
-
-  let permutable = true
-  let node_key st i = View.node_key ~self:i (view_of st.nodes.(i))
-
-  let permute p st =
-    let permute_node ns =
+    let permute_node p ns =
       { ns with
         voted_for = Option.map (fun v -> p.(v)) ns.voted_for;
         votes = List.sort Int.compare (List.map (fun v -> p.(v)) ns.votes);
         next_index = Arr.permute p ns.next_index;
         match_index = Arr.permute p ns.match_index }
-    in
-    { st with
-      nodes = Arr.permute p (Array.map permute_node st.nodes);
-      net = Net.permute p st.net }
 
-  let describe st e = Net.describe st.net e
+    let permute_msg = None
+    let observe_node ns = View.observe (view_of ns)
+    let observe_extra _ = []
+    let pp_node ppf i ns = View.pp ppf i (view_of ns)
+    let pp_extra _ _ = ()
+  end)
 
-  let pp_state ppf st =
-    Array.iteri
-      (fun i ns ->
-        Fmt.pf ppf
-          "%s: %s role=%a term=%d voted=%a commit=%d %a next=%a match=%a@."
-          (Trace.node_name i)
-          (if ns.alive then "up" else "down")
-          Types.pp_role ns.role ns.current_term
-          Fmt.(option ~none:(any "-") int)
-          ns.voted_for ns.commit_index Log.pp ns.log
-          Fmt.(Dump.array int)
-          ns.next_index
-          Fmt.(Dump.array int)
-          ns.match_index)
-      st.nodes;
-    Fmt.pf ppf "in-flight=%d flags=[%a]@." (Net.total_in_flight st.net)
-      Fmt.(list ~sep:(any ",") string)
-      st.flags
+  let init = init Sandtable.Spec_net.Udp fresh_node
+
+  let invariants =
+    Raft_spec.invariants view_of
+      (Invariants.standard
+      @ [ "CommitAdvancesWithQuorum", commit_advances_with_quorum;
+          "CommitIndexWithinLog", commit_within_log ])
+      [ "MatchIndexMonotonic" ]
+
+  let permutable = true
+  let node_key st i = View.node_key ~self:i (view_of st.nodes.(i))
 end
 
 let spec ?(bugs = Bug.Flags.empty) () : Sandtable.Spec.t =

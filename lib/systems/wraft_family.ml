@@ -17,9 +17,6 @@
    (wraft3/6/8 are implementation-only; see {!Wraft_family_impl}.) *)
 
 open Raft_kernel
-module Scenario = Sandtable.Scenario
-module Counters = Sandtable.Counters
-module Trace = Sandtable.Trace
 module Arr = Sandtable.Arr
 module Coverage = Sandtable.Coverage
 
@@ -37,14 +34,9 @@ type node_st = {
   retry_pending : bool array;  (* peer rejected; the next AE is a retry *)
 }
 
-type state = {
-  nodes : node_st array;
-  net : Net.t;
-  counters : Counters.t;
-  flags : string list;
-}
+type state = node_st Raft_spec.t
 
-let fresh_node n =
+let fresh_node ~nodes:n _ =
   { alive = true;
     role = Types.Follower;
     current_term = 0;
@@ -82,27 +74,7 @@ module Make (P : PARAMS) : Sandtable.Spec.S with type state = state = struct
   let has flag = Bug.Flags.mem flag P.bugs
   let hit branch = Coverage.hit (P.name ^ "/" ^ branch)
 
-  let init (scenario : Scenario.t) =
-    let n = scenario.nodes in
-    [ { nodes = Array.init n (fun _ -> fresh_node n);
-        net = Net.create ~nodes:n P.semantics;
-        counters = Counters.zero;
-        flags = [] } ]
-
-  let raise_flag st flag =
-    if List.mem flag st.flags then st
-    else { st with flags = List.sort String.compare (flag :: st.flags) }
-
-  let with_node st i f = { st with nodes = Arr.set st.nodes i (f st.nodes.(i)) }
-
-  let send st ~src ~dst msg =
-    let net, _ = Net.send st.net ~src ~dst msg in
-    { st with net }
-
-  let broadcast st ~src msg =
-    Arr.foldi
-      (fun st dst _ -> if dst = src then st else send st ~src ~dst msg)
-      st st.nodes
+  open Raft_spec
 
   (* wraft4: the buggy code adopts the term of any vote request, even a
      stale one, regressing currentTerm. *)
@@ -139,25 +111,9 @@ module Make (P : PARAMS) : Sandtable.Spec.S with type state = state = struct
   let advertised_last_term ns =
     if has "wraft9" then 0 else Log.last_term ns.log
 
-  let up_to_date ns ~last_log_term ~last_log_index =
-    last_log_term > Log.last_term ns.log
-    || (last_log_term = Log.last_term ns.log
-       && last_log_index >= Log.last_index ns.log)
-
-  let quorum_match st leader =
-    let n = Array.length st.nodes in
-    let replicated =
-      List.init n (fun j ->
-          if j = leader then Log.last_index st.nodes.(leader).log
-          else st.nodes.(leader).match_index.(j))
-    in
-    List.nth
-      (List.sort (fun a b -> Int.compare b a) replicated)
-      (Types.quorum n - 1)
-
   let advance_commit st leader =
     let ns = st.nodes.(leader) in
-    let candidate = quorum_match st leader in
+    let candidate = quorum_match ns.log ns.match_index ~self:leader in
     let candidate =
       if
         candidate > ns.commit_index
@@ -224,8 +180,8 @@ module Make (P : PARAMS) : Sandtable.Spec.S with type state = state = struct
      has been compacted away — unless wraft2 sends a bogus AppendEntries. *)
   let append_entries_to st leader peer =
     let ns = st.nodes.(leader) in
-    let next = ns.next_index.(peer) in
-    if P.compaction && next <= Log.base_index ns.log && not (has "wraft2")
+    let next_idx = ns.next_index.(peer) in
+    if P.compaction && next_idx <= Log.base_index ns.log && not (has "wraft2")
     then begin
       hit "replicate/snapshot";
       send st ~src:leader ~dst:peer
@@ -235,9 +191,9 @@ module Make (P : PARAMS) : Sandtable.Spec.S with type state = state = struct
              last_term = Log.base_term ns.log })
     end
     else begin
-      let prev_index = next - 1 in
+      let prev_index = next_idx - 1 in
       let prev_term = Option.value (Log.term_at ns.log prev_index) ~default:0 in
-      let entries = Log.entries_from ns.log next in
+      let entries = Log.entries_from ns.log next_idx in
       let st =
         if
           has "wraft5" && entries = [] && ns.retry_pending.(peer)
@@ -291,7 +247,7 @@ module Make (P : PARAMS) : Sandtable.Spec.S with type state = state = struct
     let grant =
       (not leader_refuses)
       && term > ns.current_term
-      && up_to_date ns ~last_log_term ~last_log_index
+      && up_to_date ns.log ~last_log_term ~last_log_index
     in
     let st =
       if grant && ns.role = Types.Leader then begin
@@ -310,7 +266,7 @@ module Make (P : PARAMS) : Sandtable.Spec.S with type state = state = struct
     let grant =
       term = ns.current_term
       && (ns.voted_for = None || ns.voted_for = Some src)
-      && up_to_date ns ~last_log_term ~last_log_index
+      && up_to_date ns.log ~last_log_term ~last_log_index
     in
     hit (if grant then "vote/grant" else "vote/deny");
     let st =
@@ -528,201 +484,70 @@ module Make (P : PARAMS) : Sandtable.Spec.S with type state = state = struct
 
   (* --- failures ------------------------------------------------------- *)
 
-  let crash st node =
-    hit "crash";
-    let n = Array.length st.nodes in
-    let st =
-      (* The C library persists its log, term and vote; volatile leader and
-         election state is normalised at crash time. *)
-      with_node st node (fun ns ->
-          { ns with
-            alive = false;
-            role = Types.Follower;
-            votes = [];
-            prevotes = [];
-            commit_index = 0;
-            next_index = Array.make n 1;
-            match_index = Array.make n 0;
-            retry_pending = Array.make n false })
-    in
-    { st with net = Net.disconnect_node st.net node }
+  include Sandtable.Cluster_spec.Make (struct
+    include State
 
-  let restart st node =
-    hit "restart";
-    let st = with_node st node (fun ns -> { ns with alive = true }) in
-    { st with net = Net.reconnect_node st.net node }
+    type node = node_st
+    type nonrec state = state
 
-  let env_ops : state Sandtable.Envgen.ops =
-    { counters = (fun st -> st.counters);
-      with_counters = (fun st counters -> { st with counters });
-      node_count = (fun st -> Array.length st.nodes);
-      alive = (fun st node -> st.nodes.(node).alive);
-      fully_connected = (fun st -> Net.fully_connected st.net);
-      crash;
-      restart;
-      partition =
-        (fun st group ->
-          hit "partition";
-          { st with net = Net.partition st.net ~group });
-      heal =
-        (fun st ->
-          hit "heal";
-          let net = Net.heal st.net in
-          let net =
-            Arr.foldi
-              (fun net i ns ->
-                if ns.alive then net else Net.disconnect_node net i)
-              net st.nodes
-          in
-          { st with net });
-      leader =
-        (fun st ->
-          let rec find i =
-            if i >= Array.length st.nodes then None
-            else if st.nodes.(i).alive && st.nodes.(i).role = Types.Leader
-            then Some i
-            else find (i + 1)
-          in
-          find 0) }
+    let name = name
+    let default_requests = 3
+    let default_buffer = 4
+    let alive ns = ns.alive
+    let is_leader ns = ns.role = Types.Leader
+    let handle_message = handle_message
 
-  let net_ops : state Sandtable.Envgen.net_ops =
-    { net_deliverable =
-        (fun st ->
-          List.map (fun (src, dst, index, _msg) -> (src, dst, index))
-            (Net.deliverable st.net));
-      net_drop =
-        (fun st ~src ~dst ~index ->
-          Option.map (fun net -> { st with net })
-            (Net.drop st.net ~src ~dst ~index));
-      net_duplicate =
-        (fun st ~src ~dst ~index ->
-          Option.map (fun net -> { st with net })
-            (Net.duplicate st.net ~src ~dst ~index)) }
+    (* elections, heartbeats, compaction ticks *)
+    let timeouts =
+      [ ("election", (fun ns -> not (is_leader ns)), election_timeout);
+        ("heartbeat", is_leader, heartbeat);
+        ( "snapshot",
+          (fun ns -> P.compaction && ns.commit_index > Log.base_index ns.log),
+          compact ) ]
 
-  let next (scenario : Scenario.t) st =
-    let budget key ~default = Scenario.budget_get scenario.budget key ~default in
-    let transitions = ref [] in
-    let add event st' = transitions := (event, st') :: !transitions in
-    let deliverable = Net.deliverable st.net in
-    (* message deliveries *)
-    List.iter
-      (fun (src, dst, index, _msg) ->
-        if st.nodes.(dst).alive then
-          match Net.deliver st.net ~src ~dst ~index with
-          | None -> ()
-          | Some (m, net) ->
-            add (Trace.Deliver { src; dst; index })
-              (handle_message { st with net } ~dst ~src m))
-      deliverable;
-    (* UDP packet faults *)
-    if P.semantics = Sandtable.Spec_net.Udp then
-      List.iter
-        (fun (event, st') -> add event st')
-        (Sandtable.Envgen.packet_events env_ops net_ops scenario st);
-    (* timeouts: elections, heartbeats, compaction ticks *)
-    if st.counters.timeouts < budget "timeouts" ~default:3 then
-      Array.iteri
-        (fun node ns ->
-          if
-            ns.alive
-            && Sandtable.Envgen.timeout_allowed env_ops scenario st ~node
-          then begin
-            let counters =
-              Counters.bump st.counters (Trace.Timeout { node; kind = "" })
-            in
-            let stb = { st with counters } in
-            if ns.role <> Types.Leader then
-              add
-                (Trace.Timeout { node; kind = "election" })
-                (election_timeout stb node);
-            if ns.role = Types.Leader then
-              add
-                (Trace.Timeout { node; kind = "heartbeat" })
-                (heartbeat stb node);
-            if
-              P.compaction
-              && ns.commit_index > Log.base_index ns.log
-            then
-              add (Trace.Timeout { node; kind = "snapshot" }) (compact stb node)
-          end)
-        st.nodes;
-    (* client requests at the leader *)
-    if st.counters.requests < budget "requests" ~default:3 then
-      Array.iteri
-        (fun node ns ->
-          if ns.alive && ns.role = Types.Leader then begin
-            let value =
-              List.nth scenario.workload
-                (st.counters.requests mod List.length scenario.workload)
-            in
-            let op = "put:" ^ string_of_int value in
-            let event = Trace.Client { node; op } in
-            let counters = Counters.bump st.counters event in
-            add event (client_request { st with counters } node value)
-          end)
-        st.nodes;
-    List.rev !transitions @ Sandtable.Envgen.failure_events env_ops scenario st
+    let accepts_client = is_leader
+    let client_ops = [ ((fun v -> "put:" ^ string_of_int v), client_request) ]
 
-  let constraint_ok (scenario : Scenario.t) st =
-    Counters.within st.counters scenario.budget
-    && Net.max_queue_len st.net
-       <= Scenario.budget_get scenario.budget "buffer" ~default:4
+    (* The C library persists its log, term and vote; volatile leader and
+       election state is normalised at crash time. *)
+    let crash ~nodes:n _ ns =
+      { ns with
+        alive = false;
+        role = Types.Follower;
+        votes = [];
+        prevotes = [];
+        commit_index = 0;
+        next_index = Array.make n 1;
+        match_index = Array.make n 0;
+        retry_pending = Array.make n false }
 
-  let views st = Array.map view_of st.nodes
+    let restart ns = { ns with alive = true }
 
-  let invariants =
-    List.map
-      (fun (name, check) -> name, fun (_ : Scenario.t) st -> check (views st))
-      Invariants.standard
-    @ List.map
-        (fun flag ->
-          flag, fun (_ : Scenario.t) st -> Invariants.no_flag flag st.flags)
-        [ "TermMonotonic"; "RetryNonEmpty"; "LeaderDoesNotVote" ]
-
-  let observe st =
-    Tla.Value.record
-      [ "counters", Counters.observe st.counters;
-        "flags", Tla.Value.set (List.map Tla.Value.str st.flags);
-        "net", Net.observe st.net;
-        "nodes", View.observe_cluster (views st) ]
-
-  let permutable = true
-  let node_key st i = View.node_key ~self:i (view_of st.nodes.(i))
-
-  let permute p st =
-    let permute_node ns =
+    let permute_node p ns =
       { ns with
         voted_for = Option.map (fun v -> p.(v)) ns.voted_for;
         votes = List.sort Int.compare (List.map (fun v -> p.(v)) ns.votes);
-        prevotes = List.sort Int.compare (List.map (fun v -> p.(v)) ns.prevotes);
+        prevotes =
+          List.sort Int.compare (List.map (fun v -> p.(v)) ns.prevotes);
         next_index = Arr.permute p ns.next_index;
         match_index = Arr.permute p ns.match_index;
         retry_pending = Arr.permute p ns.retry_pending }
-    in
-    { st with
-      nodes = Arr.permute p (Array.map permute_node st.nodes);
-      net = Net.permute p st.net }
 
-  let describe st e = Net.describe st.net e
+    let permute_msg = None
+    let observe_node ns = View.observe (view_of ns)
+    let observe_extra _ = []
+    let pp_node ppf i ns = View.pp ppf i (view_of ns)
+    let pp_extra _ _ = ()
+  end)
 
-  let pp_state ppf st =
-    Array.iteri
-      (fun i ns ->
-        Fmt.pf ppf
-          "%s: %s role=%a term=%d voted=%a commit=%d %a next=%a match=%a@."
-          (Trace.node_name i)
-          (if ns.alive then "up" else "down")
-          Types.pp_role ns.role ns.current_term
-          Fmt.(option ~none:(any "-") int)
-          ns.voted_for ns.commit_index Log.pp ns.log
-          Fmt.(Dump.array int)
-          ns.next_index
-          Fmt.(Dump.array int)
-          ns.match_index)
-      st.nodes;
-    Fmt.pf ppf "in-flight=%d flags=[%a]@." (Net.total_in_flight st.net)
-      Fmt.(list ~sep:(any ",") string)
-      st.flags
+  let init = init P.semantics fresh_node
+
+  let invariants =
+    Raft_spec.invariants view_of Invariants.standard
+      [ "TermMonotonic"; "RetryNonEmpty"; "LeaderDoesNotVote" ]
+
+  let permutable = true
+  let node_key st i = View.node_key ~self:i (view_of st.nodes.(i))
 end
 
 let spec ~name ~semantics ~prevote ~compaction ?(bugs = Bug.Flags.empty) () :

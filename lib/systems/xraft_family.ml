@@ -14,7 +14,6 @@
 open Raft_kernel
 module Scenario = Sandtable.Scenario
 module Counters = Sandtable.Counters
-module Trace = Sandtable.Trace
 module Arr = Sandtable.Arr
 module Coverage = Sandtable.Coverage
 module Linearize = Sandtable.Linearize
@@ -52,7 +51,7 @@ type state = {
   pending_reads : pending_read list;
 }
 
-let fresh_node n =
+let fresh_node ~nodes:n _ =
   { alive = true;
     role = Types.Follower;
     current_term = 0;
@@ -127,7 +126,7 @@ module Make (P : PARAMS) : Sandtable.Spec.S with type state = state = struct
 
   let init (scenario : Scenario.t) =
     let n = scenario.nodes in
-    [ { nodes = Array.init n (fun _ -> fresh_node n);
+    [ { nodes = Array.init n (fresh_node ~nodes:n);
         net = Net.create ~nodes:n Sandtable.Spec_net.Tcp;
         counters = Counters.zero;
         flags = [];
@@ -157,22 +156,6 @@ module Make (P : PARAMS) : Sandtable.Spec.S with type state = state = struct
             votes = [];
             prevotes = [] })
     else st
-
-  let up_to_date ns ~last_log_term ~last_log_index =
-    last_log_term > Log.last_term ns.log
-    || (last_log_term = Log.last_term ns.log
-       && last_log_index >= Log.last_index ns.log)
-
-  let quorum_match st leader =
-    let n = Array.length st.nodes in
-    let replicated =
-      List.init n (fun j ->
-          if j = leader then Log.last_index st.nodes.(leader).log
-          else st.nodes.(leader).match_index.(j))
-    in
-    List.nth
-      (List.sort (fun a b -> Int.compare b a) replicated)
-      (Types.quorum n - 1)
 
   (* Complete client operations whose entries became committed on [node]. *)
   let complete_ops st node ~old_commit =
@@ -234,7 +217,7 @@ module Make (P : PARAMS) : Sandtable.Spec.S with type state = state = struct
 
   let advance_commit st leader =
     let ns = st.nodes.(leader) in
-    let candidate = quorum_match st leader in
+    let candidate = Raft_spec.quorum_match ns.log ns.match_index ~self:leader in
     let candidate =
       if
         candidate > ns.commit_index
@@ -301,15 +284,15 @@ module Make (P : PARAMS) : Sandtable.Spec.S with type state = state = struct
 
   let append_entries_to st leader peer =
     let ns = st.nodes.(leader) in
-    let next = ns.next_index.(peer) in
-    let prev_index = next - 1 in
+    let next_idx = ns.next_index.(peer) in
+    let prev_index = next_idx - 1 in
     let prev_term = Option.value (Log.term_at ns.log prev_index) ~default:0 in
     send st ~src:leader ~dst:peer
       (Msg.Append_entries
          { term = ns.current_term;
            prev_index;
            prev_term;
-           entries = Log.entries_from ns.log next;
+           entries = Log.entries_from ns.log next_idx;
            commit = ns.commit_index })
 
   let heartbeat st node =
@@ -382,7 +365,7 @@ module Make (P : PARAMS) : Sandtable.Spec.S with type state = state = struct
     let grant =
       ns.role <> Types.Leader
       && term > ns.current_term
-      && up_to_date ns ~last_log_term ~last_log_index
+      && Raft_spec.up_to_date ns.log ~last_log_term ~last_log_index
     in
     hit (if grant then "prevote/grant" else "prevote/deny");
     send st ~src:dst ~dst:src
@@ -394,7 +377,7 @@ module Make (P : PARAMS) : Sandtable.Spec.S with type state = state = struct
     let grant =
       term = ns.current_term
       && (ns.voted_for = None || ns.voted_for = Some src)
-      && up_to_date ns ~last_log_term ~last_log_index
+      && Raft_spec.up_to_date ns.log ~last_log_term ~last_log_index
     in
     hit (if grant then "vote/grant" else "vote/deny");
     let st =
@@ -548,119 +531,77 @@ module Make (P : PARAMS) : Sandtable.Spec.S with type state = state = struct
       handle_append_reply st ~dst ~src ~term ~success ~next_hint
     | Snapshot _ | Snapshot_reply _ -> assert false
 
-  let crash st node =
-    hit "crash";
-    let n = Array.length st.nodes in
-    let st =
-      with_node st node (fun ns ->
-          { ns with
-            alive = false;
-            role = Types.Follower;
-            votes = [];
-            prevotes = [];
-            commit_index = 0;
-            next_index = Array.make n 1;
-            match_index = Array.make n 0 })
-    in
-    { st with net = Net.disconnect_node st.net node }
+  (* The state adds a client history to the standard record, so it reaches
+     the skeleton through accessors of its own. *)
+  include Sandtable.Cluster_spec.Make (struct
+    module Net = Net
 
-  let restart st node =
-    hit "restart";
-    let st = with_node st node (fun ns -> { ns with alive = true }) in
-    { st with net = Net.reconnect_node st.net node }
+    type node = node_st
+    type nonrec state = state
 
-  let env_ops : state Sandtable.Envgen.ops =
-    { counters = (fun st -> st.counters);
-      with_counters = (fun st counters -> { st with counters });
-      node_count = (fun st -> Array.length st.nodes);
-      alive = (fun st node -> st.nodes.(node).alive);
-      fully_connected = (fun st -> Net.fully_connected st.net);
-      crash;
-      restart;
-      partition =
-        (fun st group ->
-          hit "partition";
-          { st with net = Net.partition st.net ~group });
-      heal =
-        (fun st ->
-          hit "heal";
-          let net = Net.heal st.net in
-          let net =
-            Arr.foldi
-              (fun net i ns ->
-                if ns.alive then net else Net.disconnect_node net i)
-              net st.nodes
-          in
-          { st with net });
-      leader =
-        (fun st ->
-          let rec find i =
-            if i >= Array.length st.nodes then None
-            else if st.nodes.(i).alive && st.nodes.(i).role = Types.Leader
-            then Some i
-            else find (i + 1)
-          in
-          find 0) }
+    let nodes st = st.nodes
+    let net st = st.net
+    let counters st = st.counters
+    let flags st = st.flags
+    let with_nodes st nodes = { st with nodes }
+    let with_net st net = { st with net }
+    let with_counters st counters = { st with counters }
+    let name = name
+    let default_requests = 3
+    let default_buffer = 4
+    let alive ns = ns.alive
+    let is_leader ns = ns.role = Types.Leader
+    let handle_message = handle_message
 
-  let next (scenario : Scenario.t) st =
-    let budget key ~default = Scenario.budget_get scenario.budget key ~default in
-    let transitions = ref [] in
-    let add event st' = transitions := (event, st') :: !transitions in
-    List.iter
-      (fun (src, dst, index, _msg) ->
-        if st.nodes.(dst).alive then
-          match Net.deliver st.net ~src ~dst ~index with
-          | None -> ()
-          | Some (m, net) ->
-            add (Trace.Deliver { src; dst; index })
-              (handle_message { st with net } ~dst ~src m))
-      (Net.deliverable st.net);
-    if st.counters.timeouts < budget "timeouts" ~default:3 then
-      Array.iteri
-        (fun node ns ->
-          if
-            ns.alive
-            && Sandtable.Envgen.timeout_allowed env_ops scenario st ~node
-          then begin
-            let counters =
-              Counters.bump st.counters (Trace.Timeout { node; kind = "" })
-            in
-            let stb = { st with counters } in
-            if ns.role <> Types.Leader then
-              add
-                (Trace.Timeout { node; kind = "election" })
-                (election_timeout stb node);
-            if ns.role = Types.Leader then
-              add
-                (Trace.Timeout { node; kind = "heartbeat" })
-                (heartbeat stb node)
-          end)
-        st.nodes;
-    if st.counters.requests < budget "requests" ~default:3 then
-      Array.iteri
-        (fun node ns ->
-          if ns.alive && ns.role = Types.Leader then begin
-            let value =
-              List.nth scenario.workload
-                (st.counters.requests mod List.length scenario.workload)
-            in
-            let op = "put:" ^ string_of_int value in
-            let event = Trace.Client { node; op } in
-            let counters = Counters.bump st.counters event in
-            add event (client_put { st with counters } node value);
-            if P.kv then begin
-              let event = Trace.Client { node; op = "get" } in
-              let counters = Counters.bump st.counters event in
-              add event (client_get { st with counters } node)
-            end
-          end)
-        st.nodes;
-    List.rev !transitions @ Sandtable.Envgen.failure_events env_ops scenario st
+    let timeouts =
+      [ ("election", (fun ns -> not (is_leader ns)), election_timeout);
+        ("heartbeat", is_leader, heartbeat) ]
 
-  let constraint_ok (scenario : Scenario.t) st =
-    Counters.within st.counters scenario.budget
-    && Net.max_queue_len st.net
-       <= Scenario.budget_get scenario.budget "buffer" ~default:4
+    let accepts_client = is_leader
+
+    let client_ops =
+      let get st node _ = client_get st node in
+      ((fun v -> "put:" ^ string_of_int v), client_put)
+      :: (if P.kv then [ ((fun _ -> "get"), get) ] else [])
+
+    let crash ~nodes:n _ ns =
+      { ns with
+        alive = false;
+        role = Types.Follower;
+        votes = [];
+        prevotes = [];
+        commit_index = 0;
+        next_index = Array.make n 1;
+        match_index = Array.make n 0 }
+
+    let restart ns = { ns with alive = true }
+
+    let permute_node p ns =
+      { ns with
+        voted_for = Option.map (fun v -> p.(v)) ns.voted_for;
+        votes = List.sort Int.compare (List.map (fun v -> p.(v)) ns.votes);
+        prevotes =
+          List.sort Int.compare (List.map (fun v -> p.(v)) ns.prevotes);
+        next_index = Arr.permute p ns.next_index;
+        match_index = Arr.permute p ns.match_index }
+
+    let permute_msg = None
+    let observe_node ns = View.observe (view_of ns)
+
+    let observe_extra st =
+      if P.kv then
+        [ ( "history",
+            Tla.Value.seq (List.map Linearize.observe_entry st.history) ) ]
+      else []
+
+    let pp_node ppf i ns = View.pp ppf i (view_of ns)
+
+    let pp_extra ppf st =
+      if P.kv then
+        Fmt.pf ppf "history=[%a]@."
+          Fmt.(list ~sep:(any "; ") Linearize.pp_entry)
+          st.history
+  end)
 
   let views st = Array.map view_of st.nodes
 
@@ -681,63 +622,8 @@ module Make (P : PARAMS) : Sandtable.Spec.S with type state = state = struct
             linearizable ~pending st.history ) ]
     else []
 
-  (* Fields in canonical (name) order; "history" only for the KV variant. *)
-  let observe st =
-    let tail =
-      [ "net", Net.observe st.net; "nodes", View.observe_cluster (views st) ]
-    in
-    let tail =
-      if P.kv then
-        ( "history",
-          Tla.Value.seq (List.map Linearize.observe_entry st.history) )
-        :: tail
-      else tail
-    in
-    Tla.Value.record
-      (("counters", Counters.observe st.counters)
-      :: ("flags", Tla.Value.set (List.map Tla.Value.str st.flags))
-      :: tail)
-
   let permutable = true
   let node_key st i = View.node_key ~self:i (view_of st.nodes.(i))
-
-  let permute p st =
-    let permute_node ns =
-      { ns with
-        voted_for = Option.map (fun v -> p.(v)) ns.voted_for;
-        votes = List.sort Int.compare (List.map (fun v -> p.(v)) ns.votes);
-        prevotes = List.sort Int.compare (List.map (fun v -> p.(v)) ns.prevotes);
-        next_index = Arr.permute p ns.next_index;
-        match_index = Arr.permute p ns.match_index }
-    in
-    { st with
-      nodes = Arr.permute p (Array.map permute_node st.nodes);
-      net = Net.permute p st.net }
-
-  let describe st e = Net.describe st.net e
-
-  let pp_state ppf st =
-    Array.iteri
-      (fun i ns ->
-        Fmt.pf ppf
-          "%s: %s role=%a term=%d voted=%a commit=%d %a next=%a match=%a@."
-          (Trace.node_name i)
-          (if ns.alive then "up" else "down")
-          Types.pp_role ns.role ns.current_term
-          Fmt.(option ~none:(any "-") int)
-          ns.voted_for ns.commit_index Log.pp ns.log
-          Fmt.(Dump.array int)
-          ns.next_index
-          Fmt.(Dump.array int)
-          ns.match_index)
-      st.nodes;
-    if P.kv then
-      Fmt.pf ppf "history=[%a]@."
-        Fmt.(list ~sep:(any "; ") Linearize.pp_entry)
-        st.history;
-    Fmt.pf ppf "in-flight=%d flags=[%a]@." (Net.total_in_flight st.net)
-      Fmt.(list ~sep:(any ",") string)
-      st.flags
 end
 
 let spec ~name ~prevote ~kv ?(bugs = Bug.Flags.empty) () : Sandtable.Spec.t =

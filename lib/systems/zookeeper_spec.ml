@@ -13,9 +13,7 @@
            erases committed transactions. *)
 
 module Scenario = Sandtable.Scenario
-module Counters = Sandtable.Counters
 module Trace = Sandtable.Trace
-module Arr = Sandtable.Arr
 module Coverage = Sandtable.Coverage
 
 type zrole = Looking | Following | Leading
@@ -143,12 +141,9 @@ type node_st = {
   acks : (int * int list) list;  (* leader only: proposal index -> ackers *)
 }
 
-type state = {
-  nodes : node_st array;
-  net : Znet.t;
-  counters : Counters.t;
-  flags : string list;
-}
+module Cluster = Sandtable.Cluster_spec.Record (Znet)
+
+type state = node_st Cluster.t
 
 let zxid_of ns =
   match List.rev ns.history with
@@ -157,8 +152,7 @@ let zxid_of ns =
 
 let self_vote id ns = { v_leader = id; v_epoch = ns.epoch; v_zxid = zxid_of ns }
 
-let fresh_node id n =
-  ignore n;
+let fresh_node ~nodes:_ id =
   let ns =
     { alive = true;
       role = Looking;
@@ -188,27 +182,7 @@ end) : Sandtable.Spec.S with type state = state = struct
   let has flag = Bug.Flags.mem flag P.bugs
   let hit branch = Coverage.hit ("zookeeper/" ^ branch)
 
-  let init (scenario : Scenario.t) =
-    let n = scenario.nodes in
-    [ { nodes = Array.init n (fun id -> fresh_node id n);
-        net = Znet.create ~nodes:n Sandtable.Spec_net.Tcp;
-        counters = Counters.zero;
-        flags = [] } ]
-
-  let raise_flag st flag =
-    if List.mem flag st.flags then st
-    else { st with flags = List.sort String.compare (flag :: st.flags) }
-
-  let with_node st i f = { st with nodes = Arr.set st.nodes i (f st.nodes.(i)) }
-
-  let send st ~src ~dst msg =
-    let net, _ = Znet.send st.net ~src ~dst msg in
-    { st with net }
-
-  let broadcast st ~src msg =
-    Arr.foldi
-      (fun st dst _ -> if dst = src then st else send st ~src ~dst msg)
-      st st.nodes
+  open Cluster
 
   (* FLE total order on votes. zk1 compares only the zxid counter and the
      server id, dropping the epoch components. *)
@@ -605,113 +579,110 @@ end) : Sandtable.Spec.S with type state = state = struct
     | Prop_ack { index } -> handle_prop_ack st ~dst ~src ~index
     | Commit { index } -> handle_commit st ~dst ~src ~index
 
-  (* --- failures ------------------------------------------------------- *)
+  include Sandtable.Cluster_spec.Make (struct
+    include State
 
-  let crash st node =
-    hit "crash";
-    let st =
-      with_node st node (fun ns ->
-          { ns with
-            alive = false;
-            role = Looking;
-            round = 0;
-            recv_votes = [];
-            leader = None;
-            established = false;
-            proposed_epoch = 0;
-            finfo_from = [];
-            epoch_acks = [];
-            synced = [];
-            acks = [] })
-    in
-    let st =
-      with_node st node (fun ns -> { ns with vote = self_vote node ns })
-    in
-    { st with net = Znet.disconnect_node st.net node }
+    type node = node_st
+    type nonrec state = state
 
-  let restart st node =
-    hit "restart";
-    let st = with_node st node (fun ns -> { ns with alive = true }) in
-    { st with net = Znet.reconnect_node st.net node }
+    let name = name
+    let default_requests = 2
+    let default_buffer = 5
+    let alive ns = ns.alive
+    let is_leader ns = ns.role = Leading
+    let handle_message = handle_message
+    let timeouts = [ ("election", (fun _ -> true), start_election) ]
+    let accepts_client ns = ns.role = Leading && ns.established
+    let client_ops =
+      [ ((fun v -> "create:" ^ string_of_int v), client_request) ]
 
-  let env_ops : state Sandtable.Envgen.ops =
-    { counters = (fun st -> st.counters);
-      with_counters = (fun st counters -> { st with counters });
-      node_count = (fun st -> Array.length st.nodes);
-      alive = (fun st node -> st.nodes.(node).alive);
-      fully_connected = (fun st -> Znet.fully_connected st.net);
-      crash;
-      restart;
-      partition =
-        (fun st group ->
-          hit "partition";
-          { st with net = Znet.partition st.net ~group });
-      heal =
-        (fun st ->
-          hit "heal";
-          let net = Znet.heal st.net in
-          let net =
-            Arr.foldi
-              (fun net i ns ->
-                if ns.alive then net else Znet.disconnect_node net i)
-              net st.nodes
-          in
-          { st with net });
-      leader =
-        (fun st ->
-          let rec find i =
-            if i >= Array.length st.nodes then None
-            else if st.nodes.(i).alive && st.nodes.(i).role = Leading then
-              Some i
-            else find (i + 1)
-          in
-          find 0) }
+    let crash ~nodes:_ id ns =
+      let ns =
+        { ns with
+          alive = false;
+          role = Looking;
+          round = 0;
+          recv_votes = [];
+          leader = None;
+          established = false;
+          proposed_epoch = 0;
+          finfo_from = [];
+          epoch_acks = [];
+          synced = [];
+          acks = [] }
+      in
+      { ns with vote = self_vote id ns }
 
-  let next (scenario : Scenario.t) st =
-    let budget key ~default = Scenario.budget_get scenario.budget key ~default in
-    let transitions = ref [] in
-    let add event st' = transitions := (event, st') :: !transitions in
-    List.iter
-      (fun (src, dst, index, _msg) ->
-        if st.nodes.(dst).alive then
-          match Znet.deliver st.net ~src ~dst ~index with
-          | None -> ()
-          | Some (m, net) ->
-            add (Trace.Deliver { src; dst; index })
-              (handle_message { st with net } ~dst ~src m))
-      (Znet.deliverable st.net);
-    if st.counters.timeouts < budget "timeouts" ~default:3 then
-      Array.iteri
-        (fun node ns ->
-          if
-            ns.alive
-            && Sandtable.Envgen.timeout_allowed env_ops scenario st ~node
-          then begin
-            let event = Trace.Timeout { node; kind = "election" } in
-            let counters = Counters.bump st.counters event in
-            add event (start_election { st with counters } node)
-          end)
-        st.nodes;
-    if st.counters.requests < budget "requests" ~default:2 then
-      Array.iteri
-        (fun node ns ->
-          if ns.alive && ns.role = Leading && ns.established then begin
-            let value =
-              List.nth scenario.workload
-                (st.counters.requests mod List.length scenario.workload)
-            in
-            let op = "create:" ^ string_of_int value in
-            let event = Trace.Client { node; op } in
-            let counters = Counters.bump st.counters event in
-            add event (client_request { st with counters } node value)
-          end)
-        st.nodes;
-    List.rev !transitions @ Sandtable.Envgen.failure_events env_ops scenario st
+    let restart ns = { ns with alive = true }
 
-  let constraint_ok (scenario : Scenario.t) st =
-    Counters.within st.counters scenario.budget
-    && Znet.max_queue_len st.net
-       <= Scenario.budget_get scenario.budget "buffer" ~default:5
+    (* A faithful renaming, in-flight notifications included, though the
+       spec is not [permutable] (see below). *)
+    let permute_vote p (v : vote) = { v with v_leader = p.(v.v_leader) }
+
+    let permute_node p ns =
+      { ns with
+        vote = permute_vote p ns.vote;
+        recv_votes =
+          List.map (fun (s, v, r) -> p.(s), permute_vote p v, r) ns.recv_votes
+          |> List.sort compare;
+        leader = Option.map (fun l -> p.(l)) ns.leader;
+        finfo_from =
+          List.sort compare (List.map (fun (f, e) -> p.(f), e) ns.finfo_from);
+        epoch_acks =
+          List.sort Int.compare (List.map (fun f -> p.(f)) ns.epoch_acks);
+        synced = List.sort Int.compare (List.map (fun f -> p.(f)) ns.synced);
+        acks =
+          List.map
+            (fun (i, l) ->
+              i, List.sort Int.compare (List.map (fun f -> p.(f)) l))
+            ns.acks
+          |> List.sort compare }
+
+    let permute_msg =
+      Some
+        (fun p -> function
+          | Notification n ->
+            Notification { n with vote = permute_vote p n.vote }
+          | m -> m)
+
+    (* Fields in canonical (name) order, as in [Zookeeper_impl.observe]. *)
+    let observe_node ns =
+      let open Tla.Value in
+      if not ns.alive then record [ "status", str "down" ]
+      else
+        record
+          [ "accepted_epoch", int ns.accepted_epoch;
+            "commit", int ns.commit_index;
+            "epoch", int ns.epoch;
+            "established", bool ns.established;
+            "history", seq (List.map observe_txn ns.history);
+            ( "leader",
+              match ns.leader with None -> str "none" | Some l -> int l );
+            "role", str (zrole_to_string ns.role);
+            "round", int ns.round;
+            "status", str "up";
+            "vote", observe_vote ns.vote ]
+
+    let observe_extra _ = []
+
+    let pp_node ppf i ns =
+      Fmt.pf ppf
+        "%s: %s role=%s round=%d vote=(n%d,e%d,z%d:%d) epoch=%d commit=%d \
+         history=[%a]@."
+        (Trace.node_name i)
+        (if ns.alive then "up" else "down")
+        (zrole_to_string ns.role) ns.round (ns.vote.v_leader + 1)
+        ns.vote.v_epoch (fst ns.vote.v_zxid) (snd ns.vote.v_zxid) ns.epoch
+        ns.commit_index
+        Fmt.(
+          list ~sep:(any "; ") (fun ppf t ->
+              Fmt.pf ppf "%d:%d" t.zepoch t.value))
+        ns.history
+
+    let pp_extra _ _ = ()
+  end)
+
+  let init = init Sandtable.Spec_net.Tcp fresh_node
 
   (* At most one established leader per epoch (Fig. 2's LeadershipInv). *)
   let leadership_inv (_ : Scenario.t) st =
@@ -758,91 +729,10 @@ end) : Sandtable.Spec.S with type state = state = struct
         fun (_ : Scenario.t) st ->
           Raft_kernel.Invariants.no_flag "CommittedNotLost" st.flags ) ]
 
-  (* Fields in canonical (name) order, as in [Zookeeper_impl.observe]. *)
-  let observe_node ns =
-    let open Tla.Value in
-    if not ns.alive then record [ "status", str "down" ]
-    else
-      record
-        [ "accepted_epoch", int ns.accepted_epoch;
-          "commit", int ns.commit_index;
-          "epoch", int ns.epoch;
-          "established", bool ns.established;
-          "history", seq (List.map observe_txn ns.history);
-          ( "leader",
-            match ns.leader with None -> str "none" | Some l -> int l );
-          "role", str (zrole_to_string ns.role);
-          "round", int ns.round;
-          "status", str "up";
-          "vote", observe_vote ns.vote ]
-
-  let observe st =
-    Tla.Value.record
-      [ "counters", Counters.observe st.counters;
-        "flags", Tla.Value.set (List.map Tla.Value.str st.flags);
-        "net", Znet.observe st.net;
-        ( "nodes",
-          Tla.Value.map
-            (List.init (Array.length st.nodes) (fun i ->
-                 Tla.Value.str (Trace.node_name i), observe_node st.nodes.(i)))
-        ) ]
-
   (* Not symmetric: FLE's vote order breaks ties by server id ([vote_gt]),
-     so renaming nodes changes which vote wins. [permute] is still a
-     faithful renaming (in-flight notifications included) for tests that
-     exercise it directly. *)
+     so renaming nodes changes which vote wins. *)
   let permutable = false
   let node_key _ _ = 0
-
-  let permute p st =
-    let pv (v : vote) = { v with v_leader = p.(v.v_leader) } in
-    let pmsg = function
-      | Notification n -> Notification { n with vote = pv n.vote }
-      | m -> m
-    in
-    let permute_node ns =
-      { ns with
-        vote = pv ns.vote;
-        recv_votes =
-          List.map (fun (s, v, r) -> p.(s), pv v, r) ns.recv_votes
-          |> List.sort compare;
-        leader = Option.map (fun l -> p.(l)) ns.leader;
-        finfo_from =
-          List.sort compare (List.map (fun (f, e) -> p.(f), e) ns.finfo_from);
-        epoch_acks =
-          List.sort Int.compare (List.map (fun f -> p.(f)) ns.epoch_acks);
-        synced = List.sort Int.compare (List.map (fun f -> p.(f)) ns.synced);
-        acks =
-          List.map
-            (fun (i, l) -> i, List.sort Int.compare (List.map (fun f -> p.(f)) l))
-            ns.acks
-          |> List.sort compare }
-    in
-    { st with
-      nodes = Arr.permute p (Array.map permute_node st.nodes);
-      net = Znet.permute p (Znet.map_queues pmsg st.net) }
-
-  let describe st e = Znet.describe st.net e
-
-  let pp_state ppf st =
-    Array.iteri
-      (fun i ns ->
-        Fmt.pf ppf
-          "%s: %s role=%s round=%d vote=(n%d,e%d,z%d:%d) epoch=%d commit=%d \
-           history=[%a]@."
-          (Trace.node_name i)
-          (if ns.alive then "up" else "down")
-          (zrole_to_string ns.role) ns.round (ns.vote.v_leader + 1)
-          ns.vote.v_epoch (fst ns.vote.v_zxid) (snd ns.vote.v_zxid) ns.epoch
-          ns.commit_index
-          Fmt.(
-            list ~sep:(any "; ") (fun ppf t ->
-                Fmt.pf ppf "%d:%d" t.zepoch t.value))
-          ns.history)
-      st.nodes;
-    Fmt.pf ppf "in-flight=%d flags=[%a]@." (Znet.total_in_flight st.net)
-      Fmt.(list ~sep:(any ",") string)
-      st.flags
 end
 
 let spec ?(bugs = Bug.Flags.empty) () : Sandtable.Spec.t =

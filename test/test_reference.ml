@@ -17,17 +17,24 @@ type reference = {
   distinct : int;
   generated : int;
   concrete : int;  (** distinct own (unpermuted) successor fingerprints *)
+  events_digest : string;
+      (** hex digest of every successor's [Trace.serialize_event], in
+          [S.next] order *)
+  states_digest : string;
+      (** hex digest of every successor's own [Fingerprint.of_state], in
+          [S.next] order: it pins the successor's marshalled bytes *)
   violation : (string * int * Trace.t) option;
 }
 
 (* Sequential BFS in [Explorer.check]'s discovery order: every successor
    counts as generated, a fresh one is checked against every invariant and
    queued if it satisfies the constraint; the first broken invariant
-   stops the search. *)
-let reference_bfs (spec : Spec.t) scenario =
+   stops the search. States are merged by orbit when the spec is
+   permutable, unless [symmetry] is false. *)
+let reference_bfs ?(symmetry = true) (spec : Spec.t) scenario =
   let (module S) = spec in
   let canonical s =
-    if S.permutable then
+    if symmetry && S.permutable then
       Symmetry.canonical_fp ~key:S.node_key ~permute:S.permute
         ~nodes:scenario.Scenario.nodes s
     else Fingerprint.of_state s
@@ -36,6 +43,7 @@ let reference_bfs (spec : Spec.t) scenario =
   let concrete = Fingerprint.Tbl.create 4096 in
   let queue = Queue.create () in
   let generated = ref 0 in
+  let events = Buffer.create 4096 and states = Buffer.create 4096 in
   let exception Broken of string * Fingerprint.t * int in
   let trace fp =
     let rec back fp acc =
@@ -64,16 +72,23 @@ let reference_bfs (spec : Spec.t) scenario =
         List.iter
           (fun (event, s') ->
             incr generated;
-            Fingerprint.Tbl.replace concrete (Fingerprint.of_state s') ();
+            let own = Fingerprint.of_state s' in
+            Buffer.add_string events (Trace.serialize_event event);
+            Buffer.add_char events '\n';
+            Buffer.add_string states (Fingerprint.to_raw own);
+            Fingerprint.Tbl.replace concrete own ();
             discover (Some (fp, event)) (depth + 1) s')
           (S.next scenario s)
       done;
       None
     with Broken (name, fp, depth) -> Some (name, depth, trace fp)
   in
+  let digest buf = Digest.to_hex (Digest.string (Buffer.contents buf)) in
   { distinct = Fingerprint.Tbl.length parents;
     generated = !generated;
     concrete = Fingerprint.Tbl.length concrete;
+    events_digest = digest events;
+    states_digest = digest states;
     violation }
 
 let engines =
@@ -136,6 +151,63 @@ let test_explore_sym_space () =
     (fun (engine, run) ->
       expect_totals engine reference (run spec scenario Explorer.default))
     engines
+
+(* Successor order and successor bytes, pinned for every registered
+   system on a 2-node scenario with every fault kind enabled: [distinct]
+   and [generated] from the reference BFS without symmetry, a digest of
+   each successor's event in [S.next] order and one of its own
+   fingerprint. A reordered [next], a renamed event or a successor that
+   marshals to other bytes moves a digest; fingerprints, symmetry
+   representatives, [fp.bytes] and checkpoint bytes all follow from those
+   bytes. *)
+let test_successor_order_pinned () =
+  let scenario (sys : R.t) =
+    Scenario.v ~name:(sys.name ^ "-faults2") ~nodes:2 ~workload:[ 1 ]
+      [ ("timeouts", 3); ("requests", 1); ("crashes", 1); ("restarts", 1);
+        ("partitions", 1); ("drops", 1); ("dups", 1); ("buffer", 2) ]
+  in
+  let pinned =
+    [ ( "pysyncobj",
+        ( 2_771, 6_582, "45e20ff2708ed1ee9bd6f0130eec2e1a",
+          "959c8c7ede085b09f496d8381a098448" ) );
+      ( "wraft",
+        ( 39_780, 157_482, "d0635b8b0a7cf65fdd48be8a8448d88b",
+          "204255bdb06833fc21a4f7ed022e63cf" ) );
+      ( "redisraft",
+        ( 4_811, 12_080, "1c4e949b6d9c4157dfdb78588d5be622",
+          "8c14cf66e44a6b546255c1e55a8ad3bd" ) );
+      ( "daosraft",
+        ( 4_811, 12_080, "1c4e949b6d9c4157dfdb78588d5be622",
+          "8c14cf66e44a6b546255c1e55a8ad3bd" ) );
+      ( "raftos",
+        ( 39_574, 156_826, "1fa9e2c4c36bc041014ef4e696f12577",
+          "94897929839c70c1a35c0c07a7889bc5" ) );
+      ( "xraft",
+        ( 4_811, 12_080, "1c4e949b6d9c4157dfdb78588d5be622",
+          "92e625c5f7311db5592194a2e365fee1" ) );
+      ( "xraft-kv",
+        ( 4_160, 9_762, "b0d4e92a1a2ba6374eb9455d9eef8c92",
+          "0a7a3633301fd210182e55877a2d63b8" ) );
+      ( "zookeeper",
+        ( 10_498, 21_543, "081db7d0c3f4fcdf2bf8b2a20833ea85",
+          "9602377462c6912b714e7a7adeda0c63" ) ) ]
+  in
+  Alcotest.(check (list string)) "every registered system is pinned"
+    (List.map (fun (sys : R.t) -> sys.name) R.all)
+    (List.map fst pinned);
+  List.iter
+    (fun (name, expected) ->
+      let sys = R.find name in
+      let r =
+        reference_bfs ~symmetry:false (sys.spec Bug.Flags.empty) (scenario sys)
+      in
+      let distinct, generated, events, states = expected in
+      Alcotest.(check (pair int int))
+        (name ^ " distinct/generated")
+        (distinct, generated) (r.distinct, r.generated);
+      Alcotest.(check string) (name ^ " event digest") events r.events_digest;
+      Alcotest.(check string) (name ^ " state digest") states r.states_digest)
+    pinned
 
 (* A violation found through the cache keeps the reference's minimal depth
    and counterexample. The work-stealing engine's depth and trace depend
@@ -222,5 +294,7 @@ let suite =
       case "orbit cache exact: explore-sym space with evictions"
         test_explore_sym_space;
       case "orbit cache keeps bug depths and traces" test_bug_traces;
+      case "successor order pinned on every system"
+        test_successor_order_pinned;
       case "hit ratio on the worker lines" test_hit_ratio_on_worker_lines;
       case "concurrent runs match the sequential one" test_concurrent_runs ] )
