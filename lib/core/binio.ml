@@ -2,13 +2,56 @@ exception Corrupt of string
 
 let corrupt fmt = Format.kasprintf (fun m -> raise (Corrupt m)) fmt
 
+(* FNV-1a, 64-bit, continued from [h] over [get 0], ..., [get (len - 1)]:
+   the payload is checksummed where it lies, in a sink's buffer as it is
+   flushed or in the file's bytes. *)
+let fnv_basis = -0x340d631b7bdddcdbL (* 0xcbf29ce484222325 *)
+
+let fnv h get len =
+  let h = ref h in
+  for i = 0 to len - 1 do
+    h := Int64.logxor !h (Int64.of_int (Char.code (get i)));
+    h := Int64.mul !h 0x100000001b3L
+  done;
+  !h
+
 (* ---- writing ---------------------------------------------------------- *)
 
-type sink = Buffer.t
+(* A sink appends to a buffer. [write_file]'s sink empties it into the
+   file whenever it reaches [flush_unit] bytes, hashing what it writes, so
+   a payload is never whole in memory; [sink ()] never flushes. *)
+type sink = {
+  buf : Buffer.t;
+  out : out_channel option;  (* [None]: an in-memory sink *)
+  limit : int;  (* flush once [buf] holds this many bytes *)
+  mutable written : int;  (* bytes flushed to [out] *)
+  mutable hash : int64;  (* FNV-1a of those bytes *)
+}
 
-let sink () = Buffer.create 4096
-let contents = Buffer.contents
-let u8 b v = Buffer.add_char b (Char.chr (v land 0xff))
+let flush_unit = 65536
+
+let sink () =
+  { buf = Buffer.create 4096; out = None; limit = max_int; written = 0;
+    hash = fnv_basis }
+
+let contents b =
+  match b.out with
+  | None -> Buffer.contents b.buf
+  | Some _ -> invalid_arg "Binio.contents: a file sink's bytes are in its file"
+
+let flush b =
+  match b.out with
+  | None -> ()
+  | Some oc ->
+    let n = Buffer.length b.buf in
+    b.hash <- fnv b.hash (Buffer.nth b.buf) n;
+    Buffer.output_buffer oc b.buf;
+    b.written <- b.written + n;
+    Buffer.clear b.buf
+
+let u8 b v =
+  Buffer.add_char b.buf (Char.chr (v land 0xff));
+  if Buffer.length b.buf >= b.limit then flush b
 
 let rec uint b v =
   if v land lnot 0x7f = 0 then u8 b v
@@ -26,7 +69,9 @@ let f64 b v =
     u8 b (Int64.to_int (Int64.shift_right_logical bits (8 * i)))
   done
 
-let fixed b s = Buffer.add_string b s
+let fixed b s =
+  Buffer.add_string b.buf s;
+  if Buffer.length b.buf >= b.limit then flush b
 
 let str b s =
   uint b (String.length s);
@@ -97,21 +142,9 @@ let atomic_write path fill =
 let magic = "SNTB"
 let format_version = 1
 
-(* FNV-1a, 64-bit, of [get 0], ..., [get (len - 1)]: the payload is
-   checksummed where it lies, in the sink or in the file's bytes. *)
-let checksum get len =
-  let h = ref (-0x340d631b7bdddcdbL) (* 0xcbf29ce484222325 *) in
-  for i = 0 to len - 1 do
-    h := Int64.logxor !h (Int64.of_int (Char.code (get i)));
-    h := Int64.mul !h 0x100000001b3L
-  done;
-  !h
-
-let u64le buf v =
-  for i = 0 to 7 do
-    Buffer.add_char buf
-      (Char.chr (Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xff))
-  done
+let u64le v =
+  String.init 8 (fun i ->
+      Char.chr (Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xff))
 
 let read_u64le s pos =
   let v = ref 0L in
@@ -126,21 +159,25 @@ let read_u64le s pos =
    checksum(u64le) *)
 let header_len = 4 + 1 + 1 + 8
 
+(* The payload streams through a flushing sink between a header whose
+   length field is written as zero and the checksum; the length is then
+   written over that field, before [atomic_write] renames the file into
+   place. *)
 let write_file path ~kind fill =
-  let payload = sink () in
-  fill payload;
-  let len = Buffer.length payload in
   atomic_write path (fun oc ->
-      let head = Buffer.create header_len in
-      Buffer.add_string head magic;
-      Buffer.add_char head (Char.chr format_version);
-      Buffer.add_char head (Char.chr (kind land 0xff));
-      u64le head (Int64.of_int len);
-      Buffer.output_buffer oc head;
-      Buffer.output_buffer oc payload;
-      let tail = Buffer.create 8 in
-      u64le tail (checksum (Buffer.nth payload) len);
-      Buffer.output_buffer oc tail)
+      output_string oc magic;
+      output_char oc (Char.chr format_version);
+      output_char oc (Char.chr (kind land 0xff));
+      output_string oc (u64le 0L);
+      let b =
+        { buf = Buffer.create flush_unit; out = Some oc; limit = flush_unit;
+          written = 0; hash = fnv_basis }
+      in
+      fill b;
+      flush b;
+      output_string oc (u64le b.hash);
+      seek_out oc (header_len - 8);
+      output_string oc (u64le (Int64.of_int b.written)))
 
 let read_whole_file path =
   let ic = open_in_bin path in
@@ -192,7 +229,7 @@ let read_file path ~kind =
       path payload_len
       (max 0 (len - header_len));
   let stored = read_u64le raw (header_len + payload_len) in
-  let actual = checksum (fun i -> raw.[header_len + i]) payload_len in
+  let actual = fnv fnv_basis (fun i -> raw.[header_len + i]) payload_len in
   if not (Int64.equal stored actual) then
     corrupt "%s: checksum mismatch (corrupted file)" path;
   { data = raw; pos = header_len; limit = header_len + payload_len }

@@ -23,10 +23,15 @@ exception Corrupt of string
 (** {2 Writing} *)
 
 type sink
-(** An append-only byte accumulator. *)
+(** An append-only byte accumulator: in memory ({!sink}), or streaming
+    to the file {!write_file} is writing. *)
 
 val sink : unit -> sink
+(** An in-memory sink: it keeps every byte, for {!contents}. *)
+
 val contents : sink -> string
+(** The bytes appended to an in-memory sink. Raises [Invalid_argument] on
+    {!write_file}'s sink, whose bytes are in its file. *)
 
 val u8 : sink -> int -> unit
 (** Low byte of the argument. *)
@@ -69,7 +74,11 @@ val write_file : string -> kind:int -> (sink -> unit) -> unit
 (** [write_file path ~kind fill] writes magic/version/kind, the payload
     produced by [fill], its length and checksum — to a temp file in
     [path]'s directory, then renames over [path] (atomic on POSIX). The
-    payload is written and checksummed from the sink, never copied. *)
+    sink [fill] writes to flushes to the temp file every 64 KiB, keeping a
+    running checksum, so the payload is never whole in memory; the length
+    field goes out as zero and is written over once [fill] returns. If
+    [fill] raises, the temp file is removed and [path] is left as it
+    was. *)
 
 val read_file : string -> kind:int -> source
 (** Validates the envelope and returns a source over the payload, in place

@@ -2,14 +2,15 @@
    structure-of-arrays. The sequential explorer uses one; the parallel
    engines' [Par.Shard_set] holds 64, one behind each shard lock.
 
-   The old store was an [entry Fingerprint.Tbl.t]: per visited state a
-   boxed 16-byte string key, an entry record, a [Step] record and a bucket
-   cons cell — ~14 words of heap besides the event payload. Here a state
-   costs four ints in flat columns (fingerprint halves, packed
-   depth/provenance-code, predecessor reference) plus its share of the
-   slot array: ~6–8 words, no pointers for the GC to trace.
+   An entry costs 24 bytes of flat columns: its two 63-bit fingerprint
+   halves, then two 32-bit words — the predecessor reference, and meta
+   (depth in the low 20 bits, provenance code in the high 12, read
+   unsigned: the event id for steps, the init index for roots). The slot
+   array holds entry index + 1 in 32 bits (0 = empty), so a state's share
+   of it is 4 bytes per slot at load <= 3/4. No column holds a pointer for
+   the GC to trace.
 
-   Every int column, the slot array included, is a [Bigarray] outside the
+   Every column, the slot array included, is a [Bigarray] outside the
    OCaml heap, so the major GC neither marks them nor grows its heap in
    proportion to them (OCaml 5 sizes the major heap by its live words,
    which made heap columns cost peak memory well beyond their own bytes).
@@ -24,7 +25,13 @@
    sequential explorer stores the parent's entry index, [Shard_set] a
    packed (index, shard) pair. Events are interned: structurally equal
    events (timeouts, client ops... repeated across thousands of states)
-   are stored once and referenced by id. *)
+   are stored once and referenced by id.
+
+   The 32-bit words bound a store, each bound failing closed by name
+   before an entry is written: 2^31 - 1 entries (a slot holds index + 1),
+   predecessor references in [0, 2^31) (-1 marks a root), 4,096 distinct
+   events and init indices below 4,096 (the 12-bit code), depth below
+   2^20. *)
 
 type prov =
   | Proot of int  (* index into the init-state list *)
@@ -32,21 +39,28 @@ type prov =
 
 type add_result = Fresh of int | Dup of int
 
-(* meta column layout: depth in the low 20 bits, provenance code (event id
-   for steps, init index for roots) above. pred = -1 marks a root; step
-   references are non-negative. *)
 let depth_bits = 20
 let depth_mask = (1 lsl depth_bits) - 1
+let codes = 1 lsl (32 - depth_bits)
+let int32_max = (1 lsl 31) - 1
 let root_pred = -1
 
 type column = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+type column32 = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+let[@inline] get32 (a : column32) i =
+  Int32.to_int (Bigarray.Array1.unsafe_get a i)
+
+(* keeps the low 32 bits: meta's top code bit lands in the sign *)
+let[@inline] set32 (a : column32) i v =
+  Bigarray.Array1.unsafe_set a i (Int32.of_int v)
 
 type t = {
-  mutable slots : column;  (* entry index + 1; 0 = empty *)
+  mutable slots : column32;  (* entry index + 1; 0 = empty *)
   mutable fp_hi : column;
   mutable fp_lo : column;
-  mutable meta : column;
-  mutable preds : column;  (* predecessor reference; root_pred = root *)
+  mutable meta : column32;
+  mutable preds : column32;  (* predecessor reference; root_pred = root *)
   mutable n : int;
   mutable probes : int;  (* cumulative probe steps beyond the home slot *)
   ev_ids : (Trace.event, int) Hashtbl.t;
@@ -60,21 +74,21 @@ let dummy_event = Trace.Heal
 
 (* uninitialised: an entry column is read only below [n], and
    [empty_slots] fills the slot array *)
-let column n : column = Bigarray.(Array1.create int c_layout n)
+let column kind n = Bigarray.(Array1.create kind c_layout n)
 
 let empty_slots n =
-  let slots = column n in
-  Bigarray.Array1.fill slots 0;
+  let slots = column Bigarray.int32 n in
+  Bigarray.Array1.fill slots 0l;
   slots
 
 let create ?(capacity = 1 lsl 16) () =
   let cap = power_of_two (max 16 capacity) in
   let ents = cap / 2 in
   { slots = empty_slots cap;
-    fp_hi = column ents;
-    fp_lo = column ents;
-    meta = column ents;
-    preds = column ents;
+    fp_hi = column Bigarray.int ents;
+    fp_lo = column Bigarray.int ents;
+    meta = column Bigarray.int32 ents;
+    preds = column Bigarray.int32 ents;
     n = 0;
     probes = 0;
     ev_ids = Hashtbl.create 256;
@@ -104,8 +118,8 @@ let find_slot t (fp : Fingerprint.t) =
   let i = ref (Fingerprint.bucket_hash fp land mask) in
   let steps = ref 0 in
   (try
-     while unsafe_get slots !i <> 0 do
-       let e = unsafe_get slots !i - 1 in
+     while get32 slots !i <> 0 do
+       let e = get32 slots !i - 1 in
        if unsafe_get t.fp_hi e = fp.hi && unsafe_get t.fp_lo e = fp.lo then
          raise Exit;
        incr steps;
@@ -125,20 +139,20 @@ let grow_slots t =
       Fingerprint.of_parts ~hi:(unsafe_get t.fp_hi e) ~lo:(unsafe_get t.fp_lo e)
     in
     let i = ref (Fingerprint.bucket_hash fp land mask) in
-    while unsafe_get slots !i <> 0 do
+    while get32 slots !i <> 0 do
       i := (!i + 1) land mask
     done;
-    unsafe_set slots !i (e + 1)
+    set32 slots !i (e + 1)
   done;
   t.slots <- slots
 
 (* Columns grow by 1.5x, not 2x: they are pure appends (no rehash), so a
    gentler factor trades a few more copies for ~17% less average slack —
    and the columns are the bulk of the store's bytes. *)
-let grow_column (a : column) =
+let grow_column a =
   let open Bigarray.Array1 in
   let n = dim a in
-  let b = column (n + (n / 2) + 1) in
+  let b = column (kind a) (n + (n / 2) + 1) in
   blit a (sub b 0 n);
   b
 
@@ -155,6 +169,10 @@ let intern t ev =
   | Some id -> id
   | None ->
     let id = t.ev_n in
+    if id = codes then
+      invalid_arg
+        (Printf.sprintf "Fp_store: more than %d distinct events in one store"
+           codes);
     if id = Array.length t.evs then begin
       let b = Array.make (2 * id) dummy_event in
       Array.blit t.evs 0 b 0 id;
@@ -165,37 +183,48 @@ let intern t ev =
     Hashtbl.replace t.ev_ids ev id;
     id
 
-let pack_meta depth code =
+(* Writes [prov] and [depth] into entry [e]'s pred and meta words, once
+   every bound holds (the reference is checked before the event is
+   interned). *)
+let write_prov t e prov ~depth =
+  let pred, code =
+    match prov with
+    | Proot i ->
+      if i < 0 || i >= codes then
+        invalid_arg
+          (Printf.sprintf "Fp_store: root index %d outside [0, %d)" i codes);
+      root_pred, i
+    | Pstep (p, ev) ->
+      if p < 0 || p > int32_max then
+        invalid_arg
+          (Printf.sprintf "Fp_store: Pstep reference %d outside [0, 2^31)" p);
+      p, intern t ev
+  in
   if depth > depth_mask then invalid_arg "Fp_store: depth exceeds 2^20";
-  depth lor (code lsl depth_bits)
+  set32 t.meta e (depth lor (code lsl depth_bits));
+  set32 t.preds e pred
 
 let add t fp prov ~depth =
   if 4 * (t.n + 1) > 3 * capacity t then grow_slots t;
   let slot = find_slot t fp in
-  match Bigarray.Array1.unsafe_get t.slots slot with
+  match get32 t.slots slot with
   | s when s <> 0 -> Dup (s - 1)
   | _ ->
+    if t.n = int32_max then
+      invalid_arg "Fp_store.add: more than 2^31 - 1 entries in one store";
     ensure_entry_room t;
     let e = t.n in
-    let pred, code =
-      match prov with
-      | Proot i -> root_pred, i
-      | Pstep (p, ev) -> p, intern t ev
-    in
-    let open Bigarray.Array1 in
-    unsafe_set t.fp_hi e fp.Fingerprint.hi;
-    unsafe_set t.fp_lo e fp.Fingerprint.lo;
-    unsafe_set t.meta e (pack_meta depth code);
-    unsafe_set t.preds e pred;
-    unsafe_set t.slots slot (e + 1);
+    write_prov t e prov ~depth;
+    Bigarray.Array1.unsafe_set t.fp_hi e fp.Fingerprint.hi;
+    Bigarray.Array1.unsafe_set t.fp_lo e fp.Fingerprint.lo;
+    set32 t.slots slot (e + 1);
     t.n <- e + 1;
     Fresh e
 
 let room t = Bigarray.Array1.dim t.fp_hi
 
 let find t fp =
-  let slot = find_slot t fp in
-  match Bigarray.Array1.unsafe_get t.slots slot with
+  match get32 t.slots (find_slot t fp) with
   | 0 -> None
   | s -> Some (s - 1)
 
@@ -214,12 +243,12 @@ let fp t e =
 
 let depth t e =
   check_entry t e "depth";
-  Bigarray.Array1.unsafe_get t.meta e land depth_mask
+  get32 t.meta e land depth_mask
 
 let prov t e =
   check_entry t e "prov";
-  let code = Bigarray.Array1.unsafe_get t.meta e lsr depth_bits in
-  match Bigarray.Array1.unsafe_get t.preds e with
+  let code = (get32 t.meta e land 0xFFFF_FFFF) lsr depth_bits in
+  match get32 t.preds e with
   | p when p = root_pred -> Proot code
   | p -> Pstep (p, t.evs.(code))
 
@@ -228,13 +257,7 @@ let prov t e =
    reference is known. *)
 let set_prov t e prov ~depth =
   check_entry t e "set_prov";
-  let pred, code =
-    match prov with
-    | Proot i -> root_pred, i
-    | Pstep (p, ev) -> p, intern t ev
-  in
-  Bigarray.Array1.unsafe_set t.meta e (pack_meta depth code);
-  Bigarray.Array1.unsafe_set t.preds e pred
+  write_prov t e prov ~depth
 
 let iter t f =
   for e = 0 to t.n - 1 do

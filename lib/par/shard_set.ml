@@ -2,32 +2,35 @@ open Sandtable
 
 (* 64 Fp_stores, each behind its own mutex, picked by Fingerprint.shard_key.
    An entry's reference packs (index in its shard's store, shard) as
-   (index lsl 6) lor shard; a step's parent is stored as that reference, so
-   a shard holds exactly the sequential store's four int columns.
+   (index lsl 6) lor shard; a step's parent is stored as that reference,
+   in the store's 32-bit predecessor word, so a shard holds exactly the
+   sequential store's columns. The reference's bit budget is 31 bits: 6
+   for the shard and 25 for the index, so a shard holds at most 2^25
+   entries (2^31 across the set); the next one fails closed.
 
    The strict-BFS merge keeps two side columns per shard, indexed like the
    store's entries and as long as its columns: the packed in-layer
-   discovery position, and the slot of the layer's winning arrival. pos
-   packs (parent frontier index p, successor index j) as (p lsl 31) lor j
-   — packed ints compare exactly like the lexicographic pairs. The slot
-   is the caller's name for where it keeps that arrival's state; -1 =
-   none. Both columns are off-heap [Bigarray]s; only [merge] grows them,
-   so the work-stealing engine, which never merges, has none. pos is
-   zero-filled as it grows, so an [add_seed] entry reads position
-   (0, 0). *)
+   discovery position (63 bits), and the 32-bit slot of the layer's
+   winning arrival. pos packs (parent frontier index p, successor index j)
+   as (p lsl 31) lor j — packed ints compare exactly like the
+   lexicographic pairs. The slot is the caller's name for where it keeps
+   that arrival's state, in [0, 2^31); -1 = none. Both columns are
+   off-heap [Bigarray]s; only [merge] grows them, so the work-stealing
+   engine, which never merges, has none. pos is zero-filled as it grows,
+   so an [add_seed] entry reads position (0, 0). *)
 
 let shard_bits = 6
 let shard_mask = (1 lsl shard_bits) - 1
+let shard_entries = 1 lsl (31 - shard_bits)
 let pos_bits = 31
 let pos_mask = (1 lsl pos_bits) - 1
-
-type column = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 type shard = {
   lock : Mutex.t;
   store : Fp_store.t;
-  mutable pos : column;
-  mutable arrival : column;
+  mutable pos : (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t;
+  mutable arrival :
+    (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t;
 }
 
 type t = shard array
@@ -43,17 +46,20 @@ type merge_outcome =
       old_depth : int;
     }
 
-let empty_column () = Bigarray.(Array1.create int c_layout 0)
-
 let create () =
   Array.init (shard_mask + 1) (fun _ ->
       { lock = Mutex.create ();
         store = Fp_store.create ~capacity:1024 ();
-        pos = empty_column ();
-        arrival = empty_column () })
+        pos = Bigarray.(Array1.create int c_layout 0);
+        arrival = Bigarray.(Array1.create int32 c_layout 0) })
 
 let key fp = Fingerprint.shard_key fp ~mask:shard_mask
-let reference e k = (e lsl shard_bits) lor k
+
+let reference e k =
+  if e >= shard_entries then
+    invalid_arg
+      (Printf.sprintf "Shard_set: more than 2^25 entries in shard %d" k);
+  (e lsl shard_bits) lor k
 
 (* the referenced shard and the entry's index in its store *)
 let locate t r = t.(r land shard_mask), r lsr shard_bits
@@ -82,16 +88,19 @@ let cover s =
   let len = Bigarray.Array1.dim s.pos in
   if len < room then begin
     let grow col v =
-      let c = Bigarray.(Array1.create int c_layout room) in
+      let c = Bigarray.(Array1.create (Array1.kind col) c_layout room) in
       Bigarray.Array1.(blit col (sub c 0 len));
       Bigarray.Array1.(fill (sub c len (room - len)) v);
       c
     in
     s.pos <- grow s.pos 0;
-    s.arrival <- grow s.arrival (-1)
+    s.arrival <- grow s.arrival (-1l)
   end
 
 let merge t fp ~prov ~depth ~pos:(p, j) ~slot =
+  if slot < 0 || slot > Int32.(to_int max_int) then
+    invalid_arg
+      (Printf.sprintf "Shard_set.merge: arrival slot %d outside [0, 2^31)" slot);
   let packed = (p lsl pos_bits) lor j in
   let k = key fp in
   let s = t.(k) in
@@ -100,9 +109,10 @@ let merge t fp ~prov ~depth ~pos:(p, j) ~slot =
       cover s;
       match added with
       | Fp_store.Fresh e ->
+        let r = reference e k in
         s.pos.{e} <- packed;
-        s.arrival.{e} <- slot;
-        Fresh (reference e k)
+        s.arrival.{e} <- Int32.of_int slot;
+        Fresh r
       | Fp_store.Dup e ->
         (* keep the strictly minimal (depth, pos) entry — provenance,
            position and arrival slot replace *together*, so the slot
@@ -122,7 +132,7 @@ let merge t fp ~prov ~depth ~pos:(p, j) ~slot =
           in
           Fp_store.set_prov s.store e prov ~depth;
           s.pos.{e} <- packed;
-          s.arrival.{e} <- slot;
+          s.arrival.{e} <- Int32.of_int slot;
           Dup_replaced { entry = reference e k; old_event; old_depth = od }
         end
         else Dup_kept)
@@ -158,7 +168,8 @@ let find_pos t r = with_entry t r (fun s e -> unpack s.pos.{e})
 
 let arrival t r =
   with_entry t r (fun s e ->
-      if e < Bigarray.Array1.dim s.arrival then s.arrival.{e} else -1)
+      if e < Bigarray.Array1.dim s.arrival then Int32.to_int s.arrival.{e}
+      else -1)
 
 (* quiescent: no lock, so parents in other shards read directly *)
 let iter t f =

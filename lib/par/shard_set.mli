@@ -12,8 +12,12 @@
 
     An entry is named by one int {e reference} that packs its shard and
     its index in that shard's store; a step's parent is stored as its
-    reference, exactly as the sequential store stores an entry index.
-    References are stable (entries never move or go away). {!find_prov_opt}
+    reference, exactly as the sequential store stores an entry index, in
+    the store's 32-bit predecessor word. The reference's bit budget is 31
+    bits, 6 for the shard and 25 for the index: a shard holds at most
+    [2{^25}] entries, and inserting one more raises [Invalid_argument]
+    naming that bound. References are stable (entries never move or go
+    away). {!find_prov_opt}
     and {!iter} turn a parent reference back into the parent's
     fingerprint, so {!Sandtable.Explorer.provenance}, checkpoints and
     traces are the same as the sequential engine's. {!set_prov}, {!fp},
@@ -21,9 +25,11 @@
     the reference, when it names no entry.
 
     The strict-BFS merge also keeps, for each entry of the layer being
-    built, the {e slot} of its winning arrival: an int the engine chose to
-    name where it keeps that arrival's state (its worker's frontier and
-    the position in it). The states themselves never enter the set.
+    built, the {e slot} of its winning arrival: an int in [\[0, 2{^31})]
+    the engine chose to name where it keeps that arrival's state (its
+    worker's frontier and the position in it), stored in 32 bits beside
+    the 63-bit discovery position. The states themselves never enter the
+    set.
 
     Locking: every operation holds one shard lock at a time, and never a
     second one — resolving a parent in another shard releases the first
@@ -74,7 +80,8 @@ val merge :
     distinct concrete states can share a fingerprint). Only [merge]
     allocates the position and slot side columns; an entry {!add_seed}
     inserted has position [(0, 0)] and slot [-1]. [pos = (p, j)] must
-    satisfy [0 <= j < 2{^31}]; depth must be [< 2{^20}]; [slot >= 0]. *)
+    satisfy [0 <= j < 2{^31}]; depth must be [< 2{^20}]; a slot outside
+    [\[0, 2{^31})] raises [Invalid_argument] naming the bound. *)
 
 val find : t -> Sandtable.Fingerprint.t -> int option
 (** The entry's reference; [None] when absent. *)
@@ -122,7 +129,9 @@ val capacity : t -> int
 
 val store_bytes : t -> int
 (** Exact bytes held by the slot arrays, entry columns and side columns
-    across shards (excluding interned events). *)
+    across shards (excluding interned events): each shard's
+    {!Sandtable.Fp_store.store_bytes}, plus 12 bytes per entry of room
+    once the strict merge has grown its side columns. *)
 
 val probe_steps : t -> int
 (** Cumulative linear-probe steps beyond the home slot across shards. *)

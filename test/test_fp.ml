@@ -252,7 +252,7 @@ let test_fp_store_basics () =
   Alcotest.(check int) "iterated all" 1000 !seen;
   Alcotest.(check bool) "store_bytes accounted" true
     (Fp_store.store_bytes s
-    >= (Fp_store.capacity s + (4 * Fp_store.length s)) * (Sys.word_size / 8));
+    >= (4 * Fp_store.capacity s) + (24 * Fp_store.length s));
   (* set_prov rewrites provenance and depth together, in place *)
   Fp_store.set_prov s 500 (Fp_store.Pstep (3, ev 5)) ~depth:7;
   (match Fp_store.prov s 500 with
@@ -285,6 +285,91 @@ let test_fp_store_basics () =
   with
   | _ -> Alcotest.fail "depth over 2^20 must raise"
   | exception Invalid_argument _ -> ()
+
+(* The 32-bit words' bounds: each fails closed by name, before an entry
+   is written, and the values just inside them read back exactly — the
+   meta word's top code bit included, which lands in the int32's sign. *)
+let test_fp_store_bounds () =
+  let s = Fp_store.create ~capacity:16 () in
+  let fp i = Fingerprint.of_state (i, "bounds") in
+  let refused name msg f =
+    let n = Fp_store.length s in
+    Alcotest.check_raises name (Invalid_argument msg) f;
+    Alcotest.(check int) (name ^ ": no entry written") n (Fp_store.length s)
+  in
+  let add i prov ~depth = ignore (Fp_store.add s (fp i) prov ~depth) in
+  (* 4,096 distinct events: the 12-bit code's every value *)
+  for i = 0 to 4095 do
+    add i (Fp_store.Pstep (i, ev i)) ~depth:((1 lsl 20) - 1 - (i land 1))
+  done;
+  for i = 0 to 4095 do
+    (match Fp_store.prov s i with
+    | Fp_store.Pstep (p, e) when p = i && Trace.equal_event e (ev i) -> ()
+    | _ -> Alcotest.failf "entry %d: provenance did not read back" i);
+    Alcotest.(check int) "depth" ((1 lsl 20) - 1 - (i land 1))
+      (Fp_store.depth s i)
+  done;
+  refused "4,097th event" "Fp_store: more than 4096 distinct events in one store"
+    (fun () -> add 4096 (Fp_store.Pstep (0, ev 4096)) ~depth:0);
+  refused "4,097th event by set_prov"
+    "Fp_store: more than 4096 distinct events in one store" (fun () ->
+      Fp_store.set_prov s 0 (Fp_store.Pstep (0, ev 4096)) ~depth:0);
+  (* references: the int32 range, -1 being the root marker *)
+  add 4096 (Fp_store.Pstep ((1 lsl 31) - 1, ev 7)) ~depth:3;
+  (match Fp_store.prov s 4096 with
+  | Fp_store.Pstep (p, _) ->
+    Alcotest.(check int) "largest reference" ((1 lsl 31) - 1) p
+  | Fp_store.Proot _ -> Alcotest.fail "expected a step");
+  List.iter
+    (fun r ->
+      refused
+        (Fmt.str "reference %d" r)
+        (Fmt.str "Fp_store: Pstep reference %d outside [0, 2^31)" r)
+        (fun () -> add 4097 (Fp_store.Pstep (r, ev 7)) ~depth:0))
+    [ 1 lsl 31; (1 lsl 32) + 5; -1 ];
+  refused "set_prov reference"
+    "Fp_store: Pstep reference 2147483648 outside [0, 2^31)" (fun () ->
+      Fp_store.set_prov s 0 (Fp_store.Pstep (1 lsl 31, ev 7)) ~depth:0);
+  (* roots share the 12-bit code *)
+  add 4097 (Fp_store.Proot 4095) ~depth:0;
+  Alcotest.(check bool) "largest root index" true
+    (Fp_store.prov s 4097 = Fp_store.Proot 4095);
+  refused "root index" "Fp_store: root index 4096 outside [0, 4096)" (fun () ->
+      add 4098 (Fp_store.Proot 4096) ~depth:0)
+
+(* The compact layout, pinned: a 4-byte slot and a 24-byte entry (two
+   63-bit fingerprint halves, a 32-bit reference and meta word), once the
+   slot array and the entry columns have each grown at least twice. *)
+let test_fp_store_layout () =
+  let s = Fp_store.create ~capacity:16 () in
+  let cap0 = Fp_store.capacity s and room0 = Fp_store.room s in
+  let i = ref 0 in
+  while Fp_store.capacity s < 4 * cap0 || Fp_store.room s < 2 * room0 do
+    ignore
+      (Fp_store.add s (Fingerprint.of_state (!i, "layout")) (Fp_store.Proot 0)
+         ~depth:0);
+    incr i
+  done;
+  Alcotest.(check int) "store_bytes = 4 * capacity + 24 * room"
+    ((4 * Fp_store.capacity s) + (24 * Fp_store.room s))
+    (Fp_store.store_bytes s);
+  (* the strict merge's 32-bit arrival slot *)
+  let t = Par.Shard_set.create () in
+  Alcotest.check_raises "arrival slot 2^31"
+    (Invalid_argument "Shard_set.merge: arrival slot 2147483648 outside [0, 2^31)")
+    (fun () ->
+      ignore
+        (Par.Shard_set.merge t (Fingerprint.of_state "slot")
+           ~prov:(Fp_store.Proot 0) ~depth:0 ~pos:(0, 0) ~slot:(1 lsl 31)));
+  Alcotest.(check int) "nothing inserted" 0 (Par.Shard_set.length t);
+  match
+    Par.Shard_set.merge t (Fingerprint.of_state "slot") ~prov:(Fp_store.Proot 0)
+      ~depth:0 ~pos:(0, 0) ~slot:((1 lsl 31) - 1)
+  with
+  | Par.Shard_set.Fresh r ->
+    Alcotest.(check int) "largest arrival slot" ((1 lsl 31) - 1)
+      (Par.Shard_set.arrival t r)
+  | _ -> Alcotest.fail "expected a fresh entry"
 
 (* The stores' columns live off the OCaml heap: filling a store 100x
    leaves its reachable heap words (event intern table, record fields,
@@ -329,4 +414,7 @@ let suite =
       case "shard key independent of bucket bits" test_shard_key_independent;
       case "marshalled-bytes counter" test_marshalled_bytes_counts;
       case "fp_store basics" test_fp_store_basics;
+      case "fp_store bounds fail closed by name" test_fp_store_bounds;
+      case "fp_store layout: 4-byte slots, 24-byte entries"
+        test_fp_store_layout;
       case "visited stores stay off the heap" test_stores_off_heap ] )

@@ -156,6 +156,88 @@ let test_envelope_newer_version () =
       rewrite path (Bytes.to_string raw);
       expect_corrupt "version" "newer" (fun () -> Binio.read_file path ~kind:7))
 
+(* A payload of about 300 KB — several 64-KiB flush units — mixing every
+   writer: varints, fixed-width floats, and strings, some longer than a
+   flush unit. *)
+let large_fill b =
+  for i = 0 to 19_999 do
+    Binio.uint b (i * 7919);
+    Binio.zint b (-i);
+    Binio.u8 b i
+  done;
+  Binio.f64 b 2.5;
+  Binio.str b (String.init 100_000 (fun i -> Char.chr (i land 0xff)));
+  Binio.fixed b (String.make 70_000 'z');
+  Binio.str b "end"
+
+let check_large_payload src =
+  for i = 0 to 19_999 do
+    Alcotest.(check int) "uint" (i * 7919) (Binio.read_uint src);
+    Alcotest.(check int) "zint" (-i) (Binio.read_zint src);
+    Alcotest.(check int) "u8" (i land 0xff) (Binio.read_u8 src)
+  done;
+  Alcotest.(check (float 0.)) "f64" 2.5 (Binio.read_f64 src);
+  Alcotest.(check string) "long str"
+    (String.init 100_000 (fun i -> Char.chr (i land 0xff)))
+    (Binio.read_str src);
+  Alcotest.(check string) "long fixed" (String.make 70_000 'z')
+    (Binio.read_fixed src 70_000);
+  Alcotest.(check string) "tail" "end" (Binio.read_str src);
+  Alcotest.(check int) "nothing left" 0 (Binio.remaining src)
+
+let test_envelope_streamed_roundtrip () =
+  with_envelope_file large_fill (fun path ->
+      check_large_payload (Binio.read_file path ~kind:7))
+
+(* The streamed file, byte for byte, against the envelope assembled by
+   hand from the in-memory payload: magic, version 1, kind, payload
+   length (u64 LE), payload, FNV-1a 64 of the payload (u64 LE). *)
+let test_envelope_streamed_bytes () =
+  let b = Binio.sink () in
+  large_fill b;
+  let payload = Binio.contents b in
+  let u64le v =
+    String.init 8 (fun i ->
+        Char.chr (Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xff))
+  in
+  let fnv1a =
+    String.fold_left
+      (fun h c ->
+        Int64.mul (Int64.logxor h (Int64.of_int (Char.code c))) 0x100000001b3L)
+      0xcbf29ce484222325L payload
+  in
+  let expected =
+    String.concat ""
+      [ "SNTB\001\007"; u64le (Int64.of_int (String.length payload)); payload;
+        u64le fnv1a ]
+  in
+  with_envelope_file large_fill (fun path ->
+      Alcotest.(check int) "file length" (String.length expected)
+        (String.length (read_raw path));
+      Alcotest.(check bool) "file bytes = hand-built envelope" true
+        (read_raw path = expected));
+  Alcotest.check_raises "contents of a file sink"
+    (Invalid_argument "Binio.contents: a file sink's bytes are in its file")
+    (fun () ->
+      with_tmpdir (fun dir ->
+          Binio.write_file (Filename.concat dir "f.bin") ~kind:7 (fun b ->
+              ignore (Binio.contents b))))
+
+(* A fill that raises after several flushes leaves no target and no temp
+   file behind. *)
+let test_envelope_failed_fill () =
+  with_tmpdir (fun dir ->
+      let path = Filename.concat dir "file.bin" in
+      (match
+         Binio.write_file path ~kind:7 (fun b ->
+             large_fill b;
+             failwith "fill gave up")
+       with
+      | () -> Alcotest.fail "write_file swallowed the exception"
+      | exception Failure m -> Alcotest.(check string) "raised" "fill gave up" m);
+      Alcotest.(check (list string)) "directory empty" []
+        (Array.to_list (Sys.readdir dir)))
+
 (* ---- randomized sweeps: varint boundaries + envelope corruption ------- *)
 
 let test_varint_boundary_sweep () =
@@ -1211,6 +1293,11 @@ let suite =
       case "envelope corrupted" test_envelope_corrupted;
       case "envelope bad magic" test_envelope_bad_magic;
       case "envelope newer version" test_envelope_newer_version;
+      case "envelope streamed across flush units"
+        test_envelope_streamed_roundtrip;
+      case "envelope streamed bytes match a hand-built envelope"
+        test_envelope_streamed_bytes;
+      case "envelope failed fill leaves no file" test_envelope_failed_fill;
       case "trace event codec" test_event_codec;
       case "counters codec" test_counters_codec;
       case "checkpoint roundtrip" test_checkpoint_roundtrip;
