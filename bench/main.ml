@@ -130,7 +130,7 @@ let verification_row (sys : R.t) (info : Bug.info) invariant =
       string_of_int v.depth,
       string_of_int result.distinct,
       confirmed )
-  | Explorer.Exhausted | Explorer.Budget_spent | Explorer.Deadlock _ -> (
+  | Explorer.Exhausted | Explorer.Budget_spent -> (
     match script_for info with
     | Some (script, scenario) -> (
       match Script.run spec scenario script with

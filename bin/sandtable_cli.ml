@@ -13,7 +13,7 @@
    Output discipline: results (check/conform/simulate reports, listings) go
    to stdout; progress, headers and diagnostics go to stderr. Exit codes are
    uniform across commands: 0 = ran clean, 1 = found what it hunts
-   (violation, deadlock, discrepancy), 2 = usage or run error. *)
+   (violation, discrepancy), 2 = usage or run error. *)
 
 open Cmdliner
 open Sandtable
@@ -23,7 +23,7 @@ module Bug = Systems.Bug
 let exits =
   [ Cmd.Exit.info 0 ~doc:"checked clean: no violation or discrepancy found.";
     Cmd.Exit.info 1
-      ~doc:"an invariant violation, deadlock or discrepancy was found.";
+      ~doc:"an invariant violation or discrepancy was found.";
     Cmd.Exit.info 2
       ~doc:
         "usage or run error: unknown system or flag, bad arguments, \
@@ -259,7 +259,6 @@ let outcome_string = function
   | Explorer.Exhausted -> "exhausted"
   | Explorer.Violation v -> "violation: " ^ v.invariant
   | Explorer.Budget_spent -> "budget spent"
-  | Explorer.Deadlock _ -> "deadlock"
 
 let save_trace dir ~labels (events : Trace.t) =
   Trace.save (Filename.concat dir "trace.bin") events;
@@ -293,7 +292,7 @@ let print_shrink (sh : Shrink.outcome) =
   Fmt.pr "%a@.%a" Shrink.pp_outcome sh (Trace.pp_labelled sh.labels)
     sh.minimized
 
-(* Shrink a violation/deadlock found by check, tolerating (with a note on
+(* Shrink a violation found by check, tolerating (with a note on
    stderr) the input not reproducing — shrinking is best-effort sugar on
    top of a result that already stands on its own. *)
 let try_shrink ~workers ?probe spec scenario oracle events =
@@ -527,23 +526,16 @@ let check_cmd =
           (* shrink before Obs.Run.finish so its counters and spans land
              in metrics.json / the Chrome trace *)
           let shrink_outcome =
-            if not do_shrink then None
-            else
-              match result.outcome with
-              | Explorer.Violation v ->
-                try_shrink ~workers ?probe spec scenario
-                  (Shrink.Invariant v.invariant) v.events
-              | Explorer.Deadlock d ->
-                try_shrink ~workers ?probe spec scenario Shrink.Deadlock
-                  d.events
-              | _ -> None
+            match result.outcome with
+            | Explorer.Violation v when do_shrink ->
+              try_shrink ~workers ?probe spec scenario
+                (Shrink.Invariant v.invariant) v.events
+            | _ -> None
           in
           let trace_rel =
             match (run_dir, result.outcome) with
             | Some dir, Explorer.Violation v ->
               save_trace dir ~labels:v.labels v.events
-            | Some dir, Explorer.Deadlock d ->
-              save_trace dir ~labels:d.labels d.events
             | _ -> None
           in
           let shrink_summary =
@@ -839,7 +831,7 @@ let shrink_cmd =
   let dir_arg =
     let doc =
       "Run directory holding a recorded counterexample (written by check \
-       --run-dir when it finds a violation or deadlock)."
+       --run-dir when it finds a violation)."
     in
     Arg.(required & pos 0 (some string) None & info [] ~docv:"RUN_DIR" ~doc)
   in
@@ -899,7 +891,6 @@ let shrink_cmd =
           (Shrink.Invariant
              (String.sub o (String.length violation_prefix)
                 (String.length o - String.length violation_prefix)))
-      | Some "deadlock" -> Ok Shrink.Deadlock
       | o ->
         fail "run outcome is %S — nothing to shrink"
           (Option.value ~default:"unknown" o)

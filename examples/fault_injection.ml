@@ -24,8 +24,7 @@ let explore sc =
     (match r.outcome with
     | Explorer.Exhausted -> "exhausted"
     | Explorer.Violation v -> "violation: " ^ v.invariant
-    | Explorer.Budget_spent -> "budget spent"
-    | Explorer.Deadlock _ -> "deadlock")
+    | Explorer.Budget_spent -> "budget spent")
 
 let apply sched =
   match Faults.Compile.apply sched scenario with

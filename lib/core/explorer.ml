@@ -31,7 +31,6 @@ type options = {
   max_states : int option;
   max_depth : int option;
   time_budget : float option;
-  check_deadlock : bool;
   only_invariants : string list option;
   progress_every : int;
   progress : (stats -> unit) option;
@@ -53,7 +52,6 @@ let default =
     max_states = None;
     max_depth = None;
     time_budget = None;
-    check_deadlock = false;
     only_invariants = None;
     progress_every = 0;
     progress = None;
@@ -73,7 +71,6 @@ type outcome =
   | Exhausted
   | Violation of violation
   | Budget_spent
-  | Deadlock of { events : Trace.t; labels : string list }
 
 type result = {
   outcome : outcome;
@@ -158,7 +155,7 @@ module Run (S : Spec.S) = struct
   (* ---- provenance -> states, traces and verdicts ----------------------- *)
 
   (* Each engine hands in a fingerprint-keyed view of its own store. These
-     run only on a violation, a deadlock or a resume — never per state. *)
+     run only on a violation or a resume — never per state. *)
   type lookup = Fingerprint.t -> provenance option
 
   let missing () =
@@ -205,10 +202,6 @@ module Run (S : Spec.S) = struct
     let events, labels, state = replay_labelled lookup scenario fp in
     { invariant; events; labels; depth;
       state_repr = Fmt.str "%a" S.pp_state state }
-
-  let deadlock lookup scenario fp =
-    let events, labels, _ = replay_labelled lookup scenario fp in
-    Deadlock { events; labels }
 
   (* Chains share prefixes (they form the BFS tree), so every intermediate
      state is memoized and replayed at most once. *)
@@ -499,8 +492,6 @@ module Run (S : Spec.S) = struct
             if over_budget depth then raise (Stop Budget_spent);
             let successors = S.next scenario state in
             count_fault_kinds probe scenario successors;
-            if successors = [] && opts.check_deadlock then
-              raise (Stop (deadlock lookup scenario (Fp_store.fp visited idx)));
             List.iter
               (fun (event, state') ->
                 incr generated;
@@ -529,8 +520,6 @@ let check ?resume (module S : Spec.S) scenario opts =
 let pp_outcome ppf = function
   | Exhausted -> Fmt.string ppf "state space exhausted"
   | Budget_spent -> Fmt.string ppf "budget spent"
-  | Deadlock d ->
-    Fmt.pf ppf "deadlock after:@.%a" (Trace.pp_labelled d.labels) d.events
   | Violation v ->
     Fmt.pf ppf "invariant %s violated at depth %d:@.%a@.final state: %s"
       v.invariant v.depth (Trace.pp_labelled v.labels) v.events v.state_repr

@@ -52,7 +52,6 @@ type options = {
   max_states : int option;  (** distinct-state budget *)
   max_depth : int option;
   time_budget : float option;  (** seconds *)
-  check_deadlock : bool;
   only_invariants : string list option;
       (** restrict checking to these named invariants ([None] = all) *)
   progress_every : int;  (** 0 disables the callback *)
@@ -97,9 +96,6 @@ type outcome =
   | Exhausted  (** full coverage of the constrained space *)
   | Violation of violation
   | Budget_spent  (** stopped by max_states / max_depth / time_budget *)
-  | Deadlock of { events : Trace.t; labels : string list }
-      (** the trace to a constraint-satisfying state with no successors,
-          when [check_deadlock]; labels as in {!violation} *)
 
 type result = {
   outcome : outcome;
@@ -170,10 +166,6 @@ module Run (S : Spec.S) : sig
       invariant [name] broken by [fp]'s state — its trace, walked back
       through provenance to a root, replayed to recover that state
       (pretty-printed) and each event's label. *)
-
-  val deadlock : lookup -> Scenario.t -> Fingerprint.t -> outcome
-  (** The [Deadlock] verdict for [fp]'s state, recovered like
-      {!violation}. *)
 
   val rebuild_frontier :
     lookup -> Scenario.t -> Fingerprint.t list -> S.state list

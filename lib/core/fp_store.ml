@@ -263,3 +263,47 @@ let iter t f =
   for e = 0 to t.n - 1 do
     f e (fp t e) (prov t e) (depth t e)
   done
+
+(* [Fingerprint.compare] order: the entries are dealt into about one
+   bucket each by the top bits of [hi], its sign bit flipped so the
+   buckets run in signed order, and each bucket is insertion-sorted on
+   both halves. The kernel's halves are uniform, so the buckets stay
+   short. [Array.sort] through a comparison closure cost exhaustive strict
+   redisraft's two checkpoints about 0.13 s; this costs about 0.02 s. *)
+let iter_sorted t f =
+  let n = t.n in
+  let hi e = Bigarray.Array1.unsafe_get t.fp_hi e in
+  let lo e = Bigarray.Array1.unsafe_get t.fp_lo e in
+  let rec log2 k = if k <= 1 then 0 else 1 + log2 (k / 2) in
+  let bits = max 1 (min 22 (log2 n)) in
+  let buckets = 1 lsl bits in
+  let bucket e = (hi e lsr (63 - bits)) lxor (buckets / 2) in
+  (* bucket [b] fills [order] from [start.(b)] up to [start.(b + 1)] *)
+  let start = Array.make (buckets + 1) 0 in
+  for e = 0 to n - 1 do
+    let b = bucket e + 1 in
+    start.(b) <- start.(b) + 1
+  done;
+  for b = 1 to buckets do
+    start.(b) <- start.(b) + start.(b - 1)
+  done;
+  let next = Array.sub start 0 buckets in
+  let order = Array.make n 0 in
+  for e = 0 to n - 1 do
+    let b = bucket e in
+    order.(next.(b)) <- e;
+    next.(b) <- next.(b) + 1
+  done;
+  let less a b = hi a < hi b || (hi a = hi b && lo a < lo b) in
+  for b = 0 to buckets - 1 do
+    for i = start.(b) + 1 to start.(b + 1) - 1 do
+      let e = order.(i) in
+      let j = ref (i - 1) in
+      while !j >= start.(b) && less e order.(!j) do
+        order.(!j + 1) <- order.(!j);
+        decr j
+      done;
+      order.(!j + 1) <- e
+    done
+  done;
+  Array.iter (fun e -> f e (fp t e) (prov t e) (depth t e)) order

@@ -62,6 +62,10 @@ val depth : t -> int -> int
 val iter : t -> (int -> Fingerprint.t -> prov -> int -> unit) -> unit
 (** In insertion (= discovery) order. *)
 
+val iter_sorted : t -> (int -> Fingerprint.t -> prov -> int -> unit) -> unit
+(** Like {!iter}, in {!Fingerprint.compare} order: an order that does not
+    depend on which entry was inserted first. *)
+
 val capacity : t -> int
 (** Current slot-array length. *)
 

@@ -19,7 +19,7 @@
    not fit or it holds [cap] entries (a work-stealing batch, or half the
    spill window). The frontier is a ring of chunks, oldest first:
    entries are pushed into the last and popped from the first, and the
-   work-stealing queues move whole chunks at either end.
+   work-stealing queues hand out whole chunks at either end.
 
    The disk tier: once more than [window] entries are resident, the chunk
    that just closed goes to a file as it is — never the first one (being
@@ -296,8 +296,8 @@ let remove t i =
   t.chunks <- t.chunks - 1;
   c
 
-(* a chunk-size buffer the frontier is done with becomes the spare: a
-   work-stealing outbox then fills one buffer over and over *)
+(* a chunk-size buffer the frontier is done with becomes the spare for
+   its next chunk *)
 let release t b = if ba_len b = t.chunk_bytes then t.spare <- b
 
 let fresh_buf t need =
@@ -307,11 +307,6 @@ let fresh_buf t need =
     b
   end
   else ba_create (max t.chunk_bytes need)
-
-let account t c sign =
-  t.length <- t.length + (sign * c.count);
-  t.resident <- t.resident + (sign * c.count);
-  t.resident_bytes <- t.resident_bytes + (sign * ba_len c.buf)
 
 let spill_out ?probe t d c =
   Probe.span_begin probe "spill-io";
@@ -417,23 +412,14 @@ let pop ?probe t =
 
 (* ---- whole chunks ------------------------------------------------------- *)
 
-let add_chunk ?probe t c =
-  add_last t c;
-  account t c 1;
-  spill_closed ?probe t
-
-let take_chunk ?probe ?(fit = false) t ~back =
+let take_chunk ?probe t ~back =
   if t.chunks = 0 then None
   else begin
     let c = remove t (if back then t.chunks - 1 else 0) in
     if c.file <> "" then spill_in ?probe t c;
-    account t c (-1);
-    if fit && c.fill < ba_len c.buf then begin
-      let b = ba_create c.fill in
-      Bigarray.Array1.blit (Bigarray.Array1.sub c.buf 0 c.fill) b;
-      release t c.buf;
-      c.buf <- b
-    end;
+    t.length <- t.length - c.count;
+    t.resident <- t.resident - c.count;
+    t.resident_bytes <- t.resident_bytes - ba_len c.buf;
     Some c
   end
 

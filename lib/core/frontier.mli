@@ -16,9 +16,9 @@
     is FIFO over a ring of chunks: the sequential engine pushes and pops
     entries, the strict-BFS engine reads a layer by index
     ({!iter_states}) and builds the next one by filtering its workers'
-    arrivals into it ({!transfer}), and each work-stealing queue moves
-    whole chunks — a batch is a chunk — at either end ({!add_chunk},
-    {!take_chunk}).
+    arrivals into it ({!transfer}), and each work-stealing queue is pushed
+    into by its worker and hands out whole chunks — a batch is a chunk —
+    at either end ({!take_chunk}).
 
     {b Disk tier.} With a {!disk}, once more than the window of entries is
     resident, the chunk that has just closed is written to a file as it is,
@@ -124,15 +124,9 @@ val spilled_bytes : 's t -> int
 
 type 's chunk
 
-val add_chunk : ?probe:Probe.t -> 's t -> 's chunk -> unit
-(** Append a chunk (taken from another frontier) as the newest. *)
-
-val take_chunk :
-  ?probe:Probe.t -> ?fit:bool -> 's t -> back:bool -> 's chunk option
+val take_chunk : ?probe:Probe.t -> 's t -> back:bool -> 's chunk option
 (** Remove the oldest chunk, or the newest with [~back:true], reading it
-    back from disk if it was spilled. With [~fit:true] the chunk moves
-    into a buffer cut to its entries: for partial batches that will sit
-    in a queue. *)
+    back from disk if it was spilled. *)
 
 val chunks : 's t -> int
 (** Chunks in the frontier: past one, all but the newest are closed. *)

@@ -1,6 +1,5 @@
 type oracle =
   | Invariant of string
-  | Deadlock
   | Custom of (Trace.t -> Trace.t option)
 
 type labelled = (Trace.event * string) list
@@ -62,17 +61,17 @@ let step_readdress (type s) (module S : Spec.S with type state = s) scenario
   | Trace.Partition _ | Trace.Heal ->
     exact ()
 
-(* Replay [events], re-addressing each one; [finish] decides what to make
-   of the final state, [accept] may cut the replay short. *)
+(* Replay [events], re-addressing each one; [accept] may cut the replay
+   short, and [finish] says whether a replay that uses up [events] counts. *)
 let replay (type s) (module S : Spec.S with type state = s) scenario
-    ~(accept : s -> bool) ~(finish : s -> bool) events =
+    ~(accept : s -> bool) ~finish events =
   match S.init scenario with
   | [] -> None
   | s0 :: _ ->
     if accept s0 then Some []
     else
       let rec go state acc = function
-        | [] -> if finish state then Some (List.rev acc) else None
+        | [] -> if finish then Some (List.rev acc) else None
         | ev :: rest -> (
           match step_readdress (module S) scenario state ev with
           | None -> None
@@ -88,8 +87,8 @@ let validate (spec : Spec.t) scenario oracle events =
   match oracle with
   | Custom f -> (
     match
-      replay (module S) scenario ~accept:(fun _ -> false)
-        ~finish:(fun _ -> true) events
+      replay (module S) scenario ~accept:(fun _ -> false) ~finish:true
+        events
     with
     | None -> None
     | Some t ->
@@ -109,14 +108,7 @@ let validate (spec : Spec.t) scenario oracle events =
          they fall outside the constraint envelope *)
       replay (module S) scenario
         ~accept:(fun s -> not (holds scenario s))
-        ~finish:(fun _ -> false)
-        events)
-  | Deadlock ->
-    replay (module S) scenario
-      ~accept:(fun _ -> false)
-      ~finish:(fun s ->
-        S.constraint_ok scenario s && S.next scenario s = [])
-      events
+        ~finish:false events)
 
 type outcome = {
   minimized : Trace.t;

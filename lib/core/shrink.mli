@@ -28,12 +28,11 @@
     the first initial state and ends in the same class of failure as the
     input: for {!Invariant} the named invariant is checked after every
     step and the candidate is truncated at the {e earliest} violating
-    state (suffix truncation comes for free); for {!Deadlock} the final
-    state must satisfy the scenario constraint and have no enabled
-    transitions. State constraints are deliberately {e not} enforced along
-    the way for [Invariant] — the explorer reports violations on states it
-    discovers even when they fall outside the constraint envelope, and
-    shrinking must be able to reproduce exactly those.
+    state (suffix truncation comes for free). State constraints are
+    deliberately {e not} enforced along the way — the explorer reports
+    violations on states it discovers even when they fall outside the
+    constraint envelope, and shrinking must be able to reproduce exactly
+    those.
 
     {b Determinism.} Candidate generation is purely positional and each
     round keeps the first accepted candidate in generation order, with the
@@ -47,9 +46,6 @@ type oracle =
       (** the named spec invariant must be violated by the final state
           (and by no earlier state — candidates are truncated to the
           earliest violation) *)
-  | Deadlock
-      (** the final state must satisfy the scenario constraint and have
-          no enabled transitions *)
   | Custom of (Trace.t -> Trace.t option)
       (** arbitrary acceptance check on the candidate re-addressed as
           above (so it replays verbatim on the spec); returns the prefix of

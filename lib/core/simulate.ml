@@ -4,7 +4,6 @@ type walk = {
   coverage : Coverage.t;
   violation : (string * int) option;
   observations : Tla.Value.t list;
-  deadlocked : bool;
 }
 
 type options = {
@@ -37,10 +36,10 @@ let walk ?probe (module S : Spec.S) scenario opts rng =
         || (opts.stop_on_violation && Option.is_some violation)
         || not (S.constraint_ok scenario state)
       in
-      if stop then events, observations, violation, false
+      if stop then events, observations, violation
       else
         match S.next scenario state with
-        | [] -> events, observations, violation, true
+        | [] -> events, observations, violation
         | successors ->
           let event, state' =
             List.nth successors (Random.State.int rng (List.length successors))
@@ -53,7 +52,7 @@ let walk ?probe (module S : Spec.S) scenario opts rng =
     in
     loop s0 0 [] [] None
   in
-  let (events, observations, violation, deadlocked), coverage =
+  let (events, observations, violation), coverage =
     Coverage.collect run
   in
   let depth = List.length events in
@@ -64,8 +63,7 @@ let walk ?probe (module S : Spec.S) scenario opts rng =
     depth;
     coverage;
     violation;
-    observations = List.rev observations;
-    deadlocked }
+    observations = List.rev observations }
 
 let walks ?probe spec scenario opts ~seed ~count =
   let rng = Random.State.make [| seed |] in

@@ -13,7 +13,6 @@ type walk = {
       (** invariant name and the 1-based event index at which it first broke *)
   observations : Tla.Value.t list;
       (** observation after each event (same length as [events]) *)
-  deadlocked : bool;  (** walk ended because no transition was enabled *)
 }
 
 type options = {

@@ -35,8 +35,7 @@ let run ?(conf_rounds = 50) ?(conf_walk_depth = 25) ?(seed = 1)
         Some
           (Replay.confirm ~mask:bundle.mask bundle.spec ~boot:bundle.boot
              bundle.scenario v.events)
-      | Explorer.Exhausted | Explorer.Budget_spent | Explorer.Deadlock _ ->
-        None
+      | Explorer.Exhausted | Explorer.Budget_spent -> None
     in
     { conformance; check = Some check; confirmation }
 
@@ -59,4 +58,4 @@ let fix_ok v =
   &&
   match v.fixed_check.outcome with
   | Explorer.Exhausted | Explorer.Budget_spent -> true
-  | Explorer.Violation _ | Explorer.Deadlock _ -> false
+  | Explorer.Violation _ -> false

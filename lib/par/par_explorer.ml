@@ -16,11 +16,6 @@ type result = {
   shard_stats : Shard_set.stat array;
 }
 
-(* entries are named by their Shard_set reference *)
-type candidate =
-  | Broken of int * string  (* newly inserted entry, invariant *)
-  | Dead of int * int  (* frontier index with no successors, its entry *)
-
 module Run (S : Spec.S) = struct
   (* An entry's [pos] (packed inside Shard_set) is the state's discovery
      position within its layer — (frontier index of the parent, successor
@@ -164,8 +159,10 @@ module Run (S : Spec.S) = struct
         let n = Frontier.length fr in
         let ranges = Array.of_list (Pool.split ~chunks:workers ~len:n) in
         let succ_counts = Array.make n 0 in
-        let inserted : int list array = Array.make workers [] in
-        let cands : candidate list array = Array.make workers [] in
+        (* per worker: fresh entries, and (reference, invariant) for each
+           fresh entry that broke one *)
+        let layer_ins = Array.make workers 0 in
+        let cands : (int * string) list array = Array.make workers [] in
         let layer_gen = Array.make workers 0 in
         let building : S.state Frontier.t array =
           Array.init workers (fun _ -> Frontier.create ?disk ?window:share ())
@@ -181,7 +178,6 @@ module Run (S : Spec.S) = struct
               let wp = Probe.worker probe w in
               let t0 = Unix.gettimeofday () in
               Probe.span_begin wp "expand";
-              let my_inserted = ref [] in
               let my_cands = ref [] in
               let gen = ref 0 in
               let ins = ref 0 in
@@ -201,8 +197,6 @@ module Run (S : Spec.S) = struct
                      let succs = S.next scenario state in
                      succ_counts.(p) <- List.length succs;
                      E.count_fault_kinds wp scenario succs;
-                     if succs = [] && opts.check_deadlock then
-                       my_cands := Dead (p, r) :: !my_cands;
                      List.iteri
                        (fun j (event, state') ->
                          incr gen;
@@ -220,11 +214,9 @@ module Run (S : Spec.S) = struct
                            if Probe.is_on wp then
                              Probe.edge wp ~depth:(d + 1) ~event:(Some event)
                                ~dup:false ~sym;
-                           my_inserted := r' :: !my_inserted;
                            Probe.span_begin wp "invariant";
                            (match E.first_broken invariants scenario state' with
-                           | Some inv ->
-                             my_cands := Broken (r', inv) :: !my_cands
+                           | Some inv -> my_cands := (r', inv) :: !my_cands
                            | None -> ());
                            Probe.span_end wp "invariant"
                          | E.Recalled sym
@@ -256,7 +248,7 @@ module Run (S : Spec.S) = struct
                        Atomic.set abort true
                      | _ -> ())
                with Exit -> ());
-              inserted.(w) <- !my_inserted;
+              layer_ins.(w) <- !ins;
               cands.(w) <- !my_cands;
               layer_gen.(w) <- !gen;
               Probe.count wp "expand.states" !expanded;
@@ -277,28 +269,21 @@ module Run (S : Spec.S) = struct
               ~t0:wend.(w) ~t1:barrier_t
           done
         end;
-        let all_inserted =
-          Array.fold_right (fun l acc -> List.rev_append l acc) inserted []
-        in
+        let layer_inserted = Array.fold_left ( + ) 0 layer_ins in
         let layer_generated = Array.fold_left ( + ) 0 layer_gen in
         let close_building () = Array.iter Frontier.close building in
         if Atomic.get abort then begin
           close_building ();
           (* mid-layer deadline: report what actually got explored *)
-          distinct_total := !distinct_total + List.length all_inserted;
+          distinct_total := !distinct_total + layer_inserted;
           gen_prev := !gen_prev + layer_generated;
-          if all_inserted <> [] then max_depth_seen := d + 1;
+          if layer_inserted > 0 then max_depth_seen := d + 1;
           outcome := Some Explorer.Budget_spent
         end
         else begin
           incr layers;
-          (* earliest candidate in sequential discovery order wins: a
-             deadlock at frontier index p orders as (p, -1), before any
-             successor (p, j) of the same state *)
-          let key = function
-            | Dead (p, _) -> p, -1
-            | Broken (r, _) -> Shard_set.find_pos visited r
-          in
+          (* earliest candidate in sequential discovery order wins *)
+          let key (r, _) = Shard_set.find_pos visited r in
           let best =
             Array.fold_left
               (fun acc l ->
@@ -312,38 +297,32 @@ module Run (S : Spec.S) = struct
               None cands
           in
           match best with
-          | Some cand ->
+          | Some ((r, inv) as cand) ->
             close_building ();
             (* reconstruct the exact counters sequential BFS would have
-               reported when it raised Stop at this discovery position *)
-            let vpos = key cand in
+               reported when it raised Stop at this discovery position:
+               the layer's entries found at or before it (the set is
+               quiescent here) and the successors generated up to it *)
+            let ((p, j) as vpos) = key cand in
             let before =
-              List.length
-                (List.filter
-                   (fun r -> compare (Shard_set.find_pos visited r) vpos <= 0)
-                   all_inserted)
+              Shard_set.count_upto visited ~depth:(d + 1) ~pos:vpos
             in
             distinct_total := !distinct_total + before;
-            let p, j = vpos in
             let gen_here = ref 0 in
             for q = 0 to p - 1 do
               gen_here := !gen_here + succ_counts.(q)
             done;
-            gen_prev := !gen_prev + !gen_here + (if j >= 0 then j + 1 else 0);
+            gen_prev := !gen_prev + !gen_here + j + 1;
             if before > 0 then max_depth_seen := d + 1;
             outcome :=
               Some
-                (match cand with
-                | Broken (r, inv) ->
-                  Explorer.Violation
-                    (E.violation lookup scenario (Shard_set.fp visited r) inv
-                       ~depth:(d + 1))
-                | Dead (_, r) ->
-                  E.deadlock lookup scenario (Shard_set.fp visited r))
+                (Explorer.Violation
+                   (E.violation lookup scenario (Shard_set.fp visited r) inv
+                      ~depth:(d + 1)))
           | None ->
-            distinct_total := !distinct_total + List.length all_inserted;
+            distinct_total := !distinct_total + layer_inserted;
             gen_prev := !gen_prev + layer_generated;
-            if all_inserted <> [] then max_depth_seen := d + 1;
+            if layer_inserted > 0 then max_depth_seen := d + 1;
             (* the layer's peak: the one expanded and the one built *)
             let total f =
               Array.fold_left (fun n b -> n + f b) (f fr) building

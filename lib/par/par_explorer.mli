@@ -11,9 +11,9 @@
     [Sandtable.Explorer.check] for any worker count: the store keeps each
     state's minimal (depth, trace-order) discovery position, so ties between
     same-layer violations break by trace order, counterexample provenance
-    chains equal the sequential ones, and on a violation or deadlock the
-    reported [distinct]/[generated]/[max_depth] are reconstructed to the
-    values sequential BFS would have reported when it stopped mid-layer.
+    chains equal the sequential ones, and on a violation the reported
+    [distinct]/[generated]/[max_depth] are reconstructed to the values
+    sequential BFS would have reported when it stopped mid-layer.
     The only intentional divergences: [max_states] and [time_budget] are
     enforced at layer (not state) granularity, and [progress] fires at layer
     boundaries. *)

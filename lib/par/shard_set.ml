@@ -171,11 +171,14 @@ let arrival t r =
       if e < Bigarray.Array1.dim s.arrival then Int32.to_int s.arrival.{e}
       else -1)
 
-(* quiescent: no lock, so parents in other shards read directly *)
+(* quiescent: no lock, so parents in other shards read directly. Each
+   shard is listed in fingerprint order, not in the insertion order the
+   worker schedule picked, so a strict-BFS checkpoint's bytes are the same
+   run to run *)
 let iter t f =
   Array.iter
     (fun s ->
-      Fp_store.iter s.store (fun _ fp prov depth ->
+      Fp_store.iter_sorted s.store (fun _ fp prov depth ->
           match prov with
           | Fp_store.Proot i -> f fp (Explorer.Root i) depth
           | Fp_store.Pstep (r, event) ->
@@ -184,6 +187,18 @@ let iter t f =
               (Explorer.Step { parent = Fp_store.fp ps.store e; event })
               depth))
     t
+
+(* quiescent, like [iter] *)
+let count_upto t ~depth ~pos:(p, j) =
+  let packed = (p lsl pos_bits) lor j in
+  Array.fold_left
+    (fun n s ->
+      let k = ref n in
+      for e = 0 to Fp_store.length s.store - 1 do
+        if Fp_store.depth s.store e = depth && s.pos.{e} <= packed then incr k
+      done;
+      !k)
+    0 t
 
 let sum t measure =
   Array.fold_left

@@ -110,6 +110,12 @@ val arrival : t -> int -> int
 (** The slot the referenced entry's winning {!merge} arrival recorded;
     [-1] when it has none. *)
 
+val count_upto : t -> depth:int -> pos:int * int -> int
+(** [count_upto t ~depth ~pos]: the entries at [depth] whose {!merge}
+    position is at most [pos] — how many of a layer's entries sequential
+    BFS had found when it reached [pos]. Every entry at [depth] must have
+    been {!merge}d. Only at a quiescent point, like {!iter}. *)
+
 val length : t -> int
 (** Total distinct fingerprints. *)
 
@@ -118,11 +124,12 @@ val iter :
   (Sandtable.Fingerprint.t -> Sandtable.Explorer.provenance -> int -> unit) ->
   unit
 (** Iterate every entry — fingerprint, provenance (parent by
-    fingerprint), depth — shard by shard, in no particular order. Only at
-    a quiescent point (the strict engine's layer barrier, the
-    work-stealing pulse, or after the run), where no domain writes the
-    set: it takes no lock, so [f] may call back into the set. Used for
-    checkpoint snapshots. *)
+    fingerprint), depth — shard by shard, each shard in fingerprint order
+    ({!Sandtable.Fp_store.iter_sorted}), so the listing does not depend on
+    the schedule that inserted the entries. Only at a quiescent point (the
+    strict engine's layer barrier, the work-stealing pulse, or after the
+    run), where no domain writes the set: it takes no lock, so [f] may
+    call back into the set. Used for checkpoint snapshots. *)
 
 val capacity : t -> int
 (** Total slot-array length across shards. *)

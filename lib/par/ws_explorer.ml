@@ -8,28 +8,25 @@ open Sandtable
    higher worker counts. This engine removes the barrier entirely:
 
    - The frontier lives in per-worker queues of state batches, each queue
-     a [Frontier] used chunk-wise: a batch is one chunk of up to 64
-     marshalled states. A generated state is routed to the worker that
-     owns its fingerprint shard — [Fingerprint.shard_key], the same and
-     only routing function the visited set uses — so each worker touches a
-     disjoint slice of the shard space and dedup locality follows for
-     free. Its outbox for that worker appends the state's bytes, copied
-     from the fingerprint arena.
+     a [Frontier] pushed into entry by entry and emptied chunk-wise: a
+     batch is one chunk of up to 64 marshalled states. A worker pushes
+     each fresh state it finds onto its own queue, its bytes copied from
+     the fingerprint arena under that queue's lock.
    - A worker drains its own queue FIFO; when empty it steals a whole
      batch from the tail of another worker's queue (one mutex hold per
      batch, never per state).
    - Termination is a credit scheme over outstanding batches: a single
-     atomic counter is incremented before a batch becomes visible in any
-     queue and decremented only after the batch is fully expanded and its
-     child batches are enqueued (children before parent, so the counter
-     can only touch zero when no work exists anywhere). [outstanding = 0]
-     is therefore stable, and replaces the layer barrier as the engine's
+     atomic counter is incremented by the push that opens a batch, before
+     the queue's lock is released, and decremented only after a batch is
+     fully expanded (its children were counted first, so the counter can
+     only touch zero when no work exists anywhere). [outstanding = 0] is
+     therefore stable, and replaces the layer barrier as the engine's
      quiescent signal.
    - Checkpoints, telemetry samples and progress fire at periodic
      "pulses": worker 0 raises a pause flag, the other workers park at
-     their next batch boundary (outboxes flushed — between batches every
-     routed state sits in some queue), and the paused world is a
-     consistent snapshot: visited set + queued states.
+     their next batch boundary (between batches every found state sits in
+     some queue), and the paused world is a consistent snapshot: visited
+     set + queued states.
 
    A queued entry is a state's bytes, its entry's reference (the parent of
    every successor it generates) and its depth; pulses and checkpoints
@@ -44,9 +41,9 @@ open Sandtable
    exhaustion are schedule- and worker-count-invariant and equal to the
    strict engines'; discovery depths are upper bounds on BFS depth and may
    vary run to run, so [max_depth], depth histograms, counterexample depth
-   and any [max_depth]-budgeted totals are not invariant. Violation and
-   deadlock verdicts are invariant on exhaustive runs: every reachable
-   state is visited and checked. Use [--strict-bfs] ([Par_explorer]) for
+   and any [max_depth]-budgeted totals are not invariant. Violation
+   verdicts are invariant on exhaustive runs: every reachable state is
+   visited and checked. Use [--strict-bfs] ([Par_explorer]) for
    bit-for-bit sequential equivalence and minimal-depth counterexamples. *)
 
 type worker_stat = Par_explorer.worker_stat = {
@@ -69,17 +66,14 @@ type result = {
 
 (* ---- per-worker batch queue ------------------------------------------- *)
 
-(* A mutex-guarded [Frontier] used chunk-wise: a batch is a chunk of up to
-   [batch_size] marshalled states. The owner takes the oldest chunk (FIFO
-   — keeps discovery roughly breadth-first, which keeps the duplicate rate
-   close to the strict engine's); a thief takes the newest (the work least
-   likely to be hot in the owner's cache). With a spill window, chunks
-   between the two ends go to disk. *)
+(* A mutex-guarded [Frontier] its owner pushes into and every worker takes
+   whole chunks from: a batch is a chunk of up to [batch_size] marshalled
+   states, and every chunk but the newest is a full one. The owner takes
+   the oldest chunk (FIFO — keeps discovery roughly breadth-first, which
+   keeps the duplicate rate close to the strict engine's); a thief takes
+   the newest (the work least likely to be hot in the owner's cache). With
+   a spill window, chunks between the two ends go to disk. *)
 type 's queue = { qlock : Mutex.t; q : 's Frontier.t }
-
-let q_locked q f =
-  Mutex.lock q.qlock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock q.qlock) f
 
 (* how long an idle or parked worker sleeps between polls; stdlib
    [Condition] has no timed wait, and at this grain the poll is invisible
@@ -109,40 +103,28 @@ module Run (S : Spec.S) = struct
     in
     let deadline = Option.map (fun b -> started +. b) opts.time_budget in
     let invariants = E.invariants opts in
-    (* shard_key gives 8 uniform bits; scale them onto [0, workers) *)
-    let route_mask = 255 in
-    let dest fp =
-      Fingerprint.shard_key fp ~mask:route_mask * workers / (route_mask + 1)
-    in
     (* the spill window is shared out between the queues; a chunk holds at
        most half a queue's share *)
     let window =
       Option.map (fun d -> max 2 (Frontier.window d / workers)) disk
     in
-    let batch =
-      match window with
-      | Some w -> min batch_size (max 1 (w / 2))
-      | None -> batch_size
-    in
     let queues : S.state queue array =
       Array.init workers (fun _ ->
           { qlock = Mutex.create ();
             q =
-              Frontier.create ?disk ?window ~batch ~chunk_bytes:batch_bytes
-                () })
-    in
-    (* one outbox per destination worker, filled by one worker *)
-    let outboxes () =
-      Array.init workers (fun _ ->
-          Frontier.create ~batch ~chunk_bytes:batch_bytes ())
+              Frontier.create ?disk ?window ~batch:batch_size
+                ~chunk_bytes:batch_bytes () })
     in
     let outstanding = Atomic.make 0 in
-    let enqueue ?probe d chunk =
-      (* increment before the batch is visible: the counter over-approximates
-         live work, so 0 is a stable "nothing anywhere" signal *)
-      Atomic.incr outstanding;
+    (* [push q] queues one state on [q]; a push that opens a chunk opens a
+       batch, counted before the lock lets a thief see it, so 0 is a stable
+       "nothing anywhere" signal *)
+    let enqueue d push =
       let q = queues.(d) in
-      q_locked q (fun () -> Frontier.add_chunk ?probe q.q chunk)
+      Mutex.protect q.qlock (fun () ->
+          let n = Frontier.chunks q.q in
+          push q.q;
+          if Frontier.chunks q.q > n then Atomic.incr outstanding)
     in
     let queued () =
       Array.fold_left (fun n q -> n + Frontier.length q.q) 0 queues
@@ -211,35 +193,20 @@ module Run (S : Spec.S) = struct
         in
         List.map (fun (s, r) -> (s, r, depth_of r)) frontier
     in
-    (* move a worker's closed outbox chunks (or all of them, [~all]) to
-       their destination queues, each in a buffer cut to its entries: most
-       batches leave partly filled *)
-    let flush ?probe ?(all = false) outbox d =
-      let ob = outbox.(d) in
-      while Frontier.chunks ob > (if all then 0 else 1) do
-        Option.iter (enqueue ?probe d)
-          (Frontier.take_chunk ob ~fit:true ~back:false)
-      done
-    in
-    (* batch the seeds by destination worker *)
-    let seed_box = outboxes () in
-    List.iter
-      (fun (state, r, depth) ->
-        let d = dest (Shard_set.fp visited r) in
-        Frontier.push_state ?probe seed_box.(d) ~entry:r ~depth state;
-        flush ?probe seed_box d)
+    (* deal the seeds round-robin over the queues *)
+    List.iteri
+      (fun i (state, r, depth) ->
+        enqueue (i mod workers) (fun q ->
+            Frontier.push_state ?probe q ~entry:r ~depth state))
       seed_items;
-    for d = 0 to workers - 1 do
-      flush ?probe ~all:true seed_box d
-    done;
-    (* a paused world is quiescent: every worker is between batches with
-       flushed outboxes, so the frontier is exactly the queued states *)
+    (* a paused world is quiescent: every worker is between batches, so the
+       frontier is exactly the queued states *)
     let snapshot_now ~gen_now ~maxd () =
       let fps = ref [] in
       let mind = ref max_int in
       Array.iter
         (fun q ->
-          q_locked q (fun () ->
+          Mutex.protect q.qlock (fun () ->
               Frontier.iter q.q (fun r d ->
                   fps := Shard_set.fp visited r :: !fps;
                   if d < !mind then mind := d)))
@@ -257,19 +224,11 @@ module Run (S : Spec.S) = struct
     let cur_maxdepth () = Array.fold_left max !maxdepth_base st_maxdepth in
     let take ?probe v ~back =
       let q = queues.(v) in
-      q_locked q (fun () -> Frontier.take_chunk ?probe q.q ~back)
+      Mutex.protect q.qlock (fun () -> Frontier.take_chunk ?probe q.q ~back)
     in
     (* ---- worker loop --------------------------------------------------- *)
     let worker_loop w =
       let wp = Probe.worker probe w in
-      let outbox = outboxes () in
-      (* the state's bytes are still in this domain's own fingerprint
-         arena: nothing since its own fingerprint has marshalled *)
-      let route fp r depth =
-        let d = dest fp in
-        Frontier.push outbox.(d) ~entry:r ~depth;
-        flush ?probe:wp outbox d
-      in
       (* busy and idle time are coalesced into episode spans — one
          "expand" span per contiguous run of batches and one "steal-wait"
          span per idle episode — so trace files stay bounded and the
@@ -304,8 +263,6 @@ module Run (S : Spec.S) = struct
           st_expanded.(w) <- st_expanded.(w) + 1;
           let succs = S.next scenario state in
           E.count_fault_kinds wp scenario succs;
-          if succs = [] && opts.check_deadlock then
-            stop_with (E.deadlock lookup scenario (Shard_set.fp visited r));
           List.iter
             (fun (event, state') ->
               st_generated.(w) <- st_generated.(w) + 1;
@@ -332,8 +289,12 @@ module Run (S : Spec.S) = struct
                        (E.violation lookup scenario fp' inv ~depth:(depth + 1)))
                 | None -> ());
                 Probe.span_end wp "invariant";
+                (* the state's bytes are still in this domain's own
+                   fingerprint arena: nothing since its own fingerprint
+                   has marshalled *)
                 if S.constraint_ok scenario state' then
-                  route fp' r' (depth + 1);
+                  enqueue w (fun q ->
+                      Frontier.push ?probe:wp q ~entry:r' ~depth:(depth + 1));
                 (match opts.max_states with
                 | Some m when Atomic.get distinct >= m ->
                   stop_with Explorer.Budget_spent
@@ -441,12 +402,8 @@ module Run (S : Spec.S) = struct
             Frontier.chunk_iter batch (fun r depth state ->
                 if not (Atomic.get stop) then expand_one r depth state);
             Probe.count wp "expand.states" (st_expanded.(w) - exp0);
-            (* flush every outbox before the decrement: between batches
-               all routed states live in queues, and the children were
-               counted into [outstanding] before the parent batch retires *)
-            for d = 0 to workers - 1 do
-              flush ?probe:wp ~all:true outbox d
-            done;
+            (* the children were counted into [outstanding] as they were
+               queued, before the parent batch retires *)
             Atomic.decr outstanding
           | None ->
             if Atomic.get outstanding = 0 then continue := false

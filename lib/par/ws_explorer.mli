@@ -3,23 +3,23 @@
     The scalable counterpart of {!Par_explorer}: instead of a
     layer-synchronous BFS with a full barrier per layer, the frontier
     lives in per-worker queues of state batches (each a
-    {!Sandtable.Frontier} chunk of marshalled states) routed by
-    {!Sandtable.Fingerprint.shard_key} (the only routing function — the
-    same bits that pick a {!Shard_set} shard pick the owning worker).
-    Idle workers steal whole batches from the tail of busy workers'
-    queues; termination is detected by a credit scheme over outstanding
-    batches (an atomic counter incremented before a batch becomes visible
-    and decremented only after its children are enqueued, so zero is a
-    stable quiescent signal). Checkpoints, telemetry samples and progress
-    reports fire at periodic {e pulses}: worker 0 pauses the world at
-    batch boundaries, where the queued states plus the visited set form a
-    consistent snapshot ({!Sandtable.Explorer.frontier_mode} [Unordered]).
+    {!Sandtable.Frontier} chunk of marshalled states): a worker queues
+    each fresh state it finds on its own queue, and idle workers steal
+    whole batches from the tail of busy workers' queues. Termination is
+    detected by a credit scheme over outstanding batches (an atomic
+    counter incremented by the push that opens a batch, before another
+    worker can see it, and decremented only after the batch is expanded,
+    its children counted first, so zero is a stable quiescent signal).
+    Checkpoints, telemetry samples and progress reports fire at periodic
+    {e pulses}: worker 0 pauses the world at batch boundaries, where the
+    queued states plus the visited set form a consistent snapshot
+    ({!Sandtable.Explorer.frontier_mode} [Unordered]).
 
     Deduplication is first-arrival-wins, so each distinct state is
     expanded exactly once: [distinct]/[generated] totals at exhaustion
-    and violation/deadlock verdicts are identical at every worker count
-    and to the strict engines'. Discovery depths are upper bounds on BFS
-    depth and schedule-dependent, so [max_depth], depth histograms,
+    and violation verdicts are identical at every worker count and to
+    the strict engines'. Discovery depths are upper bounds on BFS depth
+    and schedule-dependent, so [max_depth], depth histograms,
     counterexample depth and [max_depth]-budgeted totals are not
     invariant — use [--strict-bfs] ({!Par_explorer}) when those matter.
     See DESIGN.md "Two engine modes". *)

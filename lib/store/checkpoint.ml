@@ -28,10 +28,11 @@ let identity ?(extra = []) spec (scenario : Scenario.t) (opts : Explorer.options
      values: checkpoints cut under an earlier canonical form ("true") are
      refused by name rather than resumed without deduplicating *)
   line "symmetry=%s" (if opts.symmetry && S.permutable then "keyed" else "false");
-  (* every engine stops at the first violation; the line stays so run
-     directories written while this was an option still resume *)
+  (* every engine stops at the first violation and none checks for
+     deadlock; the lines stay so run directories written while these were
+     options still resume *)
   line "stop_on_violation=true";
-  line "check_deadlock=%b" opts.check_deadlock;
+  line "check_deadlock=false";
   (match opts.only_invariants with
   | None -> line "invariants=*"
   | Some names -> line "invariants=%s" (String.concat "," (List.sort compare names)));

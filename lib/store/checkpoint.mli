@@ -31,7 +31,7 @@
 
     Resuming is only sound against the exact exploration the checkpoint was
     cut from, so every checkpoint embeds an {e identity string} — spec name,
-    scenario, symmetry/deadlock/invariant configuration, bug flags — and
+    scenario, symmetry/invariant configuration, bug flags — and
     {!load} raises {!Mismatch} when the caller's identity differs. Budget
     options ([max_states] / [max_depth] / [time_budget]) are deliberately
     {e excluded}: interrupting a run and resuming it with a different budget
@@ -54,11 +54,11 @@ val identity :
 (** Canonical identity string for an exploration: spec name, scenario,
     the symmetry canonicalisation in force ([symmetry=keyed] for the
     key-sorted reduction of {!Sandtable.Symmetry}, [symmetry=false] when
-    [opts.symmetry] is off or the spec is not permutable), a constant
-    [stop_on_violation=true] line kept so existing run directories still
-    resume, [check_deadlock], [only_invariants], plus any [extra]
-    key/value pairs (e.g. bug flags), sorted. Budgets are excluded (see
-    above). *)
+    [opts.symmetry] is off or the spec is not permutable), constant
+    [stop_on_violation=true] and [check_deadlock=false] lines kept so
+    existing run directories still resume, [only_invariants], plus any
+    [extra] key/value pairs (e.g. bug flags), sorted. Budgets are excluded
+    (see above). *)
 
 val digest_hex : string -> string
 (** Short stable hex digest of an identity string (for manifests and

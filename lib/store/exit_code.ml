@@ -3,7 +3,7 @@ let found = 1
 let usage = 2
 
 let of_outcome = function
-  | Sandtable.Explorer.Violation _ | Sandtable.Explorer.Deadlock _ -> found
+  | Sandtable.Explorer.Violation _ -> found
   | Sandtable.Explorer.Exhausted | Sandtable.Explorer.Budget_spent -> ok
 
 let of_simulation (a : Sandtable.Simulate.aggregate) =

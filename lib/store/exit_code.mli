@@ -4,8 +4,7 @@
       budget-stopped with no violation, simulation walks all clean,
       conformance rounds with no discrepancy.
     - [found] (1): the tool ran and found what it hunts — an invariant
-      violation or deadlock, a simulated violation, a conformance
-      discrepancy.
+      violation, a simulated violation, a conformance discrepancy.
     - [usage] (2): the run itself failed — unknown system/flag, bad
       arguments, unreadable run directory, resume identity mismatch.
 
@@ -17,7 +16,7 @@ val found : int
 val usage : int
 
 val of_outcome : Sandtable.Explorer.outcome -> int
-(** [Violation]/[Deadlock] → [found]; [Exhausted]/[Budget_spent] → [ok]. *)
+(** [Violation] → [found]; [Exhausted]/[Budget_spent] → [ok]. *)
 
 val of_simulation : Sandtable.Simulate.aggregate -> int
 (** Any violating walk → [found]. *)

@@ -37,7 +37,7 @@ let fixed_clean system scenario () =
   in
   match r.outcome with
   | Explorer.Violation v -> Alcotest.failf "fixed spec violated %s" v.invariant
-  | Explorer.Exhausted | Explorer.Budget_spent | Explorer.Deadlock _ -> ()
+  | Explorer.Exhausted | Explorer.Budget_spent -> ()
 
 let small_scenario ?(udp = false) () =
   Scenario.v ~name:"small" ~nodes:2 ~workload:[ 1 ]

@@ -61,17 +61,6 @@ let test_only_invariants_filter () =
   | Explorer.Exhausted -> ()
   | _ -> Alcotest.fail "filtered invariant must not fire"
 
-let test_deadlock_detection () =
-  let scenario = Toy_spec.scenario ~nodes:1 ~timeouts:2 in
-  let r =
-    Explorer.check (Toy_spec.spec ()) scenario
-      { Explorer.default with check_deadlock = true }
-  in
-  match r.outcome with
-  | Explorer.Deadlock d ->
-    Alcotest.(check int) "deadlock after budget" 2 (List.length d.events)
-  | _ -> Alcotest.fail "expected deadlock"
-
 let test_budget_stops () =
   let scenario = Toy_spec.scenario ~nodes:3 ~timeouts:30 in
   let r =
@@ -123,7 +112,6 @@ let suite =
       case "symmetry reduction count" test_symmetry_reduces;
       case "violation at minimal depth" test_violation_minimal_depth;
       case "only_invariants filter" test_only_invariants_filter;
-      case "deadlock detection" test_deadlock_detection;
       case "max_states budget" test_budget_stops;
       case "max_depth budget" test_max_depth_bound;
       case "stateless redundancy" test_stateless_redundancy;

@@ -374,6 +374,40 @@ let test_fp_store_layout () =
 (* The stores' columns live off the OCaml heap: filling a store 100x
    leaves its reachable heap words (event intern table, record fields,
    Bigarray headers) where they were. *)
+(* Listed by fingerprint, whatever the insertion order: kernel
+   fingerprints, and crafted ones at the ends of both halves' signed
+   range and sharing a [hi] (the bucket pass orders by [hi] alone). *)
+let test_fp_store_iter_sorted () =
+  let crafted =
+    List.map
+      (fun (hi, lo) -> Fingerprint.of_parts ~hi ~lo)
+      [ (min_int, 0); (max_int, max_int); (-1, 5); (0, 0); (7, -3); (7, 2);
+        (7, min_int); (-1, -5); (max_int, min_int) ]
+  in
+  List.iter
+    (fun n ->
+      let fps =
+        crafted @ List.init n (fun i -> Fingerprint.of_state (i, "sorted"))
+      in
+      let s = Fp_store.create ~capacity:16 () in
+      List.iteri
+        (fun i fp -> ignore (Fp_store.add s fp (Fp_store.Proot 0) ~depth:i))
+        fps;
+      let listed = ref [] in
+      Fp_store.iter_sorted s (fun e fp _ depth ->
+          Alcotest.(check bool) "entry's own fingerprint" true
+            (Fingerprint.equal fp (Fp_store.fp s e));
+          Alcotest.(check int) "entry's own depth" e depth;
+          listed := fp :: !listed);
+      Alcotest.(check (list string))
+        (Fmt.str "%d entries in fingerprint order" (List.length fps))
+        (List.map Fingerprint.to_hex (List.sort Fingerprint.compare fps))
+        (List.rev_map Fingerprint.to_hex !listed))
+    [ 0; 1; 3_000 ];
+  let empty = ref 0 in
+  Fp_store.iter_sorted (Fp_store.create ()) (fun _ _ _ _ -> incr empty);
+  Alcotest.(check int) "an empty store lists nothing" 0 !empty
+
 let test_stores_off_heap () =
   let fill add n =
     for i = 0 to n - 1 do
@@ -417,4 +451,6 @@ let suite =
       case "fp_store bounds fail closed by name" test_fp_store_bounds;
       case "fp_store layout: 4-byte slots, 24-byte entries"
         test_fp_store_layout;
+      case "fp_store iter_sorted is fingerprint order"
+        test_fp_store_iter_sorted;
       case "visited stores stay off the heap" test_stores_off_heap ] )

@@ -59,24 +59,6 @@ let test_toy_violation_equivalence () =
       | _ -> Alcotest.fail "parallel run must violate")
     worker_counts
 
-let test_toy_deadlock_equivalence () =
-  let scenario = Toy_spec.scenario ~nodes:1 ~timeouts:2 in
-  let opts = { Explorer.default with check_deadlock = true } in
-  let seq = Explorer.check (Toy_spec.spec ()) scenario opts in
-  List.iter
-    (fun workers ->
-      let par =
-        Par.Par_explorer.check ~workers (Toy_spec.spec ()) scenario opts
-      in
-      match seq.outcome, par.base.outcome with
-      | Explorer.Deadlock se, Explorer.Deadlock pe ->
-        Alcotest.(check int)
-          (Fmt.str "deadlock trace workers=%d" workers)
-          (List.length se.events) (List.length pe.events);
-        check_counters (Fmt.str "counters workers=%d" workers) seq par
-      | _ -> Alcotest.fail "both runs must deadlock")
-    worker_counts
-
 let test_toy_depth_budget_equivalence () =
   (* max_depth stops at a layer boundary in both engines, so even the
      budget-stop counters must agree exactly *)
@@ -244,8 +226,7 @@ let test_simulate_seed_stable () =
             true
             (List.length a.events = List.length b.events
             && List.for_all2 Trace.equal_event a.events b.events
-            && a.violation = b.violation
-            && a.deadlocked = b.deadlocked))
+            && a.violation = b.violation))
         (List.combine reference ws))
     [ 2; 4 ];
   (* a different root seed must give different walks *)
@@ -697,7 +678,6 @@ let suite =
     [ case "toy exhaustive equivalence (1/2/4 workers)"
         test_toy_exhaustive_equivalence;
       case "toy violation equivalence" test_toy_violation_equivalence;
-      case "toy deadlock equivalence" test_toy_deadlock_equivalence;
       case "depth budget equivalence" test_toy_depth_budget_equivalence;
       case "buggy registry system equivalence" test_buggy_system_equivalence;
       case "registry-wide sweep equivalence (1/2/4 workers)"

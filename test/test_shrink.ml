@@ -133,7 +133,7 @@ let test_unknown_invariant () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "unknown invariant must raise"
 
-(* ---- toy spec: suffix truncation, deadlock oracle, determinism -------- *)
+(* ---- toy spec: suffix truncation, determinism ------------------------- *)
 
 let tick node = Trace.Timeout { node; kind = "tick" }
 
@@ -147,18 +147,6 @@ let test_suffix_truncation () =
   Alcotest.(check int) "original length" 4 o.original_len;
   Alcotest.(check (list string)) "truncated at the violation"
     [ "timeout 0 tick"; "timeout 0 tick" ] (minimized o)
-
-let test_deadlock_oracle () =
-  (* toy deadlocks exactly when the timeout budget is spent: removing any
-     event un-deadlocks the final state, so nothing can be elided *)
-  let spec = Toy_spec.spec () in
-  let scenario = Toy_spec.scenario ~nodes:2 ~timeouts:3 in
-  let trace = [ tick 0; tick 1; tick 0 ] in
-  let o = Shrink.run spec scenario Shrink.Deadlock trace in
-  Alcotest.(check int) "nothing elidable" 3 o.minimized_len;
-  (* and a non-deadlocking trace is rejected *)
-  Alcotest.(check bool) "short trace does not deadlock" true
-    (Shrink.validate spec scenario Shrink.Deadlock [ (tick 0, "") ] = None)
 
 let interleaved_trace nodes rounds =
   List.concat_map
@@ -278,7 +266,6 @@ let suite =
         test_unknown_invariant;
       Alcotest.test_case "suffix truncated at first violation" `Quick
         test_suffix_truncation;
-      Alcotest.test_case "deadlock oracle" `Quick test_deadlock_oracle;
       Alcotest.test_case "identical at -j1/-j2/-j4" `Quick
         test_workers_identical;
       Alcotest.test_case "parallel eval = sequential eval" `Quick

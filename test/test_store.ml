@@ -608,6 +608,32 @@ let test_resume_exhaustive () =
         (full.distinct, full.generated, full.max_depth)
         (resumed.distinct, resumed.generated, resumed.max_depth))
 
+(* The strict engine's visited set is listed by fingerprint, not in the
+   insertion order the worker schedule picked, so the checkpoint it writes
+   at a layer has the same bytes at 2 workers and at 4, run after run. *)
+let test_strict_checkpoint_reproducible () =
+  let sys = Systems.Registry.find "redisraft" in
+  let spec = sys.spec (Systems.Bug.flags []) in
+  let scenario = sys.default_scenario in
+  let identity = Store.Checkpoint.identity spec scenario toy_opts in
+  let written workers =
+    with_tmpdir (fun dir ->
+        let opts =
+          { toy_opts with
+            max_depth = Some 7;
+            on_layer = Some (Store.Checkpoint.hook ~dir ~identity ~every:8 ()) }
+        in
+        let r = Par.Par_explorer.check ~workers spec scenario opts in
+        (match r.base.outcome with
+        | Explorer.Budget_spent -> ()
+        | _ -> Alcotest.fail "the capped run must stop on budget");
+        read_raw (Filename.concat dir Store.Checkpoint.file))
+  in
+  let j2 = written 2 in
+  Alcotest.(check bool) "-j 2 and -j 4 write the same bytes" true
+    (String.equal j2 (written 4));
+  Alcotest.(check bool) "-j 2 again" true (String.equal j2 (written 2))
+
 let test_checkpoint_symmetry_generation () =
   (* the identity names the canonicalisation that produced the stored
      fingerprints; a checkpoint from the all-permutations generation
@@ -657,7 +683,8 @@ let test_checkpoint_symmetry_generation () =
 
 let test_identity_golden () =
   (* resuming a run directory needs the identity to stay byte-for-byte
-     what earlier builds wrote, stop_on_violation line included *)
+     what earlier builds wrote, stop_on_violation and check_deadlock lines
+     included *)
   let spec = Toy_spec.spec ~limit:3 () in
   let scenario = Toy_spec.scenario ~nodes:2 ~timeouts:3 in
   Alcotest.(check string) "identity"
@@ -665,12 +692,11 @@ let test_identity_golden () =
      scenario=toy: 2 nodes, workload {1}, timeouts=3\n\
      symmetry=keyed\n\
      stop_on_violation=true\n\
-     check_deadlock=true\n\
+     check_deadlock=false\n\
      invariants=BelowLimit\n\
      bugs=pso3\n"
     (Store.Checkpoint.identity ~extra:[ ("bugs", "pso3") ] spec scenario
-       { toy_opts with
-         check_deadlock = true; only_invariants = Some [ "BelowLimit" ] });
+       { toy_opts with only_invariants = Some [ "BelowLimit" ] });
   Alcotest.(check string) "identity, symmetry off"
     "spec=toy\n\
      scenario=toy: 2 nodes, workload {1}, timeouts=3\n\
@@ -902,14 +928,17 @@ let test_spill_chunk_corruption () =
       Bytes.set raw i (Char.chr (Char.code (Bytes.get raw i) lxor 1));
       rewrite chunk (Bytes.to_string raw))
 
-(* Counts the chunk files an engine writes, from any worker. *)
+(* Counts the chunk files an engine writes, and the states in them, from
+   any worker. *)
 let spill_counter () =
-  let writes = Atomic.make 0 in
+  let writes = Atomic.make 0 and items = Atomic.make 0 in
   let sink =
     { Probe.s_count =
         (fun ~worker:_ name n ->
           if name = "spill.chunk_writes" then
-            ignore (Atomic.fetch_and_add writes n));
+            ignore (Atomic.fetch_and_add writes n)
+          else if name = "spill.items_spilled" then
+            ignore (Atomic.fetch_and_add items n));
       s_gauge = (fun ~worker:_ _ _ -> ());
       s_begin = (fun ~worker:_ _ -> ());
       s_end = (fun ~worker:_ _ -> ());
@@ -919,7 +948,8 @@ let spill_counter () =
       s_edge = (fun ~worker:_ ~depth:_ ~event:_ ~dup:_ ~sym:_ -> ());
       s_edge_fix = (fun ~worker:_ ~depth:_ ~event:_ -> ()) }
   in
-  (Some (Probe.make sink), fun () -> Atomic.get writes)
+  (Some (Probe.make sink), (fun () -> Atomic.get writes),
+   fun () -> Atomic.get items)
 
 let engines =
   [ ("-j 1", fun spec scenario opts -> Explorer.check spec scenario opts);
@@ -944,7 +974,7 @@ let spill_each_engine ~window spec scenario same =
           let name = Fmt.str "%s, symmetry %b" engine symmetry in
           let plain = run spec scenario opts in
           with_tmpdir (fun dir ->
-              let probe, writes = spill_counter () in
+              let probe, writes, _ = spill_counter () in
               let spilled =
                 run spec scenario
                   { opts with
@@ -991,6 +1021,68 @@ let test_spill_violation_equivalence () =
           Alcotest.(check string) (name ^ " invariant") a.invariant
             b.invariant
         | _ -> Alcotest.failf "%s: both runs must violate" name)
+
+(* Work stealing queues each state on the worker that found it, so every
+   chunk but a queue's newest is a whole batch, and spill writes those. At
+   [-j 2] a window of 256 gives each queue 128 entries: a chunk holds the
+   full 64, and a chunk file must average at least half of that. *)
+let test_ws_spill_whole_batches () =
+  let spec = (Systems.Registry.find "pysyncobj").spec (Systems.Bug.flags []) in
+  let scenario =
+    Scenario.v ~name:"pysyncobj-spill" ~nodes:2 ~workload:[ 1; 2 ]
+      [ ("timeouts", 4); ("requests", 2); ("crashes", 1); ("restarts", 1);
+        ("partitions", 0); ("buffer", 3) ]
+  in
+  let seq = Explorer.check spec scenario toy_opts in
+  with_tmpdir (fun dir ->
+      let probe, writes, items = spill_counter () in
+      let ws =
+        Par.Ws_explorer.check ~workers:2 spec scenario
+          { toy_opts with
+            spill = Some { Frontier.window = 256; dir = Some dir };
+            probe }
+      in
+      Alcotest.(check (pair int int)) "exhaustive totals"
+        (seq.distinct, seq.generated)
+        (ws.base.distinct, ws.base.generated);
+      Alcotest.(check bool)
+        (Fmt.str "%d states in %d chunk files: at least 32 a file" (items ())
+           (writes ()))
+        true
+        (writes () > 0 && items () >= 32 * writes ());
+      Alcotest.(check (list string)) "chunk files cleaned up" []
+        (chunk_files dir))
+
+(* A window of 2 at [-j 4] leaves each queue 2 resident entries and
+   one-state chunks, so every push opens a batch, and so takes a credit,
+   and the pushes past the window spill. From one root, the run must still
+   exhaust at the sequential totals. *)
+let test_ws_one_state_batches () =
+  let spec = Toy_spec.spec () in
+  let scenario = Toy_spec.scenario ~nodes:4 ~timeouts:8 in
+  List.iter
+    (fun symmetry ->
+      let opts = { toy_opts with symmetry } in
+      let seq = Explorer.check spec scenario opts in
+      with_tmpdir (fun dir ->
+          let probe, writes, _ = spill_counter () in
+          let ws =
+            Par.Ws_explorer.check ~workers:4 spec scenario
+              { opts with
+                spill = Some { Frontier.window = 2; dir = Some dir };
+                probe }
+          in
+          let name = Fmt.str "symmetry %b" symmetry in
+          (match ws.base.outcome with
+          | Explorer.Exhausted -> ()
+          | _ -> Alcotest.failf "%s: must exhaust" name);
+          Alcotest.(check (pair int int)) (name ^ " totals")
+            (seq.distinct, seq.generated)
+            (ws.base.distinct, ws.base.generated);
+          Alcotest.(check bool) (name ^ " spilled") true (writes () > 0);
+          Alcotest.(check (list string)) (name ^ " chunk files cleaned up")
+            [] (chunk_files dir)))
+    [ true; false ]
 
 (* Regression: the spilled run must match the in-RAM run even when states go
    through a Marshal round-trip that breaks physical sharing with global
@@ -1252,8 +1344,6 @@ let test_exit_codes () =
   Alcotest.(check int) "exhausted" 0 (Store.Exit_code.of_outcome Explorer.Exhausted);
   Alcotest.(check int) "budget" 0 (Store.Exit_code.of_outcome Explorer.Budget_spent);
   Alcotest.(check int) "violation" 1 (Store.Exit_code.of_outcome violation);
-  Alcotest.(check int) "deadlock" 1
-    (Store.Exit_code.of_outcome (Explorer.Deadlock { events = []; labels = [] }));
   (* simulation: the toy spec with limit 1 violates on the first event *)
   let clean =
     Simulate.aggregate
@@ -1307,6 +1397,8 @@ let suite =
       case "checkpoint corruption rejected" test_checkpoint_corrupted;
       case "kill and resume, all engines" test_kill_and_resume;
       case "resume to exhaustion" test_resume_exhaustive;
+      case "strict checkpoints are byte-reproducible"
+        test_strict_checkpoint_reproducible;
       case "checkpoint identity is stable" test_identity_golden;
       case "damaged snapshot named, all engines" test_recovery_names_the_input;
       case "kernel-0 checkpoint refused by name"
@@ -1320,6 +1412,9 @@ let suite =
       case "spilled frontier equivalence" test_spill_equivalence;
       case "spilled frontier violation" test_spill_violation_equivalence;
       case "spill robust to sharing breaks" test_spill_sharing_robust;
+      case "ws spill writes whole batches" test_ws_spill_whole_batches;
+      case "ws one-state batches exhaust from one root"
+        test_ws_one_state_batches;
       case "spill ops FIFO across chunks" test_spill_ops_fifo;
       case "spill removes stale chunks" test_spill_removes_stale_chunks;
       case "frontier FIFO across chunk and disk boundaries"
