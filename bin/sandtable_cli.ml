@@ -160,9 +160,10 @@ let trace_out_arg =
 let faults_arg =
   let doc =
     "Fault schedule driving exploration: a schedule file (s-expression \
-     syntax), the name of one of the system's named schedules (see the \
-     faults command), or $(b,legacy) for the schedule encoding the \
-     scenario's flat fault budget. Compile errors exit 2."
+     syntax) or the name of one of the system's named schedules (see the \
+     faults command). Without it the scenario's flat fault budget is the \
+     schedule: one phase with its crash, restart, partition, drop and dup \
+     caps. Compile errors exit 2."
   in
   Arg.(
     value & opt (some string) None & info [ "faults" ] ~docv:"SCHEDULE" ~doc)
@@ -208,25 +209,23 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* --faults ARG: an existing schedule file, the literal "legacy" (encode
-   the scenario's flat budget), or one of the system's named schedules *)
-let resolve_schedule (sys : R.t) (scenario : Scenario.t) arg =
-  if Sys.file_exists arg && not (Sys.is_directory arg) then
-    match Faults.Schedule.parse (read_file arg) with
-    | Ok s -> Ok s
-    | Error m -> Error (Fmt.str "%s: %s" arg m)
-  else if String.equal arg "legacy" then
-    Ok (Faults.Schedule.of_budget scenario.budget)
-  else
-    match R.schedule_of sys arg with
-    | Some s -> Ok s
-    | None ->
-      Error
-        (Fmt.str
-           "unknown fault schedule %s for %s (named: %s; or pass a schedule \
-            file or \"legacy\")"
-           arg sys.name
-           (String.concat ", " (List.map fst sys.fault_schedules)))
+(* --faults ARG: an existing schedule file or one of the system's named
+   schedules, compiled onto the scenario *)
+let compile_schedule (sys : R.t) (scenario : Scenario.t) arg =
+  let sched =
+    if Sys.file_exists arg && not (Sys.is_directory arg) then
+      Result.map_error (Fmt.str "%s: %s" arg)
+        (Faults.Schedule.parse (read_file arg))
+    else
+      Option.to_result (R.schedule_of sys arg)
+        ~none:
+          (Fmt.str
+             "unknown fault schedule %s for %s (named: %s; or pass a \
+              schedule file)"
+             arg sys.name
+             (String.concat ", " (List.map fst sys.fault_schedules)))
+  in
+  Result.bind sched (fun sched -> Faults.Compile.apply sched scenario)
 
 (* Resolve, compile onto the scenario and validate the result; schedule
    problems are usage errors (exit 2), like any other bad argument. *)
@@ -242,10 +241,7 @@ let with_faults ?probe (sys : R.t) (scenario : Scenario.t) arg f =
   | None -> validated scenario
   | Some arg -> (
     Probe.span_begin probe "fault.compile";
-    let compiled =
-      Result.bind (resolve_schedule sys scenario arg) (fun sched ->
-          Faults.Compile.apply sched scenario)
-    in
+    let compiled = compile_schedule sys scenario arg in
     Probe.span_end probe "fault.compile";
     match compiled with
     | Error m ->
@@ -1123,11 +1119,7 @@ let faults_cmd =
             list_for sys;
             Store.Exit_code.ok
           | Some arg -> (
-            let scenario = sys.default_scenario in
-            match
-              Result.bind (resolve_schedule sys scenario arg) (fun sched ->
-                  Faults.Compile.apply sched scenario)
-            with
+            match compile_schedule sys sys.default_scenario arg with
             | Error m ->
               Fmt.epr "--faults %s: %s@." arg m;
               Store.Exit_code.usage
@@ -1148,9 +1140,10 @@ let faults_cmd =
               end))
   in
   let doc =
-    "List named fault schedules, or compile one (--faults FILE|NAME|legacy) \
+    "List named fault schedules, or compile one (--faults FILE|NAME) \
      against a system's default scenario and print the canonical source, \
-     the lowered plan and the merged budget. A schedule that parses but \
+     the lowered plan with its digest (the schedule's identity in \
+     checkpoints) and the merged budget. A schedule that parses but \
      enables no fault event is an error (exit 2)."
   in
   Cmd.v (Cmd.info "faults" ~doc ~exits)

@@ -7,8 +7,8 @@
    cluster elect, isolate the leader without healing, then recover — and
    explores PySyncObj under it; then parses the same schedule from its
    s-expression form (what `--faults FILE` loads and manifests record) and
-   shows that the budget-equivalent schedule reproduces the legacy state
-   space exactly. *)
+   shows that the flat budget is itself a one-phase schedule: writing that
+   phase out explores the same state space. *)
 
 open Sandtable
 module Sched = Faults.Schedule
@@ -61,9 +61,25 @@ let () =
   Fmt.pr "@.reparsed from its own source:@.";
   explore (apply reparsed);
 
-  (* a schedule that encodes the scenario's flat fault budget explores the
-     legacy state space event-for-event *)
+  (* without a schedule the flat budget is one: a single phase with its
+     crash, restart, partition, drop and dup caps, any node or link, every
+     proper group and auto-heal *)
+  let cap key ~default = Scenario.budget_get scenario.budget key ~default in
+  let budget_schedule =
+    Sched.schedule "budget"
+      [ Sched.phase "budget"
+          [ Sched.crash (cap "crashes" ~default:1);
+            Sched.restart (cap "restarts" ~default:1);
+            Sched.partition (cap "partitions" ~default:1);
+            Sched.drop (cap "drops" ~default:0);
+            Sched.dup (cap "dups" ~default:0) ] ]
+  in
   Fmt.pr "@.flat budget, no schedule:@.";
   explore scenario;
-  Fmt.pr "@.budget-equivalent schedule (Schedule.of_budget):@.";
-  explore (apply (Sched.of_budget scenario.budget))
+  Fmt.pr "@.the same budget written out as a schedule:@.@.%s@."
+    (Sched.to_string budget_schedule);
+  let planned = apply budget_schedule in
+  Fmt.pr "  lowers to the budget's own phase: %b@."
+    ((Option.get planned.faults).pl_phases
+    = [ Fault_plan.budget_phase scenario.budget ]);
+  explore planned

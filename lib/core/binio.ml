@@ -125,6 +125,12 @@ let read_f64 src =
 
 (* ---- atomic file writes ----------------------------------------------- *)
 
+let rec mkdir_p dir =
+  if not (Sys.file_exists dir) then begin
+    mkdir_p (Filename.dirname dir);
+    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+  end
+
 let atomic_write path fill =
   let dir = Filename.dirname path in
   let tmp = Filename.temp_file ~temp_dir:dir ".sandtable" ".tmp" in

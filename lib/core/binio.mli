@@ -95,3 +95,8 @@ val section_kind : string -> int option
 
 val atomic_write : string -> (out_channel -> unit) -> unit
 (** Temp-file + rename for non-envelope files (e.g. JSON manifests). *)
+
+val mkdir_p : string -> unit
+(** Create a directory and its missing parents (mode [0o755]); a
+    directory that already exists, or that another process creates
+    meanwhile, is not an error. *)

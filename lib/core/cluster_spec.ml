@@ -148,6 +148,7 @@ module Make (S : SYSTEM) = struct
       Scenario.budget_get scenario.budget key ~default
     in
     let nodes = S.nodes st and net = S.net st and counters = S.counters st in
+    let phase = Envgen.phase env_ops scenario st in
     let transitions = ref [] in
     let add event st' = transitions := (event, st') :: !transitions in
     List.iter
@@ -162,11 +163,11 @@ module Make (S : SYSTEM) = struct
     if S.Net.semantics net = Spec_net.Udp then
       List.iter
         (fun (event, st') -> add event st')
-        (Envgen.packet_events env_ops net_ops scenario st);
+        (Envgen.packet_events env_ops net_ops phase st);
     if counters.timeouts < budget "timeouts" ~default:3 then
       Array.iteri
         (fun node ns ->
-          if S.alive ns && Envgen.timeout_allowed env_ops scenario st ~node
+          if S.alive ns && Envgen.timeout_allowed env_ops phase st ~node
           then begin
             let bumped =
               S.with_counters st
@@ -197,7 +198,7 @@ module Make (S : SYSTEM) = struct
               S.client_ops
           end)
         nodes;
-    List.rev_append !transitions (Envgen.failure_events env_ops scenario st)
+    List.rev_append !transitions (Envgen.failure_events env_ops phase st)
 
   let constraint_ok (scenario : Scenario.t) st =
     Counters.within (S.counters st) scenario.budget

@@ -8,13 +8,14 @@
     and the observation and rendering frame — and a system supplies only
     its node-level parts ({!SYSTEM}).
 
-    {b Enumeration order.} [next] lists, in this order:
+    {b Enumeration order.} [next] computes the state's active fault phase
+    once ({!Envgen.phase}) and lists, in this order:
     + a [Deliver] for every deliverable message ({!Spec_net.S.deliverable}
       order) whose receiver is alive;
     + UDP packet faults ({!Envgen.packet_events}), when the network's
       semantics is [Udp];
     + per live node in id order, when the ["timeouts"] budget (default 3)
-      and {!Envgen.timeout_allowed} permit: every enabled kind of
+      and the phase ({!Envgen.timeout_allowed}) permit: every enabled kind of
       {!SYSTEM.timeouts}, in list order;
     + per live node in id order that {!SYSTEM.accepts_client}, when the
       ["requests"] budget ({!SYSTEM.default_requests}) permits: every

@@ -28,44 +28,10 @@ let proper_groups n =
   |> List.filter (fun g -> List.length g < n - 1 || n = 1)
   |> List.map (fun g -> 0 :: g)
 
-(* The pre-plan enumeration: flat per-key budgets, all nodes and groups.
-   Kept bit-for-bit identical — scenarios without a fault plan must explore
-   exactly the seed state space. *)
-let legacy_failure_events ops (scenario : Scenario.t) st =
-  let budget key ~default = Scenario.budget_get scenario.budget key ~default in
-  let counters = ops.counters st in
-  let n = ops.node_count st in
-  let out = ref [] in
-  let add event st' = out := (event, st') :: !out in
-  let bumped event = ops.with_counters st (Counters.bump counters event) in
-  if counters.crashes < budget "crashes" ~default:1 then
-    for node = 0 to n - 1 do
-      if ops.alive st node then
-        let event = Trace.Crash { node } in
-        add event (ops.crash (bumped event) node)
-    done;
-  if counters.restarts < budget "restarts" ~default:1 then
-    for node = 0 to n - 1 do
-      if not (ops.alive st node) then
-        let event = Trace.Restart { node } in
-        add event (ops.restart (bumped event) node)
-    done;
-  if
-    counters.partitions < budget "partitions" ~default:1
-    && ops.fully_connected st && n > 1
-  then
-    List.iter
-      (fun group ->
-        let event = Trace.Partition { group } in
-        add event (ops.partition (bumped event) group))
-      (proper_groups n);
-  if not (ops.fully_connected st) then add Trace.Heal (ops.heal st);
-  List.rev !out
-
 let group_key g = String.concat "," (List.map string_of_int g)
 
 (* Telemetry watermark: the highest plan-phase index interpreted since the
-   last reset. Written only from plan-driven enumeration (so budget-only
+   last reset. Written only by [phase] under an explicit plan (so budget
    runs never touch it); a lost racing update is corrected by the next
    state that reaches the same phase, and samples are taken at layer
    barriers where every state of the layer has been enumerated. *)
@@ -77,42 +43,65 @@ let phase_watermark () = Atomic.get phase_mark
 let note_phase phi =
   if phi > Atomic.get phase_mark then Atomic.set phase_mark phi
 
-(* Plan-driven enumeration. Mirrors the legacy event order (crashes asc,
-   restarts asc, partition groups, heal) with the active phase's selectors,
-   cumulative caps and sampling applied, so a plan that encodes exactly the
-   legacy budget reproduces the legacy state space. *)
-let plan_failure_events ops (plan : Fault_plan.t) st =
+(* A scenario without a plan runs under its budget's one phase, built
+   once per budget list rather than once per state. *)
+let budget_memo = Atomic.make ([], Fault_plan.budget_phase [])
+
+let budget_phase budget =
+  let b, ph = Atomic.get budget_memo in
+  if b == budget then ph
+  else begin
+    let ph = Fault_plan.budget_phase budget in
+    Atomic.set budget_memo (budget, ph);
+    ph
+  end
+
+let phase ops (scenario : Scenario.t) st =
+  match scenario.faults with
+  | None -> budget_phase scenario.budget
+  | Some plan ->
+    let phi = Fault_plan.phase_index plan (ops.counters st) in
+    note_phase phi;
+    List.nth plan.Fault_plan.pl_phases phi
+
+(* Calls [f] on each node the rule selects among those whose liveness is
+   [alive], ascending. An unsampled any-node rule builds no list and never
+   asks for the leader. *)
+let iter_nodes ops st (r : Fault_plan.rule) ~alive f =
+  let n = ops.node_count st in
+  match (r.r_sel, r.r_sample) with
+  | Fault_plan.Any_node, None ->
+    for node = 0 to n - 1 do
+      if ops.alive st node = alive then f node
+    done
+  | sel, sample ->
+    let leader = ops.leader st in
+    List.init n Fun.id
+    |> List.filter (fun node ->
+           ops.alive st node = alive
+           && Fault_plan.node_selected sel ~leader node)
+    |> Fault_plan.sample_select sample string_of_int
+    |> List.iter f
+
+(* Crashes ascending, restarts ascending, partition groups, heal: the
+   active phase's selectors, cumulative caps and sampling applied. *)
+let failure_events ops (ph : Fault_plan.phase) st =
   let counters = ops.counters st in
-  let phi = Fault_plan.phase_index plan counters in
-  note_phase phi;
-  let ph = List.nth plan.Fault_plan.pl_phases phi in
-  let leader = ops.leader st in
   let n = ops.node_count st in
   let out = ref [] in
   let add event st' = out := (event, st') :: !out in
   let bumped event = ops.with_counters st (Counters.bump counters event) in
-  let selected_nodes sel keep =
-    List.filter
-      (fun node -> keep node && Fault_plan.node_selected sel ~leader node)
-      (List.init n Fun.id)
-  in
   (match ph.ph_crash with
   | Some r when counters.crashes < r.r_cap ->
-    List.iter
-      (fun node ->
+    iter_nodes ops st r ~alive:true (fun node ->
         let event = Trace.Crash { node } in
         add event (ops.crash (bumped event) node))
-      (Fault_plan.sample_select r.r_sample string_of_int
-         (selected_nodes r.r_sel (ops.alive st)))
   | Some _ | None -> ());
   (match ph.ph_restart with
   | Some r when counters.restarts < r.r_cap ->
-    List.iter
-      (fun node ->
+    iter_nodes ops st r ~alive:false (fun node ->
         let event = Trace.Restart { node } in
         add event (ops.restart (bumped event) node))
-      (Fault_plan.sample_select r.r_sample string_of_int
-         (selected_nodes r.r_sel (fun node -> not (ops.alive st node))))
   | Some _ | None -> ());
   (match ph.ph_partition with
   | Some pr
@@ -124,7 +113,7 @@ let plan_failure_events ops (plan : Fault_plan.t) st =
       | Fault_plan.Groups gs ->
         List.filter (fun g -> List.for_all (fun i -> i < n) g) gs
       | Fault_plan.Isolate_leader -> (
-        match leader with
+        match ops.leader st with
         | None -> []
         | Some l ->
           (* canonical representative of the {leader} | rest cut: the side
@@ -146,14 +135,9 @@ let plan_failure_events ops (plan : Fault_plan.t) st =
        if Fault_plan.trigger_met counters tg then add Trace.Heal (ops.heal st));
   List.rev !out
 
-let failure_events ops (scenario : Scenario.t) st =
-  match scenario.faults with
-  | None -> legacy_failure_events ops scenario st
-  | Some plan -> plan_failure_events ops plan st
-
 let link_key (src, dst, index) = Printf.sprintf "%d>%d#%d" src dst index
 
-let packet_events ops net (scenario : Scenario.t) st =
+let packet_events ops net (ph : Fault_plan.phase) st =
   let counters = ops.counters st in
   let out = ref [] in
   let faulted mk apply (src, dst, index) =
@@ -169,42 +153,29 @@ let packet_events ops net (scenario : Scenario.t) st =
       (fun ~src ~dst ~index -> Trace.Duplicate { src; dst; index })
       net.net_duplicate
   in
-  (match scenario.faults with
-  | None ->
-    let budget key ~default =
-      Scenario.budget_get scenario.budget key ~default
-    in
-    let deliverable = lazy (net.net_deliverable st) in
-    if counters.drops < budget "drops" ~default:0 then
-      List.iter drop (Lazy.force deliverable);
-    if counters.dups < budget "dups" ~default:0 then
-      List.iter dup (Lazy.force deliverable)
-  | Some plan ->
-    let ph = Fault_plan.active plan counters in
-    let leader = ops.leader st in
-    let candidates (lr : Fault_plan.link_rule) =
-      net.net_deliverable st
+  let deliverable = lazy (net.net_deliverable st) in
+  let candidates (lr : Fault_plan.link_rule) =
+    match (lr.lr_src, lr.lr_dst, lr.lr_sample) with
+    | Fault_plan.Any_node, Fault_plan.Any_node, None -> Lazy.force deliverable
+    | src_sel, dst_sel, sample ->
+      let leader = ops.leader st in
+      Lazy.force deliverable
       |> List.filter (fun (src, dst, _) ->
-             Fault_plan.node_selected lr.lr_src ~leader src
-             && Fault_plan.node_selected lr.lr_dst ~leader dst)
-      |> Fault_plan.sample_select lr.lr_sample link_key
-    in
-    (match ph.ph_drop with
-    | Some lr when counters.drops < lr.lr_cap ->
-      List.iter drop (candidates lr)
-    | Some _ | None -> ());
-    (match ph.ph_dup with
-    | Some lr when counters.dups < lr.lr_cap -> List.iter dup (candidates lr)
-    | Some _ | None -> ()));
+             Fault_plan.node_selected src_sel ~leader src
+             && Fault_plan.node_selected dst_sel ~leader dst)
+      |> Fault_plan.sample_select sample link_key
+  in
+  (match ph.ph_drop with
+  | Some lr when counters.drops < lr.lr_cap -> List.iter drop (candidates lr)
+  | Some _ | None -> ());
+  (match ph.ph_dup with
+  | Some lr when counters.dups < lr.lr_cap -> List.iter dup (candidates lr)
+  | Some _ | None -> ());
   List.rev !out
 
-let timeout_allowed ops (scenario : Scenario.t) st ~node =
-  match scenario.faults with
+let timeout_allowed ops (ph : Fault_plan.phase) st ~node =
+  match ph.ph_timeout with
   | None -> true
-  | Some plan -> (
-    let counters = ops.counters st in
-    match (Fault_plan.active plan counters).ph_timeout with
-    | None -> true
-    | Some r ->
-      counters.timeouts < r.r_cap
-      && Fault_plan.node_selected r.r_sel ~leader:(ops.leader st) node)
+  | Some r ->
+    (ops.counters st).timeouts < r.r_cap
+    && Fault_plan.node_selected r.r_sel ~leader:(ops.leader st) node

@@ -3,17 +3,17 @@
 
     Crash, restart, partition, heal and UDP packet-fault events are
     identical across systems; each specification plugs its state type in
-    through a small record of accessors and receives the budget-bounded
-    event list.
+    through a small record of accessors and receives the event list.
 
-    When the scenario carries a compiled fault plan ({!Scenario.t.faults},
-    built by the [lib/faults] compiler), enumeration is driven by the
-    plan's active phase instead of the flat per-key budget: selectors
+    There is one enumeration, driven by a {!Fault_plan.phase}: selectors
     restrict which nodes/links/groups may fault, cumulative caps bound each
     fault counter, heal modes gate recovery, and sampled rules keep a
-    seeded deterministic subset of an over-large candidate set. A plan that
-    encodes exactly the legacy budget reproduces the legacy state space
-    event-for-event. *)
+    seeded deterministic subset of an over-large candidate set. {!phase}
+    gives a state's active phase: its plan's phase at the state's counters
+    ({!Scenario.t.faults}, built by the [lib/faults] compiler), or, for a
+    scenario without a plan, the one phase its flat budget encodes
+    ({!Fault_plan.budget_phase}). A specification computes it once per
+    state and passes it to all three enumerations. *)
 
 type 'st ops = {
   counters : 'st -> Counters.t;
@@ -44,28 +44,36 @@ val proper_groups : int -> int list list
 (** Non-trivial partition groups containing node 0 — one canonical
     representative per two-sided cut. *)
 
-val failure_events : 'st ops -> Scenario.t -> 'st -> (Trace.event * 'st) list
-(** All enabled crash/restart/partition/heal transitions within budget (or
-    within the scenario's fault plan), with event counters bumped. *)
+val phase : 'st ops -> Scenario.t -> 'st -> Fault_plan.phase
+(** The state's active phase. Under a plan this notes the phase in the
+    watermark below; a budget's phase is built once per budget list (by
+    physical identity), not once per state. *)
+
+val failure_events :
+  'st ops -> Fault_plan.phase -> 'st -> (Trace.event * 'st) list
+(** All crash/restart/partition/heal transitions the phase enables at this
+    state, with event counters bumped: crashes then restarts, each in
+    ascending node order, then partition groups, then heal. *)
 
 val packet_events :
-  'st ops -> 'st net_ops -> Scenario.t -> 'st -> (Trace.event * 'st) list
-(** All enabled UDP [Drop]/[Duplicate] transitions — drops first, then
-    duplicates, each in deliverable order — gated by the ["drops"]/["dups"]
-    budget or by the plan's active phase (link selectors, caps, sampling). *)
+  'st ops -> 'st net_ops -> Fault_plan.phase -> 'st -> (Trace.event * 'st) list
+(** All UDP [Drop]/[Duplicate] transitions the phase enables — drops
+    first, then duplicates, each in deliverable order, within the link
+    selectors, caps and sampling. *)
 
-val timeout_allowed : 'st ops -> Scenario.t -> 'st -> node:int -> bool
-(** Whether the scenario's fault plan permits [node] to fire a timeout at
-    this state ([true] when no plan or no timeout restriction applies); the
-    specification's own ["timeouts"] budget check still applies. *)
+val timeout_allowed : 'st ops -> Fault_plan.phase -> 'st -> node:int -> bool
+(** Whether the phase permits [node] to fire a timeout at this state
+    ([true] when it has no timeout rule, as a budget's phase never does);
+    the specification's own ["timeouts"] budget check still applies. *)
 
 (** {2 Fault-plan phase watermark} — telemetry only.
 
-    The highest phase index any plan-driven enumeration has interpreted
-    since the last reset ([-1] when none ran). The watermark is global to
-    the process: [Obs.Run] resets it at run start and samples it at layer
-    barriers, where every state of the finished layer has been enumerated,
-    so the sampled value is deterministic for the deterministic engines. *)
+    The highest phase index {!phase} has returned under an explicit plan
+    since the last reset ([-1] when none did, so budget runs stay at
+    [-1]). The watermark is global to the process: [Obs.Run] resets it at
+    run start and samples it at layer barriers, where every state of the
+    finished layer has been enumerated, so the sampled value is
+    deterministic for the deterministic engines. *)
 
 val phase_watermark : unit -> int
 val reset_phase_watermark : unit -> unit

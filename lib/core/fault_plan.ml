@@ -64,7 +64,32 @@ let phase_index t c =
   in
   walk 0 t.pl_phases
 
-let active t c = List.nth t.pl_phases (phase_index t c)
+(* The first binding of a key wins, as in [Scenario.budget_get] (which
+   this module sits below). A cap of 0 disables its kind, as a clause
+   with limit 0 does in a compiled plan. *)
+let budget_phase budget =
+  let cap key ~default =
+    match List.assoc_opt key budget with Some v -> v | None -> default
+  in
+  let enabled key ~default mk =
+    let c = cap key ~default in
+    if c > 0 then Some (mk c) else None
+  in
+  let node c = { r_cap = c; r_sel = Any_node; r_sample = None } in
+  let link c =
+    { lr_cap = c; lr_src = Any_node; lr_dst = Any_node; lr_sample = None }
+  in
+  { ph_label = "budget";
+    ph_until = None;
+    ph_crash = enabled "crashes" ~default:1 node;
+    ph_restart = enabled "restarts" ~default:1 node;
+    ph_partition =
+      enabled "partitions" ~default:1 (fun c ->
+          { pr_cap = c; pr_groups = All_groups; pr_sample = None });
+    ph_heal = Heal_auto;
+    ph_drop = enabled "drops" ~default:0 link;
+    ph_dup = enabled "dups" ~default:0 link;
+    ph_timeout = None }
 
 let node_selected sel ~leader node =
   match sel with
@@ -150,7 +175,7 @@ let obs_kind (e : Trace.event) =
   | Trace.Deliver _ | Trace.Timeout _ | Trace.Client _ -> None
 
 let pp ppf t =
-  Fmt.pf ppf "%s: %d phase%s [%a]%s" t.pl_name
+  Fmt.pf ppf "%s#%06x: %d phase%s [%a]%s" t.pl_name (digest t)
     (List.length t.pl_phases)
     (if List.length t.pl_phases = 1 then "" else "s")
     Fmt.(list ~sep:(any ",") string)

@@ -14,11 +14,13 @@
     a recorded trace replays identically under its recorded schedule.
 
     Enumeration is {e exhaustive within the fault budget}: every allowed
-    fault choice becomes a transition, exactly like the legacy
-    budget-driven {!Envgen.failure_events}. A rule may additionally carry a
-    {!sample} bound: when the candidate set at a state exceeds the bound,
-    a seeded hash ranking keeps a deterministic pseudo-random subset —
-    exhaustive within the bound, seeded-random beyond it. *)
+    fault choice becomes a transition. A scenario without a plan is
+    enumerated through the one phase its flat budget encodes
+    ({!budget_phase}), so there is one fault semantics. A rule may
+    additionally carry a {!sample} bound: when the candidate set at a
+    state exceeds the bound, a seeded hash ranking keeps a deterministic
+    pseudo-random subset — exhaustive within the bound, seeded-random
+    beyond it. *)
 
 type node_sel =
   | Any_node
@@ -91,7 +93,15 @@ val phase_index : t -> Counters.t -> int
 (** Index of the active phase: the first phase whose [ph_until] trigger is
     not yet satisfied (the final phase is sticky). *)
 
-val active : t -> Counters.t -> phase
+val budget_phase : (string * int) list -> phase
+(** The phase a flat budget encodes, active in every scenario without a
+    plan: crash, restart and partition caps from the ["crashes"],
+    ["restarts"] and ["partitions"] keys (default 1), drop and dup caps
+    from ["drops"] and ["dups"] (default 0), any node or link, every
+    proper group, auto-heal, and no timeout rule. The first binding of a
+    key wins; a cap of 0 disables its kind. It equals [Faults.Compile]'s
+    lowering of a one-phase schedule labelled ["budget"] with those
+    limits. *)
 
 val node_selected : node_sel -> leader:int option -> int -> bool
 (** [Leader]/[Followers] resolve against [leader]; with no known leader,
@@ -103,8 +113,8 @@ val sample_select : sample option -> ('a -> string) -> 'a list -> 'a list
     smallest seeded hash of [key cand], in original order. *)
 
 val digest : t -> int
-(** Stable non-negative hash of [pl_src] — the scenario-identity surface
-    (recorded as the ["faults.id"] budget key). *)
+(** Stable 24-bit hash of [pl_src]. {!pp} prints it, so the plan's
+    identity is in every printed scenario and checkpoint identity. *)
 
 val is_noop : t -> bool
 (** No phase enables any fault event, no clock is skewed, and no timeout
@@ -120,3 +130,7 @@ val obs_kind : Trace.event -> string option
     deliveries, timeouts and client requests). *)
 
 val pp : Format.formatter -> t -> unit
+(** [NAME#DIGEST: N phases [KINDS]], e.g.
+    [leader-partition#247830: 3 phases [heal,partition]], with the
+    digest in six hex digits and a [skew{...}] suffix when clocks are
+    skewed. *)

@@ -121,12 +121,6 @@ let suffix = ".spill"
 let magic = "STFRNTR1"
 let file_header = 8 + 8 + 8 + 16
 
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let fresh_dir () =
   let base = Filename.get_temp_dir_name () in
   let rec try_mk attempt =
@@ -154,7 +148,7 @@ let open_disk { window; dir } =
   let owned, dir =
     match dir with
     | Some d ->
-      mkdir_p d;
+      Binio.mkdir_p d;
       (false, d)
     | None -> (true, fresh_dir ())
   in

@@ -6,11 +6,6 @@ let rec budget_get b key ~default =
   | [] -> default
   | (k, v) :: rest -> if String.equal k key then v else budget_get rest key ~default
 
-(* Keys carrying schedule identity rather than a bound; never doubled, and
-   always accepted by [validate]. *)
-let identity_prefix = "faults."
-let is_identity_key k = String.starts_with ~prefix:identity_prefix k
-
 let valid_keys =
   [ "timeouts"; "requests"; "crashes"; "restarts"; "partitions"; "buffer";
     "drops"; "dups"; "epochs" ]
@@ -18,7 +13,7 @@ let valid_keys =
 let budget_errors b =
   List.filter_map
     (fun (k, v) ->
-      if not (List.mem k valid_keys || is_identity_key k) then
+      if not (List.mem k valid_keys) then
         Some
           (Printf.sprintf "unknown budget key %S (valid: %s)" k
              (String.concat ", " valid_keys))
@@ -27,8 +22,7 @@ let budget_errors b =
       else None)
     b
 
-let double b =
-  List.map (fun (k, v) -> (k, if is_identity_key k then v else v * 2)) b
+let double b = List.map (fun (k, v) -> (k, v * 2)) b
 
 let pp_budget ppf b =
   let pp_bound ppf (k, v) = Fmt.pf ppf "%s=%d" k v in

@@ -6,32 +6,27 @@
     sizes). SandTable ranks budgets per configuration with Algorithm 1.
 
     A scenario may additionally carry a compiled {!Fault_plan.t}: a
-    declarative fault schedule (built by the [lib/faults] compiler) that
-    replaces the flat budget-driven fault enumeration of
-    {!Envgen.failure_events} with phase-structured, selector-restricted
-    fault injection. The plan travels inside the scenario so both engines
-    and both walk modes consume it unchanged. *)
+    declarative fault schedule (built by the [lib/faults] compiler) with
+    phase-structured, selector-restricted fault injection. Without one,
+    {!Envgen} runs the scenario under the one phase its budget encodes
+    ({!Fault_plan.budget_phase}). The plan travels inside the scenario so
+    every engine and walk mode consumes it unchanged. *)
 
 type budget = (string * int) list
 (** Named bounds. Standard keys used across the bundled systems:
     ["timeouts"], ["requests"], ["crashes"], ["restarts"], ["partitions"],
     ["buffer"] (max per-link message queue length), ["drops"], ["dups"],
-    ["epochs"]. Missing keys mean unbounded. Keys prefixed ["faults."]
-    carry fault-schedule identity (not bounds): they survive {!double}
-    unchanged and are excluded from validation's closed key set. *)
+    ["epochs"]. Missing keys mean unbounded. A budget holds bounds only:
+    a fault schedule's identity is in its plan. *)
 
 val budget_get : budget -> string -> default:int -> int
 
 val valid_keys : string list
 (** The closed set of recognised bound keys. *)
 
-val is_identity_key : string -> bool
-(** True for ["faults."]-prefixed schedule-identity keys. *)
-
 val double : budget -> budget
 (** Double every bound — used by Table 3 experiment #2 ("doubled the
-    constraints") — except the ["faults."]-prefixed identity keys, which
-    name a schedule rather than bound a counter. *)
+    constraints"). *)
 
 val pp_budget : Format.formatter -> budget -> unit
 
@@ -56,5 +51,6 @@ val validate : t -> (unit, string) result
     "unbounded". *)
 
 val pp : Format.formatter -> t -> unit
-(** Includes the fault-plan summary when one is attached, so checkpoint
-    identities built over the printed scenario cover the schedule. *)
+(** Includes the fault-plan summary, digest included ({!Fault_plan.pp}),
+    when one is attached, so checkpoint identities built over the printed
+    scenario cover the schedule. *)

@@ -223,18 +223,11 @@ let apply sch (scenario : Sandtable.Scenario.t) =
   | exception Bad msg -> Error msg
   | plan, totals ->
     let budget =
-      scenario.budget
-      |> List.filter (fun (k, _) -> not (Sandtable.Scenario.is_identity_key k))
-      |> (if totals.crash > 0 then set_at_least "crashes" totals.crash
-          else Fun.id)
-      |> (if totals.restart > 0 then set_at_least "restarts" totals.restart
-          else Fun.id)
-      |> (if totals.part > 0 then set_at_least "partitions" totals.part
-          else Fun.id)
-      |> (if totals.drop > 0 then set_at_least "drops" totals.drop else Fun.id)
-      |> (if totals.dup > 0 then set_at_least "dups" totals.dup else Fun.id)
-      |> (if totals.timeout > 0 then set_at_least "timeouts" totals.timeout
-          else Fun.id)
-      |> fun b -> b @ [ ("faults.id", P.digest plan) ]
+      List.fold_left
+        (fun b (key, cap) -> if cap > 0 then set_at_least key cap b else b)
+        scenario.budget
+        [ ("crashes", totals.crash); ("restarts", totals.restart);
+          ("partitions", totals.part); ("drops", totals.drop);
+          ("dups", totals.dup); ("timeouts", totals.timeout) ]
     in
     Ok { scenario with budget; faults = Some plan }

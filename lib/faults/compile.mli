@@ -12,9 +12,11 @@
 
     {!apply} attaches the compiled plan to a scenario and reconciles the
     budget: each fault kind's budget key is raised to at least the plan's
-    total cap (so the state constraint cannot prune plan-enabled events)
-    and a ["faults.id"] identity key records the schedule digest, making
-    checkpoints, manifests and shrink replays schedule-aware. *)
+    total cap, so the state constraint cannot prune plan-enabled events.
+    The budget holds bounds only; the schedule's identity is the plan's
+    digest, which {!Sandtable.Fault_plan.pp} prints in every printed
+    scenario, so checkpoints, manifests and shrink replays are
+    schedule-aware. *)
 
 val to_plan :
   nodes:int -> Schedule.t -> (Sandtable.Fault_plan.t, string) result

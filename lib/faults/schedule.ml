@@ -37,25 +37,6 @@ let drop ?(src = Any) ?(dst = Any) ?sample limit = Drop { limit; src; dst; sampl
 let dup ?(src = Any) ?(dst = Any) ?sample limit = Dup { limit; src; dst; sample }
 let timeouts ?(sel = Any) limit = Timeouts { limit; sel }
 
-let of_budget budget =
-  let get key ~default =
-    match List.assoc_opt key budget with Some v -> v | None -> default
-  in
-  let faults =
-    List.filter_map Fun.id
-      [ (let n = get "crashes" ~default:1 in
-         if n > 0 then Some (crash n) else None);
-        (let n = get "restarts" ~default:1 in
-         if n > 0 then Some (restart n) else None);
-        (let n = get "partitions" ~default:1 in
-         if n > 0 then Some (partition n) else None);
-        (let n = get "drops" ~default:0 in
-         if n > 0 then Some (drop n) else None);
-        (let n = get "dups" ~default:0 in
-         if n > 0 then Some (dup n) else None) ]
-  in
-  schedule "legacy" [ phase "budget" faults ]
-
 (* --- canonical printing ------------------------------------------------- *)
 
 let buf_sel b prefix = function

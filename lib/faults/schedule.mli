@@ -31,7 +31,12 @@
     unrestricted). [until COUNTER N] advances to the next phase once the
     named event counter reaches [N]; the last phase is open-ended.
     {!Compile.to_plan} lowers a schedule into the executable
-    {!Sandtable.Fault_plan.t} carried by scenarios. *)
+    {!Sandtable.Fault_plan.t} carried by scenarios.
+
+    A scenario without a schedule already runs under one: the one phase
+    its flat budget encodes ({!Sandtable.Fault_plan.budget_phase}), which
+    is what [schedule NAME [phase "budget" [crash c; restart r;
+    partition p; drop d; dup u]]] lowers to. *)
 
 type sel =
   | Any
@@ -80,13 +85,6 @@ val heal : heal -> fault
 val drop : ?src:sel -> ?dst:sel -> ?sample:int -> int -> fault
 val dup : ?src:sel -> ?dst:sel -> ?sample:int -> int -> fault
 val timeouts : ?sel:sel -> int -> fault
-
-val of_budget : (string * int) list -> t
-(** The single-phase schedule encoding the legacy flat-budget fault
-    semantics of {!Sandtable.Envgen} exactly: crash/restart/partition
-    limits from the budget (defaults 1), drop/dup limits from the budget
-    (defaults 0), auto-heal, unrestricted timeouts, no skew. Compiling and
-    applying it reproduces the legacy state space event-for-event. *)
 
 (** {1 Concrete syntax} *)
 

@@ -9,12 +9,6 @@ let trace_phases =
   [ "expand"; "barrier-wait"; "steal-wait"; "walks"; "replay"; "checkpoint";
     "spill-io"; "shrink"; "shrink-eval" ]
 
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 type t = {
   workers : int;
   t0 : float;
@@ -33,7 +27,7 @@ let create ?(workers = 1) ?trace_out ?dir
     ?(telemetry = Progress.Every_states 1) () =
   let t0 = Unix.gettimeofday () in
   let workers = max 1 workers in
-  Option.iter mkdir_p dir;
+  Option.iter Binio.mkdir_p dir;
   (* the watermark is process-global; a fresh run must not inherit the
      phase a previous in-process run reached *)
   Envgen.reset_phase_watermark ();

@@ -10,12 +10,6 @@ let file_kind = 4
 let retired_kind = 2
 let fp_width = 16
 
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 (* ---- identity --------------------------------------------------------- *)
 
 let identity ?(extra = []) spec (scenario : Scenario.t) (opts : Explorer.options) =
@@ -74,7 +68,7 @@ let decode_prov src =
   | tag -> raise (Binio.Corrupt (Printf.sprintf "unknown provenance tag %d" tag))
 
 let save ?probe ~dir ~identity (snap : Explorer.snapshot) =
-  mkdir_p dir;
+  Binio.mkdir_p dir;
   Probe.span_begin probe "checkpoint";
   let t0 = Unix.gettimeofday () in
   let path = Filename.concat dir file in

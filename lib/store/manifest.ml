@@ -42,12 +42,6 @@ let status_of_string = function
   | "failed" -> Some Failed
   | _ -> None
 
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let now_utc () =
   let tm = Unix.gmtime (Unix.gettimeofday ()) in
   Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (tm.Unix.tm_year + 1900)
@@ -196,7 +190,7 @@ let of_json j =
         m_shrink; m_faults }
 
 let save ~dir t =
-  mkdir_p dir;
+  Sandtable.Binio.mkdir_p dir;
   let path = Filename.concat dir file in
   Sandtable.Binio.atomic_write path (fun oc ->
       output_string oc (Sjson.to_string (to_json t)))

@@ -374,10 +374,14 @@ let test_shrink_missing_dir_usage () =
   Alcotest.(check bool) "stderr explains" true (String.length err > 0)
 
 let test_faults_unknown_schedule_usage () =
-  let code, out, err = run_cli [ "check"; "pysyncobj"; "--faults"; "nosuch" ] in
-  Alcotest.(check int) "exit 2" 2 code;
-  check_contains "stderr explains" err "unknown fault schedule";
-  Alcotest.(check string) "stdout clean" "" out
+  (* "legacy" is no schedule: the plain budget already is that one *)
+  List.iter
+    (fun name ->
+      let code, out, err = run_cli [ "check"; "pysyncobj"; "--faults"; name ] in
+      Alcotest.(check int) (name ^ ": exit 2") 2 code;
+      check_contains "stderr explains" err ("unknown fault schedule " ^ name);
+      Alcotest.(check string) "stdout clean" "" out)
+    [ "nosuch"; "legacy" ]
 
 let test_faults_compile_error_usage () =
   with_tmpdir (fun tmp ->
@@ -400,7 +404,18 @@ let test_faults_command_lists_and_guards () =
   in
   Alcotest.(check int) "inspect exits 0" 0 code;
   check_contains "canonical source" out "(schedule leader-partition";
-  check_contains "identity key in merged budget" out "faults.id";
+  (* the schedule's identity is the plan's digest, not a budget key *)
+  let plan =
+    let sys = Systems.Registry.find "pysyncobj" in
+    Result.get_ok
+      (Faults.Compile.to_plan ~nodes:sys.default_scenario.nodes
+         (Option.get (Systems.Registry.schedule_of sys "leader-partition")))
+  in
+  check_contains "digest on the plan line" out
+    (Printf.sprintf "plan:   leader-partition#%06x: "
+       (Sandtable.Fault_plan.digest plan));
+  Alcotest.(check bool) "no identity key in the budget" false
+    (contains out "faults.id");
   (* a schedule with no enabled fault events is rejected: exit 2 *)
   with_tmpdir (fun tmp ->
       let file = Filename.concat tmp "noop.sexp" in

@@ -1,8 +1,9 @@
 (* lib/faults: concrete-syntax round-trips and parse errors, compiler
-   validation, budget reconciliation (merge + faults.id identity), the
-   proper_groups canonical-cut property, plan-driven enumeration semantics
-   on a synthetic spec (phases, selectors, caps, sampling, heal modes,
-   timeout restriction), legacy-budget equivalence on real systems,
+   validation, budget reconciliation (bounds merged; identity in the plan
+   digest), the proper_groups canonical-cut property, plan-driven
+   enumeration semantics on a synthetic spec (phases, selectors, caps,
+   sampling, heal modes, timeout restriction), the flat budget's own
+   phase, flat budgets as one-phase schedules on real systems,
    worker-count determinism of schedule-driven runs, shrink replay under a
    recorded schedule, clock skew at the implementation level, and the
    manifest's schedule identity surface. *)
@@ -20,6 +21,18 @@ let ok_exn = function
 
 let compile_exn ~nodes sched = ok_exn (Compile.to_plan ~nodes sched)
 let apply_exn sched scenario = ok_exn (Compile.apply sched scenario)
+
+(* The one-phase schedule a flat budget encodes, written with the
+   combinators. *)
+let budget_schedule budget =
+  let cap key ~default = Scenario.budget_get budget key ~default in
+  Sched.schedule "budget"
+    [ Sched.phase "budget"
+        [ Sched.crash (cap "crashes" ~default:1);
+          Sched.restart (cap "restarts" ~default:1);
+          Sched.partition (cap "partitions" ~default:1);
+          Sched.drop (cap "drops" ~default:0);
+          Sched.dup (cap "dups" ~default:0) ] ]
 
 (* ---- concrete syntax --------------------------------------------------- *)
 
@@ -142,8 +155,7 @@ let test_apply_budget_merge () =
   in
   let applied = apply_exn sched scenario in
   ok_exn (Scenario.validate applied);
-  (* crashes raised to the plan's total cap; untouched keys survive; the
-     schedule digest is recorded under the identity key *)
+  (* crashes raised to the plan's total cap; untouched keys survive *)
   Alcotest.(check int) "crashes raised" 3
     (Scenario.budget_get applied.budget "crashes" ~default:0);
   Alcotest.(check int) "drops added" 2
@@ -151,9 +163,19 @@ let test_apply_budget_merge () =
   Alcotest.(check int) "timeouts untouched" 4
     (Scenario.budget_get applied.budget "timeouts" ~default:0);
   let plan = Option.get applied.faults in
-  Alcotest.(check int) "identity key = digest"
-    (Fault_plan.digest plan)
-    (Scenario.budget_get applied.budget "faults.id" ~default:(-1));
+  (* the budget holds bounds only; the schedule's identity is the plan's
+     digest, which the printed scenario (so every checkpoint identity)
+     carries *)
+  Alcotest.(check (list string)) "budget keys are bounds"
+    [ "timeouts"; "crashes"; "drops" ] (List.map fst applied.budget);
+  let printed =
+    Fmt.str "merge#%06x: 2 phases [crash,drop]" (Fault_plan.digest plan)
+  in
+  Alcotest.(check string) "plan prints its digest" printed
+    (Fmt.str "%a" Fault_plan.pp plan);
+  Alcotest.(check bool) "printed scenario carries it" true
+    (String.ends_with ~suffix:(", faults " ^ printed)
+       (Fmt.str "%a" Scenario.pp applied));
   (* re-parsing the recorded source and re-applying reproduces the digest:
      the manifest's m_faults string is enough to rebuild the scenario *)
   let replayed =
@@ -178,11 +200,14 @@ let test_noop_plan_detected () =
   in
   Alcotest.(check bool) "skew arms the plan" false (Fault_plan.is_noop skewed)
 
-(* ---- scenario budget hygiene (closed key set, identity keys) ----------- *)
+(* ---- scenario budget hygiene (a closed set of bounds) ------------------ *)
 
 let test_scenario_validation () =
   let v budget = Scenario.v ~name:"v" ~nodes:2 ~workload:[ 1 ] budget in
-  ok_exn (Scenario.validate (v [ "timeouts", 3; "faults.id", 42 ]));
+  ok_exn (Scenario.validate (v [ "timeouts", 3; "crashes", 1 ]));
+  (match Scenario.validate (v [ "timeouts", 3; "faults.id", 42 ]) with
+  | Error _ -> ()
+  | Ok () -> Alcotest.fail "schedule identity key accepted as a bound");
   (match Scenario.validate (v [ "timeuots", 3 ]) with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "typo'd key accepted");
@@ -190,9 +215,9 @@ let test_scenario_validation () =
   | Error _ -> ()
   | Ok () -> Alcotest.fail "negative bound accepted");
   Alcotest.(check (list (pair string int)))
-    "double skips identity keys"
-    [ "timeouts", 6; "faults.id", 42 ]
-    (Scenario.double [ "timeouts", 3; "faults.id", 42 ])
+    "double doubles every bound"
+    [ "timeouts", 6; "crashes", 2 ]
+    (Scenario.double [ "timeouts", 3; "crashes", 1 ])
 
 (* ---- proper_groups: one canonical representative per two-sided cut ----- *)
 
@@ -254,6 +279,7 @@ module Fault_toy = struct
     [ { up = Array.make scenario.nodes true; cut = None; c = Counters.zero } ]
 
   let next (scenario : Scenario.t) st =
+    let phase = Envgen.phase fault_ops scenario st in
     let ticks =
       List.filter_map
         (fun node ->
@@ -261,14 +287,14 @@ module Fault_toy = struct
             st.up.(node)
             && st.c.Counters.timeouts
                < Scenario.budget_get scenario.budget "timeouts" ~default:0
-            && Envgen.timeout_allowed fault_ops scenario st ~node
+            && Envgen.timeout_allowed fault_ops phase st ~node
           then
             let event = Trace.Timeout { node; kind = "tick" } in
             Some (event, { st with c = Counters.bump st.c event })
           else None)
         (List.init (Array.length st.up) Fun.id)
     in
-    ticks @ Envgen.failure_events fault_ops scenario st
+    ticks @ Envgen.failure_events fault_ops phase st
 
   let constraint_ok (scenario : Scenario.t) st =
     Counters.within st.c scenario.budget
@@ -304,9 +330,14 @@ let toy_scenario ?faults budget =
 
 let init_state nodes = { up = Array.make nodes true; cut = None; c = Counters.zero }
 
+let failure_events sc st =
+  Envgen.failure_events fault_ops (Envgen.phase fault_ops sc st) st
+
+let timeout_allowed sc st ~node =
+  Envgen.timeout_allowed fault_ops (Envgen.phase fault_ops sc st) st ~node
+
 let events sc st =
-  List.map (fun (e, _) -> Trace.serialize_event e)
-    (Envgen.failure_events fault_ops sc st)
+  List.map (fun (e, _) -> Trace.serialize_event e) (failure_events sc st)
 
 let test_plan_phase_semantics () =
   (* quiet phase: no faults until a timeout fires; then leader-only crash;
@@ -360,14 +391,14 @@ let test_timeout_restriction () =
   let sc = apply_exn sched (toy_scenario [ "timeouts", 3 ]) in
   let st = init_state 3 in
   Alcotest.(check bool) "selected node may fire" true
-    (Envgen.timeout_allowed fault_ops sc st ~node:0);
+    (timeout_allowed sc st ~node:0);
   Alcotest.(check bool) "unselected node may not" false
-    (Envgen.timeout_allowed fault_ops sc st ~node:1);
+    (timeout_allowed sc st ~node:1);
   let after_one =
     { st with c = Counters.bump st.c (Trace.Timeout { node = 0; kind = "t" }) }
   in
   Alcotest.(check bool) "cap exhausts the allowance" false
-    (Envgen.timeout_allowed fault_ops sc after_one ~node:0)
+    (timeout_allowed sc after_one ~node:0)
 
 let test_sampling_deterministic () =
   (* a sample bound keeps a stable strict subset, identical across calls *)
@@ -388,6 +419,53 @@ let test_sampling_deterministic () =
   Alcotest.(check (list string)) "other seed stable"
     (events sc' st) (events sc' st)
 
+let test_budget_phase () =
+  let any_node c =
+    Some { Fault_plan.r_cap = c; r_sel = Fault_plan.Any_node; r_sample = None }
+  in
+  (* defaults: one crash, restart and partition over any node and every
+     proper group; no drop or dup; auto-heal; the one, final phase *)
+  let ph = Fault_plan.budget_phase [] in
+  Alcotest.(check bool) "crash cap 1" true (ph.ph_crash = any_node 1);
+  Alcotest.(check bool) "restart cap 1" true (ph.ph_restart = any_node 1);
+  Alcotest.(check bool) "partition cap 1, every group" true
+    (ph.ph_partition
+    = Some
+        { Fault_plan.pr_cap = 1; pr_groups = Fault_plan.All_groups;
+          pr_sample = None });
+  Alcotest.(check bool) "no drop or dup" true
+    (ph.ph_drop = None && ph.ph_dup = None);
+  Alcotest.(check bool) "auto-heal, final" true
+    (ph.ph_heal = Fault_plan.Heal_auto && ph.ph_until = None);
+  (* the first binding wins, as in Scenario.budget_get *)
+  let ph =
+    Fault_plan.budget_phase [ "crashes", 2; "dups", 1; "crashes", 5; "dups", 0 ]
+  in
+  Alcotest.(check bool) "first crashes binding" true (ph.ph_crash = any_node 2);
+  Alcotest.(check bool) "first dups binding" true
+    (ph.ph_dup
+    = Some
+        { Fault_plan.lr_cap = 1; lr_src = Fault_plan.Any_node;
+          lr_dst = Fault_plan.Any_node; lr_sample = None });
+  (* an explicit 0 disables its kind *)
+  let st = init_state 3 in
+  Alcotest.(check int) "defaults: 3 crashes + 3 partitions" 6
+    (List.length (events (toy_scenario [ "timeouts", 1 ]) st));
+  Alcotest.(check (list string)) "crashes 0, partitions 0: nothing" []
+    (events (toy_scenario [ "crashes", 0; "partitions", 0 ]) st);
+  let dead = { st with up = [| true; false; true |] } in
+  let quiet = [ "crashes", 0; "partitions", 0 ] in
+  Alcotest.(check (list string)) "default restart"
+    [ Trace.serialize_event (Trace.Restart { node = 1 }) ]
+    (events (toy_scenario quiet) dead);
+  Alcotest.(check (list string)) "restarts 0: no restart" []
+    (events (toy_scenario (("restarts", 0) :: quiet)) dead);
+  (* no timeout rule: the phase never withholds a timeout *)
+  Alcotest.(check bool) "no timeout rule" true
+    ((Fault_plan.budget_phase [ "timeouts", 0 ]).ph_timeout = None);
+  Alcotest.(check bool) "timeouts allowed" true
+    (timeout_allowed (toy_scenario [ "timeouts", 1 ]) st ~node:2)
+
 let test_failure_events_within_budget () =
   (* exhaustive closure over fault events: no reachable state exceeds the
      fault budget, with or without a plan attached *)
@@ -395,8 +473,7 @@ let test_failure_events_within_budget () =
     [ toy_scenario
         [ "timeouts", 2; "crashes", 2; "restarts", 1; "partitions", 1 ];
       apply_exn
-        (Sched.of_budget
-           [ "crashes", 2; "restarts", 1; "partitions", 1 ])
+        (budget_schedule [ "crashes", 2; "restarts", 1; "partitions", 1 ])
         (toy_scenario
            [ "timeouts", 2; "crashes", 2; "restarts", 1; "partitions", 1 ])
     ]
@@ -413,7 +490,7 @@ let test_failure_events_within_budget () =
               Alcotest.(check bool) "within budget" true
                 (Counters.within st'.c sc.Scenario.budget);
               walk st')
-            (Envgen.failure_events fault_ops sc st)
+            (failure_events sc st)
         end
       in
       walk (init_state 3);
@@ -446,7 +523,7 @@ let test_shrink_replays_under_schedule () =
       (Spec.observations_along fault_toy scenario o.Shrink.minimized <> None)
   | _ -> Alcotest.fail "expected a LeaderUp violation"
 
-(* ---- legacy-budget equivalence on real systems ------------------------- *)
+(* ---- a flat budget is a one-phase schedule, on real systems ------------ *)
 
 let shrink_budget budget =
   List.map
@@ -457,9 +534,10 @@ let shrink_budget budget =
       | _ -> (k, v))
     budget
 
-let test_of_budget_equivalence () =
-  (* the single-phase schedule encoding a flat budget explores exactly the
-     legacy state space (acceptance criterion; two TCP systems, one UDP) *)
+let test_budget_is_one_phase_schedule () =
+  (* the one-phase schedule written from a flat budget lowers to the
+     budget's own phase and explores the same state space (two TCP
+     systems, one UDP) *)
   List.iter
     (fun name ->
       let sys = R.find name in
@@ -468,12 +546,12 @@ let test_of_budget_equivalence () =
         { sys.R.default_scenario with
           Scenario.budget = shrink_budget sys.R.default_scenario.budget }
       in
+      let applied = apply_exn (budget_schedule scenario.budget) scenario in
+      Alcotest.(check bool) (name ^ " lowers to budget_phase") true
+        ((Option.get applied.faults).Fault_plan.pl_phases
+        = [ Fault_plan.budget_phase scenario.budget ]);
       let plain = Explorer.check spec scenario Explorer.default in
-      let planned =
-        Explorer.check spec
-          (apply_exn (Sched.of_budget scenario.budget) scenario)
-          Explorer.default
-      in
+      let planned = Explorer.check spec applied Explorer.default in
       Alcotest.(check int) (name ^ " distinct") plain.distinct planned.distinct;
       Alcotest.(check int) (name ^ " generated") plain.generated planned.generated;
       Alcotest.(check int) (name ^ " max_depth") plain.max_depth planned.max_depth;
@@ -614,10 +692,12 @@ let suite =
       case "phase structure gates enumeration" test_plan_phase_semantics;
       case "timeout restriction" test_timeout_restriction;
       case "sampling is deterministic" test_sampling_deterministic;
+      case "budget_phase: defaults, first binding, zeros" test_budget_phase;
       case "failure events stay within budget" test_failure_events_within_budget;
       case "shrink replays under the recorded schedule"
         test_shrink_replays_under_schedule;
-      case "of_budget schedule = legacy state space" test_of_budget_equivalence;
+      case "flat budget = its one-phase schedule"
+        test_budget_is_one_phase_schedule;
       case "identical at -j1/-j2/-j4 under a schedule"
         test_workers_determinism_under_schedule;
       case "clock skew reaches implementation clocks" test_cluster_clock_skew;
