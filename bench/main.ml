@@ -476,59 +476,6 @@ let ablation () =
         data)
     ranked
 
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks (one per table)                            *)
-(* ------------------------------------------------------------------ *)
-
-let micro () =
-  section_header "Bechamel micro-benchmarks (one per table)";
-  let open Bechamel in
-  let spec = Systems.Pysyncobj.spec () in
-  let (module S : Spec.S) = spec in
-  let scenario = Systems.Pysyncobj.default_scenario in
-  let s0 = List.hd (S.init scenario) in
-  let rng = Random.State.make [| 7 |] in
-  let walk_opts = { Simulate.default with max_depth = 20 } in
-  let tests =
-    [ (* table 1 analog: observation construction *)
-      Test.make ~name:"t1_observe" (Staged.stage (fun () -> S.observe s0));
-      (* table 2 analog: one BFS expansion step *)
-      Test.make ~name:"t2_next_states"
-        (Staged.stage (fun () -> S.next scenario s0));
-      (* table 3 analog: state fingerprinting *)
-      Test.make ~name:"t3_fingerprint"
-        (Staged.stage (fun () -> Fingerprint.of_state s0));
-      (* table 4 analog: one full spec-level random walk *)
-      Test.make ~name:"t4_random_walk"
-        (Staged.stage (fun () -> Simulate.walk spec scenario walk_opts rng)) ]
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) ()
-  in
-  List.iter
-    (fun test ->
-      let results =
-        Benchmark.all cfg instances (Test.make_grouped ~name:"bench" [ test ])
-      in
-      List.iter
-        (fun instance ->
-          let analyzed = Analyze.all ols instance results in
-          Hashtbl.iter
-            (fun name ols_result ->
-              match Analyze.OLS.estimates ols_result with
-              | Some [ est ] -> Fmt.pr "%-28s %12.1f ns/run@." name est
-              | Some _ | None -> Fmt.pr "%-28s (no estimate)@." name)
-            analyzed)
-        instances)
-    tests
-
-(* ------------------------------------------------------------------ *)
-
-
 let sections =
   [ "table1", table1;
     "table2", table2;
@@ -536,8 +483,7 @@ let sections =
     "table4", table4;
     "fig6", fig6;
     "fig7", fig7;
-    "ablation", ablation;
-    "micro", micro ]
+    "ablation", ablation ]
 
 let () =
   let requested =

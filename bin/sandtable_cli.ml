@@ -57,9 +57,9 @@ let workers_arg =
      work-stealing engine at $(docv) > 1: exhaustive-run totals \
      (distinct/generated) and verdicts are identical at every worker \
      count, but discovery depth and order may differ — pass \
-     $(b,--strict-bfs) for bit-for-bit layer order. simulate/conform \
-     walks are derived from --seed and the walk index alone, so $(docv) \
-     never changes their results."
+     $(b,--strict-bfs) for bit-for-bit layer order. simulate walks are \
+     derived from --seed and the walk index alone, so $(docv) never \
+     changes their results."
   in
   Arg.(value & opt int 1 & info [ "workers"; "j" ] ~docv:"N" ~doc)
 
@@ -291,8 +291,8 @@ let print_shrink (sh : Shrink.outcome) =
 (* Shrink a violation found by check, tolerating (with a note on
    stderr) the input not reproducing — shrinking is best-effort sugar on
    top of a result that already stands on its own. *)
-let try_shrink ~workers ?probe spec scenario oracle events =
-  match Par.Par_shrink.minimize ~workers ?probe spec scenario oracle events with
+let try_shrink ?probe spec scenario oracle events =
+  match Shrink.run ?probe spec scenario oracle events with
   | sh ->
     print_shrink sh;
     Some sh
@@ -524,7 +524,7 @@ let check_cmd =
           let shrink_outcome =
             match result.outcome with
             | Explorer.Violation v when do_shrink ->
-              try_shrink ~workers ?probe spec scenario
+              try_shrink ?probe spec scenario
                 (Shrink.Invariant v.invariant) v.events
             | _ -> None
           in
@@ -702,7 +702,7 @@ let simulate_cmd =
              let inv, idx = Option.get w.violation in
              let original = List.filteri (fun i _ -> i < idx) w.events in
              ignore
-               (try_shrink ~workers ?probe (sys.spec flags) scenario
+               (try_shrink ?probe (sys.spec flags) scenario
                   (Shrink.Invariant inv) original));
         ignore
           (Option.map
@@ -728,16 +728,15 @@ let rounds_arg =
   Arg.(value & opt int 200 & info [ "rounds" ] ~docv:"N" ~doc:"Walk rounds.")
 
 let conform_cmd =
-  let run name bugs rounds seed nodes workers progress_every trace_out
-      do_shrink faults =
+  let run name bugs rounds seed nodes progress_every trace_out do_shrink
+      faults =
     with_system name bugs (fun sys flags ->
         with_parsed "--progress-every" Obs.Progress.parse_cadence
           progress_every
         @@ fun progress_cadence ->
-        let workers = resolve_workers workers in
         (* the spec models the fixed protocol; flags select impl bugs *)
         let spec = sys.spec Bug.Flags.empty in
-        let obs = obs_run ~workers ?trace_out () in
+        let obs = obs_run ~workers:1 ?trace_out () in
         let probe = obs_probe obs in
         with_faults ?probe sys (scenario_of sys nodes) faults
         @@ fun scenario ->
@@ -757,28 +756,16 @@ let conform_cmd =
           end
           else None
         in
-        let walk_source =
-          (* walk [round] depends only on (--seed, round), so -j never
-             changes the report; workers>1 only pre-generates batches on a
-             domain pool while replay stays sequential *)
-          Some
-            (Par.Par_simulate.conformance_source ~workers ?probe spec
-               scenario ~seed)
-        in
         let report =
-          Conformance.run ~mask:Systems.Common.conformance_mask ?walk_source
-            ?probe ~progress_every ?progress spec
+          Conformance.run ~mask:Systems.Common.conformance_mask ?probe
+            ~progress_every ?progress spec
             ~boot:(fun sc -> sys.sut flags None sc)
             scenario ~rounds ~seed
         in
-        if workers > 1 then
-          Fmt.epr "walk generation: %d workers (replay sequential)@." workers;
         Fmt.pr "%a@." Conformance.pp_report report;
         (* shrink the discrepancy: a candidate is accepted iff the
            implementation still diverges from the spec somewhere along it
-           (truncated to that point). Candidates replay the real
-           implementation, so evaluation stays sequential regardless of
-           -j. *)
+           (truncated to that point) *)
         (match report.discrepancy with
         | Some d when do_shrink ->
           let truncate_at t i = List.filteri (fun j _ -> j <= i) t in
@@ -813,13 +800,14 @@ let conform_cmd =
   in
   let doc =
     "Conformance-check the fixed spec against a (possibly buggy) \
-     implementation."
+     implementation: round $(i,r) replays walk $(i,r)-1 of --seed's walk \
+     stream (the stream simulate draws from), generated when its round \
+     starts and dropped once replayed."
   in
   Cmd.v (Cmd.info "conform" ~doc ~exits)
     Term.(
       const run $ system_arg $ bugs_arg $ rounds_arg $ seed_arg $ nodes_arg
-      $ workers_arg $ progress_every_arg $ trace_out_arg $ shrink_arg
-      $ faults_arg)
+      $ progress_every_arg $ trace_out_arg $ shrink_arg $ faults_arg)
 
 (* --- shrink: minimize a recorded counterexample ----------------------- *)
 
@@ -834,8 +822,7 @@ let shrink_cmd =
   (* usage-error short-circuiting: Error carries the exit code *)
   let ( let* ) r f = match r with Error code -> code | Ok v -> f v in
   let fail fmt = Fmt.kstr (fun m -> Fmt.epr "%s@." m; Error Store.Exit_code.usage) fmt in
-  let run dir workers trace_out =
-    let workers = resolve_workers workers in
+  let run dir trace_out =
     let* m =
       Result.map_error
         (fun e -> Fmt.epr "%s@." e; Store.Exit_code.usage)
@@ -902,14 +889,12 @@ let shrink_cmd =
     let spec = sys.R.spec flags in
     (* no Obs.Run over the existing run dir: that would truncate its
        events.ndjsonl and overwrite metrics.json; --trace-out still works *)
-    let obs = obs_run ~workers ?trace_out () in
+    let obs = obs_run ~workers:1 ?trace_out () in
     let probe = obs_probe obs in
     Fmt.epr "shrinking the %d-event %s counterexample in %s@."
       (List.length events) sys.R.name dir;
     let* sh =
-      match
-        Par.Par_shrink.minimize ~workers ?probe spec scenario oracle events
-      with
+      match Shrink.run ?probe spec scenario oracle events with
       | sh -> Ok sh
       | exception Invalid_argument e -> fail "%s" e
     in
@@ -943,12 +928,14 @@ let shrink_cmd =
   let doc =
     "Minimize the counterexample recorded in a run directory: ddmin-style \
      elision, every candidate re-validated against the specification, \
-     then re-confirmed at the implementation level. Writes \
-     minimized.trace / minimized.txt and records the original and \
-     minimized lengths in the manifest."
+     then re-confirmed at the implementation level. Each round evaluates \
+     its whole candidate batch and keeps the first hit, so the result \
+     depends on the recorded trace alone. Writes minimized.trace / \
+     minimized.txt and records the original and minimized lengths in the \
+     manifest."
   in
   Cmd.v (Cmd.info "shrink" ~doc ~exits)
-    Term.(const run $ dir_arg $ workers_arg $ trace_out_arg)
+    Term.(const run $ dir_arg $ trace_out_arg)
 
 (* --- stats: summarize a run directory --------------------------------- *)
 

@@ -24,10 +24,7 @@ let shrink_one system flag =
     let original = List.filteri (fun i _ -> i < idx) w.events in
     Fmt.pr "@.--- %s/%s: %s violated after %d random-walk events ---@."
       system flag inv (List.length original);
-    let o =
-      Par.Par_shrink.minimize ~workers:2 spec scenario (Shrink.Invariant inv)
-        original
-    in
+    let o = Shrink.run spec scenario (Shrink.Invariant inv) original in
     Fmt.pr "%a@." Shrink.pp_outcome o;
     Fmt.pr "minimized repro:@.%a@." (Trace.pp_labelled o.labels) o.minimized;
     (* the shortened trace must still be a real bug, not a shrinking

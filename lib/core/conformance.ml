@@ -66,20 +66,20 @@ let replay_walk ~mask ~boot scenario (walk : Simulate.walk) =
   in
   step 0 walk.events walk.observations
 
-let run ?(mask = Fun.id) ?(walk_depth = 30) ?time_budget ?walk_source ?probe
+let run ?(mask = Fun.id) ?(walk_depth = 30) ?time_budget ?probe
     ?(progress_every = 0) ?progress spec ~boot scenario ~rounds ~seed =
   let started = Unix.gettimeofday () in
   let deadline = Option.map (fun b -> started +. b) time_budget in
-  let rng = Random.State.make [| seed |] in
   let walk_opts =
     { Simulate.max_depth = walk_depth;
       record_observations = true;
       stop_on_violation = false }
   in
-  let next_walk =
-    match walk_source with
-    | Some source -> fun round -> source walk_opts round
-    | None -> fun _round -> Simulate.walk ?probe spec scenario walk_opts rng
+  (* round [r] replays walk [r - 1] of the seed's stream, generated here and
+     dropped once replayed *)
+  let next_walk round =
+    Simulate.walk ?probe spec scenario walk_opts
+      (Simulate.rng_for ~seed (round - 1))
   in
   let tick round total_events =
     if progress_every > 0 && round mod progress_every = 0 then

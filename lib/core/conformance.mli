@@ -6,7 +6,12 @@
     discrepancy is reported with the inconsistent variables and the event
     sequence that led to it. Rounds repeat until a discrepancy appears or
     the time/round budget expires ("no discrepancy for 30 minutes" in the
-    paper's methodology). *)
+    paper's methodology).
+
+    Round [r] replays walk [r - 1] of [seed]'s {!Simulate} stream — the
+    walk [Simulate.walks ~seed] lists at that index under the same walk
+    options — generated on the calling domain when its round starts and
+    dropped once replayed, so memory does not grow with the round count. *)
 
 type sut = {
   execute : Trace.event -> (unit, string) result;
@@ -48,7 +53,6 @@ val run :
   ?mask:(Tla.Value.t -> Tla.Value.t) ->
   ?walk_depth:int ->
   ?time_budget:float ->
-  ?walk_source:(Simulate.options -> int -> Simulate.walk) ->
   ?probe:Probe.t ->
   ?progress_every:int ->
   ?progress:(int -> int -> unit) ->
@@ -60,14 +64,11 @@ val run :
   report
 (** [mask] projects the spec observation down to the variables the
     implementation can expose (API- or log-observable ones); default is the
-    identity. Stops at the first discrepancy.
+    identity. Walks are [walk_depth] (default 30) events deep at most and
+    record their observations. Stops at the first discrepancy.
 
-    [walk_source opts round] overrides walk generation (rounds are 1-based);
-    the default draws sequential walks seeded with [seed]. The parallel
-    engine plugs in here ([Par.Par_simulate.conformance_source]) to generate
-    walks on worker domains while replay stays sequential.
-
-    With [probe], each replay runs in a ["replay"] span and bumps
+    With [probe], each walk runs in a ["walk"] span and each replay in a
+    ["replay"] span, bumping [sim.walks] / [sim.events] and
     [conform.rounds] / [conform.events]. [progress] (fired every
     [progress_every] completed rounds) receives the round number and the
     cumulative replayed-event count. *)

@@ -4,11 +4,6 @@ type oracle =
 
 type labelled = (Trace.event * string) list
 
-type evaluator =
-  (labelled -> labelled option) -> labelled list -> labelled option list
-
-let sequential_eval check candidates = List.map check candidates
-
 (* Match one event of a candidate, with its recorded label, against the
    enabled transitions of the current state. Removing earlier events shifts
    buffer indexes, so a Deliver is found by message identity (its label,
@@ -127,13 +122,13 @@ let chunk_bounds ~len ~n =
   List.init n (fun i -> (i * len / n, (i + 1) * len / n))
   |> List.filter (fun (lo, hi) -> hi > lo)
 
-let run ?probe ?(eval = sequential_eval) spec scenario oracle trace =
+let run ?probe spec scenario oracle trace =
   let t0 = Unix.gettimeofday () in
   Probe.span_begin probe "shrink";
   let tried = ref 0 and accepted = ref 0 and rounds = ref 0 in
   let check cand = validate spec scenario oracle cand in
   (* one round: evaluate the whole batch, keep the first hit in generation
-     order — never depends on which evaluator (or worker) ran it *)
+     order *)
   let round candidates =
     match candidates with
     | [] -> None
@@ -143,7 +138,7 @@ let run ?probe ?(eval = sequential_eval) spec scenario oracle trace =
       let n = List.length candidates in
       tried := !tried + n;
       Probe.count probe "shrink.candidates" n;
-      match List.find_map Fun.id (eval check candidates) with
+      match List.find_map Fun.id (List.map check candidates) with
       | None -> None
       | Some t ->
         incr accepted;

@@ -36,10 +36,8 @@
 
     {b Determinism.} Candidate generation is purely positional and each
     round keeps the first accepted candidate in generation order, with the
-    whole round evaluated before selecting — so the minimized trace (and
-    the tried/accepted counters) are identical whatever {!evaluator} runs
-    the round, including [lib/par]'s domain-pool evaluator at any worker
-    count. *)
+    whole round evaluated before selecting — so the minimized trace and
+    the tried/accepted/rounds counters depend on the input trace alone. *)
 
 type oracle =
   | Invariant of string
@@ -55,16 +53,6 @@ type oracle =
 
 type labelled = (Trace.event * string) list
 (** A candidate: each event with the label it is re-addressed by. *)
-
-type evaluator =
-  (labelled -> labelled option) -> labelled list -> labelled option list
-(** [eval check candidates] maps [check] over one round of candidates,
-    positionally. Implementations must evaluate the complete batch — no
-    early exit — so counters and results cannot depend on scheduling;
-    [lib/par]'s [Par_shrink.eval] distributes the batch over a domain
-    pool. *)
-
-val sequential_eval : evaluator
 
 val validate :
   Spec.t -> Scenario.t -> oracle -> labelled -> labelled option
@@ -87,8 +75,7 @@ type outcome = {
 }
 
 val run :
-  ?probe:Probe.t -> ?eval:evaluator -> Spec.t -> Scenario.t -> oracle ->
-  Trace.t -> outcome
+  ?probe:Probe.t -> Spec.t -> Scenario.t -> oracle -> Trace.t -> outcome
 (** Minimize a failing trace: validate the input (for [Invariant] this
     already truncates it at the earliest violation), then ddmin — per
     round, drop one of [n] contiguous chunks, accept the first candidate

@@ -65,9 +65,22 @@ let walk ?probe (module S : Spec.S) scenario opts rng =
     violation;
     observations = List.rev observations }
 
+(* SplitMix64-style finaliser: walk [i]'s RNG stream depends only on the
+   root seed and the walk index, never on the walks before it or on which
+   domain runs it. *)
+let derived_seed root i =
+  let open Int64 in
+  let z =
+    add (of_int root) (mul (of_int (i + 1)) 0x9E3779B97F4A7C15L)
+  in
+  let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+  let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
+  to_int (logxor z (shift_right_logical z 31))
+
+let rng_for ~seed i = Random.State.make [| seed; derived_seed seed i |]
+
 let walks ?probe spec scenario opts ~seed ~count =
-  let rng = Random.State.make [| seed |] in
-  List.init count (fun _ -> walk ?probe spec scenario opts rng)
+  List.init count (fun i -> walk ?probe spec scenario opts (rng_for ~seed i))
 
 type aggregate = {
   runs : int;

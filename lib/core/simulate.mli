@@ -3,7 +3,13 @@
     Used for (1) conformance checking — walks generate traces replayed at the
     implementation level (§3.2); (2) constraint ranking data collection
     (Algorithm 1); (3) the specification-side of the speedup comparison
-    (§5.3). Walks are seedable and deterministic. *)
+    (§5.3).
+
+    One seed names one walk stream: walk [i] of seed [s] draws from
+    [rng_for ~seed:s i] alone, so under the same {!options} it is the same
+    walk in {!walks}, [Conformance.run]'s round [i + 1] and [lib/par]'s
+    parallel [Par_simulate.walks] at any worker count (under other depth
+    bounds one walk is a prefix of the other). *)
 
 type walk = {
   events : Trace.t;
@@ -31,9 +37,14 @@ val walk : ?probe:Probe.t -> Spec.t -> Scenario.t -> options ->
     With [probe], the walk runs inside a ["walk"] span and bumps the
     [sim.walks] / [sim.events] counters. *)
 
+val rng_for : seed:int -> int -> Random.State.t
+(** [rng_for ~seed i]: a fresh RNG for walk [i] of [seed]'s stream, derived
+    from [(seed, i)] alone by a SplitMix64-style finaliser. *)
+
 val walks :
   ?probe:Probe.t -> Spec.t -> Scenario.t -> options -> seed:int ->
   count:int -> walk list
+(** Walks [0 .. count - 1] of [seed]'s stream, in index order. *)
 
 type aggregate = {
   runs : int;

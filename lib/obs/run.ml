@@ -7,7 +7,7 @@ let metrics_file = "metrics.json"
    magnitude, so they aggregate into the phase timers alone. *)
 let trace_phases =
   [ "expand"; "barrier-wait"; "steal-wait"; "walks"; "replay"; "checkpoint";
-    "spill-io"; "shrink"; "shrink-eval" ]
+    "spill-io"; "shrink" ]
 
 type t = {
   workers : int;

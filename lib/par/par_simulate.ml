@@ -2,22 +2,8 @@ open Sandtable
 
 type worker_stat = { ws_walks : int; ws_events : int; ws_busy : float }
 
-(* SplitMix64-style finaliser: walk [i]'s RNG stream depends only on the
-   root seed and the walk index, never on which domain runs it — so the walk
-   list is identical for every worker count. *)
-let derived_seed root i =
-  let open Int64 in
-  let z =
-    add (of_int root) (mul (of_int (i + 1)) 0x9E3779B97F4A7C15L)
-  in
-  let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
-  to_int (logxor z (shift_right_logical z 31))
-
-let rng_for ~seed i = Random.State.make [| seed; derived_seed seed i |]
-
-let walks_with_stats ?workers ?(offset = 0) ?probe ?(progress_every = 0)
-    ?progress spec scenario (opts : Simulate.options) ~seed ~count =
+let walks_with_stats ?workers ?probe ?(progress_every = 0) ?progress spec
+    scenario (opts : Simulate.options) ~seed ~count =
   let workers =
     match workers with
     | Some w -> max 1 w
@@ -46,7 +32,7 @@ let walks_with_stats ?workers ?(offset = 0) ?probe ?(progress_every = 0)
               for i = lo to hi - 1 do
                 let walk =
                   Simulate.walk ?probe:wp spec scenario opts
-                    (rng_for ~seed (offset + i))
+                    (Simulate.rng_for ~seed i)
                 in
                 events := !events + walk.Simulate.depth;
                 results.(i) <- Some walk;
@@ -85,27 +71,8 @@ let walks_with_stats ?workers ?(offset = 0) ?probe ?(progress_every = 0)
   in
   walks, stats
 
-let walks ?workers ?offset ?probe spec scenario opts ~seed ~count =
-  fst (walks_with_stats ?workers ?offset ?probe spec scenario opts ~seed ~count)
-
-(* Pre-generates walks in parallel batches for Conformance.run's
-   round-by-round (sequential, implementation-level) replay loop. Walk
-   [round] depends only on (seed, round), so reports are reproducible at any
-   worker count. *)
-let conformance_source ?workers ?(batch = 64) ?probe spec scenario ~seed =
-  let batch = max 1 batch in
-  let cache : (int, Simulate.walk) Hashtbl.t = Hashtbl.create 97 in
-  fun (opts : Simulate.options) round ->
-    let i = round - 1 in
-    match Hashtbl.find_opt cache i with
-    | Some w -> w
-    | None ->
-      let lo = i / batch * batch in
-      let ws =
-        walks ?workers ~offset:lo ?probe spec scenario opts ~seed ~count:batch
-      in
-      List.iteri (fun k w -> Hashtbl.replace cache (lo + k) w) ws;
-      Hashtbl.find cache i
+let walks ?workers ?probe spec scenario opts ~seed ~count =
+  fst (walks_with_stats ?workers ?probe spec scenario opts ~seed ~count)
 
 let walks_per_sec s =
   if s.ws_busy <= 0. then 0. else float s.ws_walks /. s.ws_busy

@@ -1,11 +1,9 @@
 (** Parallel random-walk simulation (TLC's multi-worker simulation mode).
 
-    Walk [i]'s RNG seed is derived deterministically from the root seed and
-    the walk index alone ({!derived_seed}, a SplitMix64-style stream split),
-    and walks are written back by index — so for a fixed root seed the
-    returned walk list (not just its multiset) is identical at every worker
-    count. Walks feed the existing conformance/ranking pipelines exactly
-    like [Sandtable.Simulate.walks] output. *)
+    The parallel map of [Sandtable.Simulate.walks]: walk [i] draws from
+    [Sandtable.Simulate.rng_for ~seed i] on whichever domain runs it and is
+    written back by index, so for a fixed root seed the returned walk list
+    (not just its multiset) equals [Simulate.walks] at every worker count. *)
 
 type worker_stat = {
   ws_walks : int;
@@ -13,22 +11,18 @@ type worker_stat = {
   ws_busy : float;  (** seconds *)
 }
 
-val derived_seed : int -> int -> int
-(** [derived_seed root i]: the per-walk seed for walk [i]. *)
-
 val walks :
-  ?workers:int -> ?offset:int -> ?probe:Sandtable.Probe.t ->
+  ?workers:int -> ?probe:Sandtable.Probe.t ->
   Sandtable.Spec.t -> Sandtable.Scenario.t ->
   Sandtable.Simulate.options -> seed:int -> count:int ->
   Sandtable.Simulate.walk list
-(** [workers] defaults to [Domain.recommended_domain_count ()]; [offset]
-    (default 0) shifts the walk indices, so [walks ~offset:k ~count:n] are
-    walks [k .. k+n-1] of the root seed's stream. With [probe], each worker
-    runs its batch inside a ["walks"] span (with a trailing ["barrier-wait"]
-    span) and per-walk [sim.*] counters land in that worker's collector. *)
+(** [workers] defaults to [Domain.recommended_domain_count ()]. With
+    [probe], each worker runs its batch inside a ["walks"] span (with a
+    trailing ["barrier-wait"] span) and per-walk [sim.*] counters land in
+    that worker's collector. *)
 
 val walks_with_stats :
-  ?workers:int -> ?offset:int -> ?probe:Sandtable.Probe.t ->
+  ?workers:int -> ?probe:Sandtable.Probe.t ->
   ?progress_every:int -> ?progress:(int -> unit) ->
   Sandtable.Spec.t -> Sandtable.Scenario.t ->
   Sandtable.Simulate.options -> seed:int -> count:int ->
@@ -36,14 +30,6 @@ val walks_with_stats :
 (** [progress] is fired every [progress_every] completed walks with the
     completed-walk count — from whichever worker domain crossed the
     threshold, so the callback must be domain-safe (printing a line is). *)
-
-val conformance_source :
-  ?workers:int -> ?batch:int -> ?probe:Sandtable.Probe.t ->
-  Sandtable.Spec.t -> Sandtable.Scenario.t ->
-  seed:int -> Sandtable.Simulate.options -> int -> Sandtable.Simulate.walk
-(** A [walk_source] for [Sandtable.Conformance.run]: generates walks on
-    worker domains in batches of [batch] (default 64) ahead of the
-    sequential implementation-level replay, caching them by round. *)
 
 val walks_per_sec : worker_stat -> float
 val pp_worker_stats : Format.formatter -> worker_stat array -> unit

@@ -98,7 +98,7 @@ let test_check_finds_bug_and_records () =
       let manifest = slurp (Filename.concat dir "manifest.json") in
       check_contains "manifest records shrink" manifest "\"shrink\"";
       (* standalone shrink over the same run dir re-confirms: exit 0 *)
-      let code, out, _ = run_cli [ "shrink"; dir; "-j"; "2" ] in
+      let code, out, _ = run_cli [ "shrink"; dir ] in
       Alcotest.(check int) "shrink exit 0" 0 code;
       check_contains "shrink prints summary" out "shrunk";
       (* run dirs are discoverable and summarizable *)

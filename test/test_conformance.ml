@@ -17,6 +17,60 @@ let conformance_pass (sys : R.t) () =
   | None -> ()
   | Some d -> Alcotest.failf "discrepancy: %a" Conformance.pp_discrepancy d
 
+(* Round r replays walk r - 1 of the seed's stream: the walks
+   Simulate.walks lists, which the CLI's parallel walk generation lists
+   too. A booted implementation records what it is asked to execute. *)
+let test_replays_walk_stream () =
+  let sys = R.find "pysyncobj" in
+  let spec = sys.spec Bug.Flags.empty in
+  let scenario = sys.default_scenario in
+  let seed = 7 and rounds = 20 and walk_depth = 25 in
+  let replayed = ref [] in
+  let boot sc =
+    let sut = sys.sut Bug.Flags.empty None sc in
+    let events = ref [] in
+    replayed := events :: !replayed;
+    { sut with
+      Conformance.execute =
+        (fun e ->
+          events := e :: !events;
+          sut.execute e) }
+  in
+  let report =
+    Conformance.run ~mask:Systems.Common.conformance_mask ~walk_depth spec
+      ~boot scenario ~rounds ~seed
+  in
+  Alcotest.(check bool) "conforms" true (report.discrepancy = None);
+  Alcotest.(check int) "rounds" rounds report.rounds_run;
+  let opts =
+    { Simulate.max_depth = walk_depth;
+      record_observations = true;
+      stop_on_violation = false }
+  in
+  let walks = Simulate.walks spec scenario opts ~seed ~count:rounds in
+  let replayed = List.rev_map (fun r -> List.rev !r) !replayed in
+  let same_events what (expected : Trace.t list) =
+    Alcotest.(check int) (what ^ ": walks") rounds (List.length expected);
+    List.iteri
+      (fun i (e, r) ->
+        Alcotest.(check bool)
+          (Fmt.str "round %d replays %s walk %d" (i + 1) what i)
+          true
+          (List.length e = List.length r && List.for_all2 Trace.equal_event e r))
+      (List.combine expected replayed)
+  in
+  Alcotest.(check int) "one boot per round" rounds (List.length replayed);
+  same_events "Simulate.walks"
+    (List.map (fun (w : Simulate.walk) -> w.events) walks);
+  same_events "Par_simulate.walks"
+    (List.map
+       (fun (w : Simulate.walk) -> w.events)
+       (Par.Par_simulate.walks ~workers:2 spec scenario opts ~seed
+          ~count:rounds));
+  Alcotest.(check int) "total events = summed walk depths"
+    (List.fold_left (fun n (w : Simulate.walk) -> n + w.depth) 0 walks)
+    report.total_events
+
 (* A buggy implementation against the fixed spec must be caught. *)
 let mismatch_detected (sys : R.t) flags seed () =
   let spec = sys.spec Bug.Flags.empty in
@@ -122,6 +176,7 @@ let test_mask_drops_aux () =
 let suite =
   ( "conformance",
     [ case "mask projects to impl-observables" test_mask_drops_aux;
+      case "rounds replay the seed's walk stream" test_replays_walk_stream;
       case "replay confirms pso3" test_replay_confirms;
       case "workflow end-to-end (pso5)" test_workflow_end_to_end;
       case "fix validation" test_fix_validation ]

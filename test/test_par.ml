@@ -213,11 +213,16 @@ let test_simulate_seed_stable () =
   let run workers =
     Par.Par_simulate.walks ~workers spec scenario opts ~seed:42 ~count:40
   in
-  let reference = run 1 in
+  (* the library's sequential stream is the reference: one seed, one
+     stream, at every worker count *)
+  let reference = Simulate.walks spec scenario opts ~seed:42 ~count:40 in
   Alcotest.(check int) "count" 40 (List.length reference);
   List.iter
     (fun workers ->
       let ws = run workers in
+      Alcotest.(check int)
+        (Fmt.str "count at %d workers" workers)
+        40 (List.length ws);
       List.iteri
         (fun i (a, b) ->
           let a : Simulate.walk = a and b : Simulate.walk = b in
@@ -228,7 +233,7 @@ let test_simulate_seed_stable () =
             && List.for_all2 Trace.equal_event a.events b.events
             && a.violation = b.violation))
         (List.combine reference ws))
-    [ 2; 4 ];
+    [ 1; 2; 4 ];
   (* a different root seed must give different walks *)
   let other =
     Par.Par_simulate.walks ~workers:1 spec scenario opts ~seed:7 ~count:40

@@ -1,5 +1,5 @@
 (* Counterexample shrinking: re-addressing rule, validation contract,
-   ddmin minimization, cross-worker determinism, and the full
+   ddmin minimization with pinned counters, and the full
    minimize-then-confirm loop on a real system. *)
 
 open Sandtable
@@ -153,63 +153,25 @@ let interleaved_trace nodes rounds =
     (fun _ -> List.init nodes (fun n -> tick n))
     (List.init rounds Fun.id)
 
-let test_workers_identical () =
-  (* the same violation shrunk at -j1/-j2/-j4 must yield byte-identical
-     minimized traces and identical counters: candidate order is
-     positional, rounds are complete-batch, selection is first-in-order *)
+let test_interleaved_pinned () =
+  (* three nodes' ticks interleaved four times: only one node's three ticks
+     matter. The trace and the tried/accepted/rounds counters are pinned:
+     candidate order is positional, every round evaluates its whole batch
+     and the first hit in generation order wins *)
   let spec = Toy_spec.spec ~limit:3 () in
   let scenario = Toy_spec.scenario ~nodes:3 ~timeouts:12 in
-  let trace = interleaved_trace 3 4 in
-  let outcomes =
-    List.map
-      (fun workers ->
-        Par.Par_shrink.minimize ~workers spec scenario
-          (Shrink.Invariant "BelowLimit") trace)
-      [ 1; 2; 4 ]
+  let o =
+    Shrink.run spec scenario (Shrink.Invariant "BelowLimit")
+      (interleaved_trace 3 4)
   in
-  match outcomes with
-  | [ j1; j2; j4 ] ->
-    Alcotest.(check int) "minimized to one node's ticks" 3 j1.Shrink.minimized_len;
-    List.iter
-      (fun (label, (jn : Shrink.outcome)) ->
-        Alcotest.(check string)
-          (label ^ " trace identical")
-          (Trace.to_string j1.Shrink.minimized)
-          (Trace.to_string jn.Shrink.minimized);
-        Alcotest.(check int) (label ^ " tried") j1.Shrink.tried jn.Shrink.tried;
-        Alcotest.(check int) (label ^ " accepted") j1.Shrink.accepted
-          jn.Shrink.accepted;
-        Alcotest.(check int) (label ^ " rounds") j1.Shrink.rounds
-          jn.Shrink.rounds)
-      [ ("j2", j2); ("j4", j4) ]
-  | _ -> assert false
-
-let test_parallel_eval_equals_sequential () =
-  (* Par_shrink.eval is just a work distributor: same results array as
-     List.map, in order *)
-  let spec = Toy_spec.spec ~limit:2 () in
-  let scenario = Toy_spec.scenario ~nodes:2 ~timeouts:6 in
-  let check = Shrink.validate spec scenario (Shrink.Invariant "BelowLimit") in
-  let candidates =
-    List.map
-      (List.map (fun e -> (e, "")))
-      [ [ tick 0; tick 0 ]; [ tick 0; tick 1 ]; [ tick 1; tick 1 ];
-        [ tick 0 ]; [ tick 1; tick 1; tick 0 ] ]
-  in
-  let seq = Shrink.sequential_eval check candidates in
-  Par.Pool.with_pool 3 (fun pool ->
-      let par = Par.Par_shrink.eval pool check candidates in
-      Alcotest.(check int) "same length" (List.length seq) (List.length par);
-      List.iteri
-        (fun i (a, b) ->
-          Alcotest.(check bool)
-            (Printf.sprintf "slot %d equal" i)
-            true
-            (match (a, b) with
-            | None, None -> true
-            | Some x, Some y -> rendered x = rendered y
-            | _ -> false))
-        (List.combine seq par))
+  Alcotest.(check int) "original length" 12 o.original_len;
+  Alcotest.(check int) "minimized to one node's ticks" 3 o.minimized_len;
+  Alcotest.(check string) "minimized trace"
+    (Trace.to_string [ tick 0; tick 0; tick 0 ])
+    (Trace.to_string o.minimized);
+  Alcotest.(check int) "tried" 21 o.tried;
+  Alcotest.(check int) "accepted" 3 o.accepted;
+  Alcotest.(check int) "rounds" 6 o.rounds
 
 (* ---- real system: minimize a random-walk violation, then confirm ------ *)
 
@@ -266,9 +228,7 @@ let suite =
         test_unknown_invariant;
       Alcotest.test_case "suffix truncated at first violation" `Quick
         test_suffix_truncation;
-      Alcotest.test_case "identical at -j1/-j2/-j4" `Quick
-        test_workers_identical;
-      Alcotest.test_case "parallel eval = sequential eval" `Quick
-        test_parallel_eval_equals_sequential;
+      Alcotest.test_case "interleaved ticks pinned" `Quick
+        test_interleaved_pinned;
       Alcotest.test_case "wraft4: shrink + implementation confirm" `Slow
         test_wraft4_end_to_end ] )
