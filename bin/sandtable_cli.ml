@@ -680,23 +680,21 @@ let simulate_cmd =
           else None
         in
         (* Par_simulate at every worker count (1 spawns no domains): walk
-           [i] depends only on (--seed, i), so -j never changes the walks *)
-        let ws, stats =
-          Par.Par_simulate.walks_with_stats ~workers ?probe ~progress_every
+           [i] depends only on (--seed, i), so -j never changes the walks,
+           and a running aggregate keeps none of them but the first
+           violating one *)
+        let agg, stats =
+          Par.Par_simulate.aggregate ~workers ?probe ~progress_every
             ?progress (sys.spec flags) scenario opts ~seed ~count:walks
         in
         if workers > 1 then begin
           Fmt.epr "parallel simulation: %d workers@." workers;
           Fmt.epr "%a" Par.Par_simulate.pp_worker_stats stats
         end;
-        let agg = Simulate.aggregate ws in
         Fmt.pr "%a@." Simulate.pp_aggregate agg;
-        (* shrink the first violating walk (walk order is (seed, index)
-           deterministic, so -j never changes which one is picked) *)
+        (* shrink the first violating walk in walk order *)
         (if do_shrink then
-           match
-             List.find_opt (fun (w : Simulate.walk) -> w.violation <> None) ws
-           with
+           match agg.first_violation with
            | None -> Fmt.epr "shrink: no violating walk to minimize@."
            | Some w ->
              let inv, idx = Option.get w.violation in

@@ -38,11 +38,7 @@ let () =
   Fmt.pr "   sequential-equivalent: %b@.@." agree;
 
   Fmt.pr "3. parallel simulation, fixed seed at 1 vs 4 workers...@.";
-  let walk_opts =
-    { Simulate.max_depth = 20;
-      record_observations = false;
-      stop_on_violation = false }
-  in
+  let walk_opts = { Simulate.default with max_depth = 20 } in
   let w1 = Par.Par_simulate.walks ~workers:1 spec scenario walk_opts
              ~seed:42 ~count:16
   and w4 = Par.Par_simulate.walks ~workers:4 spec scenario walk_opts

@@ -143,44 +143,62 @@ module Make (S : SYSTEM) = struct
           Option.map (S.with_net st)
             (S.Net.duplicate (S.net st) ~src ~dst ~index)) }
 
-  let next (scenario : Scenario.t) st =
-    let budget key ~default =
-      Scenario.budget_get scenario.budget key ~default
-    in
+  (* The budget's bounds, resolved once per budget list. The two readers
+     default an absent key apart: the constraint leaves a counter unbounded
+     and the longest queue at [S.default_buffer], while the enumeration
+     fires at most 3 timeouts and [S.default_requests] requests. *)
+  type bounds = {
+    caps : Counters.t;  (* the constraint's counter bounds *)
+    buffer : int;
+    timeouts : int;  (* the enumeration's *)
+    requests : int;
+  }
+
+  let bounds =
+    Scenario.memo (fun budget ->
+        let get key ~default = Scenario.budget_get budget key ~default in
+        { caps = Counters.bounds budget;
+          buffer = get "buffer" ~default:S.default_buffer;
+          timeouts = get "timeouts" ~default:3;
+          requests = get "requests" ~default:S.default_requests })
+
+  (* Every address [S.Net.deliverable] lists delivers. *)
+  let take net ~src ~dst ~index =
+    match S.Net.deliver net ~src ~dst ~index with
+    | Some taken -> taken
+    | None -> invalid_arg "Cluster_spec: no message at a deliverable address"
+
+  let successors (scenario : Scenario.t) st =
+    let bounds = bounds scenario.budget in
     let nodes = S.nodes st and net = S.net st and counters = S.counters st in
     let phase = Envgen.phase env_ops scenario st in
     let transitions = ref [] in
-    let add event st' = transitions := (event, st') :: !transitions in
+    let add event build = transitions := (event, build) :: !transitions in
+    let bumped event = S.with_counters st (Counters.bump counters event) in
     List.iter
       (fun (src, dst, index, _msg) ->
         if S.alive nodes.(dst) then
-          match S.Net.deliver net ~src ~dst ~index with
-          | None -> ()
-          | Some (m, net) ->
-            add (Trace.Deliver { src; dst; index })
-              (S.handle_message (S.with_net st net) ~dst ~src m))
+          add (Trace.Deliver { src; dst; index }) (fun () ->
+              let m, net = take net ~src ~dst ~index in
+              S.handle_message (S.with_net st net) ~dst ~src m))
       (S.Net.deliverable net);
     if S.Net.semantics net = Spec_net.Udp then
-      List.iter
-        (fun (event, st') -> add event st')
-        (Envgen.packet_events env_ops net_ops phase st);
-    if counters.timeouts < budget "timeouts" ~default:3 then
+      transitions :=
+        List.rev_append
+          (Envgen.packet_events env_ops net_ops phase st)
+          !transitions;
+    if counters.timeouts < bounds.timeouts then
       Array.iteri
         (fun node ns ->
-          if S.alive ns && Envgen.timeout_allowed env_ops phase st ~node
-          then begin
-            let bumped =
-              S.with_counters st
-                (Counters.bump counters (Trace.Timeout { node; kind = "" }))
-            in
+          if S.alive ns && Envgen.timeout_allowed env_ops phase st ~node then
             List.iter
               (fun (kind, enabled, fire) ->
                 if enabled ns then
-                  add (Trace.Timeout { node; kind }) (fire bumped node))
-              S.timeouts
-          end)
+                  let event = Trace.Timeout { node; kind } in
+                  add event (fun () -> fire (bumped event) node))
+              S.timeouts)
         nodes;
-    if counters.requests < budget "requests" ~default:S.default_requests then
+    if counters.requests < bounds.requests then
       Array.iteri
         (fun node ns ->
           if S.alive ns && S.accepts_client ns then begin
@@ -191,20 +209,18 @@ module Make (S : SYSTEM) = struct
             List.iter
               (fun (op, apply) ->
                 let event = Trace.Client { node; op = op value } in
-                let bumped =
-                  S.with_counters st (Counters.bump counters event)
-                in
-                add event (apply bumped node value))
+                add event (fun () -> apply (bumped event) node value))
               S.client_ops
           end)
         nodes;
     List.rev_append !transitions (Envgen.failure_events env_ops phase st)
 
+  let next scenario st = Spec.force (successors scenario st)
+
   let constraint_ok (scenario : Scenario.t) st =
-    Counters.within (S.counters st) scenario.budget
-    && S.Net.max_queue_len (S.net st)
-       <= Scenario.budget_get scenario.budget "buffer"
-            ~default:S.default_buffer
+    let bounds = bounds scenario.budget in
+    Counters.within_bounds (S.counters st) bounds.caps
+    && S.Net.max_queue_len (S.net st) <= bounds.buffer
 
   let permute p st =
     let net =

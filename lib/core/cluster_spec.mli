@@ -8,8 +8,9 @@
     and the observation and rendering frame — and a system supplies only
     its node-level parts ({!SYSTEM}).
 
-    {b Enumeration order.} [next] computes the state's active fault phase
-    once ({!Envgen.phase}) and lists, in this order:
+    {b Enumeration order.} [successors] computes the state's active fault
+    phase once ({!Envgen.phase}) and the budget's bounds once per budget
+    list ({!Scenario.memo}), and lists, in this order:
     + a [Deliver] for every deliverable message ({!Spec_net.S.deliverable}
       order) whose receiver is alive;
     + UDP packet faults ({!Envgen.packet_events}), when the network's
@@ -149,7 +150,16 @@ module type SYSTEM = sig
 end
 
 module Make (S : SYSTEM) : sig
+  val successors :
+    Scenario.t -> S.state -> (Trace.event * (unit -> S.state)) list
+  (** The enumeration: every enabling condition (liveness, budgets, the
+      fault phase, the system's guards) decided here, every state — the
+      handler's, the timeout's, the client operation's and {!Envgen}'s
+      packet and failure successors — built when its thunk is called. *)
+
   val next : Scenario.t -> S.state -> (Trace.event * S.state) list
+  (** [Spec.force (successors scenario state)]. *)
+
   val constraint_ok : Scenario.t -> S.state -> bool
   (** Every counter within its budget and no link queue longer than the
       ["buffer"] bound. *)

@@ -70,11 +70,7 @@ let run ?(mask = Fun.id) ?(walk_depth = 30) ?time_budget ?probe
     ?(progress_every = 0) ?progress spec ~boot scenario ~rounds ~seed =
   let started = Unix.gettimeofday () in
   let deadline = Option.map (fun b -> started +. b) time_budget in
-  let walk_opts =
-    { Simulate.max_depth = walk_depth;
-      record_observations = true;
-      stop_on_violation = false }
-  in
+  let walk_opts = { Simulate.max_depth = walk_depth; purpose = Conform } in
   (* round [r] replays walk [r - 1] of the seed's stream, generated here and
      dropped once replayed *)
   let next_walk round =

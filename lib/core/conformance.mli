@@ -9,9 +9,12 @@
     paper's methodology).
 
     Round [r] replays walk [r - 1] of [seed]'s {!Simulate} stream — the
-    walk [Simulate.walks ~seed] lists at that index under the same walk
-    options — generated on the calling domain when its round starts and
-    dropped once replayed, so memory does not grow with the round count. *)
+    walk [Simulate.walks ~seed] lists at that index under the same depth
+    bound — generated on the calling domain when its round starts and
+    dropped once replayed, so memory does not grow with the round count.
+    It is a [Simulate.Conform] walk: it builds only the successor it takes
+    and evaluates no invariant and collects no coverage, since only the
+    observations are compared. *)
 
 type sut = {
   execute : Trace.event -> (unit, string) result;

@@ -28,14 +28,25 @@ let rec bound key = function
   | [] -> max_int
   | (k, v) :: rest -> if String.equal k key then v else bound key rest
 
-let within t budget =
-  t.timeouts <= bound "timeouts" budget
-  && t.requests <= bound "requests" budget
-  && t.crashes <= bound "crashes" budget
-  && t.restarts <= bound "restarts" budget
-  && t.partitions <= bound "partitions" budget
-  && t.drops <= bound "drops" budget
-  && t.dups <= bound "dups" budget
+let bounds budget =
+  { timeouts = bound "timeouts" budget;
+    requests = bound "requests" budget;
+    crashes = bound "crashes" budget;
+    restarts = bound "restarts" budget;
+    partitions = bound "partitions" budget;
+    drops = bound "drops" budget;
+    dups = bound "dups" budget }
+
+let within_bounds t b =
+  t.timeouts <= b.timeouts
+  && t.requests <= b.requests
+  && t.crashes <= b.crashes
+  && t.restarts <= b.restarts
+  && t.partitions <= b.partitions
+  && t.drops <= b.drops
+  && t.dups <= b.dups
+
+let within t budget = within_bounds t (bounds budget)
 
 let encode sink t =
   Binio.uint sink t.timeouts;

@@ -18,10 +18,17 @@ val zero : t
 val bump : t -> Trace.event -> t
 (** Increment the counter class of the event ([Deliver]/[Heal] are free). *)
 
-val within : t -> (string * int) list -> bool
-(** All counters within their (present) budget bounds. Structurally
+val bounds : (string * int) list -> t
+(** Each counter's bound in a budget: the first binding of its key, or
+    [max_int] (unbounded) when the key is absent. The list is structurally
     [Scenario.budget]; spelled out to keep this module below {!Scenario}
     in the dependency order (fault plans sit between the two). *)
+
+val within_bounds : t -> t -> bool
+(** [within_bounds t b]: every counter of [t] at most its bound in [b]. *)
+
+val within : t -> (string * int) list -> bool
+(** [within t budget = within_bounds t (bounds budget)]. *)
 
 val encode : Binio.sink -> t -> unit
 val decode : Binio.source -> t

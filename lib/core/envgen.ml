@@ -45,16 +45,7 @@ let note_phase phi =
 
 (* A scenario without a plan runs under its budget's one phase, built
    once per budget list rather than once per state. *)
-let budget_memo = Atomic.make ([], Fault_plan.budget_phase [])
-
-let budget_phase budget =
-  let b, ph = Atomic.get budget_memo in
-  if b == budget then ph
-  else begin
-    let ph = Fault_plan.budget_phase budget in
-    Atomic.set budget_memo (budget, ph);
-    ph
-  end
+let budget_phase = Scenario.memo Fault_plan.budget_phase
 
 let phase ops (scenario : Scenario.t) st =
   match scenario.faults with
@@ -84,24 +75,25 @@ let iter_nodes ops st (r : Fault_plan.rule) ~alive f =
     |> List.iter f
 
 (* Crashes ascending, restarts ascending, partition groups, heal: the
-   active phase's selectors, cumulative caps and sampling applied. *)
+   active phase's selectors, cumulative caps and sampling applied. Each
+   successor is built when its thunk is forced. *)
 let failure_events ops (ph : Fault_plan.phase) st =
   let counters = ops.counters st in
   let n = ops.node_count st in
   let out = ref [] in
-  let add event st' = out := (event, st') :: !out in
+  let add event build = out := (event, build) :: !out in
   let bumped event = ops.with_counters st (Counters.bump counters event) in
   (match ph.ph_crash with
   | Some r when counters.crashes < r.r_cap ->
     iter_nodes ops st r ~alive:true (fun node ->
         let event = Trace.Crash { node } in
-        add event (ops.crash (bumped event) node))
+        add event (fun () -> ops.crash (bumped event) node))
   | Some _ | None -> ());
   (match ph.ph_restart with
   | Some r when counters.restarts < r.r_cap ->
     iter_nodes ops st r ~alive:false (fun node ->
         let event = Trace.Restart { node } in
-        add event (ops.restart (bumped event) node))
+        add event (fun () -> ops.restart (bumped event) node))
   | Some _ | None -> ());
   (match ph.ph_partition with
   | Some pr
@@ -124,15 +116,16 @@ let failure_events ops (ph : Fault_plan.phase) st =
     List.iter
       (fun group ->
         let event = Trace.Partition { group } in
-        add event (ops.partition (bumped event) group))
+        add event (fun () -> ops.partition (bumped event) group))
       (Fault_plan.sample_select pr.pr_sample group_key groups)
   | Some _ | None -> ());
   (if not (ops.fully_connected st) then
+     let heal () = ops.heal st in
      match ph.ph_heal with
-     | Fault_plan.Heal_auto -> add Trace.Heal (ops.heal st)
+     | Fault_plan.Heal_auto -> add Trace.Heal heal
      | Fault_plan.Heal_never -> ()
      | Fault_plan.Heal_after tg ->
-       if Fault_plan.trigger_met counters tg then add Trace.Heal (ops.heal st));
+       if Fault_plan.trigger_met counters tg then add Trace.Heal heal);
   List.rev !out
 
 let link_key (src, dst, index) = Printf.sprintf "%d>%d#%d" src dst index
@@ -141,11 +134,15 @@ let packet_events ops net (ph : Fault_plan.phase) st =
   let counters = ops.counters st in
   let out = ref [] in
   let faulted mk apply (src, dst, index) =
-    match apply st ~src ~dst ~index with
-    | None -> ()
-    | Some st' ->
-      let event = mk ~src ~dst ~index in
-      out := (event, ops.with_counters st' (Counters.bump counters event)) :: !out
+    let event = mk ~src ~dst ~index in
+    let build () =
+      match apply st ~src ~dst ~index with
+      | Some st' -> ops.with_counters st' (Counters.bump counters event)
+      | None ->
+        invalid_arg
+          ("Envgen.packet_events: no packet at " ^ link_key (src, dst, index))
+    in
+    out := (event, build) :: !out
   in
   let drop = faulted (fun ~src ~dst ~index -> Trace.Drop { src; dst; index }) net.net_drop in
   let dup =

@@ -38,7 +38,8 @@ type 'st net_ops = {
   net_duplicate : 'st -> src:int -> dst:int -> index:int -> 'st option;
 }
 (** Packet-level accessors (UDP semantics) for {!packet_events}; both
-    return the state with the network updated but counters untouched. *)
+    return the state with the network updated but counters untouched, and
+    [None] only for an address [net_deliverable] does not list. *)
 
 val proper_groups : int -> int list list
 (** Non-trivial partition groups containing node 0 — one canonical
@@ -50,16 +51,20 @@ val phase : 'st ops -> Scenario.t -> 'st -> Fault_plan.phase
     physical identity), not once per state. *)
 
 val failure_events :
-  'st ops -> Fault_plan.phase -> 'st -> (Trace.event * 'st) list
+  'st ops -> Fault_plan.phase -> 'st -> (Trace.event * (unit -> 'st)) list
 (** All crash/restart/partition/heal transitions the phase enables at this
     state, with event counters bumped: crashes then restarts, each in
-    ascending node order, then partition groups, then heal. *)
+    ascending node order, then partition groups, then heal. Which events
+    are enabled is decided here; each successor state is built only when
+    its thunk is called. *)
 
 val packet_events :
-  'st ops -> 'st net_ops -> Fault_plan.phase -> 'st -> (Trace.event * 'st) list
+  'st ops -> 'st net_ops -> Fault_plan.phase -> 'st ->
+  (Trace.event * (unit -> 'st)) list
 (** All UDP [Drop]/[Duplicate] transitions the phase enables — drops
     first, then duplicates, each in deliverable order, within the link
-    selectors, caps and sampling. *)
+    selectors, caps and sampling — each state built, as in
+    {!failure_events}, when its thunk is called. *)
 
 val timeout_allowed : 'st ops -> Fault_plan.phase -> 'st -> node:int -> bool
 (** Whether the phase permits [node] to fire a timeout at this state

@@ -28,7 +28,7 @@ let evaluate spec config budget ~walks_per ~walk_depth ~seed =
   let agg = Simulate.aggregate ws in
   { budget;
     coverage = Coverage.cardinal agg.Simulate.union_coverage;
-    diversity = agg.Simulate.distinct_event_kinds;
+    diversity = List.length agg.Simulate.event_kinds;
     mean_depth = agg.Simulate.mean_depth;
     max_depth = agg.Simulate.max_depth_seen;
     violations = agg.Simulate.violations }

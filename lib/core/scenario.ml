@@ -6,6 +6,16 @@ let rec budget_get b key ~default =
   | [] -> default
   | (k, v) :: rest -> if String.equal k key then v else budget_get rest key ~default
 
+let memo f =
+  let last = Atomic.make None in
+  fun b ->
+    match Atomic.get last with
+    | Some (b', v) when b' == b -> v
+    | Some _ | None ->
+      let v = f b in
+      Atomic.set last (Some (b, v));
+      v
+
 let valid_keys =
   [ "timeouts"; "requests"; "crashes"; "restarts"; "partitions"; "buffer";
     "drops"; "dups"; "epochs" ]

@@ -21,6 +21,14 @@ type budget = (string * int) list
 
 val budget_get : budget -> string -> default:int -> int
 
+val memo : (budget -> 'a) -> budget -> 'a
+(** [memo f] is [f] remembering its last answer by the budget list's
+    physical identity, so an engine that asks once per state for something
+    derived from its scenario's budget (resolved bounds, a fault phase)
+    computes it once per budget list instead. A different list — two
+    budgets alternating in one process — recomputes and replaces it.
+    Domain-safe. *)
+
 val valid_keys : string list
 (** The closed set of recognised bound keys. *)
 

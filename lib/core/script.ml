@@ -61,13 +61,13 @@ let run (module S : Spec.S) scenario patterns =
     let rec go state i acc = function
       | [] -> Ok (List.rev acc)
       | p :: rest ->
-        let successors = S.next scenario state in
+        let successors = S.successors scenario state in
         (match
            List.find_opt
              (fun (event, _) -> p event (S.describe state event))
              successors
          with
-        | Some (event, state') -> go state' (i + 1) (event :: acc) rest
+        | Some (event, build) -> go (build ()) (i + 1) (event :: acc) rest
         | None ->
           Error
             { at = i;

@@ -9,10 +9,10 @@ type labelled = (Trace.event * string) list
    buffer indexes, so a Deliver is found by message identity (its label,
    rendered from the live state) when its recorded index no longer lines
    up; the chosen transition's own event is what lands in the rewritten
-   trace. *)
+   trace, and its state is the only one built. *)
 let step_readdress (type s) (module S : Spec.S with type state = s) scenario
     (state : s) (event, label) =
-  let succ = S.next scenario state in
+  let succ = S.successors scenario state in
   let exact () = List.find_opt (fun (e, _) -> Trace.equal_event e event) succ in
   match event with
   | Trace.Deliver { src; dst; index } -> (
@@ -70,7 +70,8 @@ let replay (type s) (module S : Spec.S with type state = s) scenario
         | ev :: rest -> (
           match step_readdress (module S) scenario state ev with
           | None -> None
-          | Some (e, s') ->
+          | Some (e, build) ->
+            let s' = build () in
             (* the rewritten event keeps the label of the live state *)
             let e = (e, S.describe state e) in
             if accept s' then Some (List.rev (e :: acc)) else go s' (e :: acc) rest)
@@ -127,8 +128,8 @@ let run ?probe spec scenario oracle trace =
   Probe.span_begin probe "shrink";
   let tried = ref 0 and accepted = ref 0 and rounds = ref 0 in
   let check cand = validate spec scenario oracle cand in
-  (* one round: evaluate the whole batch, keep the first hit in generation
-     order *)
+  (* one round: the first hit in generation order; the candidates after it
+     are not evaluated, but the whole batch counts as tried *)
   let round candidates =
     match candidates with
     | [] -> None
@@ -138,7 +139,7 @@ let run ?probe spec scenario oracle trace =
       let n = List.length candidates in
       tried := !tried + n;
       Probe.count probe "shrink.candidates" n;
-      match List.find_map Fun.id (List.map check candidates) with
+      match List.find_map check candidates with
       | None -> None
       | Some t ->
         incr accepted;

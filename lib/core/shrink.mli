@@ -35,9 +35,9 @@
     those.
 
     {b Determinism.} Candidate generation is purely positional and each
-    round keeps the first accepted candidate in generation order, with the
-    whole round evaluated before selecting — so the minimized trace and
-    the tried/accepted/rounds counters depend on the input trace alone. *)
+    round keeps the first accepted candidate in generation order,
+    evaluating none after it — so the minimized trace and the
+    tried/accepted/rounds counters depend on the input trace alone. *)
 
 type oracle =
   | Invariant of string
@@ -68,7 +68,9 @@ type outcome = {
           was re-addressed against *)
   original_len : int;
   minimized_len : int;  (** [<= original_len] *)
-  tried : int;  (** candidates evaluated *)
+  tried : int;
+      (** candidates generated, each round's whole batch counted; a round
+          stops evaluating at its first hit *)
   accepted : int;  (** rounds that found a smaller failing trace *)
   rounds : int;  (** candidate batches evaluated *)
   duration : float;  (** wall seconds *)

@@ -6,54 +6,64 @@ type walk = {
   observations : Tla.Value.t list;
 }
 
-type options = {
-  max_depth : int;
-  record_observations : bool;
-  stop_on_violation : bool;
-}
+type purpose = Check | Conform
+type options = { max_depth : int; purpose : purpose }
 
-let default =
-  { max_depth = 50; record_observations = false; stop_on_violation = true }
+let default = { max_depth = 50; purpose = Check }
 
 let walk ?probe (module S : Spec.S) scenario opts rng =
   Probe.span_begin probe "walk";
+  let pick successors =
+    List.nth successors (Random.State.int rng (List.length successors))
+  in
+  (* the transition taken: a checking walk builds every enabled successor,
+     so coverage sees every branch they take; a conformance walk builds
+     only the one it takes *)
+  let step state =
+    match opts.purpose with
+    | Check -> (
+      match S.next scenario state with [] -> None | succ -> Some (pick succ))
+    | Conform -> (
+      match S.successors scenario state with
+      | [] -> None
+      | succ ->
+        let event, build = pick succ in
+        Some (event, build ()))
+  in
   let broken state =
-    List.find_map
-      (fun (name, holds) -> if holds scenario state then None else Some name)
-      S.invariants
+    match opts.purpose with
+    | Conform -> None
+    | Check ->
+      List.find_map
+        (fun (name, holds) -> if holds scenario state then None else Some name)
+        S.invariants
   in
   let run () =
     let inits = S.init scenario in
     let s0 = List.nth inits (Random.State.int rng (List.length inits)) in
-    let rec loop state depth events observations violation =
-      let violation =
-        match violation with
-        | Some _ -> violation
-        | None -> Option.map (fun name -> name, depth) (broken state)
-      in
-      let stop =
-        depth >= opts.max_depth
-        || (opts.stop_on_violation && Option.is_some violation)
-        || not (S.constraint_ok scenario state)
-      in
-      if stop then events, observations, violation
-      else
-        match S.next scenario state with
-        | [] -> events, observations, violation
-        | successors ->
-          let event, state' =
-            List.nth successors (Random.State.int rng (List.length successors))
-          in
-          let observations =
-            if opts.record_observations then S.observe state' :: observations
-            else observations
-          in
-          loop state' (depth + 1) (event :: events) observations violation
+    let rec loop state depth events observations =
+      match broken state with
+      | Some name -> events, observations, Some (name, depth)
+      | None -> (
+        if depth >= opts.max_depth || not (S.constraint_ok scenario state) then
+          events, observations, None
+        else
+          match step state with
+          | None -> events, observations, None
+          | Some (event, state') ->
+            let observations =
+              match opts.purpose with
+              | Conform -> S.observe state' :: observations
+              | Check -> observations
+            in
+            loop state' (depth + 1) (event :: events) observations)
     in
-    loop s0 0 [] [] None
+    loop s0 0 [] []
   in
   let (events, observations, violation), coverage =
-    Coverage.collect run
+    match opts.purpose with
+    | Check -> Coverage.collect run
+    | Conform -> run (), Coverage.empty
   in
   let depth = List.length events in
   Probe.count probe "sim.walks" 1;
@@ -88,35 +98,47 @@ type aggregate = {
   mean_depth : float;
   max_depth_seen : int;
   union_coverage : Coverage.t;
-  distinct_event_kinds : int;
+  event_kinds : string list;
   violations : int;
+  first_violation : walk option;
 }
 
-module Sset = Set.Make (String)
+let no_walks =
+  { runs = 0;
+    total_events = 0;
+    mean_depth = 0.;
+    max_depth_seen = 0;
+    union_coverage = Coverage.empty;
+    event_kinds = [];
+    violations = 0;
+    first_violation = None }
 
-let aggregate ws =
-  let runs = List.length ws in
-  let total_events = List.fold_left (fun n w -> n + w.depth) 0 ws in
-  let max_depth_seen = List.fold_left (fun m w -> max m w.depth) 0 ws in
-  let union_coverage =
-    List.fold_left (fun c w -> Coverage.union c w.coverage) Coverage.empty ws
-  in
-  let kinds =
-    List.fold_left
-      (fun acc w ->
-        List.fold_left (fun acc e -> Sset.add (Trace.kind e) acc) acc w.events)
-      Sset.empty ws
-  in
-  let violations =
-    List.length (List.filter (fun w -> w.violation <> None) ws)
-  in
+let merge a b =
+  let runs = a.runs + b.runs and total_events = a.total_events + b.total_events in
   { runs;
     total_events;
     mean_depth = (if runs = 0 then 0. else float total_events /. float runs);
-    max_depth_seen;
-    union_coverage;
-    distinct_event_kinds = Sset.cardinal kinds;
-    violations }
+    max_depth_seen = max a.max_depth_seen b.max_depth_seen;
+    union_coverage = Coverage.union a.union_coverage b.union_coverage;
+    event_kinds = List.sort_uniq String.compare (a.event_kinds @ b.event_kinds);
+    violations = a.violations + b.violations;
+    first_violation =
+      (match a.first_violation with Some _ as w -> w | None -> b.first_violation)
+  }
+
+let add a (w : walk) =
+  let violated = Option.is_some w.violation in
+  merge a
+    { runs = 1;
+      total_events = w.depth;
+      mean_depth = float w.depth;
+      max_depth_seen = w.depth;
+      union_coverage = w.coverage;
+      event_kinds = List.sort_uniq String.compare (List.map Trace.kind w.events);
+      violations = (if violated then 1 else 0);
+      first_violation = (if violated then Some w else None) }
+
+let aggregate ws = List.fold_left add no_walks ws
 
 let pp_aggregate ppf a =
   Fmt.pf ppf
@@ -124,4 +146,4 @@ let pp_aggregate ppf a =
      violations=%d"
     a.runs a.total_events a.mean_depth a.max_depth_seen
     (Coverage.cardinal a.union_coverage)
-    a.distinct_event_kinds a.violations
+    (List.length a.event_kinds) a.violations

@@ -6,29 +6,43 @@
     (§5.3).
 
     One seed names one walk stream: walk [i] of seed [s] draws from
-    [rng_for ~seed:s i] alone, so under the same {!options} it is the same
-    walk in {!walks}, [Conformance.run]'s round [i + 1] and [lib/par]'s
-    parallel [Par_simulate.walks] at any worker count (under other depth
-    bounds one walk is a prefix of the other). *)
+    [rng_for ~seed:s i] alone, so under the same [max_depth] it is the
+    same walk in {!walks}, [Conformance.run]'s round [i + 1] and
+    [lib/par]'s parallel [Par_simulate.walks] at any worker count, for
+    either {!purpose} (a [Check] walk may stop early at a violation, and
+    under other depth bounds one walk is a prefix of the other). *)
 
 type walk = {
   events : Trace.t;
   depth : int;
-  coverage : Coverage.t;  (** branches hit along the walk *)
+  coverage : Coverage.t;
+      (** branches hit along the walk; empty for a [Conform] walk *)
   violation : (string * int) option;
-      (** invariant name and the 1-based event index at which it first broke *)
+      (** invariant name and the 1-based event index at which it first
+          broke; always [None] for a [Conform] walk *)
   observations : Tla.Value.t list;
-      (** observation after each event (same length as [events]) *)
+      (** observation after each event (same length as [events]) for a
+          [Conform] walk; [[]] for a [Check] walk *)
 }
 
-type options = {
-  max_depth : int;
-  record_observations : bool;
-      (** disable to avoid paying observation cost on pure exploration *)
-  stop_on_violation : bool;
-}
+(** What a walk is for. Both purposes draw the same walk from the same
+    RNG: they take the same successors and stop at the same depth unless a
+    [Check] walk stops early at a violation. *)
+type purpose =
+  | Check
+      (** simulation, ranking and bug hunting: every enabled successor is
+          built ([S.next]), so coverage records every branch they take;
+          the invariants are evaluated at every state and the walk stops
+          at the first one that breaks *)
+  | Conform
+      (** conformance replay: only the successor the walk takes is built
+          ([S.successors]) and its observation recorded; no invariant is
+          evaluated and no coverage collected *)
+
+type options = { max_depth : int; purpose : purpose }
 
 val default : options
+(** [{ max_depth = 50; purpose = Check }]. *)
 
 val walk : ?probe:Probe.t -> Spec.t -> Scenario.t -> options ->
   Random.State.t -> walk
@@ -52,9 +66,25 @@ type aggregate = {
   mean_depth : float;
   max_depth_seen : int;
   union_coverage : Coverage.t;
-  distinct_event_kinds : int;
+  event_kinds : string list;  (** {!Trace.kind}s seen, sorted *)
   violations : int;
+  first_violation : walk option;
+      (** the first violating walk in walk order *)
 }
+(** A running summary of walks: it keeps one walk, not all of them, so a
+    caller that folds walks into it as they finish holds memory flat in
+    the walk count. *)
+
+val no_walks : aggregate
+
+val add : aggregate -> walk -> aggregate
+(** [add a w] counts [w] after the walks of [a] ([first_violation]
+    assumes walks are added in walk order). *)
+
+val merge : aggregate -> aggregate -> aggregate
+(** [merge a b] counts the walks of [a], then those of [b]. *)
 
 val aggregate : walk list -> aggregate
+(** The walks added in list order. *)
+
 val pp_aggregate : Format.formatter -> aggregate -> unit

@@ -4,6 +4,7 @@ module type S = sig
   val name : string
   val init : Scenario.t -> state list
   val next : Scenario.t -> state -> (Trace.event * state) list
+  val successors : Scenario.t -> state -> (Trace.event * (unit -> state)) list
   val constraint_ok : Scenario.t -> state -> bool
   val invariants : (string * (Scenario.t -> state -> bool)) list
   val observe : state -> Tla.Value.t
@@ -16,12 +17,15 @@ end
 
 type t = (module S)
 
+let force successors = List.map (fun (e, build) -> (e, build ())) successors
+
 let name (module M : S) = M.name
 
 let step (type s) (module M : S with type state = s) scenario (state : s) event =
   List.find_map
-    (fun (e, s') -> if Trace.equal_event e event then Some s' else None)
-    (M.next scenario state)
+    (fun (e, build) ->
+      if Trace.equal_event e event then Some (build ()) else None)
+    (M.successors scenario state)
 
 let observations_along (module M : S) scenario events =
   match M.init scenario with

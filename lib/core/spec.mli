@@ -18,6 +18,14 @@ module type S = sig
   (** All enabled transitions from [state]. Events must uniquely identify
       their transition (deterministic replay requirement, §3.4). *)
 
+  val successors : Scenario.t -> state -> (Trace.event * (unit -> state)) list
+  (** [next]'s transitions, in [next]'s order, each state built only when
+      its thunk is called: [force (successors sc s)] is [next sc s] (same
+      events, equal states). Which events are enabled is decided here, so
+      a caller that needs one successor — a conformance walk, {!step},
+      shrinking's re-addressing, [Script] — builds only that one. Each
+      call of a thunk builds its state anew. *)
+
   val constraint_ok : Scenario.t -> state -> bool
   (** TLC-style [StateConstraint]: states violating it are recorded but not
       expanded. *)
@@ -64,15 +72,19 @@ end
 
 type t = (module S)
 
+val force : (Trace.event * (unit -> 's)) list -> (Trace.event * 's) list
+(** Build every successor of a {!S.successors} list, in order. *)
+
 val name : t -> string
 
 val step :
   (module S with type state = 's) -> Scenario.t -> 's -> Trace.event ->
   's option
 (** [step spec scenario state e] is the successor of [state] whose event
-    equals [e] ({!Trace.equal_event}), or [None] when [next] offers no
-    such event — the replay step behind provenance-chain recovery,
-    {!observations_along}, {!labels} and [Script]. *)
+    equals [e] ({!Trace.equal_event}), the only one it builds, or [None]
+    when [next] offers no such event — the replay step behind
+    provenance-chain recovery, {!observations_along}, {!labels} and
+    [Script]. *)
 
 val observations_along : t -> Scenario.t -> Trace.t -> Tla.Value.t list option
 (** [observations_along spec scenario events] replays [events] from the

@@ -2,19 +2,22 @@ open Sandtable
 
 type worker_stat = { ws_walks : int; ws_events : int; ws_busy : float }
 
-let walks_with_stats ?workers ?probe ?(progress_every = 0) ?progress spec
-    scenario (opts : Simulate.options) ~seed ~count =
+(* Each worker folds its contiguous range of walk indices, in index order,
+   into an accumulator of its own; merging the accumulators in worker order
+   gives the index-order fold at every worker count. *)
+let fold ?workers ?probe ?(progress_every = 0) ?progress spec scenario
+    (opts : Simulate.options) ~seed ~count ~init ~add ~merge =
   let workers =
     match workers with
     | Some w -> max 1 w
     | None -> Domain.recommended_domain_count ()
   in
-  let results : Simulate.walk option array = Array.make count None in
+  let ranges = Array.of_list (Pool.split ~chunks:workers ~len:count) in
+  let accs = Array.make (Array.length ranges) init in
   (* completed-walk count shared across domains, only for progress ticks *)
   let done_walks = Atomic.make 0 in
   let stats =
     Pool.with_pool workers (fun pool ->
-        let ranges = Array.of_list (Pool.split ~chunks:workers ~len:count) in
         let ws_walks = Array.make workers 0 in
         let ws_events = Array.make workers 0 in
         let ws_busy = Array.make workers 0. in
@@ -28,20 +31,21 @@ let walks_with_stats ?workers ?probe ?(progress_every = 0) ?progress spec
               let wp = Probe.worker probe w in
               let t0 = Unix.gettimeofday () in
               Probe.span_begin wp "walks";
-              let events = ref 0 in
+              let events = ref 0 and acc = ref init in
               for i = lo to hi - 1 do
                 let walk =
                   Simulate.walk ?probe:wp spec scenario opts
                     (Simulate.rng_for ~seed i)
                 in
                 events := !events + walk.Simulate.depth;
-                results.(i) <- Some walk;
+                acc := add !acc walk;
                 if progress_every > 0 then begin
                   let n = Atomic.fetch_and_add done_walks 1 + 1 in
                   if n mod progress_every = 0 then
                     Option.iter (fun f -> f n) progress
                 end
               done;
+              accs.(w) <- !acc;
               ws_walks.(w) <- hi - lo;
               ws_events.(w) <- !events;
               Probe.span_end wp "walks";
@@ -61,18 +65,20 @@ let walks_with_stats ?workers ?probe ?(progress_every = 0) ?progress spec
               ws_events = ws_events.(w);
               ws_busy = ws_busy.(w) }))
   in
-  let walks =
-    Array.to_list
-      (Array.map
-         (function
-           | Some w -> w
-           | None -> assert false (* every index is in some range *))
-         results)
-  in
-  walks, stats
+  Array.fold_left merge init accs, stats
+
+let aggregate ?workers ?probe ?progress_every ?progress spec scenario opts
+    ~seed ~count =
+  fold ?workers ?probe ?progress_every ?progress spec scenario opts ~seed
+    ~count ~init:Simulate.no_walks ~add:Simulate.add ~merge:Simulate.merge
 
 let walks ?workers ?probe spec scenario opts ~seed ~count =
-  fst (walks_with_stats ?workers ?probe spec scenario opts ~seed ~count)
+  let newest_first, _ =
+    fold ?workers ?probe spec scenario opts ~seed ~count ~init:[]
+      ~add:(fun acc w -> w :: acc)
+      ~merge:(fun earlier later -> later @ earlier)
+  in
+  List.rev newest_first
 
 let walks_per_sec s =
   if s.ws_busy <= 0. then 0. else float s.ws_walks /. s.ws_busy

@@ -21,13 +21,18 @@ val walks :
     trailing ["barrier-wait"] span) and per-walk [sim.*] counters land in
     that worker's collector. *)
 
-val walks_with_stats :
+val aggregate :
   ?workers:int -> ?probe:Sandtable.Probe.t ->
   ?progress_every:int -> ?progress:(int -> unit) ->
   Sandtable.Spec.t -> Sandtable.Scenario.t ->
   Sandtable.Simulate.options -> seed:int -> count:int ->
-  Sandtable.Simulate.walk list * worker_stat array
-(** [progress] is fired every [progress_every] completed walks with the
+  Sandtable.Simulate.aggregate * worker_stat array
+(** [Simulate.aggregate] of the walks {!walks} lists, with per-worker
+    stats, holding no walk list: each worker adds its walks to a running
+    aggregate as they finish, so memory stays flat in [count], and the
+    per-worker aggregates merge in walk order, so the result (its
+    [first_violation] included) is the same at every worker count.
+    [progress] is fired every [progress_every] completed walks with the
     completed-walk count — from whichever worker domain crossed the
     threshold, so the callback must be domain-safe (printing a line is). *)
 

@@ -42,11 +42,7 @@ let test_replays_walk_stream () =
   in
   Alcotest.(check bool) "conforms" true (report.discrepancy = None);
   Alcotest.(check int) "rounds" rounds report.rounds_run;
-  let opts =
-    { Simulate.max_depth = walk_depth;
-      record_observations = true;
-      stop_on_violation = false }
-  in
+  let opts = { Simulate.max_depth = walk_depth; purpose = Conform } in
   let walks = Simulate.walks spec scenario opts ~seed ~count:rounds in
   let replayed = List.rev_map (fun r -> List.rev !r) !replayed in
   let same_events what (expected : Trace.t list) =
@@ -70,6 +66,100 @@ let test_replays_walk_stream () =
   Alcotest.(check int) "total events = summed walk depths"
     (List.fold_left (fun n (w : Simulate.walk) -> n + w.depth) 0 walks)
     report.total_events
+
+(* A conformance walk compares observations only: it builds the successor
+   it takes and no other, evaluates no invariant and installs no coverage
+   collector of its own, so the branch marks of the successors it builds
+   reach the caller's. The toy spec counts its invariant calls and the
+   successors it builds; its implementation mirrors it. *)
+module Toy = Toy_spec.Make (struct
+  let limit = Some 2
+end)
+
+let invariant_calls = ref 0
+let built = ref 0
+
+module Counting = struct
+  include Toy
+
+  let successors sc st =
+    List.map
+      (fun (e, build) ->
+        ( e,
+          fun () ->
+            incr built;
+            build () ))
+      (Toy.successors sc st)
+
+  let next sc st = Spec.force (successors sc st)
+
+  let invariants =
+    List.map
+      (fun (name, holds) ->
+        ( name,
+          fun sc st ->
+            incr invariant_calls;
+            holds sc st ))
+      Toy.invariants
+end
+
+let toy_sut (scenario : Scenario.t) =
+  let ticks = Array.make scenario.nodes 0 in
+  { Conformance.execute =
+      (function
+      | Trace.Timeout { node; _ } ->
+        ticks.(node) <- ticks.(node) + 1;
+        Ok ()
+      | e -> Error (Fmt.str "unexpected %a" Trace.pp_event e));
+    observe =
+      (fun () ->
+        Tla.Value.record
+          [ ( "ticks",
+              Tla.Value.seq (Array.to_list (Array.map Tla.Value.int ticks)) )
+          ]) }
+
+let test_compares_only () =
+  let scenario = Toy_spec.scenario ~nodes:2 ~timeouts:6 in
+  let spec : Spec.t = (module Counting) in
+  let rounds = 20 and walk_depth = 10 and seed = 1 in
+  invariant_calls := 0;
+  built := 0;
+  let report, seen =
+    Coverage.collect (fun () ->
+        Conformance.run ~walk_depth spec ~boot:toy_sut scenario ~rounds ~seed)
+  in
+  Alcotest.(check bool) "conforms" true (report.discrepancy = None);
+  Alcotest.(check int) "no invariant evaluated" 0 !invariant_calls;
+  Alcotest.(check int) "one successor built per replayed event"
+    report.total_events !built;
+  let walks =
+    Simulate.walks spec scenario
+      { Simulate.max_depth = walk_depth; purpose = Conform }
+      ~seed ~count:rounds
+  in
+  let taken =
+    List.sort_uniq String.compare
+      (List.concat_map
+         (fun (w : Simulate.walk) ->
+           List.map
+             (function
+               | Trace.Timeout { node; _ } -> Fmt.str "toy/tick%d" node
+               | _ -> "")
+             w.events)
+         walks)
+  in
+  Alcotest.(check (list string)) "the caller's collector sees the taken branches"
+    taken (Coverage.branches seen);
+  (* a checking walk of the same stream builds every successor and checks
+     the invariants at every state *)
+  invariant_calls := 0;
+  built := 0;
+  let checked = Simulate.walks spec scenario Simulate.default ~seed ~count:rounds in
+  let events = List.fold_left (fun n (w : Simulate.walk) -> n + w.depth) 0 checked in
+  Alcotest.(check bool) "a checking walk evaluates invariants" true
+    (!invariant_calls > events);
+  Alcotest.(check bool) "a checking walk builds every successor" true
+    (!built > events)
 
 (* A buggy implementation against the fixed spec must be caught. *)
 let mismatch_detected (sys : R.t) flags seed () =
@@ -177,6 +267,7 @@ let suite =
   ( "conformance",
     [ case "mask projects to impl-observables" test_mask_drops_aux;
       case "rounds replay the seed's walk stream" test_replays_walk_stream;
+      case "walks build and check only what is compared" test_compares_only;
       case "replay confirms pso3" test_replay_confirms;
       case "workflow end-to-end (pso5)" test_workflow_end_to_end;
       case "fix validation" test_fix_validation ]

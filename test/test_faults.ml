@@ -278,7 +278,7 @@ module Fault_toy = struct
   let init (scenario : Scenario.t) =
     [ { up = Array.make scenario.nodes true; cut = None; c = Counters.zero } ]
 
-  let next (scenario : Scenario.t) st =
+  let successors (scenario : Scenario.t) st =
     let phase = Envgen.phase fault_ops scenario st in
     let ticks =
       List.filter_map
@@ -290,11 +290,13 @@ module Fault_toy = struct
             && Envgen.timeout_allowed fault_ops phase st ~node
           then
             let event = Trace.Timeout { node; kind = "tick" } in
-            Some (event, { st with c = Counters.bump st.c event })
+            Some (event, fun () -> { st with c = Counters.bump st.c event })
           else None)
         (List.init (Array.length st.up) Fun.id)
     in
     ticks @ Envgen.failure_events fault_ops phase st
+
+  let next scenario st = Spec.force (successors scenario st)
 
   let constraint_ok (scenario : Scenario.t) st =
     Counters.within st.c scenario.budget
@@ -331,7 +333,7 @@ let toy_scenario ?faults budget =
 let init_state nodes = { up = Array.make nodes true; cut = None; c = Counters.zero }
 
 let failure_events sc st =
-  Envgen.failure_events fault_ops (Envgen.phase fault_ops sc st) st
+  Spec.force (Envgen.failure_events fault_ops (Envgen.phase fault_ops sc st) st)
 
 let timeout_allowed sc st ~node =
   Envgen.timeout_allowed fault_ops (Envgen.phase fault_ops sc st) st ~node

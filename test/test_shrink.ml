@@ -15,13 +15,16 @@ module Buf_spec = struct
   let name = "bufspec"
   let init _ = [ { buf = [ "a"; "b"; "c" ]; got = [] } ]
 
-  let next _ st =
+  let successors _ st =
     List.mapi
       (fun i m ->
         ( Trace.Deliver { src = 0; dst = 1; index = i },
-          { buf = List.filteri (fun j _ -> j <> i) st.buf;
-            got = st.got @ [ m ] } ))
+          fun () ->
+            { buf = List.filteri (fun j _ -> j <> i) st.buf;
+              got = st.got @ [ m ] } ))
       st.buf
+
+  let next sc st = Spec.force (successors sc st)
 
   let constraint_ok _ _ = true
 
@@ -116,6 +119,21 @@ let test_custom_sees_readdressed () =
   Alcotest.(check (list string)) "c re-addressed to live index"
     [ "deliver 0 1 2 c" ] (minimized o)
 
+let test_round_stops_at_first_hit () =
+  (* an oracle that accepts everything: each round's first candidate is
+     its hit, so the oracle runs once for the input and once per round,
+     while [tried] still counts both candidates of every round *)
+  let calls = ref 0 in
+  let accept t =
+    incr calls;
+    Some t
+  in
+  let o = Shrink.run buf_spec buf_scenario (Shrink.Custom accept) full_trace in
+  Alcotest.(check int) "minimized length" 1 o.minimized_len;
+  Alcotest.(check int) "rounds" 2 o.rounds;
+  Alcotest.(check int) "tried" 4 o.tried;
+  Alcotest.(check int) "oracle calls" (1 + o.rounds) !calls
+
 let test_rejects_passing_trace () =
   (* a trace that never breaks the invariant must be refused outright *)
   Alcotest.check_raises "non-failing input"
@@ -156,8 +174,8 @@ let interleaved_trace nodes rounds =
 let test_interleaved_pinned () =
   (* three nodes' ticks interleaved four times: only one node's three ticks
      matter. The trace and the tried/accepted/rounds counters are pinned:
-     candidate order is positional, every round evaluates its whole batch
-     and the first hit in generation order wins *)
+     candidate order is positional, every round counts its whole batch as
+     tried and the first hit in generation order wins *)
   let spec = Toy_spec.spec ~limit:3 () in
   let scenario = Toy_spec.scenario ~nodes:3 ~timeouts:12 in
   let o =
@@ -222,6 +240,8 @@ let suite =
         test_validate_rewrites_self_consistent;
       Alcotest.test_case "custom oracle sees re-addressed candidates" `Quick
         test_custom_sees_readdressed;
+      Alcotest.test_case "a round stops at its first hit" `Quick
+        test_round_stops_at_first_hit;
       Alcotest.test_case "non-failing input rejected" `Quick
         test_rejects_passing_trace;
       Alcotest.test_case "unknown invariant rejected" `Quick

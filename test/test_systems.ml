@@ -47,6 +47,140 @@ let test_events_unique () =
       in
       probe 6 s0)
 
+(* [successors] is [next] built on demand: on every reachable state of a
+   small all-faults scenario per system, the same events in the same
+   order, and each state — forced last to first, so that no thunk relies
+   on another having run — marshals to the bytes of [next]'s. *)
+let test_successors_agree_with_next () =
+  each (fun sys ->
+      let (module S : Spec.S) = sys.spec Bug.Flags.empty in
+      let scenario =
+        Scenario.v ~name:(sys.name ^ "-lazy") ~nodes:2 ~workload:[ 1 ]
+          [ ("timeouts", 2); ("requests", 1); ("crashes", 1); ("restarts", 1);
+            ("partitions", 1); ("drops", 1); ("dups", 1); ("buffer", 2) ]
+      in
+      let bytes s = Marshal.to_string s [ Marshal.No_sharing ] in
+      let seen = Fingerprint.Tbl.create 4096 and queue = Queue.create () in
+      let visit s =
+        let fp = Fingerprint.of_state s in
+        if not (Fingerprint.Tbl.mem seen fp) then begin
+          Fingerprint.Tbl.add seen fp ();
+          if S.constraint_ok scenario s then Queue.add s queue
+        end
+      in
+      List.iter visit (S.init scenario);
+      let mismatches = ref 0 in
+      while not (Queue.is_empty queue) do
+        let s = Queue.pop queue in
+        let eager = S.next scenario s and lazy_ = S.successors scenario s in
+        let forced =
+          List.rev (List.map (fun (_, build) -> bytes (build ())) (List.rev lazy_))
+        in
+        if
+          not
+            (List.equal Trace.equal_event (List.map fst eager) (List.map fst lazy_)
+            && List.equal String.equal (List.map (fun (_, s') -> bytes s') eager)
+                 forced)
+        then incr mismatches;
+        List.iter (fun (_, s') -> visit s') eager
+      done;
+      Alcotest.(check bool)
+        (sys.name ^ " explored some states") true
+        (Fingerprint.Tbl.length seen > 100);
+      Alcotest.(check int) (sys.name ^ " states where they differ") 0 !mismatches)
+
+(* The skeleton resolves a budget's bounds once per budget list. Its
+   answers must be the string-keyed ones: the first binding of a key wins;
+   an absent key leaves the constraint's counter unbounded (its buffer at
+   the system's default, 4 for PySyncObj) but lets the enumeration fire 3
+   timeouts and the system's default requests (3); a zero cap allows
+   nothing. Budgets alternate, so every answer is resolved afresh. *)
+module Pso = Systems.Pysyncobj_spec.Make (struct
+  let bugs = Bug.Flags.empty
+end)
+
+let test_resolved_bounds () =
+  let module Rs = Raft_kernel.Raft_spec in
+  let get budget key ~default = Scenario.budget_get budget key ~default in
+  let reference_constraint budget (st : Systems.Pysyncobj_spec.state) =
+    let c = st.Rs.counters and cap key = get budget key ~default:max_int in
+    c.timeouts <= cap "timeouts"
+    && c.requests <= cap "requests"
+    && c.crashes <= cap "crashes"
+    && c.restarts <= cap "restarts"
+    && c.partitions <= cap "partitions"
+    && c.drops <= cap "drops"
+    && c.dups <= cap "dups"
+    && Rs.State.Net.max_queue_len st.Rs.net <= get budget "buffer" ~default:4
+  in
+  let scenario budget = Scenario.v ~name:"bounds" ~nodes:3 ~workload:[ 1 ] budget in
+  let s0 = List.hd (Pso.init (scenario [])) in
+  (* n1 elected: a leader that accepts client requests, and queued votes *)
+  let leader =
+    match
+      Script.run (module Pso) (scenario [])
+        Script.[ timeout 0 "election"; deliver ~src:0 ~dst:1; deliver ~src:1 ~dst:0 ]
+    with
+    | Ok trace ->
+      List.fold_left
+        (fun st e -> Option.get (Spec.step (module Pso) (scenario []) st e))
+        s0 trace
+    | Error f -> Alcotest.failf "%a" Script.pp_failure f
+  in
+  let with_counters (st : Systems.Pysyncobj_spec.state) f =
+    { st with Rs.counters = f st.Rs.counters }
+  in
+  let states =
+    List.concat_map
+      (fun st ->
+        [ st;
+          with_counters st (fun c -> { c with timeouts = 2; requests = 2 });
+          with_counters st (fun c -> { c with timeouts = 3; requests = 3 });
+          with_counters st (fun c -> { c with timeouts = 5; crashes = 1 });
+          with_counters st (fun c -> { c with timeouts = 100; dups = 7 }) ])
+      [ s0; leader ]
+  in
+  let budgets =
+    [ [];
+      [ ("timeouts", 1); ("timeouts", 5); ("requests", 0); ("requests", 2);
+        ("buffer", 0); ("buffer", 9); ("crashes", 1); ("crashes", 0) ];
+      [ ("timeouts", 0); ("requests", 0); ("crashes", 0); ("restarts", 0);
+        ("partitions", 0); ("drops", 0); ("dups", 0); ("buffer", 0) ];
+      [ ("timeouts", 6); ("buffer", 2); ("dups", 7) ] ]
+  in
+  let kinds budget st =
+    List.sort_uniq String.compare
+      (List.map (fun (e, _) -> Trace.kind e) (Pso.successors (scenario budget) st))
+  in
+  Alcotest.(check bool) "the leader takes requests" true
+    (List.mem "client" (kinds [] leader));
+  for round = 1 to 3 do
+    List.iteri
+      (fun b budget ->
+        List.iteri
+          (fun i st ->
+            let label what = Fmt.str "round %d budget %d state %d %s" round b i what in
+            let c = st.Rs.counters and kinds = kinds budget st in
+            Alcotest.(check bool) (label "constraint")
+              (reference_constraint budget st)
+              (Pso.constraint_ok (scenario budget) st);
+            Alcotest.(check bool) (label "timeouts")
+              (c.timeouts < get budget "timeouts" ~default:3)
+              (List.mem "timeout" kinds);
+            Alcotest.(check bool) (label "requests")
+              (st.Rs.nodes != s0.Rs.nodes
+              && c.requests < get budget "requests" ~default:3)
+              (List.mem "client" kinds))
+          states)
+      budgets
+  done;
+  Alcotest.(check bool) "absent keys resolve unbounded" true
+    (Counters.bounds [] = Counters.bounds [ ("epochs", 1) ]
+    && (Counters.bounds []).timeouts = max_int);
+  Alcotest.(check (list int)) "first binding wins" [ 1; 0; 1 ]
+    (let b = Counters.bounds (List.nth budgets 1) in
+     [ b.timeouts; b.requests; b.crashes ])
+
 let test_permute_identity () =
   each (fun sys ->
       let (module S : Spec.S) = sys.spec Bug.Flags.empty in
@@ -189,20 +323,27 @@ let test_initial_invariants_hold () =
             S.invariants)
         (S.init sys.default_scenario))
 
-(* property test: along random walks of every system, the budget constraint
-   keeps holding on expanded states and observations stay well-formed *)
+(* property test: along random walks of every system, the invariants keep
+   holding (a checking walk's verdict) and the conformance walk of the same
+   seed takes the same events with well-formed observations *)
 let prop_walks_well_formed =
   QCheck2.Test.make ~name:"random walks well-formed across systems" ~count:24
     QCheck2.Gen.(pair (int_range 0 7) (int_range 0 10_000))
     (fun (sys_idx, seed) ->
       let sys = List.nth R.all sys_idx in
       let spec = sys.spec Bug.Flags.empty in
-      let opts = { Simulate.default with max_depth = 15; record_observations = true } in
-      let w = List.hd (Simulate.walks spec sys.default_scenario opts ~seed ~count:1) in
-      w.violation = None
+      let walk purpose =
+        List.hd
+          (Simulate.walks spec sys.default_scenario
+             { Simulate.max_depth = 15; purpose } ~seed ~count:1)
+      in
+      let checked = walk Check and conform = walk Conform in
+      checked.violation = None
+      && List.equal Trace.equal_event checked.events conform.events
+      && List.length conform.observations = conform.depth
       && List.for_all
            (fun obs -> Tla.Value.field obs "nodes" <> None)
-           w.observations)
+           conform.observations)
 
 let test_wraft9_blocks_elections () =
   (* the modeling-stage bug: a candidate advertising a zero last-log term
@@ -285,6 +426,8 @@ let suite =
   ( "systems",
     [ case "init nonempty" test_init_nonempty;
       case "next deterministic" test_next_deterministic;
+      case "successors agree with next" test_successors_agree_with_next;
+      case "resolved budget bounds" test_resolved_bounds;
       case "events uniquely identify transitions" test_events_unique;
       case "permute identity" test_permute_identity;
       case "canonical fingerprint class" test_permute_fingerprint_class;

@@ -17,16 +17,19 @@ end) : Spec.S with type state = state = struct
   let init (scenario : Scenario.t) =
     [ { ticks = Array.make scenario.nodes 0; counters = Counters.zero } ]
 
-  let next (scenario : Scenario.t) st =
+  let successors (scenario : Scenario.t) st =
     let budget = Scenario.budget_get scenario.budget "timeouts" ~default:3 in
     if st.counters.timeouts >= budget then []
     else
       List.init (Array.length st.ticks) (fun node ->
-          Coverage.hit (Fmt.str "toy/tick%d" node);
           let event = Trace.Timeout { node; kind = "tick" } in
           ( event,
-            { ticks = Arr.update st.ticks node (fun t -> t + 1);
-              counters = Counters.bump st.counters event } ))
+            fun () ->
+              Coverage.hit (Fmt.str "toy/tick%d" node);
+              { ticks = Arr.update st.ticks node (fun t -> t + 1);
+                counters = Counters.bump st.counters event } ))
+
+  let next scenario st = Spec.force (successors scenario st)
 
   let constraint_ok (scenario : Scenario.t) st =
     Counters.within st.counters scenario.budget
