@@ -240,9 +240,9 @@ let with_faults ?probe (sys : R.t) (scenario : Scenario.t) arg f =
   match arg with
   | None -> validated scenario
   | Some arg -> (
-    Probe.span_begin probe "fault.compile";
+    let t0 = Probe.now probe in
     let compiled = compile_schedule sys scenario arg in
-    Probe.span_end probe "fault.compile";
+    Probe.span_at probe "fault.compile" ~t0 ~t1:(Probe.now probe);
     match compiled with
     | Error m ->
       Fmt.epr "--faults %s: %s@." arg m;
@@ -926,8 +926,9 @@ let shrink_cmd =
   let doc =
     "Minimize the counterexample recorded in a run directory: ddmin-style \
      elision, every candidate re-validated against the specification, \
-     then re-confirmed at the implementation level. Each round evaluates \
-     its whole candidate batch and keeps the first hit, so the result \
+     then re-confirmed at the implementation level. Each round keeps the \
+     first hit in generation order and evaluates no candidate after it \
+     (the candidate count still includes the whole batch), so the result \
      depends on the recorded trace alone. Writes minimized.trace / \
      minimized.txt and records the original and minimized lengths in the \
      manifest."

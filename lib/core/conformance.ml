@@ -46,9 +46,7 @@ let pp_report ppf r =
     Fmt.pf ppf "@[<v>conformance FAILED after %d rounds (%.2fs):@,%a@]"
       r.rounds_run r.duration pp_discrepancy d
 
-(* Replay one walk at the implementation level, comparing observations after
-   every event: the index of the first event that fails, and how. *)
-let replay_walk ~mask ~boot scenario (walk : Simulate.walk) =
+let replay ~mask ~boot scenario events observations =
   let sut = boot scenario in
   let rec step i events observations =
     match events, observations with
@@ -61,10 +59,9 @@ let replay_walk ~mask ~boot scenario (walk : Simulate.walk) =
         match Tla.Value.diff ~expected:(mask expected) ~actual with
         | [] -> step (i + 1) events' observations'
         | diffs -> Some (i, State_mismatch diffs))
-    | _ ->
-      invalid_arg "Conformance: walk observations out of sync with events"
+    | _ -> invalid_arg "Conformance: observations out of sync with events"
   in
-  step 0 walk.events walk.observations
+  step 0 events observations
 
 let run ?(mask = Fun.id) ?(walk_depth = 30) ?time_budget ?probe
     ?(progress_every = 0) ?progress spec ~boot scenario ~rounds ~seed =
@@ -94,9 +91,11 @@ let run ?(mask = Fun.id) ?(walk_depth = 30) ?time_budget ?probe
         duration = Unix.gettimeofday () -. started }
     else
       let walk = next_walk round in
-      Probe.span_begin probe "replay";
-      let outcome = replay_walk ~mask ~boot scenario walk in
-      Probe.span_end probe "replay";
+      let t0 = Probe.now probe in
+      let outcome =
+        replay ~mask ~boot scenario walk.events walk.observations
+      in
+      Probe.span_at probe "replay" ~t0 ~t1:(Probe.now probe);
       Probe.count probe "conform.rounds" 1;
       match outcome with
       | Some (failed_at, failure) ->

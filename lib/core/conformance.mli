@@ -52,6 +52,20 @@ type report = {
 val pp_discrepancy : Format.formatter -> discrepancy -> unit
 val pp_report : Format.formatter -> report -> unit
 
+val replay :
+  mask:(Tla.Value.t -> Tla.Value.t) ->
+  boot:(Scenario.t -> sut) ->
+  Scenario.t ->
+  Trace.t ->
+  Tla.Value.t list ->
+  (int * failure) option
+(** [replay ~mask ~boot scenario events observations] boots the implementation
+    and runs [events] on it, comparing its observation after each one with
+    the [mask]ed spec observation at the same index: [Some (i, failure)]
+    for the first event [i] that fails, [None] when all pass. Every
+    conformance round and {!Replay.confirm} replay through it. Raises
+    [Invalid_argument] when the two lists differ in length. *)
+
 val run :
   ?mask:(Tla.Value.t -> Tla.Value.t) ->
   ?walk_depth:int ->

@@ -240,48 +240,6 @@ module Run (S : Spec.S) = struct
     let states = rebuild_frontier lookup scenario snap.snap_frontier in
     List.map2 (fun fp state -> (state, ref_of fp)) snap.snap_frontier states
 
-  let invariants opts =
-    match opts.only_invariants with
-    | None -> S.invariants
-    | Some names ->
-      List.filter (fun (name, _) -> List.mem name names) S.invariants
-
-  (* runs once per new state: allocates nothing unless an invariant breaks *)
-  let rec first_broken invariants scenario state =
-    match invariants with
-    | [] -> None
-    | (name, holds) :: rest ->
-      if holds scenario state then first_broken rest scenario state
-      else Some name
-
-  (* the sharded engines' roots; the sequential engine discovers its own
-     through the per-state path *)
-  let seed_roots opts cache scenario lookup ~insert =
-    let probe = opts.probe in
-    let invariants = invariants opts in
-    let edge ~dup ~sym =
-      if Probe.is_on probe then Probe.edge probe ~depth:0 ~event:None ~dup ~sym
-    in
-    let rec go i items = function
-      | [] -> Ok (List.rev items)
-      | s :: rest -> (
-        match arrive ?probe cache scenario s ~insert:(fun fp -> insert fp i)
-        with
-        | Recalled sym | Inserted (_, sym, None) ->
-          edge ~dup:true ~sym;
-          go (i + 1) items rest
-        | Inserted (fp, sym, Some r) -> (
-          edge ~dup:false ~sym;
-          match first_broken invariants scenario s with
-          | Some inv -> Error (violation lookup scenario fp inv ~depth:0)
-          | None ->
-            let items =
-              if S.constraint_ok scenario s then (s, r) :: items else items
-            in
-            go (i + 1) items rest))
-    in
-    go 0 [] (S.init scenario)
-
   let refuse_unordered = function
     | Some { snap_mode = Unordered; _ } ->
       invalid_arg
@@ -327,6 +285,112 @@ module Run (S : Spec.S) = struct
       end
     end
 
+  (* ---- the reports: one arrival, one barrier ----------------------------
+
+     Every engine reports each arrival's outcome and each barrier through
+     these two, so the counts, spans and callbacks they fire cannot drift
+     between engines. *)
+
+  type reports = {
+    opts : options;
+    scenario : Scenario.t;
+    invariants : (string * (Scenario.t -> S.state -> bool)) list;
+    store : unit -> int * int * int * int;
+    started : float;
+    mutable ticked : int;  (* [distinct] when progress last fired *)
+  }
+
+  let reports opts scenario ~resume ~store ~started =
+    { opts;
+      scenario;
+      invariants =
+        (match opts.only_invariants with
+        | None -> S.invariants
+        | Some names ->
+          List.filter (fun (name, _) -> List.mem name names) S.invariants);
+      store;
+      started;
+      ticked = (match resume with Some s -> s.snap_distinct | None -> 0) }
+
+  (* runs once per new state: allocates nothing unless an invariant breaks *)
+  let rec first_broken invariants scenario state =
+    match invariants with
+    | [] -> None
+    | (name, holds) :: rest ->
+      if holds scenario state then first_broken rest scenario state
+      else Some name
+
+  (* off, an arrival makes no probe call: it runs once per generated
+     state, and the edge's [Some event] would allocate *)
+  let report_arrival r probe state ~prov ~depth ~dup ~sym =
+    match probe with
+    | None -> if dup then None else first_broken r.invariants r.scenario state
+    | Some _ ->
+      Probe.edge probe ~depth ~dup ~sym
+        ~event:
+          (match prov with
+          | Fp_store.Proot _ -> None
+          | Fp_store.Pstep (_, event) -> Some event);
+      if dup then begin
+        Probe.count probe "fp.dup" 1;
+        None
+      end
+      else begin
+        let t0 = Unix.gettimeofday () in
+        let broken = first_broken r.invariants r.scenario state in
+        Probe.span_at probe "invariant" ~t0 ~t1:(Unix.gettimeofday ());
+        broken
+      end
+
+  let progress_tick r ~distinct ~generated ~depth ~frontier =
+    let every = r.opts.progress_every in
+    if every > 0 && distinct / every > r.ticked / every then begin
+      r.ticked <- distinct;
+      Option.iter
+        (fun f ->
+          f { distinct; generated; depth; frontier_len = frontier;
+              elapsed = Unix.gettimeofday () -. r.started })
+        r.opts.progress
+    end
+
+  (* the gauges go first, so the layer record's telemetry sample reads this
+     barrier's values *)
+  let report_barrier r ~layer ~depth ~distinct ~generated ~frontier ~resident
+      ~spilled snapshot =
+    let probe = r.opts.probe in
+    visited_gauges probe r.store;
+    frontier_gauges probe ~resident ~spilled;
+    Probe.layer probe ~depth ~distinct ~generated ~frontier
+      ~elapsed:(Unix.gettimeofday () -. r.started);
+    progress_tick r ~distinct ~generated ~depth ~frontier;
+    if frontier > 0 then
+      Option.iter (fun hook -> hook layer snapshot) r.opts.on_layer
+
+  (* the sharded engines' roots; the sequential engine discovers its own
+     through the per-state path *)
+  let seed_roots r cache lookup ~insert =
+    let probe = r.opts.probe and scenario = r.scenario in
+    let rec go i items = function
+      | [] -> Ok (List.rev items)
+      | s :: rest -> (
+        let prov = Fp_store.Proot i in
+        match arrive ?probe cache scenario s ~insert:(fun fp -> insert fp i)
+        with
+        | Recalled sym | Inserted (_, sym, None) ->
+          ignore (report_arrival r probe s ~prov ~depth:0 ~dup:true ~sym);
+          go (i + 1) items rest
+        | Inserted (fp, sym, Some entry) -> (
+          match report_arrival r probe s ~prov ~depth:0 ~dup:false ~sym with
+          | Some inv -> Error (violation lookup scenario fp inv ~depth:0)
+          | None ->
+            let items =
+              if S.constraint_ok scenario s then (s, entry) :: items
+              else items
+            in
+            go (i + 1) items rest))
+    in
+    go 0 [] (S.init scenario)
+
   (* ---- the sequential engine --------------------------------------------- *)
 
   let check ?resume scenario opts =
@@ -342,7 +406,6 @@ module Run (S : Spec.S) = struct
       Option.map (fun budget -> started +. budget) opts.time_budget
     in
     let elapsed () = Unix.gettimeofday () -. started in
-    let invariants = invariants opts in
     let provenance = function
       | Fp_store.Proot i -> Root i
       | Fp_store.Pstep (pred, event) ->
@@ -357,14 +420,7 @@ module Run (S : Spec.S) = struct
       ( Fp_store.length visited, Fp_store.capacity visited,
         Fp_store.store_bytes visited, Fp_store.probe_steps visited )
     in
-    let check_invariants fp depth state =
-      Probe.span_begin probe "invariant";
-      (match first_broken invariants scenario state with
-      | Some name ->
-        raise (Stop (Violation (violation lookup scenario fp name ~depth)))
-      | None -> ());
-      Probe.span_end probe "invariant"
-    in
+    let r = reports opts scenario ~resume ~store ~started in
     let over_budget depth =
       (match opts.max_states with
       | Some m -> Fp_store.length visited >= m
@@ -374,17 +430,6 @@ module Run (S : Spec.S) = struct
          | Some t -> Unix.gettimeofday () > t
          | None -> false
     in
-    (* profiler edge for one discovery attempt; [is_on] guards the
-       [Some event] allocation away from uninstrumented runs *)
-    let edge prov depth ~dup ~sym =
-      if Probe.is_on probe then
-        let event =
-          match prov with
-          | Fp_store.Proot _ -> None
-          | Fp_store.Pstep (_, event) -> Some event
-        in
-        Probe.edge probe ~depth ~event ~dup ~sym
-    in
     let cache = cache opts in
     let discover prov depth state =
       match
@@ -392,27 +437,25 @@ module Run (S : Spec.S) = struct
             Fp_store.add visited fp prov ~depth)
       with
       | Recalled sym | Inserted (_, sym, Fp_store.Dup _) ->
-        Probe.count probe "fp.dup" 1;
-        edge prov depth ~dup:true ~sym
+        ignore (report_arrival r probe state ~prov ~depth ~dup:true ~sym)
       | Inserted (fp, sym, Fp_store.Fresh idx) ->
-        edge prov depth ~dup:false ~sym;
         if depth > !max_depth_seen then max_depth_seen := depth;
-        check_invariants fp depth state;
+        (match report_arrival r probe state ~prov ~depth ~dup:false ~sym with
+        | Some name ->
+          raise (Stop (Violation (violation lookup scenario fp name ~depth)))
+        | None -> ());
         (* the own fingerprint's bytes are still in the arena: nothing
            since has marshalled on this domain *)
         if S.constraint_ok scenario state then
           Frontier.push ?probe fr ~entry:idx ~depth;
-        let n = Fp_store.length visited in
-        if opts.progress_every > 0 && n mod opts.progress_every = 0 then
-          Option.iter
-            (fun f ->
-              f { distinct = n; generated = !generated; depth;
-                  frontier_len = Frontier.length fr; elapsed = elapsed () })
-            opts.progress
+        (* each argument is a call: none is made when progress is off *)
+        if opts.progress_every > 0 then
+          progress_tick r ~distinct:(Fp_store.length visited)
+            ~generated:!generated ~depth ~frontier:(Frontier.length fr)
     in
     (* cur_depth is the layer currently being expanded; layer_remaining its
        unexpanded tail. When it hits zero the frontier holds exactly the
-       next layer — the barrier where on_layer (checkpointing) fires. A
+       next layer — the barrier where checkpoints are taken. A
        FIFO frontier makes this layered view bit-for-bit identical to the
        plain queue-driven loop. *)
     let cur_depth = ref 0 in
@@ -448,12 +491,16 @@ module Run (S : Spec.S) = struct
                 k fp (provenance prov) depth)) }
     in
     let layer_remaining = ref (Frontier.length fr) in
-    let gauges () =
-      visited_gauges probe store;
-      frontier_gauges probe ~resident:(Frontier.resident_bytes fr)
-        ~spilled:(Frontier.spilled_bytes fr)
+    (* the terminal empty-frontier record matches the parallel engines'
+       last layer barrier, which keeps per-layer event logs identical
+       across engines and worker counts *)
+    let barrier layer =
+      report_barrier r ~layer ~depth:layer ~distinct:(Fp_store.length visited)
+        ~generated:!generated ~frontier:(Frontier.length fr)
+        ~resident:(Frontier.resident_bytes fr)
+        ~spilled:(Frontier.spilled_bytes fr) (lazy (snapshot_now ()))
     in
-    Probe.span_begin probe "expand";
+    let expand_t0 = ref (Probe.now probe) in
     let outcome =
       try
         let continue = ref true in
@@ -462,28 +509,14 @@ module Run (S : Spec.S) = struct
             match Frontier.length fr with
             | 0 ->
               continue := false;
-              (* terminal empty-frontier record, matching the parallel
-                 engine's last layer barrier — keeps per-layer event logs
-                 identical across engines and worker counts *)
-              gauges ();
-              Probe.layer probe ~depth:(!cur_depth + 1)
-                ~distinct:(Fp_store.length visited)
-                ~generated:!generated ~frontier:0 ~elapsed:(elapsed ())
+              barrier (!cur_depth + 1)
             | n ->
               layer_remaining := n;
               incr cur_depth;
-              Probe.span_end probe "expand";
-              (* refresh the store and frontier gauges before the layer
-                 record so the telemetry sampler reads this layer's
-                 values *)
-              gauges ();
-              Probe.layer probe ~depth:!cur_depth
-                ~distinct:(Fp_store.length visited)
-                ~generated:!generated ~frontier:n ~elapsed:(elapsed ());
-              Option.iter
-                (fun hook -> hook !cur_depth (lazy (snapshot_now ())))
-                opts.on_layer;
-              Probe.span_begin probe "expand"
+              Probe.span_at probe "expand" ~t0:!expand_t0
+                ~t1:(Probe.now probe);
+              barrier !cur_depth;
+              expand_t0 := Probe.now probe
           end;
           if !continue then begin
             let state, idx, depth = Option.get (Frontier.pop ?probe fr) in
@@ -502,7 +535,7 @@ module Run (S : Spec.S) = struct
         Exhausted
       with Stop o -> o
     in
-    Probe.span_end probe "expand";
+    Probe.span_at probe "expand" ~t0:!expand_t0 ~t1:(Probe.now probe);
     Frontier.close fr;
     visited_gauges ~final:true probe store;
     cache_gauge probe [ cache ];

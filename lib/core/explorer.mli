@@ -105,11 +105,14 @@ type result = {
   duration : float;
 }
 
-(** The exploration core shared by every engine: per-state fingerprinting,
-    and the one place that turns visited-set provenance into states,
-    traces and verdicts. The sequential engine is {!check}; the parallel
-    engines ([Par.Par_explorer], [Par.Ws_explorer]) keep only their
-    frontier discipline and store, and call these for the rest. *)
+(** The exploration core shared by every engine: per-state fingerprinting
+    ({!arrive}), the arrival and barrier reports, and the one place that
+    turns visited-set provenance into states, traces and verdicts. The
+    sequential engine is {!check}; the parallel engines ([Par.Par_explorer],
+    [Par.Ws_explorer]) keep only their frontier discipline and store, and
+    call these for the rest. Per-state stage timing lives in two
+    functions: {!arrive} (fingerprint and canonicalisation) and
+    {!report_arrival} (invariants). *)
 module Run (S : Spec.S) : sig
   type cache
   (** One worker's orbit cache ({!Symmetry.cache}), or nothing when the run
@@ -190,25 +193,51 @@ module Run (S : Spec.S) : sig
       order. Raises [Invalid_argument] naming a fingerprint "missing from
       its visited set", or an unreplayable chain. *)
 
+  type reports
+  (** One run's reporting state: its options, scenario, invariants
+      ([S.invariants] restricted to [opts.only_invariants]), store reader,
+      start time, and the [distinct] count at which progress last fired. *)
+
+  val reports :
+    options -> Scenario.t -> resume:snapshot option ->
+    store:(unit -> int * int * int * int) -> started:float -> reports
+  (** [store] reads the visited set for {!visited_gauges}. Progress
+      counts from the resumed snapshot's [snap_distinct], or from 0. *)
+
+  val report_arrival :
+    reports -> Probe.t option -> S.state -> prov:Fp_store.prov -> depth:int ->
+    dup:bool -> sym:bool -> string option
+  (** The arrival report: one arrival's outcome, reported to [probe] (the
+      worker's) the same way in every engine. A duplicate ([dup]) counts
+      [fp.dup] and its profile edge, and returns [None]. A fresh state
+      gets its profile edge, then its invariants run inside one timed
+      [invariant] span; returns the first it breaks. [prov] names the
+      edge: a root or its parent's event. Allocates nothing when the probe
+      is off and every invariant holds. *)
+
+  val report_barrier :
+    reports -> layer:int -> depth:int -> distinct:int -> generated:int ->
+    frontier:int -> resident:int -> spilled:int -> snapshot Lazy.t -> unit
+  (** The barrier report, for a layer barrier, the sequential engine's
+      terminal record or a work-stealing pulse. In order: the visited
+      ({!visited_gauges}) and frontier ({!frontier_gauges}, [resident] and
+      [spilled] bytes) gauges; {!Probe.layer}; a progress tick, which
+      fires [opts.progress] when [distinct] has crossed a multiple of
+      [opts.progress_every] since it last fired; and [opts.on_layer
+      layer snapshot] when [frontier] is non-empty. The sequential
+      engine's per-state progress check is the same tick. *)
+
   val seed_roots :
-    options -> cache -> Scenario.t -> lookup ->
+    reports -> cache -> lookup ->
     insert:(Fingerprint.t -> int -> int option) ->
     ((S.state * int) list, violation) Stdlib.result
   (** The sharded engines' roots. Offers each initial state, in order,
       through {!arrive} to [insert fp i] ([i] its init index; [Some r] =
-      inserted as entry reference [r]), with one profiler edge each. Stops
-      at the first inserted root that breaks an invariant, with its depth-0
-      [Error] violation; else [Ok] the inserted roots that satisfy the
-      state constraint, with their references, in init order. *)
-
-  val invariants : options -> (string * (Scenario.t -> S.state -> bool)) list
-  (** [S.invariants] restricted to [opts.only_invariants]. *)
-
-  val first_broken :
-    (string * (Scenario.t -> S.state -> bool)) list -> Scenario.t ->
-    S.state -> string option
-  (** The first invariant of the list the state breaks. Allocates nothing
-      when all hold (it runs once per new state). *)
+      inserted as entry reference [r]), and reports each through
+      {!report_arrival} at depth 0. Stops at the first inserted root that
+      breaks an invariant, with its depth-0 [Error] violation; else [Ok]
+      the inserted roots that satisfy the state constraint, with their
+      references, in init order. *)
 
   val refuse_unordered : snapshot option -> unit
   (** Raises [Invalid_argument] naming the mode when resuming an

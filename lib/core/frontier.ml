@@ -303,9 +303,9 @@ let fresh_buf t need =
   else ba_create (max t.chunk_bytes need)
 
 let spill_out ?probe t d c =
-  Probe.span_begin probe "spill-io";
+  let t0 = Probe.now probe in
   let path = write_file d c in
-  Probe.span_end probe "spill-io";
+  Probe.span_at probe "spill-io" ~t0 ~t1:(Probe.now probe);
   Probe.count probe "spill.chunk_writes" 1;
   Probe.count probe "spill.items_spilled" c.count;
   Probe.count probe "spill.bytes_written" (file_header + c.fill);
@@ -318,9 +318,9 @@ let spill_out ?probe t d c =
 
 (* a closed chunk comes back cut to its entries: nothing is appended to it *)
 let spill_in ?probe t c =
-  Probe.span_begin probe "spill-io";
+  let t0 = Probe.now probe in
   let buf = read_file c.file ~count:c.count ~fill:c.fill (ba_create c.fill) in
-  Probe.span_end probe "spill-io";
+  Probe.span_at probe "spill-io" ~t0 ~t1:(Probe.now probe);
   Probe.count probe "spill.chunk_reads" 1;
   (try Sys.remove c.file with Sys_error _ -> ());
   c.buf <- buf;

@@ -6,86 +6,73 @@ type result = {
   duration : float;
 }
 
-(* BFS like the explorer's, additionally tracking per-state whether P held
-   anywhere on the discovery path. A state where the flag is still false and
-   no successors survive the budget is a counterexample. *)
-module Run (S : Spec.S) = struct
-  type entry = {
-    parent : (Fingerprint.t * Trace.event) option;
-    seen_p : bool;
-  }
+(* The spec in product with "P held somewhere on the path here": a state
+   reached both along a path where P held and along one where it never did
+   is two product states, so the second path is expanded too. Its one
+   invariant fails at a state where P never held and the path cannot go
+   on: the state constraint stops it, or nothing is enabled. *)
+module Product (S : Spec.S) (P : sig
+  val p : Tla.Value.t -> bool
+end) : Spec.S with type state = S.state * bool = struct
+  type state = S.state * bool
 
-  exception Found of Fingerprint.t
+  let name = S.name
+  let seen s = P.p (S.observe s)
+  let init scenario = List.map (fun s -> (s, seen s)) (S.init scenario)
 
-  let check scenario ~p ~time_budget ~max_states =
-    let started = Unix.gettimeofday () in
-    let deadline = Option.map (fun b -> started +. b) time_budget in
-    let visited : entry Fingerprint.Tbl.t = Fingerprint.Tbl.create 4096 in
-    let queue : (S.state * Fingerprint.t * bool) Queue.t = Queue.create () in
-    let budget_hit = ref false in
-    let discover parent state =
-      let fp = Fingerprint.of_state state in
-      if not (Fingerprint.Tbl.mem visited fp) then begin
-        let inherited =
-          match parent with Some (_, _, seen) -> seen | None -> false
-        in
-        let seen_p = inherited || p (S.observe state) in
-        Fingerprint.Tbl.replace visited fp
-          { parent = Option.map (fun (pfp, e, _) -> pfp, e) parent; seen_p };
-        if S.constraint_ok scenario state then
-          Queue.add (state, fp, seen_p) queue
-        else if not seen_p then raise (Found fp)
-      end
-    in
-    let trace_of fp =
-      let rec back fp acc =
-        match (Fingerprint.Tbl.find visited fp).parent with
-        | None -> acc
-        | Some (parent, event) -> back parent (event :: acc)
-      in
-      back fp []
-    in
-    let counterexample =
-      try
-        List.iter (fun s -> discover None s) (S.init scenario);
-        while not (Queue.is_empty queue) do
-          (match deadline with
-          | Some t when Unix.gettimeofday () > t ->
-            budget_hit := true;
-            Queue.clear queue
-          | _ -> ());
-          (match max_states with
-          | Some m when Fingerprint.Tbl.length visited >= m ->
-            budget_hit := true;
-            Queue.clear queue
-          | _ -> ());
-          if not (Queue.is_empty queue) then begin
-            let state, fp, seen_p = Queue.pop queue in
-            match S.next scenario state with
-            | [] -> if not seen_p then raise (Found fp)
-            | successors ->
-              List.iter
-                (fun (event, s') -> discover (Some (fp, event, seen_p)) s')
-                successors
-          end
-        done;
-        None
-      with Found fp -> Some (trace_of fp)
-    in
-    { satisfied = counterexample = None;
-      distinct = Fingerprint.Tbl.length visited;
-      counterexample;
-      labels =
-        (match counterexample with
-        | Some trace -> Spec.labels (module S) scenario trace
-        | None -> []);
-      duration = Unix.gettimeofday () -. started }
+  let successors scenario (s, held) =
+    List.map
+      (fun (event, build) ->
+        ( event,
+          fun () ->
+            let s' = build () in
+            (s', held || seen s') ))
+      (S.successors scenario s)
+
+  let next scenario st = Spec.force (successors scenario st)
+  let constraint_ok scenario (s, _) = S.constraint_ok scenario s
+
+  (* the path can go on from [s] *)
+  let goes_on scenario s =
+    S.constraint_ok scenario s
+    && match S.successors scenario s with [] -> false | _ -> true
+
+  let invariants =
+    [ ("Eventually", fun scenario (s, held) -> held || goes_on scenario s) ]
+
+  let observe (s, _) = S.observe s
+
+  (* P need not be invariant under node renaming *)
+  let permutable = false
+  let permute p (s, held) = (S.permute p s, held)
+  let node_key (s, _) i = S.node_key s i
+  let describe (s, _) event = S.describe s event
+
+  let pp_state ppf (s, held) =
+    Fmt.pf ppf "%a (P held: %b)" S.pp_state s held
 end
 
 let check_eventually ?time_budget ?max_states (module S : Spec.S) scenario ~p
     =
-  let module R = Run (S) in
-  R.check scenario ~p ~time_budget ~max_states
+  let module M = Product (S) (struct
+    let p = p
+  end) in
+  let r =
+    Explorer.check
+      (module M)
+      scenario
+      { Explorer.default with symmetry = false; time_budget; max_states }
+  in
+  let counterexample, labels =
+    match r.outcome with
+    | Explorer.Violation v -> (Some v.events, v.labels)
+    | Explorer.Exhausted | Explorer.Budget_spent -> (None, [])
+  in
+  { satisfied = counterexample = None;
+    distinct = r.distinct;
+    counterexample;
+    labels;
+    duration = r.duration }
 
 let leader_elected obs =
   match Tla.Value.field obs "nodes" with

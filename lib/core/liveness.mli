@@ -15,6 +15,9 @@
 type result = {
   satisfied : bool;
   distinct : int;
+      (** distinct (state, P held so far) pairs explored: a state reached
+          both along a path where P held and along one where it never did
+          counts twice *)
   counterexample : Trace.t option;
       (** a budget-exhausting path along which P never held *)
   labels : string list;
@@ -31,9 +34,12 @@ val check_eventually :
   result
 (** [check_eventually spec scenario ~p] — does every maximal path through
     the bounded state space reach a state whose observation satisfies [p]?
-    Stops at the first counterexample. A [Budget_spent] interruption reports
-    [satisfied = true] with whatever was explored (bounded guarantee only;
-    check [distinct]). *)
+    It is {!Explorer.check} over the spec in product with a flag "[p] held
+    somewhere on the path here", without symmetry reduction ([p] need not
+    be invariant under node renaming), so the counterexample is a shortest
+    one. Stops at the first counterexample. A [Budget_spent] interruption
+    reports [satisfied = true] with whatever was explored (bounded
+    guarantee only; check [distinct]). *)
 
 val leader_elected : Tla.Value.t -> bool
 (** Convenience predicate: some node observes as role "leader" or

@@ -1,8 +1,6 @@
 type sink = {
   s_count : worker:int -> string -> int -> unit;
   s_gauge : worker:int -> string -> float -> unit;
-  s_begin : worker:int -> string -> unit;
-  s_end : worker:int -> string -> unit;
   s_span : worker:int -> string -> float -> float -> unit;
   s_layer :
     depth:int -> distinct:int -> generated:int -> frontier:int ->
@@ -35,11 +33,8 @@ let count p name n =
 let gauge p name v =
   match p with None -> () | Some t -> t.sink.s_gauge ~worker:t.worker name v
 
-let span_begin p name =
-  match p with None -> () | Some t -> t.sink.s_begin ~worker:t.worker name
-
-let span_end p name =
-  match p with None -> () | Some t -> t.sink.s_end ~worker:t.worker name
+(* off, the constant [0.]: no clock read and no float boxed *)
+let now = function None -> 0. | Some _ -> Unix.gettimeofday ()
 
 let span_at p name ~t0 ~t1 =
   match p with
@@ -62,12 +57,3 @@ let edge_fix p ~depth ~event =
   match p with
   | None -> ()
   | Some t -> t.sink.s_edge_fix ~worker:t.worker ~depth ~event
-
-let span p name f =
-  match p with
-  | None -> f ()
-  | Some t ->
-    t.sink.s_begin ~worker:t.worker name;
-    Fun.protect
-      ~finally:(fun () -> t.sink.s_end ~worker:t.worker name)
-      f

@@ -2,9 +2,12 @@
 
     Exploration, simulation, conformance and the run store all accept an
     optional probe and report into it: named counters and gauges, phase
-    spans (begin/end pairs, or explicit [t0,t1] intervals for spans whose
-    endpoints are measured elsewhere, e.g. per-worker barrier waits), and a
-    per-layer record fired at every BFS layer barrier.
+    spans, and a per-layer record fired at every BFS layer barrier.
+
+    A span has one form: a completed interval whose endpoints the caller
+    measured with {!now} ([let t0 = Probe.now p in ... Probe.span_at p
+    name ~t0 ~t1:(Probe.now p)]). Nothing is left open, so an exception
+    between the two reads drops that one span and nothing else.
 
     The probe is deliberately just a record of callbacks: [lib/core] knows
     nothing about metric registries, trace files or run directories — the
@@ -26,10 +29,9 @@ type sink = {
       (** add [n] to a named counter *)
   s_gauge : worker:int -> string -> float -> unit;
       (** set a named gauge (sinks track last and max) *)
-  s_begin : worker:int -> string -> unit;  (** open a named phase span *)
-  s_end : worker:int -> string -> unit;  (** close the matching span *)
   s_span : worker:int -> string -> float -> float -> unit;
-      (** a complete span with explicit [t0 t1] absolute Unix times *)
+      (** a completed phase span, from [t0] to [t1] in absolute Unix
+          times *)
   s_layer :
     depth:int -> distinct:int -> generated:int -> frontier:int ->
     elapsed:float -> unit;
@@ -64,8 +66,10 @@ val is_on : t option -> bool
 val worker : t option -> int -> t option
 val count : t option -> string -> int -> unit
 val gauge : t option -> string -> float -> unit
-val span_begin : t option -> string -> unit
-val span_end : t option -> string -> unit
+
+val now : t option -> float
+(** [Unix.gettimeofday ()] when the probe is on; the constant [0.] when
+    it is off, so a span's clock reads cost nothing then. *)
 
 val span_at : t option -> string -> t0:float -> t1:float -> unit
 (** Record a completed span with endpoints the caller measured itself. *)
@@ -85,8 +89,3 @@ val edge_fix :
   t option -> depth:int -> event:Trace.event option -> unit
 (** Flip an already-reported fresh edge at [depth] via [event] to
     duplicate (the insertion race loser, discovered after the fact). *)
-
-val span : t option -> string -> (unit -> 'a) -> 'a
-(** [span p name f] runs [f] inside a [name] span (exception-safe). With
-    [None] it is just [f ()] — but note the closure argument itself may
-    allocate, so prefer explicit {!span_begin}/{!span_end} on hot paths. *)

@@ -17,23 +17,9 @@ let confirm ?(mask = Fun.id) spec ~boot scenario events =
     | None ->
       invalid_arg "Replay.confirm: trace is not replayable on the spec"
   in
-  let sut = boot scenario in
-  let false_alarm failed_at failure =
+  match Conformance.replay ~mask ~boot scenario events observations with
+  | None -> Confirmed { events = List.length events }
+  | Some (failed_at, failure) ->
     False_alarm
       { round = 1; events; labels = Spec.labels spec scenario events;
         failed_at; failure }
-  in
-  let rec step i evs obs =
-    match evs, obs with
-    | [], [] -> Confirmed { events = List.length events }
-    | event :: evs', expected :: obs' -> (
-      match sut.Conformance.execute event with
-      | Error msg -> false_alarm i (Conformance.Impl_error msg)
-      | Ok () ->
-        let actual = sut.Conformance.observe () in
-        let diffs = Tla.Value.diff ~expected:(mask expected) ~actual in
-        if diffs <> [] then false_alarm i (Conformance.State_mismatch diffs)
-        else step (i + 1) evs' obs')
-    | _ -> assert false
-  in
-  step 0 events observations

@@ -125,7 +125,6 @@ let chunk_bounds ~len ~n =
 
 let run ?probe spec scenario oracle trace =
   let t0 = Unix.gettimeofday () in
-  Probe.span_begin probe "shrink";
   let tried = ref 0 and accepted = ref 0 and rounds = ref 0 in
   let check cand = validate spec scenario oracle cand in
   (* one round: the first hit in generation order; the candidates after it
@@ -147,8 +146,8 @@ let run ?probe spec scenario oracle trace =
         Some t)
   in
   let finish minimized =
-    let duration = Unix.gettimeofday () -. t0 in
-    Probe.span_end probe "shrink";
+    let t1 = Unix.gettimeofday () in
+    Probe.span_at probe "shrink" ~t0 ~t1;
     { minimized = List.map fst minimized;
       labels = List.map snd minimized;
       original_len = List.length trace;
@@ -156,12 +155,12 @@ let run ?probe spec scenario oracle trace =
       tried = !tried;
       accepted = !accepted;
       rounds = !rounds;
-      duration }
+      duration = t1 -. t0 }
   in
   (* each recorded delivery's label, from one replay of the input *)
   match check (List.combine trace (Spec.labels spec scenario trace)) with
   | None ->
-    Probe.span_end probe "shrink";
+    Probe.span_at probe "shrink" ~t0 ~t1:(Unix.gettimeofday ());
     invalid_arg "Shrink.run: the input trace does not reproduce the failure"
   | Some base ->
     (* ddmin over complements: each candidate drops one of n contiguous

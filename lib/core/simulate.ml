@@ -12,7 +12,7 @@ type options = { max_depth : int; purpose : purpose }
 let default = { max_depth = 50; purpose = Check }
 
 let walk ?probe (module S : Spec.S) scenario opts rng =
-  Probe.span_begin probe "walk";
+  let t0 = Probe.now probe in
   let pick successors =
     List.nth successors (Random.State.int rng (List.length successors))
   in
@@ -68,7 +68,7 @@ let walk ?probe (module S : Spec.S) scenario opts rng =
   let depth = List.length events in
   Probe.count probe "sim.walks" 1;
   Probe.count probe "sim.events" depth;
-  Probe.span_end probe "walk";
+  Probe.span_at probe "walk" ~t0 ~t1:(Probe.now probe);
   { events = List.rev events;
     depth;
     coverage;

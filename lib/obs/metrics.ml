@@ -2,20 +2,17 @@ type gauge = { mutable g_last : float; mutable g_max : float }
 type timer = { mutable tm_count : int; mutable tm_total : float }
 
 (* One collector per worker, touched only by that worker's domain — no
-   locks anywhere on the reporting path. [open_spans] is a stack of
-   (name, t0) for begin/end phase spans. *)
+   locks anywhere on the reporting path. *)
 type collector = {
   counters : (string, int ref) Hashtbl.t;
   gauges : (string, gauge) Hashtbl.t;
   timers : (string, timer) Hashtbl.t;
-  mutable open_spans : (string * float) list;
 }
 
 let create_collector () =
   { counters = Hashtbl.create 32;
     gauges = Hashtbl.create 8;
-    timers = Hashtbl.create 16;
-    open_spans = [] }
+    timers = Hashtbl.create 16 }
 
 let create_collectors ~workers = Array.init (max 1 workers) (fun _ -> create_collector ())
 
@@ -37,32 +34,6 @@ let add_timer c name dur =
     t.tm_count <- t.tm_count + 1;
     t.tm_total <- t.tm_total +. dur
   | None -> Hashtbl.replace c.timers name { tm_count = 1; tm_total = dur }
-
-let begin_span c name ~now = c.open_spans <- (name, now) :: c.open_spans
-
-(* Close the innermost open span with this name. Scanning (rather than
-   popping blindly) tolerates spans left open by an exception unwinding
-   past their [span_end] — e.g. the explorer's Stop-on-violation leaves
-   "invariant" open inside "expand"; ending "expand" must still match. *)
-let end_span c name ~now =
-  let rec split acc = function
-    | [] -> None
-    | (n, t0) :: rest when String.equal n name ->
-      Some (t0, List.rev_append acc rest)
-    | s :: rest -> split (s :: acc) rest
-  in
-  match split [] c.open_spans with
-  | None -> None
-  | Some (t0, rest) ->
-    c.open_spans <- rest;
-    add_timer c name (now -. t0);
-    Some t0
-
-(* Close anything still open (exceptions, early stop) so its time is not
-   silently dropped. *)
-let drain c ~now =
-  List.iter (fun (name, t0) -> add_timer c name (now -. t0)) c.open_spans;
-  c.open_spans <- []
 
 let counter_of c name =
   match Hashtbl.find_opt c.counters name with Some r -> !r | None -> 0

@@ -1,8 +1,8 @@
 (** Domain-local metric collectors and their deterministic merge.
 
     Each worker owns one {!collector} and is the only domain that touches
-    it, so the hot reporting path (counter bumps, span begin/end) takes no
-    locks. A {!merge} at a quiescent point (layer barrier, end of run)
+    it, so the hot reporting path (counter bumps, completed spans) takes
+    no locks. A {!merge} at a quiescent point (layer barrier, end of run)
     folds the collectors {e in worker order} and sorts every family by
     name — the resulting {!summary} does not depend on domain scheduling,
     and for the deterministic engines the counter values are identical at
@@ -22,19 +22,8 @@ val add_count : collector -> string -> int -> unit
 val set_gauge : collector -> string -> float -> unit
 
 val add_timer : collector -> string -> float -> unit
-(** One completed interval of [dur] seconds. *)
-
-val begin_span : collector -> string -> now:float -> unit
-
-val end_span : collector -> string -> now:float -> float option
-(** Closes the innermost open span with this name and feeds its duration
-    into the timer family, returning its start time (for trace emission).
-    [None] if no such span is open (e.g. an exception already unwound past
-    it); unmatched ends are ignored rather than fatal. *)
-
-val drain : collector -> now:float -> unit
-(** Close every span still open, crediting time up to [now] — called once
-    at the end of a run so exceptions don't silently drop phase time. *)
+(** One completed span of [dur] seconds: a timer counts its spans and sums
+    their durations. *)
 
 (** {2 Quiescent reads} — snapshot one worker's collector {e while its
     domain is parked} (layer barrier, end of run). The telemetry sampler
@@ -45,7 +34,7 @@ val counter_of : collector -> string -> int
 (** 0 when absent. *)
 
 val timer_total_of : collector -> string -> float
-(** Total seconds of {e closed} spans; 0 when absent. *)
+(** Total seconds; 0 when absent. *)
 
 val gauge_last_of : collector -> string -> float option
 

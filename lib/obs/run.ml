@@ -20,7 +20,6 @@ type t = {
   probe : Probe.t option;
   peak_frontier : int ref;
   layers : int ref;
-  mutable finished : bool;
 }
 
 let create ?(workers = 1) ?trace_out ?dir
@@ -49,26 +48,12 @@ let create ?(workers = 1) ?trace_out ?dir
   let traced name = List.mem name trace_phases in
   let s_count ~worker name n = Metrics.add_count (coll worker) name n in
   let s_gauge ~worker name v = Metrics.set_gauge (coll worker) name v in
-  let s_begin ~worker name =
-    Metrics.begin_span (coll worker) name ~now:(Unix.gettimeofday ())
-  in
-  let s_end ~worker name =
-    let now = Unix.gettimeofday () in
-    match Metrics.end_span (coll worker) name ~now with
-    | None -> ()
-    | Some span_t0 ->
-      if traced name then
-        Option.iter
-          (fun tw ->
-            Trace_writer.span tw ~tid:worker ~name ~t0:span_t0 ~t1:now)
-          trace
-  in
-  let s_span ~worker name st0 st1 =
-    Metrics.add_timer (coll worker) name (st1 -. st0);
-    if traced name then
-      Option.iter
-        (fun tw -> Trace_writer.span tw ~tid:worker ~name ~t0:st0 ~t1:st1)
-        trace
+  let s_span ~worker name t0 t1 =
+    Metrics.add_timer (coll worker) name (t1 -. t0);
+    match trace with
+    | Some tw when traced name ->
+      Trace_writer.span tw ~tid:worker ~name ~t0 ~t1
+    | _ -> ()
   in
   (* One record per barrier. Its counts and the fault-plan phase are facts
      about the exploration, identical at every worker count under the
@@ -102,11 +87,10 @@ let create ?(workers = 1) ?trace_out ?dir
   in
   let probe =
     Some (Probe.make ~worker:0
-            { Probe.s_count; s_gauge; s_begin; s_end; s_span; s_layer;
-              s_edge; s_edge_fix })
+            { Probe.s_count; s_gauge; s_span; s_layer; s_edge; s_edge_fix })
   in
   { workers; t0; collectors; trace; events; profile; dir; probe;
-    peak_frontier; layers; finished = false }
+    peak_frontier; layers }
 
 let probe t = t.probe
 let dir t = t.dir
@@ -146,9 +130,6 @@ let peak_rss_mb () =
 
 let finish t ~outcome ?(distinct = 0) ?(generated = 0) ?(max_depth = 0)
     ~duration () =
-  t.finished <- true;
-  let now = Unix.gettimeofday () in
-  Array.iter (fun c -> Metrics.drain c ~now) t.collectors;
   let m = Metrics.merge t.collectors in
   (* barrier-idle: share of worker time spent waiting — at layer barriers
      (strict BFS) or idle-stealing (work-stealing engine) — relative to

@@ -5,15 +5,17 @@
     trace-event file ([--trace-out]) and an optional run-directory event
     log ([events.ndjsonl]); [probe] hands back the probe to thread through
     [Explorer.options], [Par_simulate], [Store.Checkpoint.hook], …;
-    [finish] drains and merges the collectors, writes [metrics.json] into
-    the run directory, appends the final "done" event and closes both
-    files, returning the {!summary} the CLI folds into the manifest.
+    [finish] merges the collectors, writes [metrics.json] into the run
+    directory, appends the final "done" event and closes both files,
+    returning the {!summary} the CLI folds into the manifest.
 
-    Span → artefact routing: every span feeds the merged phase timers, but
-    only coarse phases (expand, barrier and steal waits, walks, replay,
+    Span → artefact routing: every span arrives completed, with the
+    endpoints its caller measured, and feeds the merged phase timers; only
+    coarse phases (expand, barrier and steal waits, walks, replay,
     checkpoint, spill I/O, shrink) are forwarded to the trace file —
-    per-state spans (fingerprint, symmetry-normalize, invariant, walk)
-    would bloat it by orders of magnitude, so they aggregate silently. *)
+    per-state spans (fingerprint, symmetry-normalize, invariant, walk) and
+    [fault.compile] would bloat it or say nothing there, so they aggregate
+    silently. *)
 
 type t
 
@@ -60,7 +62,7 @@ type summary = {
 val finish :
   t -> outcome:string -> ?distinct:int -> ?generated:int -> ?max_depth:int ->
   duration:float -> unit -> summary
-(** Idempotent artefact finalization: drain collectors, merge, write
+(** Idempotent artefact finalization: merge the collectors, write
     [metrics.json] and [profile.json], append the "done" event, close
     the trace and event files. [metrics.json] carries a top-level
     [peak_rss_mb] (the process's VmHWM) where [/proc/self/status] is

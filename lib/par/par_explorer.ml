@@ -65,7 +65,7 @@ module Run (S : Spec.S) = struct
                  probe_steps visited)
     in
     let deadline = Option.map (fun b -> started +. b) opts.time_budget in
-    let invariants = E.invariants opts in
+    let rep = E.reports opts scenario ~resume ~store ~started in
     (* per-worker accumulators, disjointly indexed; the pool barrier
        publishes them to the coordinating domain *)
     let st_expanded = Array.make workers 0 in
@@ -77,20 +77,6 @@ module Run (S : Spec.S) = struct
     let gen_prev = ref 0 in
     let max_depth_seen = ref 0 in
     let layers = ref 0 in
-    let last_progress = ref 0 in
-    let progress_tick depth ~frontier_len =
-      if opts.progress_every > 0 then begin
-        let n = !distinct_total in
-        if n / opts.progress_every > !last_progress / opts.progress_every then begin
-          last_progress := n;
-          Option.iter
-            (fun f ->
-              f { Explorer.distinct = n; generated = !gen_prev; depth;
-                  frontier_len; elapsed = elapsed () })
-            opts.progress
-        end
-      end
-    in
     let outcome = ref None in
     let frontier : S.state Frontier.t ref = ref (Frontier.create ?disk ()) in
     (* the workers share the window for the layer being built *)
@@ -116,12 +102,11 @@ module Run (S : Spec.S) = struct
       distinct_total := snap.Explorer.snap_distinct;
       gen_prev := snap.Explorer.snap_generated;
       max_depth_seen := snap.Explorer.snap_max_depth;
-      last_progress := snap.Explorer.snap_distinct;
       depth := snap.Explorer.snap_depth
     | None ->
       (* roots: discovered in order, exactly like sequential BFS *)
       (match
-         E.seed_roots opts caches.(0) scenario lookup ~insert:(fun fp i ->
+         E.seed_roots rep caches.(0) lookup ~insert:(fun fp i ->
              Shard_set.add_seed visited fp (Fp_store.Proot i) ~depth:0)
        with
       | Ok items -> seed items ~depth:0
@@ -170,14 +155,12 @@ module Run (S : Spec.S) = struct
         (* per-worker layer end times, seeded with the layer start so idle
            workers (empty range) count as waiting the whole layer; the
            coordinator turns [wend.(w) .. barrier] into barrier-wait spans *)
-        let layer_t0 = if Probe.is_on probe then Unix.gettimeofday () else 0. in
-        let wend = Array.make workers layer_t0 in
+        let wend = Array.make workers (Probe.now probe) in
         Pool.run pool (fun w ->
             if w < Array.length ranges then begin
               let lo, hi = ranges.(w) in
               let wp = Probe.worker probe w in
               let t0 = Unix.gettimeofday () in
-              Probe.span_begin wp "expand";
               let my_cands = ref [] in
               let gen = ref 0 in
               let ins = ref 0 in
@@ -200,31 +183,28 @@ module Run (S : Spec.S) = struct
                      List.iteri
                        (fun j (event, state') ->
                          incr gen;
+                         let prov = Fp_store.Pstep (r, event) in
                          match
                            E.arrive ?probe:wp caches.(w) scenario state'
                              ~insert:(fun fp' ->
-                               Shard_set.merge visited fp'
-                                 ~prov:(Fp_store.Pstep (r, event))
+                               Shard_set.merge visited fp' ~prov
                                  ~depth:(d + 1) ~pos:(p, j)
                                  ~slot:((Frontier.length mine * workers) + w))
                          with
-                         | E.Inserted (_, sym, Shard_set.Fresh r') ->
+                         | E.Inserted (_, sym, Shard_set.Fresh r') -> (
                            build r' state';
                            incr ins;
-                           if Probe.is_on wp then
-                             Probe.edge wp ~depth:(d + 1) ~event:(Some event)
-                               ~dup:false ~sym;
-                           Probe.span_begin wp "invariant";
-                           (match E.first_broken invariants scenario state' with
+                           match
+                             E.report_arrival rep wp state' ~prov
+                               ~depth:(d + 1) ~dup:false ~sym
+                           with
                            | Some inv -> my_cands := (r', inv) :: !my_cands
-                           | None -> ());
-                           Probe.span_end wp "invariant"
+                           | None -> ())
                          | E.Recalled sym
                          | E.Inserted (_, sym, Shard_set.Dup_kept) ->
-                           Probe.count wp "fp.dup" 1;
-                           if Probe.is_on wp then
-                             Probe.edge wp ~depth:(d + 1) ~event:(Some event)
-                               ~dup:true ~sym
+                           ignore
+                             (E.report_arrival rep wp state' ~prov
+                                ~depth:(d + 1) ~dup:true ~sym)
                          | E.Inserted
                              ( _, sym,
                                Shard_set.Dup_replaced
@@ -255,10 +235,9 @@ module Run (S : Spec.S) = struct
               st_expanded.(w) <- st_expanded.(w) + !expanded;
               st_generated.(w) <- st_generated.(w) + !gen;
               st_inserted.(w) <- st_inserted.(w) + !ins;
-              (* close the expand span before taking t1 so the barrier-wait
-                 span (which starts at t1) never overlaps it in the trace *)
-              Probe.span_end wp "expand";
+              (* the barrier-wait span starts where this one ends *)
               let t1 = Unix.gettimeofday () in
+              Probe.span_at wp "expand" ~t0 ~t1;
               wend.(w) <- t1;
               st_busy.(w) <- st_busy.(w) +. (t1 -. t0)
             end);
@@ -341,20 +320,12 @@ module Run (S : Spec.S) = struct
               building;
             frontier := next;
             depth := d + 1;
-            let len = Frontier.length next in
-            (* refresh the store and frontier gauges before the layer
-               record so the telemetry sampler reads this layer's values *)
-            E.visited_gauges probe store;
-            E.frontier_gauges probe ~resident:(Frontier.resident_bytes next)
-              ~spilled:(Frontier.spilled_bytes next);
-            Probe.layer probe ~depth:(d + 1) ~distinct:!distinct_total
-              ~generated:!gen_prev ~frontier:len ~elapsed:(elapsed ());
-            progress_tick (d + 1) ~frontier_len:len;
             (* the natural barrier: no layer in flight, frontier complete *)
-            if len > 0 then
-              Option.iter
-                (fun hook -> hook (d + 1) (lazy (snapshot_now ())))
-                opts.on_layer
+            E.report_barrier rep ~layer:(d + 1) ~depth:(d + 1)
+              ~distinct:!distinct_total ~generated:!gen_prev
+              ~frontier:(Frontier.length next)
+              ~resident:(Frontier.resident_bytes next)
+              ~spilled:(Frontier.spilled_bytes next) (lazy (snapshot_now ()))
         end
       end
     done;

@@ -21,16 +21,12 @@ let fold ?workers ?probe ?(progress_every = 0) ?progress spec scenario
         let ws_walks = Array.make workers 0 in
         let ws_events = Array.make workers 0 in
         let ws_busy = Array.make workers 0. in
-        let batch_t0 =
-          if Probe.is_on probe then Unix.gettimeofday () else 0.
-        in
-        let wend = Array.make workers batch_t0 in
+        let wend = Array.make workers (Probe.now probe) in
         Pool.run pool (fun w ->
             if w < Array.length ranges then begin
               let lo, hi = ranges.(w) in
               let wp = Probe.worker probe w in
               let t0 = Unix.gettimeofday () in
-              Probe.span_begin wp "walks";
               let events = ref 0 and acc = ref init in
               for i = lo to hi - 1 do
                 let walk =
@@ -48,8 +44,8 @@ let fold ?workers ?probe ?(progress_every = 0) ?progress spec scenario
               accs.(w) <- !acc;
               ws_walks.(w) <- hi - lo;
               ws_events.(w) <- !events;
-              Probe.span_end wp "walks";
               let t1 = Unix.gettimeofday () in
+              Probe.span_at wp "walks" ~t0 ~t1;
               wend.(w) <- t1;
               ws_busy.(w) <- t1 -. t0
             end);

@@ -102,7 +102,7 @@ module Run (S : Spec.S) = struct
                  probe_steps visited)
     in
     let deadline = Option.map (fun b -> started +. b) opts.time_budget in
-    let invariants = E.invariants opts in
+    let rep = E.reports opts scenario ~resume ~store ~started in
     (* the spill window is shared out between the queues; a chunk holds at
        most half a queue's share *)
     let window =
@@ -125,9 +125,6 @@ module Run (S : Spec.S) = struct
           let n = Frontier.chunks q.q in
           push q.q;
           if Frontier.chunks q.q > n then Atomic.incr outstanding)
-    in
-    let queued () =
-      Array.fold_left (fun n q -> n + Frontier.length q.q) 0 queues
     in
     (* engine-wide counters; [distinct] is atomic because the max_states
        budget reads it cross-worker, the rest are disjointly indexed *)
@@ -165,7 +162,7 @@ module Run (S : Spec.S) = struct
       match resume with
       | None -> (
         let roots =
-          E.seed_roots opts caches.(0) scenario lookup ~insert:(fun fp i ->
+          E.seed_roots rep caches.(0) lookup ~insert:(fun fp i ->
               Shard_set.add_seed visited fp (Fp_store.Proot i) ~depth:0)
         in
         Atomic.set distinct (Shard_set.length visited);
@@ -266,29 +263,26 @@ module Run (S : Spec.S) = struct
           List.iter
             (fun (event, state') ->
               st_generated.(w) <- st_generated.(w) + 1;
+              let prov = Fp_store.Pstep (r, event) in
               match
                 E.arrive ?probe:wp caches.(w) scenario state'
                   ~insert:(fun fp' ->
-                    Shard_set.add_seed visited fp'
-                      (Fp_store.Pstep (r, event))
-                      ~depth:(depth + 1))
+                    Shard_set.add_seed visited fp' prov ~depth:(depth + 1))
               with
               | E.Inserted (fp', sym, Some r') ->
                 st_inserted.(w) <- st_inserted.(w) + 1;
                 Atomic.incr distinct;
-                if Probe.is_on wp then
-                  Probe.edge wp ~depth:(depth + 1) ~event:(Some event)
-                    ~dup:false ~sym;
                 if depth + 1 > st_maxdepth.(w) then
                   st_maxdepth.(w) <- depth + 1;
-                Probe.span_begin wp "invariant";
-                (match E.first_broken invariants scenario state' with
+                (match
+                   E.report_arrival rep wp state' ~prov ~depth:(depth + 1)
+                     ~dup:false ~sym
+                 with
                 | Some inv ->
                   stop_with
                     (Explorer.Violation
                        (E.violation lookup scenario fp' inv ~depth:(depth + 1)))
                 | None -> ());
-                Probe.span_end wp "invariant";
                 (* the state's bytes are still in this domain's own
                    fingerprint arena: nothing since its own fingerprint
                    has marshalled *)
@@ -300,10 +294,9 @@ module Run (S : Spec.S) = struct
                   stop_with Explorer.Budget_spent
                 | _ -> ())
               | E.Recalled sym | E.Inserted (_, sym, None) ->
-                Probe.count wp "fp.dup" 1;
-                if Probe.is_on wp then
-                  Probe.edge wp ~depth:(depth + 1) ~event:(Some event)
-                    ~dup:true ~sym)
+                ignore
+                  (E.report_arrival rep wp state' ~prov ~depth:(depth + 1)
+                     ~dup:true ~sym))
             succs;
           incr tick;
           if !tick land 15 = 0 then
@@ -342,34 +335,20 @@ module Run (S : Spec.S) = struct
           done;
           if not (Atomic.get stop) then begin
             incr pulses;
-            let frontier = queued () in
             let gen_now = cur_generated () in
             let maxd = cur_maxdepth () in
-            if Probe.is_on probe then begin
-              let sum f = Array.fold_left (fun n q -> n + f q.q) 0 queues in
+            let sum f = Array.fold_left (fun n q -> n + f q.q) 0 queues in
+            if Probe.is_on probe then
               for v = 0 to workers - 1 do
                 Probe.gauge (Probe.worker probe v) "queue.depth"
                   (float_of_int (Frontier.length queues.(v).q))
               done;
-              E.visited_gauges probe store;
-              E.frontier_gauges probe
-                ~resident:(sum Frontier.resident_bytes)
-                ~spilled:(sum Frontier.spilled_bytes)
-            end;
-            Probe.layer probe ~depth:maxd ~distinct:(Atomic.get distinct)
-              ~generated:gen_now ~frontier ~elapsed:(elapsed ());
-            if opts.progress_every > 0 then
-              Option.iter
-                (fun f ->
-                  f { Explorer.distinct = Atomic.get distinct;
-                      generated = gen_now; depth = maxd;
-                      frontier_len = frontier; elapsed = elapsed () })
-                opts.progress;
-            if frontier > 0 then
-              Option.iter
-                (fun hook ->
-                  hook !pulses (lazy (snapshot_now ~gen_now ~maxd ())))
-                opts.on_layer
+            E.report_barrier rep ~layer:!pulses ~depth:maxd
+              ~distinct:(Atomic.get distinct) ~generated:gen_now
+              ~frontier:(sum Frontier.length)
+              ~resident:(sum Frontier.resident_bytes)
+              ~spilled:(sum Frontier.spilled_bytes)
+              (lazy (snapshot_now ~gen_now ~maxd ()))
           end;
           last_pulse := Unix.gettimeofday ();
           Atomic.set pause false

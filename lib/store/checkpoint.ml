@@ -69,7 +69,6 @@ let decode_prov src =
 
 let save ?probe ~dir ~identity (snap : Explorer.snapshot) =
   Binio.mkdir_p dir;
-  Probe.span_begin probe "checkpoint";
   let t0 = Unix.gettimeofday () in
   let path = Filename.concat dir file in
   let frontier = ref 0 in
@@ -108,14 +107,15 @@ let save ?probe ~dir ~identity (snap : Explorer.snapshot) =
         | Explorer.Layered -> 0
         | Explorer.Unordered -> 1));
   let bytes = (Unix.stat path).Unix.st_size in
-  Probe.span_end probe "checkpoint";
+  let t1 = Unix.gettimeofday () in
+  Probe.span_at probe "checkpoint" ~t0 ~t1;
   Probe.count probe "checkpoint.saves" 1;
   Probe.count probe "checkpoint.bytes" bytes;
   { ck_depth = snap.snap_depth;
     ck_distinct = snap.snap_distinct;
     ck_frontier = !frontier;
     ck_bytes = bytes;
-    ck_seconds = Unix.gettimeofday () -. t0 }
+    ck_seconds = t1 -. t0 }
 
 let first_diff_line a b =
   let la = String.split_on_char '\n' a and lb = String.split_on_char '\n' b in

@@ -32,6 +32,28 @@ let test_toy_violated () =
   | Some events -> Alcotest.(check int) "budget-length path" 2 (List.length events)
   | None -> Alcotest.fail "counterexample expected"
 
+let test_p_never_held_on_a_later_path () =
+  (* (1,1) is first reached from (1,0), where P holds; the path that ticks
+     node 1 and then node 0 reaches it without P ever holding, and can go
+     no further *)
+  let p obs =
+    match Tla.Value.field obs "ticks" with
+    | Some (Tla.Value.Seq [ Tla.Value.Int t0; Tla.Value.Int t1 ]) ->
+      (t0 >= 1 && t1 = 0) || t1 >= 2
+    | _ -> false
+  in
+  let r =
+    Liveness.check_eventually (Toy_spec.spec ())
+      (Toy_spec.scenario ~nodes:2 ~timeouts:2)
+      ~p
+  in
+  Alcotest.(check bool) "violated" false r.satisfied;
+  let tick node = Trace.Timeout { node; kind = "tick" } in
+  Alcotest.(check (option (list string)))
+    "tick node 1, then node 0"
+    (Some (List.map (Fmt.str "%a" Trace.pp_event) [ tick 1; tick 0 ]))
+    (Option.map (List.map (Fmt.str "%a" Trace.pp_event)) r.counterexample)
+
 let election_scenario =
   Scenario.v ~name:"liveness-election" ~nodes:2 ~workload:[ 1 ]
     [ "timeouts", 2; "requests", 0; "crashes", 0; "restarts", 0;
@@ -84,6 +106,7 @@ let suite =
   ( "liveness",
     [ case "toy eventually satisfied" test_toy_satisfied;
       case "toy eventually violated" test_toy_violated;
+      case "P never held on a later path" test_p_never_held_on_a_later_path;
       case "single-node election liveness" test_election_liveness_fixed;
       case "wraft9 verdict deterministic" test_election_liveness_wraft9;
       case "budget interruption" test_budget_interrupt ] )

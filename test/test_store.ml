@@ -940,8 +940,6 @@ let spill_counter () =
           else if name = "spill.items_spilled" then
             ignore (Atomic.fetch_and_add items n));
       s_gauge = (fun ~worker:_ _ _ -> ());
-      s_begin = (fun ~worker:_ _ -> ());
-      s_end = (fun ~worker:_ _ -> ());
       s_span = (fun ~worker:_ _ _ _ -> ());
       s_layer =
         (fun ~depth:_ ~distinct:_ ~generated:_ ~frontier:_ ~elapsed:_ -> ());

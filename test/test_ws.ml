@@ -137,6 +137,45 @@ let test_registry_sweep_invariance () =
         worker_counts)
     (List.map tiny R.all @ [ xraft_kv_3n ])
 
+(* Every engine calls [progress] only once [distinct] has crossed a
+   multiple of [progress_every] since its previous call (or since 0): per
+   state in the sequential engine, at layer barriers in the strict one and
+   at pulses under work stealing, here one before nearly every batch. *)
+let test_progress_every_honoured () =
+  let k = 1000 in
+  let spec = Toy_spec.spec () in
+  (* 5,456 distinct states *)
+  let scenario = Toy_spec.scenario ~nodes:3 ~timeouts:30 in
+  List.iter
+    (fun (engine, run) ->
+      let calls = ref [] in
+      run
+        { Explorer.default with
+          symmetry = false;
+          progress_every = k;
+          progress = Some (fun s -> calls := s.Explorer.distinct :: !calls) };
+      let calls = List.rev !calls in
+      Alcotest.(check bool) (engine ^ ": progress fired") true (calls <> []);
+      ignore
+        (List.fold_left
+           (fun prev n ->
+             Alcotest.(check bool)
+               (Fmt.str "%s: %d distinct crossed a multiple of %d since %d"
+                  engine n k prev)
+               true
+               (n / k > prev / k);
+             n)
+           0 calls))
+    [ ("sequential", fun opts -> ignore (Explorer.check spec scenario opts));
+      ( "--strict-bfs -j 2",
+        fun opts ->
+          ignore (Par.Par_explorer.check ~workers:2 spec scenario opts) );
+      ( "work stealing -j 2",
+        fun opts ->
+          ignore
+            (Par.Ws_explorer.check ~workers:2 ~pulse_every:0.0 spec scenario
+               opts) ) ]
+
 let resume_scenario = Toy_spec.scenario ~nodes:2 ~timeouts:6
 
 let test_ws_resume_different_workers () =
@@ -356,6 +395,8 @@ let suite =
       case "toy violation verdict invariance" test_toy_violation_verdict;
       case "registry-wide exhaustive invariance (1/2/4 workers)"
         test_registry_sweep_invariance;
+      case "progress honours progress_every in every engine"
+        test_progress_every_honoured;
       case "unordered snapshot resumes at any worker count"
         test_ws_resume_different_workers;
       case "layered snapshot resumes in the WS engine"
